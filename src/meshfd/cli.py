@@ -36,7 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON run config (a report.json also works)")
         p.add_argument("--out-dir", default=".", help="directory for all outputs")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=None, help="override the row-assembly parallelism")
         p.add_argument("--timings", action="store_true", help="include wall-clock timings in report.json")
     return parser
 
@@ -50,7 +49,6 @@ def main(argv=None) -> int:
             raw,
             out_dir=args.out_dir,
             seed=args.seed,
-            threads=args.threads,
             timings=args.timings,
         )
     except MeshfdError as exc:

@@ -7,7 +7,6 @@ optional:
 
     {
       "seed": 0,
-      "threads": null,                      # null resolves to the core count
       "nodes": {"kind": "grid", "d": 2, "n_per_axis": 9, "bounds": [[0,1],[0,1]]}
                | {"kind": "scattered", "d": 2, "count": 100, "bounds": ...,
                   "source": "halton" | "random", "boundary_per_side": null}
@@ -38,7 +37,6 @@ from __future__ import annotations
 
 import copy
 import json
-import os
 
 from .errors import ConfigError
 
@@ -54,7 +52,6 @@ DEFAULT_OUTPUTS = {
 
 _DEFAULTS = {
     "seed": 0,
-    "threads": None,
     "nodes": None,
     "space": None,
     "selector": None,
@@ -91,7 +88,7 @@ def load_config(path) -> dict:
     return doc
 
 
-def resolve_config(raw: dict, seed=None, threads=None) -> dict:
+def resolve_config(raw: dict, seed=None) -> dict:
     """Materialize defaults and apply command-line overrides."""
     unknown = sorted(set(raw) - set(_DEFAULTS))
     if unknown:
@@ -100,12 +97,7 @@ def resolve_config(raw: dict, seed=None, threads=None) -> dict:
     cfg.update(copy.deepcopy(raw))
     if seed is not None:
         cfg["seed"] = int(seed)
-    if threads is not None:
-        cfg["threads"] = int(threads)
-    if cfg["threads"] is None:
-        cfg["threads"] = os.cpu_count() or 1
     cfg["seed"] = int(cfg["seed"])
-    cfg["threads"] = max(1, int(cfg["threads"]))
 
     outputs = dict(DEFAULT_OUTPUTS)
     outputs.update(cfg.get("outputs") or {})

@@ -257,7 +257,7 @@ def run_solve(cfg, out_dir) -> dict:
     sigma = sigma_from_config(cfg, space, ns)
     gs = assemble(
         space, op, problem.rhs, sigma,
-        route=cfg["route"], dirichlet_data=problem.dirichlet, threads=cfg["threads"],
+        route=cfg["route"], dirichlet_data=problem.dirichlet,
     )
     solution = solve_square(gs) if cfg["mode"] == "collocate" else solve_least_squares(gs)
     _write_solution_csv(_out_path(out_dir, cfg["outputs"]["solution"]), ns, solution.nodal_values, problem)
@@ -320,7 +320,7 @@ def run_converge(cfg, out_dir) -> dict:
         op = resolve_operator(level_cfg, prob)
         gs = assemble(
             space, op, prob.rhs, sigma,
-            route=level_cfg["route"], dirichlet_data=prob.dirichlet, threads=level_cfg["threads"],
+            route=level_cfg["route"], dirichlet_data=prob.dirichlet,
         )
         sol = solve_square(gs) if level_cfg["mode"] == "collocate" else solve_least_squares(gs)
         return _level_h(level_cfg["nodes"], ns), ns, sol.nodal_values
@@ -400,9 +400,9 @@ _RUNNERS = {
 }
 
 
-def run_command(command: str, raw_cfg: dict, out_dir=".", seed=None, threads=None, timings=False):
+def run_command(command: str, raw_cfg: dict, out_dir=".", seed=None, timings=False):
     """Resolve a config, run one subcommand, and write its report."""
-    cfg = resolve_config(raw_cfg, seed=seed, threads=threads)
+    cfg = resolve_config(raw_cfg, seed=seed)
     t0 = time.perf_counter()
     results = _RUNNERS[command](cfg, out_dir)
     elapsed = time.perf_counter() - t0

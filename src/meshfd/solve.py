@@ -11,7 +11,6 @@ residual check and a flagged minimum-norm fallback on rank deficiency.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +26,8 @@ from .errors import (
     SingularSystemError,
 )
 from .linalg import RANK_RTOL
-from .ndf import weights_kernel, weights_poly
+from .ndf import weights_batch
 from .operators import Operator
-from .spaces import KernelSpace
 from .spline import OverlapSplineSpace, lagrange_row
 
 # Acceptance bound for the normal-equation residual of a least-squares solve.
@@ -187,16 +185,12 @@ def build_sigma(space: OverlapSplineSpace, strategy: str, collocation_points=Non
     return SigmaMap(strategy=strategy, pairs=tuple(pairs))
 
 
-def _row_values(space, op, pair, route):
-    patch = space.patches[pair.patch]
-    if route == "lagrange":
-        sw = lagrange_row(space, pair.patch, op, pair.point)
-    else:
-        if isinstance(patch.space, KernelSpace):
-            sw = weights_kernel(op, pair.point, patch.influence, patch.space)
-        else:
-            sw = weights_poly(op, pair.point, patch.influence, patch.space)
-    return patch.influence.indices, sw.weights, sw.residual
+def _attempt(fn, *args):
+    """fn(*args), or the MeshfdError it raised."""
+    try:
+        return fn(*args)
+    except MeshfdError as exc:
+        return exc
 
 
 def assemble(
@@ -206,60 +200,63 @@ def assemble(
     sigma: SigmaMap,
     route: str = "exactness",
     dirichlet_data=None,
-    threads: int = 1,
 ) -> GlobalSystem:
     """Build the sparse global system for a sigma map.
 
     Row j holds the differentiation weights of patch sigma(j) at y_j and
     the right-hand side f(y_j); rows at flagged Dirichlet nodes are exact
     unit rows with ``dirichlet_data`` (falling back to f) on the right.
-    Rows are independent and computed in parallel when ``threads > 1``;
-    the result is identical to the serial one.
+    The exactness route computes all other rows in one call to the batched
+    engine `ndf.weights_batch`; the ``"lagrange"`` route is the independent
+    cardinal construction, one `spline.lagrange_row` per row.  A row that
+    fails raises `AssemblyError` carrying its row and patch index.
     """
     if route not in ("exactness", "lagrange"):
         raise ConfigError(f"unknown assembly route {route!r}")
     if route == "lagrange" and not space.interpolatory:
         raise ContractError("the cardinal-basis route requires an interpolatory space")
+    pairs = sigma.pairs
     boundary = space.nodes.boundary_mask
-
-    def make_row(item):
-        idx, pair = item
-        if op.identity_on_boundary and pair.node is not None and boundary[pair.node]:
-            rhs = dirichlet_data(pair.point) if dirichlet_data is not None else f(pair.point)
-            return np.array([pair.node]), np.array([1.0]), float(rhs), 0.0, True
-        try:
-            cols, vals, residual = _row_values(space, op, pair, route)
-        except MeshfdError as exc:
-            raise AssemblyError(
-                f"row {idx} (patch {pair.patch}, point {pair.point.tolist()}): {exc}",
-                row=idx, patch=pair.patch,
-            ) from exc
-        return cols, vals, float(f(pair.point)), residual, False
-
-    items = list(enumerate(sigma.pairs))
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            rows = list(pool.map(make_row, items))
+    dirichlet = [
+        bool(op.identity_on_boundary and p.node is not None and boundary[p.node]) for p in pairs
+    ]
+    free = [j for j, dj in enumerate(dirichlet) if not dj]
+    patches = [space.patches[pairs[j].patch] for j in free]
+    if route == "lagrange":
+        rows = [_attempt(lagrange_row, space, pairs[j].patch, op, pairs[j].point) for j in free]
     else:
-        rows = [make_row(it) for it in items]
+        rows = weights_batch(op, [pairs[j].point for j in free],
+                             [p.influence for p in patches], [p.space for p in patches])
+    for j, row in zip(free, rows):
+        if isinstance(row, MeshfdError):
+            pair = pairs[j]
+            raise AssemblyError(
+                f"row {j} (patch {pair.patch}, point {pair.point.tolist()}): {row}",
+                row=j, patch=pair.patch,
+            ) from row
+    computed = dict(zip(free, rows))
 
-    m = len(rows)
-    row_idx: list[int] = []
-    col_idx: list[int] = []
-    values: list[float] = []
+    m = len(pairs)
+    cols, vals, meta = [], [], []
     rhs = np.empty(m)
-    meta = []
-    for j, (cols, vals, b_j, residual, dirichlet) in enumerate(rows):
-        row_idx.extend([j] * len(cols))
-        col_idx.extend(int(c) for c in cols)
-        values.extend(float(v) for v in vals)
-        rhs[j] = b_j
-        meta.append(
-            RowMeta(point=sigma.pairs[j].point, patch=sigma.pairs[j].patch,
-                    residual=residual, dirichlet=dirichlet)
-        )
+    for j, pair in enumerate(pairs):
+        if dirichlet[j]:
+            cols.append(np.array([pair.node]))
+            vals.append(np.array([1.0]))
+            data = dirichlet_data if dirichlet_data is not None else f
+            rhs[j] = float(data(pair.point))
+            residual = 0.0
+        else:
+            sw = computed[j]
+            cols.append(sw.influence.indices)
+            vals.append(sw.weights)
+            rhs[j] = float(f(pair.point))
+            residual = sw.residual
+        meta.append(RowMeta(point=pair.point, patch=pair.patch, residual=float(residual),
+                            dirichlet=dirichlet[j]))
+    row_idx = np.repeat(np.arange(m), [c.size for c in cols])
     matrix = scipy.sparse.csr_matrix(
-        (values, (row_idx, col_idx)), shape=(m, space.nodes.n)
+        (np.concatenate(vals), (row_idx, np.concatenate(cols))), shape=(m, space.nodes.n)
     )
     matrix.sort_indices()
     return GlobalSystem(matrix=matrix, rhs=rhs, row_meta=tuple(meta))

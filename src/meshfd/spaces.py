@@ -108,14 +108,7 @@ class PolySpace:
     def eval_basis(self, x) -> np.ndarray:
         """Basis values at x; shape (dim,) for a point, (m, dim) for a batch."""
         single = np.asarray(x).ndim == 1
-        z = self._local(x)
-        out = np.empty((z.shape[0], self.dim))
-        for k, alpha in enumerate(self.exponents):
-            col = np.ones(z.shape[0])
-            for a, e in enumerate(alpha):
-                if e:
-                    col = col * z[:, a] ** e
-            out[:, k] = col
+        out = monomial_derivatives(self._local(x), self.exponents, (0,) * self.d)
         return out[0] if single else out
 
     def eval_basis_derivative(self, x, beta) -> np.ndarray:
@@ -124,28 +117,47 @@ class PolySpace:
         if len(beta) != self.d or any(e < 0 for e in beta):
             raise InvalidInputError(f"derivative multi-index {beta} does not match dimension {self.d}")
         single = np.asarray(x).ndim == 1
-        z = self._local(x)
-        out = np.empty((z.shape[0], self.dim))
-        rescale = self.scale ** (-sum(beta))
-        for k, alpha in enumerate(self.exponents):
-            coef = 1.0
-            dead = False
-            for a in range(self.d):
-                if beta[a] > alpha[a]:
-                    dead = True
-                    break
-                for step in range(beta[a]):
-                    coef *= alpha[a] - step
-            if dead:
-                out[:, k] = 0.0
-                continue
-            col = np.full(z.shape[0], coef * rescale)
-            for a in range(self.d):
-                e = alpha[a] - beta[a]
-                if e:
-                    col = col * z[:, a] ** e
-            out[:, k] = col
+        out = monomial_derivatives(self._local(x), self.exponents, beta, self.scale)
         return out[0] if single else out
+
+
+@functools.lru_cache(maxsize=None)
+def _derivative_plan(exponents, beta) -> tuple:
+    """Per monomial: None if d^beta kills it, else (coefficient, ((axis, power), ...))."""
+    plan = []
+    for alpha in exponents:
+        if any(b > a for a, b in zip(alpha, beta)):
+            plan.append(None)
+            continue
+        coef = 1.0
+        for a, b in zip(alpha, beta):
+            for step in range(b):
+                coef *= a - step
+        plan.append((coef, tuple((axis, a - b) for axis, (a, b) in enumerate(zip(alpha, beta)) if a - b)))
+    return tuple(plan)
+
+
+def monomial_derivatives(z, exponents, beta, scale=1.0) -> np.ndarray:
+    """d^beta of every monomial z^alpha, for local coordinates z = (x - shift) / scale.
+
+    ``z`` has shape (..., d) and the result (..., len(exponents)); the chain
+    rule factor ``scale**-|beta|`` is included.  ``scale`` is a float or an
+    array broadcasting against ``z.shape[:-1]`` (one scale per stencil).
+    """
+    rescale = 1.0
+    for _ in range(sum(beta)):
+        rescale = rescale / scale
+    out = np.empty(z.shape[:-1] + (len(exponents),))
+    for k, term in enumerate(_derivative_plan(exponents, beta)):
+        if term is None:
+            out[..., k] = 0.0
+            continue
+        coef, factors = term
+        col = coef * rescale
+        for axis, power in factors:
+            col = col * z[..., axis] ** power
+        out[..., k] = col
+    return out
 
 
 @dataclass(frozen=True)
@@ -234,17 +246,26 @@ def kernel_translate_derivative(kernel: Kernel, x, centers, beta) -> np.ndarray:
 
     Shape (n,) for a single point, (m, n) for a batch.
     """
-    beta = tuple(int(e) for e in beta)
-    order = sum(beta)
-    if order > 2:
-        raise InvalidInputError("kernel derivatives are provided up to order 2")
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     single = np.asarray(x).ndim == 1
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     if pts.shape[1] != centers.shape[1]:
         raise InvalidInputError("point and center dimensions differ")
-    diff = pts[:, None, :] - centers[None, :, :]
-    r = np.linalg.norm(diff, axis=2)
+    out = kernel_derivative(kernel, pts[:, None, :] - centers[None, :, :], beta)
+    return out[0] if single else out
+
+
+def kernel_derivative(kernel: Kernel, diff, beta) -> np.ndarray:
+    """d^beta_x K(x, c) at displacements ``diff = x - c`` of shape (..., d), |beta| <= 2.
+
+    Returns shape ``diff.shape[:-1]``; zero displacements take the kernel's
+    limits at its center.
+    """
+    beta = tuple(int(e) for e in beta)
+    order = sum(beta)
+    if order > 2:
+        raise InvalidInputError("kernel derivatives are provided up to order 2")
+    r = np.linalg.norm(diff, axis=-1)
     zero = r == 0.0
     rs = np.where(zero, 1.0, r)
 
@@ -252,7 +273,7 @@ def kernel_translate_derivative(kernel: Kernel, x, centers, beta) -> np.ndarray:
         out = kernel.phi(r)
     elif order == 1:
         axis = beta.index(1)
-        out = kernel.dphi_over_r(rs) * diff[:, :, axis]
+        out = kernel.dphi_over_r(rs) * diff[..., axis]
         if zero.any():
             out = np.where(zero, kernel.gradient_limit_at_zero(), out)
     else:
@@ -260,15 +281,15 @@ def kernel_translate_derivative(kernel: Kernel, x, centers, beta) -> np.ndarray:
         a_ax, b_ax = axes
         g1r = kernel.dphi_over_r(rs)
         g2 = kernel.d2phi(rs)
-        ua = diff[:, :, a_ax] / rs
-        ub = diff[:, :, b_ax] / rs
+        ua = diff[..., a_ax] / rs
+        ub = diff[..., b_ax] / rs
         out = (g2 - g1r) * ua * ub
         if a_ax == b_ax:
             out = out + g1r
         if zero.any():
             lim_diag = kernel.second_derivative_limit_at_zero()
             out = np.where(zero, lim_diag if a_ax == b_ax else 0.0, out)
-    return out[0] if single else out
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -380,15 +380,19 @@ def lagrange_row(space: OverlapSplineSpace, patch_index: int, op: Operator, y) -
     coords = patch.influence.points
     ps = patch.space
 
+    singular = NotAnInterpolationSetError(
+        f"singular local system on patch {patch_index}",
+        rank=patch.rank, dim=patch.space.dim, n_nodes=patch.influence.size,
+    )
+
     if isinstance(ps, KernelSpace):
         rhs = np.vstack([np.eye(ps.n), np.zeros((ps.q_dim, ps.n))])
         try:
             cardinal = scipy.linalg.lu_solve(ps.saddle_lu, rhs)
         except (np.linalg.LinAlgError, ValueError):
-            raise NotAnInterpolationSetError(
-                f"singular local system on patch {patch_index}",
-                rank=patch.rank, dim=patch.space.dim, n_nodes=patch.influence.size,
-            ) from None
+            raise singular from None
+        if not np.all(np.isfinite(cardinal)):  # lu_factor only warns on a zero pivot
+            raise singular
         op_kernel = ps.translate_operator(op, y)
         op_tail = apply_operator(ps.aug, op, y) if ps.aug is not None else np.zeros(0)
         w = np.concatenate([op_kernel, op_tail]) @ cardinal
@@ -401,10 +405,9 @@ def lagrange_row(space: OverlapSplineSpace, patch_index: int, op: Operator, y) -
     try:
         cardinal = np.linalg.solve(e, np.eye(e.shape[0]))
     except np.linalg.LinAlgError:
-        raise NotAnInterpolationSetError(
-            f"singular local system on patch {patch_index}",
-            rank=patch.rank, dim=patch.space.dim, n_nodes=patch.influence.size,
-        ) from None
+        raise singular from None
+    if not np.all(np.isfinite(cardinal)):
+        raise singular
     t = apply_operator(ps, op, y)
     w = t @ cardinal
     residual = exactness_defect(w, e, t)

@@ -233,6 +233,13 @@ class TestErrorHandling:
         assert main(["generate", "--config", path, "--out-dir", str(tmp_path / "o")]) == 1
         assert "nodez" in json.loads(capsys.readouterr().err)["message"]
 
+    def test_removed_threads_key_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path / "old.json.in", {"threads": 2})
+        assert main(["generate", "--config", path, "--out-dir", str(tmp_path / "o")]) == 1
+        assert "threads" in json.loads(capsys.readouterr().err)["message"]
+        with pytest.raises(SystemExit):
+            main(["generate", "--config", path, "--threads", "2"])
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["generate", "--config", str(tmp_path / "nope.json"),
                      "--out-dir", str(tmp_path / "o")]) == 1

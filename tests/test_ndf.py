@@ -9,6 +9,13 @@ from meshfd.spaces import KernelSpace, PolySpace
 from helpers import FIVE_STAR_SUBLIST, grid1d, grid2d
 
 
+def coincident_stencil():
+    """Three influence points, two of them coincident under distinct indices."""
+    pts = np.array([[0.0, 0.0], [0.0, 0.0], [0.3, 0.1]])
+    dist = np.linalg.norm(pts, axis=1)
+    return m.InfluenceSet(center=pts[0], indices=[0, 1, 2], distances=dist, points=pts)
+
+
 def symmetric_stencil_1d(h):
     ns = grid1d(2, bounds=(-h, h))  # nodes -h, 0, h
     return ns, m.knn(ns, [0.0], 3)
@@ -101,6 +108,16 @@ class TestWeightsPoly:
         target = 2.0 * 2.0 / infl.radius**2 + 0.5 * 2 * y[0] / infl.radius + float(infl.center[0]) * 0.0
         assert sw.weights @ vals == pytest.approx(target, rel=1e-9)
 
+    def test_non_finite_rows_raise(self):
+        infl = coincident_stencil()
+        ps = PolySpace.full(2, 1, shift=infl.center, scale=0.3)
+        with pytest.raises(UnsolvableExactnessError) as err:
+            m.weights_poly(m.IDENTITY, [0.1, 0.2], infl, ps)
+        assert err.value.rank == 2
+        # a non-finite target gives a NaN defect, which must not pass the bound
+        with pytest.raises(UnsolvableExactnessError, match="defect nan"):
+            m.weights_poly(m.IDENTITY, [np.nan, 0.2], infl, ps)
+
     @given(seed=st.integers(0, 400), t=st.sampled_from([0.5, 2.0]))
     def test_scale_covariance_of_laplacian_weights(self, seed, t):
         rng = np.random.default_rng(seed)
@@ -192,6 +209,18 @@ class TestWeightsKernel:
         ks = m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0))(infl)
         with pytest.raises(UnsolvableExactnessError, match="unisolvent"):
             m.weights_kernel(m.LAPLACIAN, [0.5, 0.0], infl, ks)
+
+    def test_coincident_nodes_raise_instead_of_nan_row(self):
+        infl = coincident_stencil()
+        ks = KernelSpace(m.Kernel("gauss", 1.0), infl.points)
+        with pytest.raises(UnsolvableExactnessError, match="singular saddle system"):
+            m.weights_kernel(m.LAPLACIAN, infl.center, infl, ks)
+        # a non-finite target gives a NaN defect, which must not pass the bound
+        distinct = m.InfluenceSet(center=[0.0, 0.0], indices=[0, 1, 2], distances=[0.0, 0.3, 0.3],
+                                  points=[[0.0, 0.0], [0.3, 0.0], [0.0, 0.3]])
+        ks = KernelSpace(m.Kernel("gauss", 1.0), distinct.points)
+        with pytest.raises(UnsolvableExactnessError, match="defect nan"):
+            m.weights_kernel(m.LAPLACIAN, [np.nan, 0.0], distinct, ks)
 
     def test_mismatched_centers_rejected(self, rng):
         pts = rng.random((5, 2))

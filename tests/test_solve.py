@@ -158,15 +158,6 @@ class TestAssemble:
                              dirichlet_data=p.dirichlet)
                 assert np.max(np.abs((a.matrix - b.matrix).toarray())) <= 1e-10
 
-    def test_parallel_assembly_identical_to_serial(self):
-        p = preset("poisson2d")
-        ns, space = five_star_sublist_space(8)
-        sigma = build_sigma(space, "same-index")
-        serial = assemble(space, p.operator, p.rhs, sigma, dirichlet_data=p.dirichlet, threads=1)
-        parallel = assemble(space, p.operator, p.rhs, sigma, dirichlet_data=p.dirichlet, threads=4)
-        assert np.array_equal(serial.matrix.toarray(), parallel.matrix.toarray())
-        assert np.array_equal(serial.rhs, parallel.rhs)
-
     def test_deterministic_assembly(self):
         p = preset("poisson2d")
         ns, space = five_star_sublist_space(6)
@@ -176,6 +167,85 @@ class TestAssemble:
         assert np.array_equal(a.matrix.data, b.matrix.data)
         assert np.array_equal(a.matrix.indices, b.matrix.indices)
         assert np.array_equal(a.rhs, b.rhs)
+
+
+def one_row(op, pair, patch):
+    """The scalar call for one assembled row."""
+    route = m.weights_kernel if isinstance(patch.space, m.KernelSpace) else m.weights_poly
+    return route(op, pair.point, patch.influence, patch.space)
+
+
+R3_TAIL1 = m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0), augmentation_degree=1)
+
+# Point-dependent coefficients; the first-order x term vanishes on half the
+# points, so rows of one chunk carry different sets of derivative terms.
+GENERAL_OP = m.Operator(
+    "general-second-order",
+    a=lambda x: np.array([[1.0 + x[0], 0.3 * x[1]], [0.3 * x[1], 2.0 - x[1]]]),
+    b=lambda x: np.array([max(x[0] - 0.5, 0.0), 1.0]),
+    c=lambda x: float(x[0] * x[1]),
+    identity_on_boundary=False,
+)
+
+
+class TestBatchedAssembly:
+    def mixed_spaces(self):
+        """Kernel kNN patches plus single-node constant patches, and range stencils of varying size."""
+        ns = m.generate_scattered(2, 60, [(0.0, 1.0), (0.0, 1.0)], source="halton")
+        knn_space = m.build_space(ns, ns.interior_indices[::2], ("knn", 9), R3_TAIL1,
+                                  uncovered="constant-patch")
+        range_kernel = m.build_space(ns, "all", ("range", 0.2), R3_TAIL1)
+        range_poly = m.build_space(ns, "all", ("range", 0.2), m.poly_patch_recipe(1))
+        return [knn_space, range_kernel, range_poly]
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 256])
+    @pytest.mark.parametrize("op", [m.Operator("laplacian", identity_on_boundary=False), GENERAL_OP],
+                             ids=["laplacian", "general"])
+    def test_rows_equal_one_row_calls(self, monkeypatch, chunk_rows, op):
+        monkeypatch.setattr(m.ndf, "CHUNK_ROWS", chunk_rows)
+        # no Dirichlet rows, so the constant patches carry engine rows too
+        for space in self.mixed_spaces():
+            sizes = {p.influence.size for p in space.patches}
+            assert len(sizes) > 1
+            sigma = build_sigma(space, "same-index")
+            gs = assemble(space, op, lambda x: 0.0, sigma)
+            for j, pair in enumerate(sigma.pairs):
+                patch = space.patches[pair.patch]
+                sw = one_row(op, pair, patch)
+                expected = np.zeros(space.nodes.n)
+                expected[patch.influence.indices] = sw.weights
+                assert np.array_equal(gs.matrix[j].toarray()[0], expected)
+                assert gs.row_meta[j].residual == sw.residual
+
+    def test_collinear_stencil_mid_chunk_names_row_and_patch(self):
+        rng = np.random.default_rng(5)
+        line = np.column_stack([np.linspace(0.0, 0.7, 8), np.full(8, 10.0)])
+        pts = np.vstack([rng.random((20, 2)), line, rng.random((20, 2))])
+        ns = m.NodeSet(points=pts, boundary_mask=np.zeros(len(pts), dtype=bool))
+        space = m.build_space(ns, "all", ("knn", 6), R3_TAIL1)
+        sigma = build_sigma(space, "same-index")
+        with pytest.raises(m.AssemblyError) as err:
+            assemble(space, m.LAPLACIAN, lambda x: 0.0, sigma)
+        assert (err.value.row, err.value.patch) == (20, 20)
+        with pytest.raises(m.UnsolvableExactnessError) as scalar:
+            one_row(m.LAPLACIAN, sigma.pairs[20], space.patches[20])
+        assert str(err.value) == f"row 20 (patch 20, point {pts[20].tolist()}): {scalar.value}"
+        assert "rank 2 < 3" in str(scalar.value)
+
+    def test_identity_operator_gives_kronecker_rows(self):
+        for space in self.mixed_spaces():
+            sigma = build_sigma(space, "same-index")
+            gs = assemble(space, m.IDENTITY, lambda x: 0.0, sigma)
+            assert np.array_equal(gs.matrix.toarray(), np.eye(space.nodes.n))
+            assert gs.worst_row_residual == 0.0
+
+    def test_general_operator_matches_lagrange_route(self):
+        ns = jittered_cloud(1, n_axis=9)
+        space = m.build_space(ns, "all", ("knn", 9), R3_TAIL1)
+        sigma = build_sigma(space, "same-index")
+        a = assemble(space, GENERAL_OP, lambda x: 0.0, sigma)
+        b = assemble(space, GENERAL_OP, lambda x: 0.0, sigma, route="lagrange")
+        assert np.max(np.abs((a.matrix - b.matrix).toarray())) <= 1e-10
 
 
 class TestSolveSquare:

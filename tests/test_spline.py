@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgWarning
 
 import meshfd as m
 from meshfd.errors import (
@@ -243,6 +244,17 @@ class TestLagrangeRow:
                               m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0)))
         row = m.lagrange_row(space, 20, m.LAPLACIAN, space.patches[20].center)
         assert row.residual <= 1e-8
+
+    def test_coincident_kernel_nodes_raise_instead_of_nan_row(self):
+        pts = np.array([[0.0, 0.0], [0.0, 0.0], [0.3, 0.1]])
+        infl = m.InfluenceSet(center=pts[0], indices=[0, 1, 2],
+                              distances=np.linalg.norm(pts, axis=1), points=pts)
+        ks = m.KernelSpace(m.Kernel("gauss", 1.0), pts)
+        nodes = m.NodeSet(points=[[0.0, 0.0], [1.0, 0.0], [0.3, 0.1]], boundary_mask=[False] * 3)
+        patch = m.Patch(influence=infl, space=ks, rank=3, is_interpolation_set=True)
+        space = m.OverlapSplineSpace(nodes=nodes, patches=(patch,))
+        with pytest.warns(LinAlgWarning), pytest.raises(m.NotAnInterpolationSetError):
+            m.lagrange_row(space, 0, m.LAPLACIAN, pts[2])
 
     def test_rejects_non_interpolatory_patch(self):
         ns, space = five_star_full_p2_space(4)
