@@ -6,8 +6,15 @@ nodes are marked explicitly in ``boundary_mask`` (they are never inferred
 from the point positions of a scattered cloud).
 
 Neighbor queries run on a kd-tree but their contract is the brute-force
-one: results are ordered by distance, with exact ties broken by ascending
-node index, so that downstream stencils are reproducible.
+one: results are ordered by exact distance, with exact ties broken by
+ascending node index, so that downstream stencils are reproducible.
+
+All neighbor queries go through one batched core, `influences`, the only
+place that chooses and orders influence sets (`knn` and `range_search` are
+one-center calls of it).  kNN asks the tree for k + 1 neighbors per center
+and re-queries a ball only where the (k+1)-th distance ties the k-th within
+`_TIE_MARGIN`; range is one batched ball query; one sort by (center, exact
+distance, node index) then orders every candidate.
 """
 
 from __future__ import annotations
@@ -132,33 +139,90 @@ class InfluenceSet:
         return float(self.distances[-1]) if self.distances.size else 0.0
 
 
-def _select(ns: NodeSet, center, candidate_idx, center_index):
-    """Order candidate node indices by (exact distance, index)."""
-    cand = np.asarray(candidate_idx, dtype=int)
-    dist = np.linalg.norm(ns.points[cand] - center, axis=1)
-    order = np.lexsort((cand, dist))
-    cand = cand[order]
-    dist = dist[order]
-    return cand, dist
+def _ball_candidates(ns: NodeSet, centers, rows, radii):
+    """(owner, node) pairs of one batched ball query around centers[rows]."""
+    balls = ns.tree.query_ball_point(centers[rows], radii)
+    cand = np.concatenate([np.zeros(0, dtype=int), *balls]).astype(int)
+    return np.repeat(rows, [len(b) for b in balls]), cand
+
+
+def _knn_candidates(ns: NodeSet, centers, k: int):
+    """(owner, node) pairs holding each center's k nearest nodes; ties get a ball re-query."""
+    if not 1 <= k <= ns.n:
+        raise InvalidInputError(f"k must satisfy 1 <= k <= {ns.n}, got {k}")
+    m = centers.shape[0]
+    k_tree = min(k + 1, ns.n)
+    d_tree, i_tree = ns.tree.query(centers, k=k_tree)
+    d_tree, i_tree = d_tree.reshape(m, k_tree), i_tree.reshape(m, k_tree)
+    reach = d_tree[:, k - 1] * (1.0 + _TIE_MARGIN) + 1e-300
+    tied = d_tree[:, k] <= reach if k_tree > k else np.zeros(m, dtype=bool)
+    untied = np.flatnonzero(~tied)
+    owner, cand = np.repeat(untied, k), i_tree[untied, :k].ravel()
+    if untied.size < m:
+        rows = np.flatnonzero(tied)
+        tied_owner, tied_cand = _ball_candidates(ns, centers, rows, reach[rows])
+        owner, cand = np.concatenate([owner, tied_owner]), np.concatenate([cand, tied_cand])
+    return owner, cand
+
+
+def influences(ns: NodeSet, centers, selector, center_indices=None) -> list[InfluenceSet]:
+    """Influence sets of many centers: the one neighbor query of the package.
+
+    ``centers`` is an (m, d) array of points, or None to center on the
+    nodes ``center_indices``; when given, ``center_indices`` (one node index
+    in ``[0, N)`` per center) is recorded as each set's ``center_index``.
+    ``selector`` is ``("knn", k)`` or ``("range", radius)``.  Members of
+    every set are ordered by (exact distance, node index).
+    """
+    if center_indices is not None:
+        center_indices = np.asarray(center_indices, dtype=int).reshape(-1)
+        bad = center_indices[(center_indices < 0) | (center_indices >= ns.n)]
+        if bad.size:
+            raise InvalidInputError(f"center indices must lie in [0, {ns.n}), got {bad[:10]}")
+        if centers is None:
+            centers = ns.points[center_indices]
+    centers = np.asarray(centers, dtype=float)
+    if centers.ndim != 2 or centers.shape[1] != ns.d:
+        raise InvalidInputError("center points must match the node dimension")
+    m = centers.shape[0]
+
+    kind, value = selector
+    if kind == "knn":
+        k = int(value)
+        owner, cand = _knn_candidates(ns, centers, k)
+    elif kind == "range":
+        radius = float(value)
+        if radius <= 0.0:
+            raise InvalidInputError("range selector needs a positive radius")
+        owner, cand = _ball_candidates(ns, centers, np.arange(m), radius * (1.0 + _TIE_MARGIN))
+    else:
+        raise InvalidInputError(f"unknown influence selector {kind!r}")
+
+    dist = np.linalg.norm(ns.points[cand] - centers[owner], axis=1)
+    if kind == "range":
+        keep = dist <= radius
+        owner, cand, dist = owner[keep], cand[keep], dist[keep]
+    order = np.lexsort((cand, dist, owner))
+    owner, cand, dist = owner[order], cand[order], dist[order]
+    starts = np.searchsorted(owner, np.arange(m + 1))
+    ends = starts[:-1] + k if kind == "knn" else starts[1:]
+    return [
+        InfluenceSet(
+            center=centers[i],
+            indices=cand[lo:hi],
+            distances=dist[lo:hi],
+            points=ns.points[cand[lo:hi]],
+            center_index=None if center_indices is None else int(center_indices[i]),
+        )
+        for i, (lo, hi) in enumerate(zip(starts[:-1], ends))
+    ]
 
 
 def knn(ns: NodeSet, center, k: int, center_index: int | None = None) -> InfluenceSet:
     """The k nearest nodes to a center, ties broken by ascending node index."""
     center = _as_point(center, ns.d)
-    k = int(k)
-    if not 1 <= k <= ns.n:
-        raise InvalidInputError(f"k must satisfy 1 <= k <= {ns.n}, got {k}")
-    d_tree, _ = ns.tree.query(center, k=k)
-    r_k = float(np.max(np.atleast_1d(d_tree)))
-    cand = ns.tree.query_ball_point(center, r_k * (1.0 + _TIE_MARGIN) + 1e-300)
-    cand, dist = _select(ns, center, cand, center_index)
-    return InfluenceSet(
-        center=center,
-        indices=cand[:k],
-        distances=dist[:k],
-        points=ns.points[cand[:k]],
-        center_index=center_index,
-    )
+    ci = None if center_index is None else [center_index]
+    return influences(ns, center[None, :], ("knn", k), ci)[0]
 
 
 def range_search(ns: NodeSet, center, radius: float, center_index: int | None = None) -> InfluenceSet:
@@ -170,16 +234,8 @@ def range_search(ns: NodeSet, center, radius: float, center_index: int | None = 
     radius = float(radius)
     if radius <= 0.0:
         raise InvalidInputError("range_search needs a positive radius")
-    cand = ns.tree.query_ball_point(center, radius * (1.0 + _TIE_MARGIN))
-    cand, dist = _select(ns, center, cand, center_index)
-    keep = dist <= radius
-    return InfluenceSet(
-        center=center,
-        indices=cand[keep],
-        distances=dist[keep],
-        points=ns.points[cand[keep]],
-        center_index=center_index,
-    )
+    ci = None if center_index is None else [center_index]
+    return influences(ns, center[None, :], ("range", radius), ci)[0]
 
 
 def generate_grid(d: int, n_per_axis: int, bounds) -> NodeSet:
@@ -194,25 +250,17 @@ def generate_grid(d: int, n_per_axis: int, bounds) -> NodeSet:
     n_per_axis = int(n_per_axis)
     if n_per_axis < 2:
         raise InvalidInputError("n_per_axis must be at least 2")
-    b = _as_bounds(bounds, d)
-    axes = [np.linspace(b[a, 0], b[a, 1], n_per_axis) for a in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    mask = np.zeros(pts.shape[0], dtype=bool)
-    for a in range(d):
-        mask |= (pts[:, a] == b[a, 0]) | (pts[:, a] == b[a, 1])
-    return NodeSet(points=pts, boundary_mask=mask)
+    pts, on_faces = _tensor_grid(_as_bounds(bounds, d), n_per_axis)
+    return NodeSet(points=pts, boundary_mask=on_faces)
 
 
-def _boundary_grid(b, d, per_axis):
-    """All points of a per_axis tensor grid lying on the box boundary."""
-    axes = [np.linspace(b[a, 0], b[a, 1], per_axis) for a in range(d)]
+def _tensor_grid(b, per_axis):
+    """Points of a per_axis tensor grid over the box b, and which lie on its faces."""
+    axes = [np.linspace(lo, hi, per_axis) for lo, hi in b]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    on = np.zeros(pts.shape[0], dtype=bool)
-    for a in range(d):
-        on |= (pts[:, a] == b[a, 0]) | (pts[:, a] == b[a, 1])
-    return pts[on]
+    on_faces = np.any((pts == b[:, 0]) | (pts == b[:, 1]), axis=1)
+    return pts, on_faces
 
 
 def generate_scattered(
@@ -252,7 +300,8 @@ def generate_scattered(
 
     if boundary_per_side is None:
         boundary_per_side = max(2, math.ceil(count ** (1.0 / d)))
-    boundary = _boundary_grid(b, d, int(boundary_per_side))
+    grid, on_faces = _tensor_grid(b, int(boundary_per_side))
+    boundary = grid[on_faces]
 
     pts = np.vstack([interior, boundary])
     mask = np.zeros(pts.shape[0], dtype=bool)

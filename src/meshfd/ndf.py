@@ -21,7 +21,7 @@ rank diagnostics instead of silently returning a bad row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,7 +41,9 @@ from .spaces import (
     kernel_derivative,
     monomial_derivatives,
     operator_terms,
+    poly_patch_recipe,
     poly_space_dim,
+    unisolvency_rank,
 )
 
 # A produced row must reproduce its generating space to this relative defect.
@@ -352,24 +354,24 @@ def unisolvent_influence(
     """Nearest-neighbor stencil grown until unisolvent for the polynomial space.
 
     Starts from ``dim P`` neighbors and adds next-nearest nodes one at a
-    time; gives up at ``growth_cap * dim P``.
+    time; gives up at ``growth_cap * dim P``.  One kNN query at the cap
+    serves every step: the (distance, index) order is total, so each
+    smaller stencil is a prefix of it.
     """
     target = len(tuple(sublist)) if sublist is not None else poly_space_dim(ns.d, degree)
     k = int(start) if start is not None else target
     k = max(k, target)
     cap = min(growth_cap * target, ns.n)
+    recipe = poly_patch_recipe(degree, sublist=sublist)
     last_rank = 0
-    while k <= cap:
-        infl = knn(ns, center, k, center_index=center_index)
-        scale = infl.radius if infl.radius > 0.0 else 1.0
-        if sublist is not None:
-            ps = PolySpace.from_exponents(ns.d, sublist, shift=infl.center, scale=scale)
-        else:
-            ps = PolySpace.full(ns.d, degree, shift=infl.center, scale=scale)
-        last_rank = numerical_rank(np.atleast_2d(ps.eval_basis(infl.points)))
+    nearest = knn(ns, center, cap, center_index=center_index) if k <= cap else None
+    for size in range(k, cap + 1):
+        infl = replace(nearest, indices=nearest.indices[:size], distances=nearest.distances[:size],
+                       points=nearest.points[:size])
+        ps = recipe(infl)
+        last_rank, _ = unisolvency_rank(ps, infl.points)
         if last_rank == ps.dim:
             return infl, ps
-        k += 1
     raise NotAnInterpolationSetError(
         f"no unisolvent stencil of size <= {cap} around {np.asarray(center).tolist()}",
         rank=last_rank, dim=target, n_nodes=cap,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import resolve_config
 from .errors import ConfigError
-from .geometry import NodeSet, generate_grid, generate_scattered, knn, load_nodes, range_search, save_nodes
+from .geometry import NodeSet, generate_grid, generate_scattered, influences, load_nodes, save_nodes
 from .ndf import weights_kernel, weights_poly
 from .operators import IDENTITY, LAPLACIAN, SECOND_DERIVATIVE_1D, Operator
 from .problems import Problem, convergence_study, preset
@@ -196,8 +196,7 @@ def run_stencil(cfg, out_dir) -> dict:
         raise ConfigError("stencil subcommand needs a 'stencil': {'y': [...]} section")
     ns = build_nodeset(cfg)
     y = np.asarray(spec["y"], dtype=float).reshape(-1)
-    kind, value = make_selector(cfg)
-    infl = knn(ns, y, value) if kind == "knn" else range_search(ns, y, value)
+    infl = influences(ns, y[None, :], make_selector(cfg))[0]
     space = make_recipe(cfg)(infl)
     problem = resolve_problem(cfg)
     op = resolve_operator(cfg, problem)

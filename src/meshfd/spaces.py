@@ -194,12 +194,6 @@ class Kernel:
             return np.exp(-((self.param * r) ** 2))
         return r**self.param
 
-    def dphi(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.family == "gauss":
-            return -2.0 * self.param**2 * r * np.exp(-((self.param * r) ** 2))
-        return self.param * r ** (self.param - 1.0)
-
     def dphi_over_r(self, r):
         """phi'(r)/r, evaluated only at r > 0 by callers that mask zeros."""
         r = np.asarray(r, dtype=float)
@@ -310,7 +304,6 @@ class KernelSpace:
     kernel: Kernel
     centers: np.ndarray
     aug: PolySpace | None = None
-    center_indices: np.ndarray | None = None
     scale: float = 1.0
 
     def __post_init__(self):
@@ -323,10 +316,6 @@ class KernelSpace:
             raise InvalidInputError("kernel scale must be positive")
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "scale", float(self.scale))
-        if self.center_indices is not None:
-            object.__setattr__(
-                self, "center_indices", np.asarray(self.center_indices, dtype=int).reshape(-1)
-            )
 
     @property
     def kernel_norm(self) -> float:
@@ -587,6 +576,6 @@ def kernel_patch_recipe(kernel: Kernel, augmentation_degree="minimal"):
         aug = None
         if degree is not None:
             aug = PolySpace.full(infl.points.shape[1], degree, shift=infl.center, scale=scale)
-        return KernelSpace(kernel, infl.points, aug=aug, center_indices=infl.indices, scale=scale)
+        return KernelSpace(kernel, infl.points, aug=aug, scale=scale)
 
     return make

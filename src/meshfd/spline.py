@@ -29,7 +29,7 @@ from .errors import (
     InvalidInputError,
     NotAnInterpolationSetError,
 )
-from .geometry import InfluenceSet, NodeSet, knn
+from .geometry import InfluenceSet, NodeSet, influences
 from .linalg import null_space, numerical_rank
 from .ndf import StencilWeights, exactness_defect
 from .operators import Operator
@@ -145,65 +145,17 @@ class DimensionReport:
 
 
 def _resolve_centers(nodes: NodeSet, centers):
-    """Accept 'interior' / 'all', node indices, or raw points."""
+    """Accept 'interior' / 'all', node indices, or raw points; return (points, indices)."""
     if isinstance(centers, str):
         if centers == "interior":
-            idx = nodes.interior_indices
-        elif centers == "all":
-            idx = np.arange(nodes.n)
-        else:
-            raise InvalidInputError(f"unknown center selector {centers!r}")
-        return [(nodes.points[int(i)], int(i)) for i in idx]
+            return None, nodes.interior_indices
+        if centers == "all":
+            return None, np.arange(nodes.n)
+        raise InvalidInputError(f"unknown center selector {centers!r}")
     arr = np.asarray(centers)
     if arr.ndim == 1 and arr.dtype.kind in "iu":
-        return [(nodes.points[int(i)], int(i)) for i in arr]
-    pts = np.atleast_2d(np.asarray(arr, dtype=float))
-    if pts.shape[1] != nodes.d:
-        raise InvalidInputError("center points must match the node dimension")
-    return [(pts[i], None) for i in range(pts.shape[0])]
-
-
-def _select_influences(nodes: NodeSet, resolved_centers, selector) -> list[InfluenceSet]:
-    kind, value = selector
-    if kind == "knn":
-        return [
-            knn(nodes, center, int(value), center_index=ci) for center, ci in resolved_centers
-        ]
-    if kind == "range":
-        # one batched ball query for all centers, then per-center exact ordering
-        radius = float(value)
-        if radius <= 0.0:
-            raise InvalidInputError("range selector needs a positive radius")
-        centers = np.array([c for c, _ in resolved_centers])
-        candidate_lists = nodes.tree.query_ball_point(centers, radius * (1.0 + 1e-9))
-        out = []
-        for (center, ci), cand in zip(resolved_centers, candidate_lists):
-            cand = np.asarray(cand, dtype=int)
-            dist = np.linalg.norm(nodes.points[cand] - center, axis=1)
-            order = np.lexsort((cand, dist))
-            cand, dist = cand[order], dist[order]
-            keep = dist <= radius
-            out.append(
-                InfluenceSet(
-                    center=center, indices=cand[keep], distances=dist[keep],
-                    points=nodes.points[cand[keep]], center_index=ci,
-                )
-            )
-        return out
-    raise InvalidInputError(f"unknown influence selector {kind!r}")
-
-
-def _constant_patch(nodes: NodeSet, node_index: int) -> Patch:
-    point = nodes.points[node_index]
-    infl = InfluenceSet(
-        center=point,
-        indices=np.array([node_index]),
-        distances=np.array([0.0]),
-        points=point[None, :],
-        center_index=node_index,
-    )
-    space = PolySpace.full(nodes.d, 0, shift=point, scale=1.0)
-    return Patch(influence=infl, space=space, rank=1, is_interpolation_set=True)
+        return None, arr
+    return np.atleast_2d(np.asarray(arr, dtype=float)), None
 
 
 def build_space(
@@ -223,11 +175,11 @@ def build_space(
     single-node constant patches (the natural carriers of Dirichlet rows).
     """
     patches: list[Patch] = []
-    resolved = _resolve_centers(nodes, centers)
-    for (center, _), infl in zip(resolved, _select_influences(nodes, resolved, selector)):
+    points, indices = _resolve_centers(nodes, centers)
+    for infl in influences(nodes, points, selector, center_indices=indices):
         if infl.size == 0:
             raise ConstructionError(
-                f"selector {selector!r} yields no influence nodes around {center.tolist()}"
+                f"selector {selector!r} yields no influence nodes around {infl.center.tolist()}"
             )
         space = recipe(infl)
         rank, iset = unisolvency_rank(space, infl.points)
@@ -239,8 +191,9 @@ def build_space(
     missing = np.flatnonzero(~covered)
     if missing.size:
         if uncovered == "constant-patch":
-            for k in missing:
-                patches.append(_constant_patch(nodes, int(k)))
+            for infl in influences(nodes, None, ("knn", 1), center_indices=missing):
+                space = PolySpace.full(nodes.d, 0, shift=infl.center, scale=1.0)
+                patches.append(Patch(influence=infl, space=space, rank=1, is_interpolation_set=True))
         elif uncovered == "error":
             raise ConstructionError(f"nodes not covered by any patch: {missing.tolist()[:10]}")
         else:

@@ -164,6 +164,87 @@ class TestRangeSearch:
         assert np.array_equal(infl.indices, idx)
 
 
+def lattice_clouds():
+    """Clouds whose distances tie everywhere: 1D grid, 2D grid, Halton + boundary layer."""
+    return {
+        "grid1d": m.generate_grid(1, 17, [(0.0, 1.0)]),
+        "grid2d": m.generate_grid(2, 9, [(0.0, 1.0), (0.0, 1.0)]),
+        "halton": m.generate_scattered(2, 48, [(0.0, 1.0), (0.0, 1.0)], boundary_per_side=7),
+    }
+
+
+def query_centers(ns, kind):
+    """Every node, every cell midpoint of consecutive nodes, or seeded raw points."""
+    if kind == "nodes":
+        return np.arange(ns.n)
+    if kind == "midpoints":
+        mids = 0.5 * (ns.points[:-1] + ns.points[1:])
+        if ns.d == 1:
+            return mids
+        axis = (np.arange(8) + 0.5) / 8.0  # centers of the 2D grid's cells
+        cells = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        return np.vstack([mids, cells])
+    return np.random.default_rng(5).random((40, ns.d))
+
+
+class TestBatchedInfluences:
+    """Every influence set of `build_space` equals the brute-force oracle bit for bit."""
+
+    @pytest.mark.parametrize("cloud", ["grid1d", "grid2d", "halton"])
+    @pytest.mark.parametrize("where", ["nodes", "midpoints", "raw"])
+    def test_knn_sets_match_oracle(self, cloud, where):
+        ns = lattice_clouds()[cloud]
+        centers = query_centers(ns, where)
+        for k in (1, 2, 3, 5, 9, ns.n):
+            space = m.build_space(ns, centers, ("knn", k), m.poly_patch_recipe(0),
+                                  uncovered="constant-patch")
+            points = ns.points[centers] if where == "nodes" else centers
+            for patch, center in zip(space.patches, points):
+                idx, dist = brute_force_knn(ns.points, center, k)
+                assert np.array_equal(patch.influence.indices, idx)
+                assert np.array_equal(patch.influence.distances, dist)
+
+    @pytest.mark.parametrize("cloud", ["grid1d", "grid2d", "halton"])
+    @pytest.mark.parametrize("where", ["nodes", "midpoints", "raw"])
+    def test_range_sets_match_oracle(self, cloud, where):
+        ns = lattice_clouds()[cloud]
+        centers = query_centers(ns, where)
+        points = ns.points[centers] if where == "nodes" else centers
+        h = 1.0 / 8.0
+        for radius in (h, 1.5 * h, np.sqrt(2.0) * h, 0.5):
+            nonempty = [i for i, c in enumerate(points)
+                        if brute_force_range(ns.points, c, radius)[0].size]
+            sel = centers[nonempty]
+            space = m.build_space(ns, sel, ("range", radius), m.poly_patch_recipe(0),
+                                  uncovered="constant-patch")
+            for patch, center in zip(space.patches, points[nonempty]):
+                idx, dist = brute_force_range(ns.points, center, radius)
+                assert np.array_equal(patch.influence.indices, idx)
+                assert np.array_equal(patch.influence.distances, dist)
+
+    def test_tied_kth_neighbor_is_exercised(self):
+        # on the 2D grid the (k+1)-th neighbor ties the k-th for these k at most nodes
+        ns = lattice_clouds()["grid2d"]
+        for k in (2, 3):
+            space = m.build_space(ns, "all", ("knn", k), m.poly_patch_recipe(0))
+            tied = 0
+            for patch in space.patches:
+                idx, dist = brute_force_knn(ns.points, patch.center, k + 1)
+                tied += dist[k] == dist[k - 1]
+                assert np.array_equal(patch.influence.indices, idx[:k])
+                assert np.array_equal(patch.influence.distances, dist[:k])
+            assert tied >= ns.n // 2
+
+    def test_one_center_calls_equal_batched_sets(self):
+        ns = lattice_clouds()["halton"]
+        space = m.build_space(ns, "all", ("knn", 7), m.poly_patch_recipe(0))
+        for patch in space.patches:
+            one = m.knn(ns, patch.center, 7, center_index=patch.center_node)
+            assert np.array_equal(one.indices, patch.influence.indices)
+            assert np.array_equal(one.distances, patch.influence.distances)
+            assert one.center_index == patch.center_node
+
+
 class TestNodeSet:
     def test_coincident_nodes_rejected(self):
         with pytest.raises(ConstructionError):

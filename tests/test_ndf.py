@@ -301,3 +301,16 @@ class TestUnisolventInfluence:
         ns = m.NodeSet(points=pts, boundary_mask=np.zeros(12, dtype=bool))
         with pytest.raises(NotAnInterpolationSetError):
             m.unisolvent_influence(ns, [0.5, 0.0], degree=1)
+
+    def test_grown_stencil_is_the_knn_prefix(self):
+        # at an edge node of a dyadic grid the three nearest nodes (exact ties
+        # broken by index) lie on the edge
+        ns = m.generate_grid(2, 9, [(0.0, 1.0), (0.0, 1.0)])
+        node = 2
+        infl, ps = m.unisolvent_influence(ns, ns.points[node], degree=1, center_index=node)
+        assert infl.size == 4
+        ref = m.knn(ns, ns.points[node], infl.size, center_index=node)
+        assert np.array_equal(infl.indices, ref.indices)
+        assert np.array_equal(infl.distances, ref.distances)
+        assert infl.center_index == node
+        assert m.unisolvency_rank(ps, infl.points)[0] == ps.dim == 3

@@ -4,6 +4,7 @@ import scipy.sparse
 
 import meshfd as m
 from meshfd.errors import ConfigError, InvalidInputError, SingularSystemError
+from meshfd import solve
 from meshfd.problems import preset
 from meshfd.solve import (
     GlobalSystem,
@@ -386,6 +387,34 @@ class TestSolveLeastSquares:
             err = np.max(np.abs(sol.nodal_values - exact)[ns.interior_indices])
             assert err < 0.05
         assert not np.array_equal(plain.nodal_values, scaled.nodal_values)
+
+
+class TestLeastSquaresFallbacks:
+    """A zero column makes the normal equations singular and forces a fallback."""
+
+    A = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, -1.0, 0.0]])
+    B = np.array([1.0, 2.0, 2.5, -0.5])
+
+    def system(self):
+        return GlobalSystem(
+            matrix=scipy.sparse.csr_matrix(self.A), rhs=self.B,
+            row_meta=tuple(RowMeta(np.zeros(1), 0, 0.0, False) for _ in range(4)),
+        )
+
+    def test_dense_minimum_norm_branch(self):
+        sol = solve_least_squares(self.system())
+        assert sol.rank_report.note == "dense minimum-norm fallback, rank 2 of 3"
+        assert not sol.rank_report.full_rank
+        ref = np.linalg.lstsq(self.A, self.B, rcond=None)[0]
+        assert np.allclose(sol.nodal_values, ref, rtol=0.0, atol=1e-12)
+
+    def test_iterative_branch(self, monkeypatch):
+        monkeypatch.setattr(solve, "_DENSE_FALLBACK_ENTRIES", 0)
+        sol = solve_least_squares(self.system())
+        assert sol.rank_report.note.startswith("iterative fallback (lsqr)")
+        assert not sol.rank_report.full_rank
+        ref = np.linalg.lstsq(self.A, self.B, rcond=None)[0]
+        assert np.allclose(sol.nodal_values, ref, rtol=0.0, atol=1e-10)
 
 
 class TestGaussPipeline:

@@ -8,6 +8,7 @@ from meshfd.errors import (
     ConstructionError,
     ContractError,
     InconsistentSplineError,
+    InvalidInputError,
 )
 from helpers import (
     five_star_full_p2_space,
@@ -72,6 +73,13 @@ class TestBuildSpace:
         centered = [p.center_node for p in space.patches[:3]]
         assert centered == [2, 3, 4]
         assert all(p.is_interpolation_set for p in space.patches)
+
+    @pytest.mark.parametrize("bad", [[-1, 2], [2, 7]])
+    def test_out_of_range_center_indices_rejected(self, bad):
+        ns = grid1d(6)
+        with pytest.raises(InvalidInputError, match="center indices"):
+            m.build_space(ns, np.array(bad), ("knn", 3), m.poly_patch_recipe(2),
+                          uncovered="constant-patch")
 
 
 class TestDimensionAnalysis:
