@@ -12,7 +12,8 @@ stencil size, basis or tail exponents, kernel) are stacked and solved
 together, chunk by chunk.  `weights_poly` and `weights_kernel` are
 one-row batches of it, and a row's result does not depend on the rows it
 is stacked with.  The cardinal (Lagrange) rows of `spline.lagrange_row`
-are the independent second route.
+are the independent second route: they solve the patch's nodal matrix
+(its basis at its own nodes) and share no solve with this engine.
 
 When the exactness conditions do not pin the weights down uniquely, the
 minimum-2-norm solution is returned; an inconsistent system raises with
@@ -51,6 +52,9 @@ EXACTNESS_RTOL = 1e-8
 
 # Rows stacked into one solve; keeps the transient arrays of a chunk at a few MB.
 CHUNK_ROWS = 256
+
+# `unisolvent_influence` gives up at this multiple of the polynomial dimension.
+GROWTH_CAP = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,24 +352,20 @@ def unisolvent_influence(
     degree: int,
     sublist=None,
     center_index: int | None = None,
-    start: int | None = None,
-    growth_cap: int = 3,
 ) -> tuple[InfluenceSet, PolySpace]:
     """Nearest-neighbor stencil grown until unisolvent for the polynomial space.
 
     Starts from ``dim P`` neighbors and adds next-nearest nodes one at a
-    time; gives up at ``growth_cap * dim P``.  One kNN query at the cap
+    time; gives up at ``GROWTH_CAP * dim P``.  One kNN query at the cap
     serves every step: the (distance, index) order is total, so each
     smaller stencil is a prefix of it.
     """
     target = len(tuple(sublist)) if sublist is not None else poly_space_dim(ns.d, degree)
-    k = int(start) if start is not None else target
-    k = max(k, target)
-    cap = min(growth_cap * target, ns.n)
+    cap = min(GROWTH_CAP * target, ns.n)
     recipe = poly_patch_recipe(degree, sublist=sublist)
     last_rank = 0
-    nearest = knn(ns, center, cap, center_index=center_index) if k <= cap else None
-    for size in range(k, cap + 1):
+    nearest = knn(ns, center, cap, center_index=center_index) if target <= cap else None
+    for size in range(target, cap + 1):
         infl = replace(nearest, indices=nearest.indices[:size], distances=nearest.distances[:size],
                        points=nearest.points[:size])
         ps = recipe(infl)

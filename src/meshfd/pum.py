@@ -52,12 +52,10 @@ class PartitionOfUnity:
         return inside, bump / bump.sum()
 
     @classmethod
-    def for_space(
-        cls, space: OverlapSplineSpace, factor: float = DEFAULT_RADIUS_FACTOR
-    ) -> "PartitionOfUnity":
+    def for_space(cls, space: OverlapSplineSpace) -> "PartitionOfUnity":
         """Balls aligned with a space's patches.
 
-        The default radius is ``factor`` times the stencil radius, clipped
+        The radius is ``DEFAULT_RADIUS_FACTOR`` times the stencil radius, clipped
         below the nearest node outside the patch so that ball membership
         and influence membership agree (single-node patches use half the
         gap to their nearest neighbor).
@@ -76,9 +74,9 @@ class PartitionOfUnity:
             if stencil_radius == 0.0:
                 radii[i] = 0.5 * d_out if np.isfinite(d_out) else 1.0
             elif d_out > stencil_radius:
-                radii[i] = min(factor * stencil_radius, 0.5 * (stencil_radius + d_out))
+                radii[i] = min(DEFAULT_RADIUS_FACTOR * stencil_radius, 0.5 * (stencil_radius + d_out))
             else:
-                radii[i] = factor * stencil_radius
+                radii[i] = DEFAULT_RADIUS_FACTOR * stencil_radius
         return cls(centers=centers, radii=radii)
 
 

@@ -246,19 +246,22 @@ def _write_solution_csv(path, ns: NodeSet, u_hat, problem: Problem | None):
             writer.writerow(row)
 
 
-def run_solve(cfg, out_dir) -> dict:
-    problem = resolve_problem(cfg)
-    if problem is None:
-        raise ConfigError("solve needs a 'problem' section (presets carry rhs and boundary data)")
+def _solve_pipeline(cfg, problem: Problem):
+    """Operator, nodes, space, sigma, assembly and solve; returns (nodes, system, solution)."""
     op = resolve_operator(cfg, problem)
     ns = build_nodeset(cfg)
     space = build_space_from_config(cfg, ns)
     sigma = sigma_from_config(cfg, space, ns)
-    gs = assemble(
-        space, op, problem.rhs, sigma,
-        route=cfg["route"], dirichlet_data=problem.dirichlet,
-    )
+    gs = assemble(space, op, problem.rhs, sigma, route=cfg["route"], dirichlet_data=problem.dirichlet)
     solution = solve_square(gs) if cfg["mode"] == "collocate" else solve_least_squares(gs)
+    return ns, gs, solution
+
+
+def run_solve(cfg, out_dir) -> dict:
+    problem = resolve_problem(cfg)
+    if problem is None:
+        raise ConfigError("solve needs a 'problem' section (presets carry rhs and boundary data)")
+    ns, gs, solution = _solve_pipeline(cfg, problem)
     _write_solution_csv(_out_path(out_dir, cfg["outputs"]["solution"]), ns, solution.nodal_values, problem)
     cond = solution.rank_report.cond_estimate
     results = {
@@ -313,15 +316,7 @@ def run_converge(cfg, out_dir) -> dict:
         level_cfg = json.loads(json.dumps(cfg))  # deep copy without shared state
         level_cfg["nodes"] = dict(cfg["nodes"])
         level_cfg["nodes"][key] = level
-        ns = build_nodeset(level_cfg)
-        space = build_space_from_config(level_cfg, ns)
-        sigma = sigma_from_config(level_cfg, space, ns)
-        op = resolve_operator(level_cfg, prob)
-        gs = assemble(
-            space, op, prob.rhs, sigma,
-            route=level_cfg["route"], dirichlet_data=prob.dirichlet,
-        )
-        sol = solve_square(gs) if level_cfg["mode"] == "collocate" else solve_least_squares(gs)
+        ns, _, sol = _solve_pipeline(level_cfg, prob)
         return _level_h(level_cfg["nodes"], ns), ns, sol.nodal_values
 
     table = convergence_study(problem, run_level, values)

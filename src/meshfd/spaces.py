@@ -11,8 +11,8 @@ with an optional polynomial tail.  With a tail ``Q`` the kernel
 coefficients are constrained by the moment conditions
 ``sum_j c_j p(x_j) = 0`` for all ``p in Q``; the concrete basis therefore
 consists of moment-constrained kernel combinations plus the tail
-polynomials, and interpolation solves the symmetric saddle system
-``[[K, P], [P^T, 0]]``.
+polynomials.  Interpolation in either family solves the nodal matrix,
+the concrete basis evaluated at the patch's own nodes.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidInputError, NotAnInterpolationSetError
 from .linalg import RANK_RTOL, null_space, numerical_rank
@@ -297,8 +296,8 @@ class KernelSpace:
 
     ``scale`` rescales homogeneous (polyharmonic) kernel values by
     ``scale**(-alpha)``, which leaves the span and every differentiation
-    weight unchanged but equilibrates the saddle system against the O(1)
-    polynomial block.
+    weight unchanged but equilibrates the kernel columns against the O(1)
+    tail columns.
     """
 
     kernel: Kernel
@@ -344,32 +343,9 @@ class KernelSpace:
         return np.atleast_2d(self.aug.eval_basis(self.centers))
 
     @cached_property
-    def poly_block_rank(self) -> int:
-        return numerical_rank(self.poly_block)
-
-    @cached_property
     def moment_null(self) -> np.ndarray:
         """Orthonormal basis of {c : P^T c = 0}, the admissible kernel coefficients."""
         return null_space(self.poly_block.T)
-
-    @cached_property
-    def kernel_matrix(self) -> np.ndarray:
-        diff = self.centers[:, None, :] - self.centers[None, :, :]
-        return self.kernel_norm * self.kernel.phi(np.linalg.norm(diff, axis=2))
-
-    @cached_property
-    def saddle_matrix(self) -> np.ndarray:
-        n, q = self.n, self.q_dim
-        a = np.zeros((n + q, n + q))
-        a[:n, :n] = self.kernel_matrix
-        if q:
-            a[:n, n:] = self.poly_block
-            a[n:, :n] = self.poly_block.T
-        return a
-
-    @cached_property
-    def saddle_lu(self):
-        return scipy.linalg.lu_factor(self.saddle_matrix)
 
     @property
     def dim(self) -> int:
@@ -390,14 +366,6 @@ class KernelSpace:
         if self.aug is not None:
             out = np.hstack([out, np.atleast_2d(self.aug.eval_basis_derivative(x, beta))])
         return out[0] if single else out
-
-    def translate_operator(self, op: Operator, y) -> np.ndarray:
-        """L applied to the (normalized) translate of each center, at y."""
-        return self.kernel_norm * kernel_translate_operator(self.kernel, op, y, self.centers)
-
-    def saddle_solve(self, kernel_rhs, poly_rhs) -> np.ndarray:
-        rhs = np.concatenate([np.asarray(kernel_rhs, float), np.asarray(poly_rhs, float)])
-        return scipy.linalg.lu_solve(self.saddle_lu, rhs)
 
 
 PatchSpace = PolySpace | KernelSpace
@@ -448,18 +416,6 @@ def apply_operator(space: PatchSpace, op: Operator, x) -> np.ndarray:
     return out
 
 
-def kernel_translate_operator(kernel: Kernel, op: Operator, y, centers) -> np.ndarray:
-    """L applied to each raw translate K(., c_j), evaluated at the point y."""
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    out = None
-    for beta, coeff in operator_terms(op, centers.shape[1], y):
-        term = coeff * kernel_translate_derivative(kernel, y, centers, beta)
-        out = term if out is None else out + term
-    if out is None:
-        out = np.zeros(centers.shape[0])
-    return out
-
-
 def unisolvency_rank(space: PatchSpace, coords) -> tuple[int, bool]:
     """Numerical rank of the basis evaluation matrix on the given nodes.
 
@@ -477,9 +433,9 @@ def unisolvency_rank(space: PatchSpace, coords) -> tuple[int, bool]:
 def local_interpolate(space: PatchSpace, coords, values) -> np.ndarray:
     """Coefficients (in the space's basis) of the interpolant of values at coords.
 
-    Polynomial spaces solve the square evaluation system; kernel spaces
-    solve the saddle system and report coefficients in the concrete
-    (moment-constrained combinations + tail) basis.
+    Solves the square nodal matrix ``E = space.eval_basis(coords)``; for a
+    kernel space the nodes are its centers and the coefficients refer to
+    its concrete (moment-constrained combinations + tail) basis.
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     values = np.asarray(values, dtype=float).reshape(-1)
@@ -487,46 +443,28 @@ def local_interpolate(space: PatchSpace, coords, values) -> np.ndarray:
         raise InvalidInputError("one value per interpolation node is required")
     if values.size == 0:
         raise InvalidInputError("interpolation needs at least one node")
+    n_nodes = coords.shape[0]
+    if isinstance(space, KernelSpace) and n_nodes != space.n:
+        raise InvalidInputError("kernel interpolation expects values at the kernel centers")
     tol = INTERPOLATION_RTOL * (1.0 + float(np.max(np.abs(values))))
 
-    if isinstance(space, PolySpace):
-        e = np.atleast_2d(space.eval_basis(coords))
-        if e.shape[0] != space.dim:
-            rank = numerical_rank(e)
-            raise NotAnInterpolationSetError(
-                f"{coords.shape[0]} nodes cannot be an interpolation set for dimension {space.dim}",
-                rank=rank, dim=space.dim, n_nodes=coords.shape[0],
-            )
-        try:
-            coeffs = np.linalg.solve(e, values)
-        except np.linalg.LinAlgError:
-            rank = numerical_rank(e)
-            raise NotAnInterpolationSetError(
-                "singular interpolation system", rank=rank, dim=space.dim, n_nodes=coords.shape[0]
-            ) from None
-        defect = float(np.max(np.abs(e @ coeffs - values)))
-        if not defect <= tol:
-            rank = numerical_rank(e)
-            raise NotAnInterpolationSetError(
-                f"interpolation residual {defect:.2e} exceeds tolerance {tol:.2e}",
-                rank=rank, dim=space.dim, n_nodes=coords.shape[0],
-            )
-        return coeffs
-
-    if coords.shape[0] != space.n:
-        raise InvalidInputError("kernel interpolation expects values at the kernel centers")
-    sol = space.saddle_solve(values, np.zeros(space.q_dim))
-    c_kernel = sol[: space.n]
-    tail = sol[space.n :]
-    coeffs = np.concatenate([space.moment_null.T @ c_kernel, tail])
-    recon = np.atleast_2d(space.eval_basis(coords)) @ coeffs
-    defect = float(np.max(np.abs(recon - values)))
-    if not defect <= tol:
-        rank, _ = unisolvency_rank(space, coords)
+    e = np.atleast_2d(space.eval_basis(coords))
+    if n_nodes != space.dim:
         raise NotAnInterpolationSetError(
-            f"kernel interpolation residual {defect:.2e} exceeds tolerance {tol:.2e}"
-            f" (tail block rank {space.poly_block_rank} of {space.q_dim})",
-            rank=rank, dim=space.dim, n_nodes=coords.shape[0],
+            f"{n_nodes} nodes cannot be an interpolation set for dimension {space.dim}",
+            rank=numerical_rank(e), dim=space.dim, n_nodes=n_nodes,
+        )
+    try:
+        coeffs = np.linalg.solve(e, values)
+    except np.linalg.LinAlgError:
+        raise NotAnInterpolationSetError(
+            "singular interpolation system", rank=numerical_rank(e), dim=space.dim, n_nodes=n_nodes
+        ) from None
+    defect = float(np.max(np.abs(e @ coeffs - values)))
+    if not defect <= tol:
+        raise NotAnInterpolationSetError(
+            f"interpolation residual {defect:.2e} exceeds tolerance {tol:.2e}",
+            rank=numerical_rank(e), dim=space.dim, n_nodes=n_nodes,
         )
     return coeffs
 

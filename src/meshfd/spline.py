@@ -15,11 +15,11 @@ a desk-scale instrument, guarded at 5000 total coefficients.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     AnalysisSizeError,
@@ -34,7 +34,6 @@ from .linalg import null_space, numerical_rank
 from .ndf import StencilWeights, exactness_defect
 from .operators import Operator
 from .spaces import (
-    KernelSpace,
     PatchSpace,
     PolySpace,
     apply_operator,
@@ -48,6 +47,8 @@ CONNECTION_RTOL = 1e-9
 
 # Dense rank analysis refuses above this many total patch coefficients.
 ANALYSIS_GUARD = 5000
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,10 +170,11 @@ def build_space(
 
     ``selector`` is ``("knn", k)`` or ``("range", radius)``; ``recipe`` maps
     an influence set to a patch space.  Patches failing the interpolation-set
-    test are kept and reported through ``failing_patches`` rather than
-    rejected.  Nodes covered by no patch abort the construction unless
-    ``uncovered="constant-patch"``, which completes the cover with
-    single-node constant patches (the natural carriers of Dirichlet rows).
+    test are kept, not rejected, and reported through ``failing_patches``
+    and one INFO record on the ``meshfd.spline`` logger.  Nodes covered by
+    no patch abort the construction unless ``uncovered="constant-patch"``,
+    which completes the cover with single-node constant patches (the
+    natural carriers of Dirichlet rows).
     """
     patches: list[Patch] = []
     points, indices = _resolve_centers(nodes, centers)
@@ -198,7 +200,12 @@ def build_space(
             raise ConstructionError(f"nodes not covered by any patch: {missing.tolist()[:10]}")
         else:
             raise InvalidInputError(f"unknown uncovered policy {uncovered!r}")
-    return OverlapSplineSpace(nodes=nodes, patches=tuple(patches))
+    space = OverlapSplineSpace(nodes=nodes, patches=tuple(patches))
+    failing = space.failing_patches
+    if failing:
+        _log.info("%d of %d patches are not interpolation sets (first: %s)",
+                  len(failing), space.m, list(failing[:10]))
+    return space
 
 
 def dimension_analysis(space: OverlapSplineSpace, guard: int = ANALYSIS_GUARD) -> DimensionReport:
@@ -318,9 +325,9 @@ def lagrange_row(space: OverlapSplineSpace, patch_index: int, op: Operator, y) -
 
     Entry k of the row is ``L l_k(y)`` where ``l_k`` is the unique patch
     element taking value 1 at influence node k and 0 at the others; the row
-    is supported on the patch's influence set only.  Polynomial patches
-    invert the basis evaluation matrix; kernel patches obtain all cardinal
-    coefficients from the saddle factorization with unit data blocks.
+    is supported on the patch's influence set only.  The cardinal
+    coefficients are the inverse of the patch's nodal matrix (its basis at
+    its own nodes), for polynomial and kernel patches alike.
     """
     patch = space.patches[patch_index]
     if not patch.is_interpolation_set:
@@ -337,22 +344,6 @@ def lagrange_row(space: OverlapSplineSpace, patch_index: int, op: Operator, y) -
         f"singular local system on patch {patch_index}",
         rank=patch.rank, dim=patch.space.dim, n_nodes=patch.influence.size,
     )
-
-    if isinstance(ps, KernelSpace):
-        rhs = np.vstack([np.eye(ps.n), np.zeros((ps.q_dim, ps.n))])
-        try:
-            cardinal = scipy.linalg.lu_solve(ps.saddle_lu, rhs)
-        except (np.linalg.LinAlgError, ValueError):
-            raise singular from None
-        if not np.all(np.isfinite(cardinal)):  # lu_factor only warns on a zero pivot
-            raise singular
-        op_kernel = ps.translate_operator(op, y)
-        op_tail = apply_operator(ps.aug, op, y) if ps.aug is not None else np.zeros(0)
-        w = np.concatenate([op_kernel, op_tail]) @ cardinal
-        e = np.atleast_2d(ps.eval_basis(coords))
-        t = apply_operator(ps, op, y)
-        residual = exactness_defect(w, e, t)
-        return StencilWeights(point=y, influence=patch.influence, weights=w, residual=residual)
 
     e = np.atleast_2d(ps.eval_basis(coords))
     try:

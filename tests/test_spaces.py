@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 import meshfd as m
 from meshfd.errors import InvalidInputError, NotAnInterpolationSetError
-from meshfd.spaces import KernelSpace, PolySpace, patch_value
+from meshfd.spaces import KernelSpace, PolySpace, kernel_translate_derivative, patch_value
 
 from helpers import FIVE_STAR_SUBLIST
 
@@ -87,8 +87,8 @@ class TestKernel:
     def test_gauss_matrix_is_spd(self, rng):
         pts = rng.random((12, 2))
         k = m.Kernel("gauss", 2.0)
-        ks = KernelSpace(k, pts)
-        np.linalg.cholesky(ks.kernel_matrix)  # raises if not positive definite
+        gram = kernel_translate_derivative(k, pts, pts, (0, 0))
+        np.linalg.cholesky(gram)  # raises if not positive definite
 
     def test_second_derivative_limits(self):
         assert m.Kernel("gauss", 3.0).second_derivative_limit_at_zero() == -18.0
@@ -172,6 +172,23 @@ class TestLocalInterpolate:
         with pytest.raises(NotAnInterpolationSetError) as err:
             m.local_interpolate(ps, coords, [1.0, 2.0, 3.0])
         assert err.value.rank == 2
+
+    def test_rank_deficient_kernel_tail_is_not_an_iset(self):
+        # collinear nodes give the linear tail rank 2 of 3: dim = (5 - 2) + 3 = 6 > 5 nodes
+        t = np.linspace(0.0, 1.0, 5)
+        coords = np.column_stack([t, 2.0 * t])
+        ks = KernelSpace(m.Kernel("polyharmonic", 3.0), coords, aug=PolySpace.full(2, 1))
+        assert (ks.n, ks.dim) == (5, 6)
+        with pytest.raises(NotAnInterpolationSetError,
+                           match="5 nodes cannot be an interpolation set for dimension 6") as err:
+            m.local_interpolate(ks, coords, np.arange(5.0))
+        assert (err.value.rank, err.value.dim, err.value.n_nodes) == (5, 6, 5)
+
+    def test_kernel_values_off_the_centers_rejected(self):
+        coords = np.array([[0.0], [0.5], [1.0]])
+        ks = KernelSpace(m.Kernel("gauss", 1.0), coords)
+        with pytest.raises(InvalidInputError, match="kernel centers"):
+            m.local_interpolate(ks, coords[:2], [1.0, 2.0])
 
     @given(seed=st.integers(0, 300))
     def test_interpolation_residual_random_isets(self, seed):
@@ -259,8 +276,6 @@ class TestKernelDerivatives:
     ])
     @pytest.mark.parametrize("beta", [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1)])
     def test_translate_derivative_matches_fd(self, kernel, beta):
-        from meshfd.spaces import kernel_translate_derivative
-
         rng = np.random.default_rng(17)
         centers = rng.random((6, 2))
         x = np.array([0.62, 0.41])
@@ -292,7 +307,6 @@ class TestKernelDerivatives:
     def test_gauss_limits_at_center_match_fd(self):
         kernel = m.Kernel("gauss", 1.5)
         center = np.array([[0.3, 0.7]])
-        from meshfd.spaces import kernel_translate_derivative
 
         got = kernel_translate_derivative(kernel, center[0], center, (2, 0))[0]
         step = 1e-4

@@ -1,6 +1,7 @@
+import logging
+
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgWarning
 
 import meshfd as m
 from meshfd.errors import (
@@ -55,6 +56,19 @@ class TestBuildSpace:
         ns = grid1d(4)
         with pytest.raises(ConstructionError, match="0"):
             m.build_space(ns, np.array([[1.0]]), ("knn", 3), m.poly_patch_recipe(2))
+
+    def test_non_interpolating_patches_logged_at_info(self, caplog):
+        with caplog.at_level(logging.INFO, logger="meshfd.spline"):
+            five_star_full_p2_space(4)
+        [record] = caplog.records
+        assert record.levelno == logging.INFO
+        assert record.getMessage() == (
+            "9 of 13 patches are not interpolation sets (first: [0, 1, 2, 3, 4, 5, 6, 7, 8])"
+        )
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="meshfd.spline"):
+            five_star_sublist_space(4)
+        assert caplog.records == []
 
     def test_constant_patch_completion_covers(self):
         ns, space = five_star_full_p2_space(4)
@@ -261,7 +275,7 @@ class TestLagrangeRow:
         nodes = m.NodeSet(points=[[0.0, 0.0], [1.0, 0.0], [0.3, 0.1]], boundary_mask=[False] * 3)
         patch = m.Patch(influence=infl, space=ks, rank=3, is_interpolation_set=True)
         space = m.OverlapSplineSpace(nodes=nodes, patches=(patch,))
-        with pytest.warns(LinAlgWarning), pytest.raises(m.NotAnInterpolationSetError):
+        with pytest.raises(m.NotAnInterpolationSetError, match="singular local system on patch 0"):
             m.lagrange_row(space, 0, m.LAPLACIAN, pts[2])
 
     def test_rejects_non_interpolatory_patch(self):
