@@ -122,7 +122,7 @@ class InfluenceSet:
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=int).reshape(-1)
-        if np.unique(idx).size != idx.size:
+        if len(set(idx.tolist())) != idx.size:
             raise InvalidInputError("influence indices must be distinct")
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float).reshape(-1))
         object.__setattr__(self, "indices", idx)

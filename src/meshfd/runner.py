@@ -15,14 +15,14 @@ import time
 import numpy as np
 
 from .config import resolve_config
-from .errors import ConfigError
+from .errors import ConfigError, MeshfdError
 from .geometry import NodeSet, generate_grid, generate_scattered, influences, load_nodes, save_nodes
-from .ndf import weights_kernel, weights_poly
+from .ndf import weights_batch
 from .operators import IDENTITY, LAPLACIAN, SECOND_DERIVATIVE_1D, Operator
 from .problems import Problem, convergence_study, preset
 from .pum import PartitionOfUnity, blend
 from .solve import SigmaMap, assemble, build_sigma, solve_least_squares, solve_square
-from .spaces import Kernel, KernelSpace, kernel_patch_recipe, poly_patch_recipe
+from .spaces import Kernel, kernel_patch_recipe, poly_patch_recipe
 from .spline import OverlapSplineSpace, build_space, dimension_analysis, from_nodal_values
 
 _OPERATORS = {
@@ -200,10 +200,9 @@ def run_stencil(cfg, out_dir) -> dict:
     space = make_recipe(cfg)(infl)
     problem = resolve_problem(cfg)
     op = resolve_operator(cfg, problem)
-    if isinstance(space, KernelSpace):
-        sw = weights_kernel(op, y, infl, space)
-    else:
-        sw = weights_poly(op, y, infl, space)
+    sw = weights_batch(op, [y], [infl], [space])[0]
+    if isinstance(sw, MeshfdError):
+        raise sw
     row = {
         "y": [float(v) for v in y],
         "nodes": [int(i) for i in infl.indices],

@@ -139,10 +139,12 @@ def build_sigma(space: OverlapSplineSpace, strategy: str, collocation_points=Non
             node = patch.center_node
             if node is not None and node not in centered:
                 centered[node] = pi
+        node_of, patch_of, _ = space.incidence
         for j in range(nodes.n):
             pi = centered.get(j)
             if pi is None:
-                members = space.memberships[j]
+                lo, hi = np.searchsorted(node_of, [j, j + 1])
+                members = patch_of[lo:hi].tolist()
                 pi = min(
                     members,
                     key=lambda i: (float(np.linalg.norm(nodes.points[j] - space.patches[i].center)), i),

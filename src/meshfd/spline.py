@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse
 
 from .errors import (
     AnalysisSizeError,
@@ -53,12 +54,19 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True, eq=False)
 class Patch:
-    """One influence set paired with its local space, plus its measured rank."""
+    """One influence set paired with its local space; its rank is measured on first use."""
 
     influence: InfluenceSet
     space: PatchSpace
-    rank: int
-    is_interpolation_set: bool
+
+    @cached_property
+    def rank(self) -> int:
+        """Numerical rank of the space's basis at the influence nodes (`unisolvency_rank`)."""
+        return unisolvency_rank(self.space, self.influence.points)[0]
+
+    @property
+    def is_interpolation_set(self) -> bool:
+        return self.rank == self.space.dim == self.influence.size
 
     @property
     def center(self) -> np.ndarray:
@@ -73,35 +81,38 @@ class Patch:
         return self.rank == self.space.dim
 
 
+def _uncovered(n: int, member_nodes) -> np.ndarray:
+    """Nodes among 0..n-1 that appear in no membership."""
+    return np.flatnonzero(np.bincount(member_nodes, minlength=n) == 0)
+
+
 @dataclass(frozen=True, eq=False)
 class OverlapSplineSpace:
-    """Node set plus covering patches; every node belongs to at least one patch."""
+    """Node set plus covering patches; `incidence` is the one membership table."""
 
     nodes: NodeSet
     patches: tuple[Patch, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "patches", tuple(self.patches))
-        uncovered = [k for k, ms in enumerate(self.memberships) if not ms]
-        if uncovered:
-            raise ConstructionError(f"nodes not covered by any patch: {uncovered[:10]}")
+        missing = _uncovered(self.nodes.n, self.incidence[0])
+        if missing.size:
+            raise ConstructionError(f"nodes not covered by any patch: {missing.tolist()[:10]}")
 
     @cached_property
-    def memberships(self) -> tuple[tuple[int, ...], ...]:
-        """For each node, the (ascending) patch indices containing it."""
-        ms: list[list[int]] = [[] for _ in range(self.nodes.n)]
-        for pi, patch in enumerate(self.patches):
-            for k in patch.influence.indices:
-                ms[int(k)].append(pi)
-        return tuple(tuple(m) for m in ms)
+    def incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every membership as arrays ``(node, patch, flat)``, sorted by (node, patch).
+
+        ``flat`` indexes the patch-by-patch concatenation of the influence sets.
+        """
+        node = np.concatenate([np.zeros(0, dtype=int)] + [p.influence.indices for p in self.patches])
+        patch = np.repeat(np.arange(self.m), [p.influence.size for p in self.patches])
+        flat = np.lexsort((patch, node))
+        return node[flat], patch[flat], flat
 
     @property
     def m(self) -> int:
         return len(self.patches)
-
-    @property
-    def coefficient_dim(self) -> int:
-        return sum(p.space.dim for p in self.patches)
 
     @property
     def interpolatory(self) -> bool:
@@ -171,7 +182,8 @@ def build_space(
     ``selector`` is ``("knn", k)`` or ``("range", radius)``; ``recipe`` maps
     an influence set to a patch space.  Patches failing the interpolation-set
     test are kept, not rejected, and reported through ``failing_patches``
-    and one INFO record on the ``meshfd.spline`` logger.  Nodes covered by
+    and one INFO record on the ``meshfd.spline`` logger (patch ranks are
+    measured for it only when INFO is enabled there).  Nodes covered by
     no patch abort the construction unless ``uncovered="constant-patch"``,
     which completes the cover with single-node constant patches (the
     natural carriers of Dirichlet rows).
@@ -183,25 +195,18 @@ def build_space(
             raise ConstructionError(
                 f"selector {selector!r} yields no influence nodes around {infl.center.tolist()}"
             )
-        space = recipe(infl)
-        rank, iset = unisolvency_rank(space, infl.points)
-        patches.append(Patch(influence=infl, space=space, rank=rank, is_interpolation_set=iset))
+        patches.append(Patch(influence=infl, space=recipe(infl)))
 
-    covered = np.zeros(nodes.n, dtype=bool)
-    for p in patches:
-        covered[p.influence.indices] = True
-    missing = np.flatnonzero(~covered)
+    member_nodes = [np.zeros(0, dtype=int)] + [p.influence.indices for p in patches]
+    missing = _uncovered(nodes.n, np.concatenate(member_nodes))
     if missing.size:
         if uncovered == "constant-patch":
             for infl in influences(nodes, None, ("knn", 1), center_indices=missing):
-                space = PolySpace.full(nodes.d, 0, shift=infl.center, scale=1.0)
-                patches.append(Patch(influence=infl, space=space, rank=1, is_interpolation_set=True))
-        elif uncovered == "error":
-            raise ConstructionError(f"nodes not covered by any patch: {missing.tolist()[:10]}")
-        else:
+                patches.append(Patch(infl, PolySpace.full(nodes.d, 0, shift=infl.center, scale=1.0)))
+        elif uncovered != "error":
             raise InvalidInputError(f"unknown uncovered policy {uncovered!r}")
     space = OverlapSplineSpace(nodes=nodes, patches=tuple(patches))
-    failing = space.failing_patches
+    failing = space.failing_patches if _log.isEnabledFor(logging.INFO) else ()
     if failing:
         _log.info("%d of %d patches are not interpolation sets (first: %s)",
                   len(failing), space.m, list(failing[:10]))
@@ -217,42 +222,29 @@ def dimension_analysis(space: OverlapSplineSpace, guard: int = ANALYSIS_GUARD) -
     the rank of the nodal evaluation map restricted to the constraint null
     space, and the kernel dimension follows by subtraction.
     """
-    dims = [p.space.dim for p in space.patches]
-    total_coeffs = int(sum(dims))
+    total_coeffs = int(sum(p.space.dim for p in space.patches))
     if total_coeffs > guard:
         raise AnalysisSizeError(
             f"{total_coeffs} patch coefficients exceed the dense-analysis guard {guard}; "
             "analyze a subsample instead"
         )
-    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-
-    rows: list[np.ndarray] = []
-    for k, members in enumerate(space.memberships):
-        if len(members) < 2:
-            continue
-        x = space.nodes.points[k]
-        first = members[0]
-        first_vals = space.patches[first].space.eval_basis(x)
-        for other in members[1:]:
-            row = np.zeros(total_coeffs)
-            row[offsets[first] : offsets[first + 1]] = first_vals
-            row[offsets[other] : offsets[other + 1]] = -space.patches[other].space.eval_basis(x)
-            rows.append(row)
-    constraints = np.array(rows) if rows else np.zeros((0, total_coeffs))
+    node, _, flat = space.incidence
+    first = np.searchsorted(node, node)  # each membership's first entry at its node
+    lead = first == np.arange(node.size)
+    # row j: the basis of membership j's patch at its node, in that patch's coefficient columns
+    values = scipy.sparse.block_diag(
+        [np.atleast_2d(p.space.eval_basis(p.influence.points)) for p in space.patches], format="csr"
+    )[flat]
+    constraints = (values[first[~lead]] - values[~lead]).toarray()
 
     dim_total = total_coeffs - numerical_rank(constraints)
     basis = null_space(constraints)
 
-    nodal_map = np.zeros((space.nodes.n, total_coeffs))
-    for k, members in enumerate(space.memberships):
-        first = members[0]
-        nodal_map[k, offsets[first] : offsets[first + 1]] = space.patches[first].space.eval_basis(
-            space.nodes.points[k]
-        )
+    nodal_map = values[lead].toarray()  # one row per node, from its first patch
     dim_im = numerical_rank(nodal_map @ basis)
     dim_ker = dim_total - dim_im
 
-    lower = space.nodes.n + total_coeffs - sum(p.influence.size for p in space.patches)
+    lower = space.nodes.n + total_coeffs - node.size
     upper = space.nodes.n if all(p.unisolvent for p in space.patches) else None
     return DimensionReport(
         dim_total=int(dim_total),
@@ -284,40 +276,44 @@ def from_nodal_values(space: OverlapSplineSpace, values) -> OverlapSpline:
     return OverlapSpline(space=space, patch_coeffs=tuple(coeffs))
 
 
+def _membership_values(s: OverlapSpline) -> tuple[np.ndarray, np.ndarray]:
+    """Membership values in `incidence` order, one evaluation per patch, and each node's first entry."""
+    node, _, flat = s.space.incidence
+    per_patch = [s.patch_eval(i, p.influence.points) for i, p in enumerate(s.space.patches)]
+    vals = np.concatenate([np.zeros(0)] + per_patch)[flat]
+    return vals, np.searchsorted(node, node)
+
+
 def restriction(s: OverlapSpline) -> np.ndarray:
     """Nodal values of an overlap spline; well defined by the connection condition.
 
     Every containing patch is evaluated at every node and cross-checked, so
-    a spline violating the connection condition is rejected here.
+    a spline violating the connection condition, or taking a non-finite
+    value at a node, is rejected here.
     """
-    space = s.space
-    out = np.empty(space.nodes.n)
-    for k, members in enumerate(space.memberships):
-        x = space.nodes.points[k]
-        v0 = float(s.patch_eval(members[0], x))
-        for other in members[1:]:
-            v = float(s.patch_eval(other, x))
-            if abs(v - v0) > CONNECTION_RTOL * (1.0 + abs(v0)):
-                raise InconsistentSplineError(
-                    f"patches {members[0]} and {other} disagree at node {k}: {v0!r} vs {v!r}"
-                )
-        out[k] = v0
-    return out
+    node, patch, _ = s.space.incidence
+    vals, first = _membership_values(s)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        j = bad[0]
+        raise InconsistentSplineError(f"patch {patch[j]} is not finite at node {node[j]}: {vals[j]}")
+    v0 = vals[first]
+    off = np.flatnonzero(np.abs(vals - v0) > CONNECTION_RTOL * (1.0 + np.abs(v0)))
+    if off.size:
+        j = off[0]
+        raise InconsistentSplineError(
+            f"patches {patch[first[j]]} and {patch[j]} disagree at node {node[j]}: "
+            f"{float(v0[j])!r} vs {float(vals[j])!r}"
+        )
+    return vals[np.unique(first)]
 
 
 def connection_defect(s: OverlapSpline) -> float:
-    """Largest normalized patch disagreement over all shared nodes."""
-    space = s.space
-    worst = 0.0
-    for k, members in enumerate(space.memberships):
-        if len(members) < 2:
-            continue
-        x = space.nodes.points[k]
-        vals = [float(s.patch_eval(i, x)) for i in members]
-        v0 = vals[0]
-        for v in vals[1:]:
-            worst = max(worst, abs(v - v0) / (1.0 + abs(v0)))
-    return worst
+    """Largest normalized patch disagreement over all shared nodes; NaN if a value is not finite."""
+    vals, first = _membership_values(s)
+    if not np.all(np.isfinite(vals)):
+        return float("nan")
+    return float(np.max(np.abs(vals - vals[first]) / (1.0 + np.abs(vals[first]))))
 
 
 def lagrange_row(space: OverlapSplineSpace, patch_index: int, op: Operator, y) -> StencilWeights:

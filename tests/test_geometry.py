@@ -245,6 +245,13 @@ class TestBatchedInfluences:
             assert one.center_index == patch.center_node
 
 
+class TestInfluenceSet:
+    def test_duplicate_indices_rejected(self):
+        pts = np.array([[0.0], [0.5], [0.0]])
+        with pytest.raises(InvalidInputError, match="influence indices must be distinct"):
+            m.InfluenceSet(center=[0.0], indices=[0, 1, 0], distances=[0.0, 0.5, 0.0], points=pts)
+
+
 class TestNodeSet:
     def test_coincident_nodes_rejected(self):
         with pytest.raises(ConstructionError):

@@ -1,9 +1,11 @@
+import dataclasses
 import logging
 
 import numpy as np
 import pytest
 
 import meshfd as m
+import meshfd.spline as spline_module
 from meshfd.errors import (
     AnalysisSizeError,
     ConstructionError,
@@ -30,6 +32,22 @@ def lagrange_patch_1d(x, j, i, h):
     if i == j + 1:
         return 0.5 * (x - (xj + h)) * (x - (xj + 2 * h)) / h**2
     return 0.0
+
+
+def membership_lists(space):
+    """Oracle: for each node, the ascending indices of the patches containing it."""
+    members = [[] for _ in range(space.nodes.n)]
+    for i, patch in enumerate(space.patches):
+        for k in patch.influence.indices:
+            members[k].append(i)
+    return members
+
+
+def kernel_space(seed):
+    """r^3 patches with a linear tail on kNN-9 stencils of a jittered 7 x 7 cloud."""
+    ns = jittered_cloud(seed, n_axis=7)
+    return ns, m.build_space(ns, "all", ("knn", 9),
+                             m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0)))
 
 
 class TestBuildSpace:
@@ -87,6 +105,34 @@ class TestBuildSpace:
         centered = [p.center_node for p in space.patches[:3]]
         assert centered == [2, 3, 4]
         assert all(p.is_interpolation_set for p in space.patches)
+
+    @pytest.mark.parametrize("build", [lambda: five_star_full_p2_space(4), lambda: kernel_space(2)])
+    def test_incidence_matches_membership_loop(self, build):
+        ns, space = build()
+        node, patch, flat = space.incidence
+        expected = [(k, i) for k, ms in enumerate(membership_lists(space)) for i in ms]
+        assert list(zip(node.tolist(), patch.tolist())) == expected
+        concatenated = np.concatenate([p.influence.indices for p in space.patches])
+        owner = np.repeat(np.arange(space.m), [p.influence.size for p in space.patches])
+        assert np.array_equal(concatenated[flat], node)
+        assert np.array_equal(owner[flat], patch)
+
+    def test_ranks_measured_on_first_use_only(self, monkeypatch, caplog):
+        calls = []
+
+        def counting(space, coords):
+            calls.append(1)
+            return m.unisolvency_rank(space, coords)
+
+        monkeypatch.setattr(spline_module, "unisolvency_rank", counting)
+        caplog.set_level(logging.WARNING, logger="meshfd.spline")
+        ns, space = kernel_space(0)
+        assert [f.name for f in dataclasses.fields(m.Patch)] == ["influence", "space"]
+        assert calls == []
+        assert space.interpolatory
+        assert len(calls) == space.m
+        assert space.interpolatory
+        assert len(calls) == space.m
 
     @pytest.mark.parametrize("bad", [[-1, 2], [2, 7]])
     def test_out_of_range_center_indices_rejected(self, bad):
@@ -224,6 +270,29 @@ class TestRestriction:
         with pytest.raises(InconsistentSplineError):
             m.restriction(broken)
 
+    def test_matches_node_by_node_oracle(self, rng):
+        ns, space = kernel_space(1)
+        s = m.from_nodal_values(space, rng.standard_normal(ns.n))
+        oracle = [[float(s.patch_eval(i, ns.points[k])) for i in ms]
+                  for k, ms in enumerate(membership_lists(space))]
+        first = np.array([vals[0] for vals in oracle])
+        defect = max(abs(v - vals[0]) / (1.0 + abs(vals[0])) for vals in oracle for v in vals)
+        assert np.max(np.abs(m.restriction(s) - first) / (1.0 + np.abs(first))) <= 1e-13
+        assert m.connection_defect(s) == pytest.approx(defect, abs=1e-13)
+
+    def test_non_finite_patch_values_rejected(self):
+        ns = m.generate_grid(1, 9, [(0.0, 1.0)])
+        space = m.build_space(ns, "all", ("knn", 3), m.poly_patch_recipe(2))
+        s = m.from_nodal_values(space, np.sin(ns.points[:, 0]))
+        bad = list(s.patch_coeffs)
+        bad[4] = np.full_like(bad[4], np.nan)
+        broken = m.OverlapSpline(space=space, patch_coeffs=tuple(bad))
+        assert not np.isfinite(m.connection_defect(broken))
+        first_node = int(space.patches[4].influence.indices.min())
+        with pytest.raises(InconsistentSplineError,
+                           match=f"patch 4 is not finite at node {first_node}: nan"):
+            m.restriction(broken)
+
 
 class TestLagrangeRow:
     def test_second_derivative_row_1d(self):
@@ -273,10 +342,21 @@ class TestLagrangeRow:
                               distances=np.linalg.norm(pts, axis=1), points=pts)
         ks = m.KernelSpace(m.Kernel("gauss", 1.0), pts)
         nodes = m.NodeSet(points=[[0.0, 0.0], [1.0, 0.0], [0.3, 0.1]], boundary_mask=[False] * 3)
-        patch = m.Patch(influence=infl, space=ks, rank=3, is_interpolation_set=True)
+        patch = m.Patch(influence=infl, space=ks)
         space = m.OverlapSplineSpace(nodes=nodes, patches=(patch,))
-        with pytest.raises(m.NotAnInterpolationSetError, match="singular local system on patch 0"):
+        with pytest.raises(m.NotAnInterpolationSetError, match="rank 2, dim 3"):
             m.lagrange_row(space, 0, m.LAPLACIAN, pts[2])
+
+    def test_singular_local_solve_raises(self, monkeypatch):
+        ns, space = quadratic_overlap_space_1d(9)
+        assert space.patches[2].is_interpolation_set
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(m.NotAnInterpolationSetError, match="singular local system on patch 2"):
+            m.lagrange_row(space, 2, m.SECOND_DERIVATIVE_1D, ns.points[3])
 
     def test_rejects_non_interpolatory_patch(self):
         ns, space = five_star_full_p2_space(4)
