@@ -69,14 +69,14 @@ class NodeSet:
         mask = np.asarray(self.boundary_mask, dtype=bool).reshape(-1)
         if mask.shape[0] != pts.shape[0]:
             raise InvalidInputError("boundary_mask length must match the number of points")
-        dup = cKDTree(pts).query_pairs(0.0)
-        if dup:
-            i, j = sorted(dup)[0]
-            raise ConstructionError(f"coincident nodes {i} and {j}")
         pts.setflags(write=False)
         mask.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "boundary_mask", mask)
+        dup = self.tree.query_pairs(0.0)
+        if dup:
+            i, j = sorted(dup)[0]
+            raise ConstructionError(f"coincident nodes {i} and {j}")
 
     @property
     def n(self) -> int:

@@ -62,22 +62,17 @@ class PartitionOfUnity:
         """
         nodes = space.nodes
         centers = np.array([p.center for p in space.patches])
-        radii = np.empty(space.m)
-        for i, patch in enumerate(space.patches):
-            size = patch.influence.size
-            stencil_radius = patch.influence.radius
-            if size + 1 <= nodes.n:
-                dists, _ = nodes.tree.query(patch.center, k=size + 1)
-                d_out = float(np.max(dists))
-            else:
-                d_out = np.inf
-            if stencil_radius == 0.0:
-                radii[i] = 0.5 * d_out if np.isfinite(d_out) else 1.0
-            elif d_out > stencil_radius:
-                radii[i] = min(DEFAULT_RADIUS_FACTOR * stencil_radius, 0.5 * (stencil_radius + d_out))
-            else:
-                radii[i] = DEFAULT_RADIUS_FACTOR * stencil_radius
-        return cls(centers=centers, radii=radii)
+        size = np.array([p.influence.size for p in space.patches])
+        stencil = np.array([p.influence.radius for p in space.patches])
+        k = min(int(size.max()) + 1, nodes.n)
+        dists, _ = nodes.tree.query(centers, k=k)
+        # distance to the nearest node outside each patch: its (size + 1)-th neighbor
+        nearest_out = dists.reshape(space.m, k)[np.arange(space.m), np.minimum(size, k - 1)]
+        d_out = np.where(size + 1 <= nodes.n, nearest_out, np.inf)
+        single = np.where(np.isfinite(d_out), 0.5 * d_out, 1.0)
+        wide = DEFAULT_RADIUS_FACTOR * stencil
+        clipped = np.where(d_out > stencil, np.minimum(wide, 0.5 * (stencil + d_out)), wide)
+        return cls(centers=centers, radii=np.where(stencil == 0.0, single, clipped))
 
 
 def blend_disconnected(patch_values, pou: PartitionOfUnity, x) -> float:

@@ -93,29 +93,20 @@ class Solution:
     rank_report: RankReport
 
 
-def _check_repeats(pairs):
-    """Repeated collocation points must be assigned distinct patches."""
-    seen: dict[bytes, set[int]] = {}
-    for p in pairs:
-        key = p.point.tobytes()
-        group = seen.setdefault(key, set())
-        if p.patch in group:
-            raise ConfigError(
-                f"collocation point {p.point.tolist()} repeats with the same patch {p.patch}"
-            )
-        group.add(p.patch)
-
-
 def _check_region(space, pairs):
     """Every collocation point must lie in the influence region of its patch."""
-    for p in pairs:
-        patch = space.patches[p.patch]
-        dist = float(np.linalg.norm(p.point - patch.center))
-        if dist > 2.0 * patch.influence.radius and dist > 0.0:
-            raise ConfigError(
-                f"collocation point {p.point.tolist()} lies outside the influence region "
-                f"of patch {p.patch} (distance {dist:.3g}, stencil radius {patch.influence.radius:.3g})"
-            )
+    points = np.array([p.point for p in pairs]).reshape(len(pairs), space.nodes.d)
+    patch = np.array([p.patch for p in pairs], dtype=int)
+    centers = np.array([q.center for q in space.patches])[patch]
+    radii = np.array([q.influence.radius for q in space.patches])[patch]
+    dist = np.linalg.norm(points - centers, axis=1)
+    bad = np.flatnonzero((dist > 2.0 * radii) & (dist > 0.0))
+    if bad.size:
+        j = bad[0]
+        raise ConfigError(
+            f"collocation point {points[j].tolist()} lies outside the influence region "
+            f"of patch {patch[j]} (distance {dist[j]:.3g}, stencil radius {radii[j]:.3g})"
+        )
 
 
 def build_sigma(space: OverlapSplineSpace, strategy: str, collocation_points=None) -> SigmaMap:
@@ -128,7 +119,8 @@ def build_sigma(space: OverlapSplineSpace, strategy: str, collocation_points=Non
     take successively farther centers so repeated points carry distinct
     patches.  ``per-set-aggregate``: every patch contributes a block of
     collocation points, one per influence node, with a block-constant
-    assignment.
+    assignment.  Each strategy yields distinct (point, patch) pairs by
+    construction.
     """
     nodes = space.nodes
     pairs: list[SigmaPair] = []
@@ -182,7 +174,6 @@ def build_sigma(space: OverlapSplineSpace, strategy: str, collocation_points=Non
     else:
         raise ConfigError(f"unknown sigma strategy {strategy!r}")
 
-    _check_repeats(pairs)
     _check_region(space, pairs)
     return SigmaMap(strategy=strategy, pairs=tuple(pairs))
 

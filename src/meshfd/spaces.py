@@ -13,6 +13,12 @@ coefficients are constrained by the moment conditions
 consists of moment-constrained kernel combinations plus the tail
 polynomials.  Interpolation in either family solves the nodal matrix,
 the concrete basis evaluated at the patch's own nodes.
+
+Both families share one evaluation method pair (`eval_basis`,
+`eval_basis_derivative`), which checks the derivative multi-index and the
+point dimension once; a family supplies only the derivative of its basis
+at a batch of checked points.  A polynomial exponent list is checked once
+per (dimension, degree, list) and shared by every space built from it.
 """
 
 from __future__ import annotations
@@ -53,8 +59,42 @@ def poly_space_dim(d: int, degree: int) -> int:
     return math.comb(degree + d, d)
 
 
+class _BasisSpace:
+    """Evaluation shared by both patch-space families; each supplies `_derivative`."""
+
+    def eval_basis(self, x) -> np.ndarray:
+        """Basis values at x; shape (dim,) for a point, (m, dim) for a batch."""
+        return self.eval_basis_derivative(x, (0,) * self.d)
+
+    def eval_basis_derivative(self, x, beta) -> np.ndarray:
+        """Partial derivative d^beta of each basis function at x."""
+        beta = tuple(int(e) for e in beta)
+        if len(beta) != self.d or any(e < 0 for e in beta):
+            raise InvalidInputError(f"derivative multi-index {beta} does not match dimension {self.d}")
+        pts = np.atleast_2d(np.asarray(x, dtype=float))
+        if pts.shape[1] != self.d:
+            raise InvalidInputError(f"points of dimension {pts.shape[1]} in a {self.d}-dimensional space")
+        out = self._derivative(pts, beta)
+        return out[0] if np.asarray(x).ndim == 1 else out
+
+
+@functools.lru_cache(maxsize=None)
+def _checked_exponents(d: int, degree: int, exponents) -> tuple[tuple[int, ...], ...]:
+    """The exponent list as int tuples, once it is known to list distinct monomials of degree <= degree."""
+    exps = tuple(tuple(int(e) for e in a) for a in exponents)
+    if len(exps) == 0:
+        raise InvalidInputError("a polynomial space needs at least one monomial")
+    full = set(monomial_exponents(d, degree))
+    for a in exps:
+        if a not in full:
+            raise InvalidInputError(f"exponent {a} is not a monomial of total degree <= {degree}")
+    if len(set(exps)) != len(exps):
+        raise InvalidInputError("duplicate monomials in basis list")
+    return exps
+
+
 @dataclass(frozen=True, eq=False)
-class PolySpace:
+class PolySpace(_BasisSpace):
     """Monomial span in shifted/scaled coordinates, optionally a sublist."""
 
     d: int
@@ -69,15 +109,7 @@ class PolySpace:
             raise InvalidInputError(f"shift must have dimension {self.d}")
         if not self.scale > 0.0:
             raise InvalidInputError("scale must be positive")
-        exps = tuple(tuple(int(e) for e in a) for a in self.exponents)
-        if len(exps) == 0:
-            raise InvalidInputError("a polynomial space needs at least one monomial")
-        full = set(monomial_exponents(self.d, self.degree))
-        for a in exps:
-            if a not in full:
-                raise InvalidInputError(f"exponent {a} is not a monomial of total degree <= {self.degree}")
-        if len(set(exps)) != len(exps):
-            raise InvalidInputError("duplicate monomials in basis list")
+        exps = _checked_exponents(self.d, self.degree, tuple(map(tuple, self.exponents)))
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "exponents", exps)
@@ -98,26 +130,8 @@ class PolySpace:
     def dim(self) -> int:
         return len(self.exponents)
 
-    def _local(self, x):
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        if pts.shape[1] != self.d:
-            raise InvalidInputError(f"points of dimension {pts.shape[1]} in a {self.d}-dimensional space")
-        return (pts - self.shift) / self.scale
-
-    def eval_basis(self, x) -> np.ndarray:
-        """Basis values at x; shape (dim,) for a point, (m, dim) for a batch."""
-        single = np.asarray(x).ndim == 1
-        out = monomial_derivatives(self._local(x), self.exponents, (0,) * self.d)
-        return out[0] if single else out
-
-    def eval_basis_derivative(self, x, beta) -> np.ndarray:
-        """Partial derivative d^beta of each basis monomial at x."""
-        beta = tuple(int(e) for e in beta)
-        if len(beta) != self.d or any(e < 0 for e in beta):
-            raise InvalidInputError(f"derivative multi-index {beta} does not match dimension {self.d}")
-        single = np.asarray(x).ndim == 1
-        out = monomial_derivatives(self._local(x), self.exponents, beta, self.scale)
-        return out[0] if single else out
+    def _derivative(self, pts, beta) -> np.ndarray:
+        return monomial_derivatives((pts - self.shift) / self.scale, self.exponents, beta, self.scale)
 
 
 @functools.lru_cache(maxsize=None)
@@ -234,20 +248,6 @@ def kernel_eval(kernel: Kernel, x, y) -> float:
     return float(kernel.phi(np.linalg.norm(x - y)))
 
 
-def kernel_translate_derivative(kernel: Kernel, x, centers, beta) -> np.ndarray:
-    """d^beta_x K(x, c_j) for every center c_j, |beta| <= 2.
-
-    Shape (n,) for a single point, (m, n) for a batch.
-    """
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    single = np.asarray(x).ndim == 1
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    if pts.shape[1] != centers.shape[1]:
-        raise InvalidInputError("point and center dimensions differ")
-    out = kernel_derivative(kernel, pts[:, None, :] - centers[None, :, :], beta)
-    return out[0] if single else out
-
-
 def kernel_derivative(kernel: Kernel, diff, beta) -> np.ndarray:
     """d^beta_x K(x, c) at displacements ``diff = x - c`` of shape (..., d), |beta| <= 2.
 
@@ -286,7 +286,7 @@ def kernel_derivative(kernel: Kernel, diff, beta) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class KernelSpace:
+class KernelSpace(_BasisSpace):
     """Kernel translates on stencil nodes plus an optional polynomial tail.
 
     ``aug`` is the tail space Q (or None for Q = {0}); its basis doubles as
@@ -351,21 +351,12 @@ class KernelSpace:
     def dim(self) -> int:
         return self.moment_null.shape[1] + self.q_dim
 
-    def eval_basis(self, x) -> np.ndarray:
-        single = np.asarray(x).ndim == 1
-        kvals = np.atleast_2d(kernel_translate_derivative(self.kernel, x, self.centers, (0,) * self.d))
+    def _derivative(self, pts, beta) -> np.ndarray:
+        kvals = kernel_derivative(self.kernel, pts[:, None, :] - self.centers[None, :, :], beta)
         out = self.kernel_norm * kvals @ self.moment_null
         if self.aug is not None:
-            out = np.hstack([out, np.atleast_2d(self.aug.eval_basis(x))])
-        return out[0] if single else out
-
-    def eval_basis_derivative(self, x, beta) -> np.ndarray:
-        single = np.asarray(x).ndim == 1
-        kvals = np.atleast_2d(kernel_translate_derivative(self.kernel, x, self.centers, beta))
-        out = self.kernel_norm * kvals @ self.moment_null
-        if self.aug is not None:
-            out = np.hstack([out, np.atleast_2d(self.aug.eval_basis_derivative(x, beta))])
-        return out[0] if single else out
+            out = np.hstack([out, self.aug._derivative(pts, beta)])
+        return out
 
 
 PatchSpace = PolySpace | KernelSpace
@@ -476,13 +467,20 @@ def patch_value(space: PatchSpace, coeffs, x):
 
 
 def poly_patch_recipe(degree: int, sublist=None):
-    """Per-stencil polynomial space factory: shift = stencil center, scale = stencil radius."""
+    """Per-stencil polynomial space factory: shift = stencil center, scale = stencil radius.
+
+    A ``sublist`` fixes the exponents (and the degree, its largest total
+    degree); it is normalized once, here.
+    """
+    if sublist is not None:
+        sublist = tuple(tuple(int(e) for e in a) for a in sublist)
+        degree = max(sum(a) for a in sublist)
 
     def make(infl) -> PolySpace:
+        d = infl.points.shape[1]
         scale = infl.radius if infl.radius > 0.0 else 1.0
-        if sublist is not None:
-            return PolySpace.from_exponents(infl.points.shape[1], sublist, shift=infl.center, scale=scale)
-        return PolySpace.full(infl.points.shape[1], degree, shift=infl.center, scale=scale)
+        exps = monomial_exponents(d, degree) if sublist is None else sublist
+        return PolySpace(d=d, degree=degree, shift=infl.center, scale=scale, exponents=exps)
 
     return make
 

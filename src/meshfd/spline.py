@@ -261,18 +261,22 @@ def from_nodal_values(space: OverlapSplineSpace, values) -> OverlapSpline:
 
     Each patch is the local interpolant of the values on its influence set;
     this parameterization exists exactly when the space is interpolatory.
+    The local solve is the one test: a patch fails when `local_interpolate`
+    finds its nodal matrix non-square, singular or inaccurate, and any
+    failing patch raises `ContractError` naming the first ten.
     """
     values = np.asarray(values, dtype=float).reshape(-1)
     if values.shape[0] != space.nodes.n:
         raise InvalidInputError(f"expected {space.nodes.n} nodal values, got {values.shape[0]}")
-    if not space.interpolatory:
-        raise ContractError(
-            f"space is not interpolatory (failing patches: {space.failing_patches[:10]})"
-        )
-    coeffs = []
-    for patch in space.patches:
+    coeffs, failing = [], []
+    for i, patch in enumerate(space.patches):
         local = values[patch.influence.indices]
-        coeffs.append(local_interpolate(patch.space, patch.influence.points, local))
+        try:
+            coeffs.append(local_interpolate(patch.space, patch.influence.points, local))
+        except NotAnInterpolationSetError:
+            failing.append(i)
+    if failing:
+        raise ContractError(f"space is not interpolatory (failing patches: {tuple(failing[:10])})")
     return OverlapSpline(space=space, patch_coeffs=tuple(coeffs))
 
 

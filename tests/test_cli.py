@@ -1,4 +1,6 @@
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,13 +205,16 @@ class TestSubprocessInvocation:
         import subprocess
         import sys
 
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         outs = []
         for run in (1, 2):
             out_dir = tmp_path / f"proc-{run}"
             res = subprocess.run(
                 [sys.executable, "-m", "meshfd.cli", "solve",
                  "--config", str(solve_config), "--out-dir", str(out_dir)],
-                capture_output=True, text=True,
+                capture_output=True, text=True, env=env,
             )
             assert res.returncode == 0, res.stderr
             outs.append(read_outputs(out_dir))

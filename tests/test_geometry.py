@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import meshfd as m
+import meshfd.geometry as geometry_module
 from meshfd.errors import ConstructionError, InvalidInputError
 
 from helpers import brute_force_knn, brute_force_range
@@ -256,6 +257,14 @@ class TestNodeSet:
     def test_coincident_nodes_rejected(self):
         with pytest.raises(ConstructionError):
             m.NodeSet(points=np.array([[0.1, 0.2], [0.1, 0.2]]), boundary_mask=[False, False])
+
+    def test_one_tree_per_node_set(self, monkeypatch):
+        built = []
+        tree = geometry_module.cKDTree
+        monkeypatch.setattr(geometry_module, "cKDTree", lambda pts: built.append(pts) or tree(pts))
+        ns = m.generate_grid(2, 5, [(0.0, 1.0), (0.0, 1.0)])
+        m.knn(ns, ns.points[6], 5)
+        assert len(built) == 1
 
     def test_points_are_read_only(self):
         ns = m.generate_grid(1, 3, [(0.0, 1.0)])

@@ -3,10 +3,10 @@ import pytest
 
 import meshfd as m
 from meshfd.errors import CoverageError, InvalidInputError
-from meshfd.pum import PartitionOfUnity, blend, blend_disconnected
+from meshfd.pum import DEFAULT_RADIUS_FACTOR, PartitionOfUnity, blend, blend_disconnected
 from meshfd.spaces import local_interpolate, patch_value
 
-from helpers import five_star_sublist_space, jittered_cloud, quadratic_overlap_space_1d
+from helpers import five_star_sublist_space, grid1d, jittered_cloud, quadratic_overlap_space_1d
 
 
 def covered_samples(pou, rng, n, bounds):
@@ -22,7 +22,47 @@ def covered_samples(pou, rng, n, bounds):
     return np.array(out)
 
 
+def per_patch_radii(space):
+    """Oracle: the ball radius rule with one tree query per patch."""
+    nodes = space.nodes
+    radii = []
+    for patch in space.patches:
+        size, r = patch.influence.size, patch.influence.radius
+        d_out = np.inf
+        if size + 1 <= nodes.n:
+            d_out = float(np.max(nodes.tree.query(patch.center, k=size + 1)[0]))
+        if r == 0.0:
+            radii.append(0.5 * d_out if np.isfinite(d_out) else 1.0)
+        elif d_out > r:
+            radii.append(min(DEFAULT_RADIUS_FACTOR * r, 0.5 * (r + d_out)))
+        else:
+            radii.append(DEFAULT_RADIUS_FACTOR * r)
+    return np.array(radii)
+
+
+RADIUS_CASES = {
+    # single-node constant patches of radius 0 complete the cover
+    "constant-patches": lambda: five_star_sublist_space(4)[1],
+    # patch 1 holds every node, patch 0 does not
+    "patch-holds-all": lambda: m.build_space(grid1d(4), np.array([[0.0], [0.5]]), ("range", 0.6),
+                                             m.poly_patch_recipe(0)),
+    # the third neighbor ties the second, so the ball is not clipped
+    "tied-outer-node": lambda: m.build_space(grid1d(6), "all", ("knn", 2), m.poly_patch_recipe(1)),
+    "scattered": lambda: m.build_space(jittered_cloud(4, n_axis=7), "all", ("knn", 9),
+                                       m.poly_patch_recipe(1)),
+    "one-node": lambda: m.build_space(m.NodeSet(points=[[0.3, 0.4]], boundary_mask=[True]), "all",
+                                      ("knn", 1), m.poly_patch_recipe(0)),
+}
+
+
 class TestPartitionOfUnity:
+    @pytest.mark.parametrize("case", RADIUS_CASES)
+    def test_for_space_radii_match_per_patch_rule(self, case):
+        space = RADIUS_CASES[case]()
+        pou = PartitionOfUnity.for_space(space)
+        assert np.array_equal(pou.radii, per_patch_radii(space))
+        assert np.array_equal(pou.centers, [p.center for p in space.patches])
+
     def test_weights_sum_to_one_at_random_covered_points(self, rng):
         ns, space = five_star_sublist_space(6)
         pou = PartitionOfUnity.for_space(space)

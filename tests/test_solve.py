@@ -60,6 +60,24 @@ class TestBuildSigma:
         assert len(set(picked)) == 3
         assert picked[0] == 24
 
+    def test_point_outside_the_influence_region_rejected(self):
+        ns, space = quadratic_overlap_space_1d(4)  # last patch: center 0.75, stencil radius 0.25
+        for y in (5.0, 1.3):
+            with pytest.raises(ConfigError, match="outside the influence region of patch 2"):
+                build_sigma(space, "nearest-node", collocation_points=[[y]])
+        assert build_sigma(space, "nearest-node", collocation_points=[[1.2]]).pairs[0].patch == 2
+
+    @pytest.mark.parametrize("strategy", ["same-index", "nearest-node", "per-set-aggregate"])
+    def test_every_strategy_yields_distinct_pairs(self, strategy):
+        ns, space = five_star_sublist_space(4)  # boundary nodes take the same-index fallback
+        points = np.vstack([ns.points, np.tile(ns.points[12], (3, 1))])
+        sigma = build_sigma(space, strategy,
+                            collocation_points=points if strategy == "nearest-node" else None)
+        keys = [(pair.point.tobytes(), pair.patch) for pair in sigma.pairs]
+        assert len(set(keys)) == len(keys)
+        if strategy == "nearest-node":
+            assert len({patch for key, patch in keys if key == ns.points[12].tobytes()}) == 4
+
     def test_nearest_node_requires_points(self):
         ns, space = quadratic_overlap_space_1d(4)
         with pytest.raises(ConfigError):

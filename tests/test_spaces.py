@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 import meshfd as m
 from meshfd.errors import InvalidInputError, NotAnInterpolationSetError
-from meshfd.spaces import KernelSpace, PolySpace, kernel_translate_derivative, patch_value
+from meshfd.spaces import KernelSpace, PolySpace, kernel_derivative, patch_value
 
 from helpers import FIVE_STAR_SUBLIST
 
@@ -39,6 +39,24 @@ class TestMonomialBasis:
         ps = PolySpace.full(2, 1)
         with pytest.raises(InvalidInputError):
             ps.eval_basis([1.0])
+
+    @pytest.mark.parametrize("exponents, message", [
+        (((0, 0), (2, 0)), r"exponent \(2, 0\) is not a monomial of total degree <= 1"),
+        (((0, 0), (1, 0), (0, 0)), "duplicate monomials in basis list"),
+        ((), "a polynomial space needs at least one monomial"),
+    ])
+    def test_bad_list_rejected_on_every_construction(self, exponents, message):
+        for _ in range(2):  # the checked lists are cached; a failure must not be
+            with pytest.raises(InvalidInputError, match=message):
+                PolySpace(d=2, degree=1, shift=[0, 0], scale=1.0, exponents=exponents)
+
+    @pytest.mark.parametrize("sublist", [None, FIVE_STAR_SUBLIST])
+    def test_recipe_spaces_share_one_exponent_list(self, sublist):
+        ns = m.generate_grid(2, 5, [(0.0, 1.0), (0.0, 1.0)])
+        recipe = m.poly_patch_recipe(2, sublist=sublist)
+        a, b = (recipe(m.knn(ns, ns.points[i], 5)) for i in (6, 12))
+        assert a.exponents is b.exponents
+        assert a.exponents == (m.monomial_exponents(2, 2) if sublist is None else tuple(sublist))
 
     @given(seed=st.integers(0, 1000))
     def test_derivatives_match_finite_differences(self, seed):
@@ -87,7 +105,7 @@ class TestKernel:
     def test_gauss_matrix_is_spd(self, rng):
         pts = rng.random((12, 2))
         k = m.Kernel("gauss", 2.0)
-        gram = kernel_translate_derivative(k, pts, pts, (0, 0))
+        gram = kernel_derivative(k, pts[:, None, :] - pts, (0, 0))
         np.linalg.cholesky(gram)  # raises if not positive definite
 
     def test_second_derivative_limits(self):
@@ -279,7 +297,7 @@ class TestKernelDerivatives:
         rng = np.random.default_rng(17)
         centers = rng.random((6, 2))
         x = np.array([0.62, 0.41])
-        got = kernel_translate_derivative(kernel, x, centers, beta)
+        got = kernel_derivative(kernel, x - centers, beta)
 
         def value(p):
             return kernel.phi(np.linalg.norm(p - centers, axis=1))
@@ -304,11 +322,22 @@ class TestKernelDerivatives:
             tol = 1e-4
         assert np.allclose(got, fd, rtol=tol, atol=tol)
 
+    @pytest.mark.parametrize("beta", [(2,), (1, 0, 0), (0, 0, 2), (1, -1)])
+    def test_malformed_beta_rejected_by_tail_free_space(self, beta):
+        ks = KernelSpace(m.Kernel("gauss", 2.0), np.random.default_rng(5).random((4, 2)))
+        with pytest.raises(InvalidInputError, match="does not match dimension 2"):
+            ks.eval_basis_derivative([0.3, 0.6], beta)
+
+    def test_point_dimension_checked_by_kernel_space(self):
+        ks = KernelSpace(m.Kernel("polyharmonic", 3.0), np.eye(2), aug=PolySpace.full(2, 0))
+        with pytest.raises(InvalidInputError, match="points of dimension 3 in a 2-dimensional space"):
+            ks.eval_basis(np.zeros((4, 3)))
+
     def test_gauss_limits_at_center_match_fd(self):
         kernel = m.Kernel("gauss", 1.5)
         center = np.array([[0.3, 0.7]])
 
-        got = kernel_translate_derivative(kernel, center[0], center, (2, 0))[0]
+        got = kernel_derivative(kernel, center[0] - center, (2, 0))[0]
         step = 1e-4
 
         def value(p):
@@ -317,4 +346,4 @@ class TestKernelDerivatives:
         fd = (value(center[0] + [step, 0]) - 2 * value(center[0])
               + value(center[0] - [step, 0])) / step**2
         assert got == pytest.approx(fd, rel=1e-6)
-        assert kernel_translate_derivative(kernel, center[0], center, (1, 1))[0] == 0.0
+        assert kernel_derivative(kernel, center[0] - center, (1, 1))[0] == 0.0

@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from meshfd.errors import (
     InvalidInputError,
 )
 from helpers import (
+    FIVE_STAR_SUBLIST,
     five_star_full_p2_space,
     five_star_sublist_space,
     grid1d,
@@ -239,8 +241,30 @@ class TestFromNodalValues:
 
     def test_non_interpolatory_space_rejected(self):
         ns, space = five_star_full_p2_space(4)
-        with pytest.raises(ContractError):
+        failing = space.failing_patches[:10]
+        assert failing == tuple(range(9))
+        with pytest.raises(ContractError,
+                           match=re.escape(f"space is not interpolatory (failing patches: {failing})")):
             m.from_nodal_values(space, np.zeros(ns.n))
+
+    def test_singular_square_patches_rejected(self):
+        # kNN-5 edge stencils of a grid are collinear: square but singular nodal matrices
+        ns = m.generate_grid(2, 5, [(0.0, 1.0), (0.0, 1.0)])
+        space = m.build_space(ns, "all", ("knn", 5), m.poly_patch_recipe(2, sublist=FIVE_STAR_SUBLIST))
+        failing = space.failing_patches[:10]
+        assert failing and all(space.patches[i].influence.size == space.patches[i].space.dim
+                               for i in failing)
+        with pytest.raises(ContractError, match=re.escape(f"(failing patches: {failing})")):
+            m.from_nodal_values(space, np.zeros(ns.n))
+
+    def test_local_solves_are_the_only_test(self, monkeypatch):
+        calls = []
+        rank = spline_module.unisolvency_rank
+        monkeypatch.setattr(spline_module, "unisolvency_rank",
+                            lambda *args: calls.append(args) or rank(*args))
+        ns, space = five_star_sublist_space(4)
+        m.from_nodal_values(space, np.zeros(ns.n))
+        assert calls == []
 
 
 class TestRestriction:
