@@ -6,18 +6,40 @@ weights that sum to one wherever at least one ball covers the point.  The
 blend of an interpolatory spline reproduces its nodal values because each
 ball is kept small enough that the only nodes inside it are the patch's
 own influence nodes.
+
+The covering balls come from one ball query on a k-d tree of the centres,
+cached on the partition: the query radius is the largest radius padded by
+``QUERY_PAD`` (relative), and the exact ``t < 1`` test then keeps each
+point's covering balls in ascending order.  `PartitionOfUnity.evaluate`
+blends a spline at many points in array operations: every (point, covering
+patch) pair is evaluated once through the spline's stacked evaluation
+table (`OverlapSpline.eval_pairs`) and the weighted values are summed per
+point with ``np.bincount``.  `blend` is its one-point wrapper and
+`PartitionOfUnity.weights_at` the one-point view of the same query;
+`blend_disconnected` blends any per-patch callable through `weights_at`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import CoverageError, InvalidInputError
 from .spline import OverlapSpline, OverlapSplineSpace
 
 DEFAULT_RADIUS_FACTOR = 1.25
+
+# Relative padding of the ball-query radius, so that the tree's rounding
+# never drops a ball that the exact ``t < 1`` test keeps.
+QUERY_PAD = 1e-12
+
+# Points per ball query in `PartitionOfUnity.evaluate`; bounds the
+# per-point neighbour lists and the (point, ball) pair arrays.
+EVAL_CHUNK_POINTS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,15 +63,52 @@ class PartitionOfUnity:
     def m(self) -> int:
         return self.centers.shape[0]
 
-    def weights_at(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Indices of covering balls and their Shepard weights at a point."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        t = np.linalg.norm(self.centers - x, axis=1) / self.radii
-        inside = np.flatnonzero(t < 1.0)
-        if inside.size == 0:
-            raise CoverageError(f"point {x.tolist()} is covered by no partition ball")
+    @cached_property
+    def _query(self) -> tuple[cKDTree, float]:
+        """The centres' k-d tree and the padded query radius."""
+        return cKDTree(self.centers), float(self.radii.max()) * (1.0 + QUERY_PAD)
+
+    def _cover(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every (point, covering ball) pair with its Shepard weight, point-major, balls ascending."""
+        tree, reach = self._query
+        near = tree.query_ball_point(points, reach, return_sorted=True)
+        counts = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
+        ball = np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp, count=int(counts.sum()))
+        point = np.repeat(np.arange(len(near)), counts)
+        t = np.linalg.norm(self.centers[ball] - points[point], axis=1) / self.radii[ball]
+        inside = t < 1.0
+        point, ball = point[inside], ball[inside]
         bump = (1.0 - t[inside]) ** 2
-        return inside, bump / bump.sum()
+        total = np.bincount(point, bump, minlength=len(near))  # > 0 exactly where a ball covers
+        if not np.all(total > 0.0):
+            x = points[np.argmin(total > 0.0)]
+            raise CoverageError(f"point {x.tolist()} is covered by no partition ball")
+        return point, ball, bump / total[point]
+
+    def _points(self, points) -> np.ndarray:
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.ndim != 2 or points.shape[1] != self.centers.shape[1]:
+            raise InvalidInputError(
+                f"points must have shape (n, {self.centers.shape[1]}), got {points.shape}")
+        return points
+
+    def weights_at(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of covering balls (ascending) and their Shepard weights at a point."""
+        _, ball, gamma = self._cover(self._points(np.asarray(x, dtype=float).reshape(1, -1)))
+        return ball, gamma
+
+    def evaluate(self, s: OverlapSpline, points) -> np.ndarray:
+        """Globally defined values of an overlap spline at a batch of points, shape (n,)."""
+        if self.m != s.space.m:
+            raise InvalidInputError("partition balls must align with the spline's patches")
+        points = self._points(points)
+        out = np.empty(points.shape[0])
+        for lo in range(0, points.shape[0], EVAL_CHUNK_POINTS):
+            chunk = points[lo:lo + EVAL_CHUNK_POINTS]
+            point, ball, gamma = self._cover(chunk)
+            vals = s.eval_pairs(ball, chunk[point])
+            out[lo:lo + chunk.shape[0]] = np.bincount(point, gamma * vals, minlength=chunk.shape[0])
+        return out
 
     @classmethod
     def for_space(cls, space: OverlapSplineSpace) -> "PartitionOfUnity":
@@ -87,7 +146,5 @@ def blend_disconnected(patch_values, pou: PartitionOfUnity, x) -> float:
 
 
 def blend(s: OverlapSpline, pou: PartitionOfUnity, x) -> float:
-    """Globally defined value of an overlap spline at a point."""
-    if pou.m != s.space.m:
-        raise InvalidInputError("partition balls must align with the spline's patches")
-    return blend_disconnected(s.patch_eval, pou, x)
+    """Globally defined value of an overlap spline at a point: `PartitionOfUnity.evaluate` at one point."""
+    return float(pou.evaluate(s, np.asarray(x, dtype=float).reshape(1, -1))[0])

@@ -20,7 +20,7 @@ from .geometry import NodeSet, generate_grid, generate_scattered, influences, lo
 from .ndf import weights_batch
 from .operators import IDENTITY, LAPLACIAN, SECOND_DERIVATIVE_1D, Operator
 from .problems import Problem, convergence_study, preset
-from .pum import PartitionOfUnity, blend
+from .pum import PartitionOfUnity
 from .solve import SigmaMap, assemble, build_sigma, solve_least_squares, solve_square
 from .spaces import Kernel, kernel_patch_recipe, poly_patch_recipe
 from .spline import OverlapSplineSpace, build_space, dimension_analysis, from_nodal_values
@@ -378,8 +378,8 @@ def run_pum_eval(cfg, out_dir) -> dict:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{a + 1}" for a in range(ns.d)] + ["value"])
-        for p in pts:
-            writer.writerow([_fmt(v) for v in p] + [_fmt(blend(spline, pou, p))])
+        for p, value in zip(pts, pou.evaluate(spline, pts)):
+            writer.writerow([_fmt(v) for v in p] + [_fmt(value)])
     return {"n_eval_points": int(pts.shape[0]), "pum_file": cfg["outputs"]["pum"]}
 
 

@@ -259,12 +259,12 @@ def kernel_derivative(kernel: Kernel, diff, beta) -> np.ndarray:
     if order > 2:
         raise InvalidInputError("kernel derivatives are provided up to order 2")
     r = np.linalg.norm(diff, axis=-1)
+    if order == 0:
+        return kernel.phi(r)
     zero = r == 0.0
     rs = np.where(zero, 1.0, r)
 
-    if order == 0:
-        out = kernel.phi(r)
-    elif order == 1:
+    if order == 1:
         axis = beta.index(1)
         out = kernel.dphi_over_r(rs) * diff[..., axis]
         if zero.any():

@@ -6,6 +6,19 @@ that any two patches sharing a node take the same value there (the
 connection condition).  No partition of the domain is ever formed: the
 patches simply overlap, and the nodal-value map ties them together.
 
+A member evaluates its patches through one lazily built, cached table per
+group of equally shaped patches (family, kernel, centre count and tail
+exponents, or the exponent list of a polynomial patch).  The table stacks
+the kernel centres with the collapsed kernel weights
+``kernel_norm * moment_null @ c_kernel`` and the shift, scale and
+coefficients of the polynomial part, so `OverlapSpline.eval_pairs`
+evaluates "patch ``p[j]`` at point ``x[j]``" for any set of pairs in array
+operations.  `restriction` and `connection_defect` evaluate every
+membership of the `incidence` table in one such call, and partition-of-unity
+blending (`meshfd.pum`) evaluates every (point, covering patch) pair in
+one.  `OverlapSpline.patch_eval` keeps the per-patch route through the
+patch's own space as the oracle.
+
 The dimension analyzer builds the connection-constraint matrix (one
 chained pair per extra membership of a node, so exactly ``m_k - 1`` rows
 for a node in ``m_k`` patches) and splits the total dimension into the
@@ -35,10 +48,14 @@ from .linalg import null_space, numerical_rank
 from .ndf import StencilWeights, exactness_defect
 from .operators import Operator
 from .spaces import (
+    Kernel,
+    KernelSpace,
     PatchSpace,
     PolySpace,
     apply_operator,
+    kernel_derivative,
     local_interpolate,
+    monomial_derivatives,
     patch_value,
     unisolvency_rank,
 )
@@ -48,6 +65,10 @@ CONNECTION_RTOL = 1e-9
 
 # Dense rank analysis refuses above this many total patch coefficients.
 ANALYSIS_GUARD = 5000
+
+# Pairs per stacked evaluation in `OverlapSpline.eval_pairs`; bounds its
+# (pair, centre, dimension) temporaries.
+EVAL_CHUNK_PAIRS = 1024
 
 _log = logging.getLogger(__name__)
 
@@ -134,14 +155,101 @@ class OverlapSpline:
     def __post_init__(self):
         if len(self.patch_coeffs) != self.space.m:
             raise InvalidInputError("one coefficient vector per patch is required")
-        coeffs = tuple(np.asarray(c, dtype=float).reshape(-1) for c in self.patch_coeffs)
+        coeffs = tuple(np.array(c, dtype=float).reshape(-1) for c in self.patch_coeffs)
         for c, p in zip(coeffs, self.space.patches):
             if c.shape[0] != p.space.dim:
                 raise InvalidInputError("coefficient length does not match the patch dimension")
+            c.setflags(write=False)  # private read-only copies: `_table` caches them
         object.__setattr__(self, "patch_coeffs", coeffs)
 
     def patch_eval(self, i: int, x):
+        """Patch i at x through its own space: the scalar route, kept as the oracle of `eval_pairs`."""
         return patch_value(self.space.patches[i].space, self.patch_coeffs[i], x)
+
+    @cached_property
+    def _table(self) -> tuple[tuple["_ShapeGroup", ...], np.ndarray, np.ndarray]:
+        """The stacked evaluation table: shape groups, and each patch's group and slot in it."""
+        keys: dict = {}
+        group_of = np.empty(self.space.m, dtype=np.intp)
+        for i, p in enumerate(self.space.patches):
+            group_of[i] = keys.setdefault(_shape_key(p.space), len(keys))
+        members = [np.flatnonzero(group_of == g) for g in range(len(keys))]
+        slot = np.empty(self.space.m, dtype=np.intp)
+        for rows in members:
+            slot[rows] = np.arange(rows.size)
+        groups = tuple(_ShapeGroup.stack([self.space.patches[i].space for i in rows],
+                                         [self.patch_coeffs[i] for i in rows]) for rows in members)
+        return groups, group_of, slot
+
+    def eval_pairs(self, patches, points) -> np.ndarray:
+        """Value of patch ``patches[j]`` at ``points[j]`` for every j, from the stacked table."""
+        patches = np.asarray(patches, dtype=np.intp).reshape(-1)
+        points = np.asarray(points, dtype=float).reshape(patches.size, self.space.nodes.d)
+        groups, group_of, slot = self._table
+        out = np.empty(patches.size)
+        which = group_of[patches]
+        for g, group in enumerate(groups):
+            rows = np.flatnonzero(which == g)
+            for lo in range(0, rows.size, EVAL_CHUNK_PAIRS):
+                chunk = rows[lo:lo + EVAL_CHUNK_PAIRS]
+                out[chunk] = group.values(slot[patches[chunk]], points[chunk])
+        return out
+
+
+def _shape_key(ps: PatchSpace) -> tuple:
+    """Patches with equal keys stack into one table group."""
+    if isinstance(ps, PolySpace):
+        return ("poly", ps.exponents)
+    return ("kernel", ps.kernel, ps.centers.shape, None if ps.aug is None else ps.aug.exponents)
+
+
+@dataclass(frozen=True, eq=False)
+class _ShapeGroup:
+    """Patches of one shape, stacked along a leading slot axis.
+
+    A kernel patch's translates collapse to one weight per centre,
+    ``kernel_norm * moment_null @ (kernel coefficients)``; the polynomial
+    part (a kernel tail or a whole `PolySpace`) keeps its shift, scale and
+    coefficients.  ``kernel`` is None for a polynomial group, ``exponents``
+    empty for a tail-free kernel group.
+    """
+
+    kernel: Kernel | None
+    centers: np.ndarray  # (g, n, d)
+    kernel_weights: np.ndarray  # (g, n)
+    exponents: tuple[tuple[int, ...], ...]
+    shift: np.ndarray  # (g, d)
+    scale: np.ndarray  # (g,)
+    coeffs: np.ndarray  # (g, len(exponents))
+
+    @classmethod
+    def stack(cls, spaces, coeffs) -> "_ShapeGroup":
+        first, c, g = spaces[0], np.stack(coeffs), len(spaces)
+        kernel, centers, weights, nk = None, np.zeros((g, 0, first.d)), np.zeros((g, 0)), 0
+        if isinstance(first, KernelSpace):
+            kernel, nk = first.kernel, first.moment_null.shape[1]
+            centers = np.stack([ps.centers for ps in spaces])
+            null = np.stack([ps.moment_null for ps in spaces])
+            norm = np.array([ps.kernel_norm for ps in spaces])
+            weights = norm[:, None] * np.einsum("gnk,gk->gn", null, c[:, :nk])
+        polys = [ps.aug if isinstance(ps, KernelSpace) else ps for ps in spaces]
+        if polys[0] is None:
+            return cls(kernel, centers, weights, (), np.zeros((g, first.d)), np.ones(g), c[:, nk:])
+        return cls(kernel, centers, weights, polys[0].exponents, np.stack([q.shift for q in polys]),
+                   np.array([q.scale for q in polys]), c[:, nk:])
+
+    def values(self, slot: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Patch ``slot[j]`` of this group at ``x[j]``."""
+        out = np.zeros(slot.size)
+        if self.kernel is not None:
+            k = kernel_derivative(self.kernel, x[:, None, :] - self.centers[slot], (0,) * x.shape[1])
+            out = (k * self.kernel_weights[slot]).sum(axis=1)
+        if self.exponents:
+            scale = self.scale[slot]
+            z = (x - self.shift[slot]) / scale[:, None]
+            mono = monomial_derivatives(z, self.exponents, (0,) * x.shape[1], scale)
+            out = out + (mono * self.coeffs[slot]).sum(axis=1)
+        return out
 
 
 @dataclass(frozen=True)
@@ -281,11 +389,9 @@ def from_nodal_values(space: OverlapSplineSpace, values) -> OverlapSpline:
 
 
 def _membership_values(s: OverlapSpline) -> tuple[np.ndarray, np.ndarray]:
-    """Membership values in `incidence` order, one evaluation per patch, and each node's first entry."""
-    node, _, flat = s.space.incidence
-    per_patch = [s.patch_eval(i, p.influence.points) for i, p in enumerate(s.space.patches)]
-    vals = np.concatenate([np.zeros(0)] + per_patch)[flat]
-    return vals, np.searchsorted(node, node)
+    """Membership values in `incidence` order, one pair evaluation, and each node's first entry."""
+    node, patch, _ = s.space.incidence
+    return s.eval_pairs(patch, s.space.nodes.points[node]), np.searchsorted(node, node)
 
 
 def restriction(s: OverlapSpline) -> np.ndarray:

@@ -45,6 +45,16 @@ def five_star_full_p2_space(n_intervals):
     return ns, space
 
 
+def halton_r3_space(count=100, k=12):
+    """r^3 patches with a degree-2 tail on kNN stencils of a Halton cloud in the unit square.
+
+    With the defaults this is the small input of the ``pum-eval`` benchmark workload.
+    """
+    ns = m.generate_scattered(2, count, [(0.0, 1.0), (0.0, 1.0)], source="halton")
+    recipe = m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0), augmentation_degree=2)
+    return ns, m.build_space(ns, "all", ("knn", k), recipe)
+
+
 def jittered_cloud(seed, n_axis=14, jitter=0.15):
     """Quasi-uniform scattered nodes: a grid with seeded interior jitter."""
     rng = np.random.default_rng(seed)

@@ -2,11 +2,18 @@ import numpy as np
 import pytest
 
 import meshfd as m
+from meshfd import pum, spline
 from meshfd.errors import CoverageError, InvalidInputError
 from meshfd.pum import DEFAULT_RADIUS_FACTOR, PartitionOfUnity, blend, blend_disconnected
-from meshfd.spaces import local_interpolate, patch_value
+from meshfd.spaces import KernelSpace, local_interpolate, patch_value
 
-from helpers import five_star_sublist_space, grid1d, jittered_cloud, quadratic_overlap_space_1d
+from helpers import (
+    five_star_sublist_space,
+    grid1d,
+    halton_r3_space,
+    jittered_cloud,
+    quadratic_overlap_space_1d,
+)
 
 
 def covered_samples(pou, rng, n, bounds):
@@ -181,3 +188,139 @@ class TestBlendDisconnected:
             err = max(abs(blend_disconnected(fits, pou, x) - target(x)) for x in probe)
             errors.append(err)
         assert errors[0] > errors[1] > errors[2]
+
+
+def brute_force_weights(pou, x):
+    """Oracle: the Shepard weights from a scan over every centre."""
+    t = np.linalg.norm(pou.centers - x, axis=1) / pou.radii
+    inside = np.flatnonzero(t < 1.0)
+    bump = (1.0 - t[inside]) ** 2
+    return inside, bump / bump.sum()
+
+
+def unequal_radii_partition(rng):
+    centers = rng.random((300, 2))
+    return PartitionOfUnity(centers=centers, radii=rng.uniform(0.02, 0.3, 300))
+
+
+class TestShepardWeights:
+    @pytest.mark.parametrize("build", [
+        lambda rng: PartitionOfUnity.for_space(halton_r3_space()[1]),
+        unequal_radii_partition,
+    ], ids=["pum-eval-small", "unequal-radii"])
+    def test_tree_query_matches_brute_force_scan(self, build, rng):
+        pou = build(rng)
+        samples = rng.uniform(-0.1, 1.1, size=(2000, 2))
+        # points on ball boundaries, nudged by a few ulps either way
+        pick = rng.integers(0, pou.m, 200)
+        angle = rng.uniform(0.0, 2.0 * np.pi, 200)
+        direction = np.column_stack([np.cos(angle), np.sin(angle)])
+        nudge = 1.0 + rng.integers(-4, 5, 200)[:, None] * np.finfo(float).eps
+        edge = pou.centers[pick] + pou.radii[pick, None] * nudge * direction
+        for x in np.vstack([samples, edge]):
+            inside, gamma = brute_force_weights(pou, x)
+            if inside.size == 0:
+                with pytest.raises(CoverageError, match=r"is covered by no partition ball"):
+                    pou.weights_at(x)
+                continue
+            idx, weights = pou.weights_at(x)
+            assert np.array_equal(idx, inside)
+            assert np.max(np.abs(weights - gamma)) <= 1e-15
+
+    def test_coverage_error_names_the_first_uncovered_point(self):
+        pou = PartitionOfUnity(centers=np.array([[0.0, 0.0]]), radii=np.array([0.5]))
+        with pytest.raises(CoverageError, match=r"^point \[5.0, 5.0\] is covered by no partition ball$"):
+            pou.weights_at([5.0, 5.0])
+        ns, space = quadratic_overlap_space_1d(3)
+        s = m.from_nodal_values(space, np.zeros(ns.n))
+        with pytest.raises(CoverageError, match=r"^point \[2.0\] is covered"):
+            PartitionOfUnity.for_space(space).evaluate(s, [[0.5], [2.0], [3.0]])
+
+
+ORACLE_SPACES = {
+    "r3-degree-2-tail": lambda: halton_r3_space(),
+    "gauss-tail-free": lambda: (lambda ns: (ns, m.build_space(
+        ns, "all", ("knn", 9), m.kernel_patch_recipe(m.Kernel("gauss", 3.0)))))(jittered_cloud(5, n_axis=9)),
+    "quadratic-1d": lambda: quadratic_overlap_space_1d(9),
+    "five-star-constant-patches": lambda: five_star_sublist_space(6),
+}
+
+
+class TestEvaluationTable:
+    @pytest.mark.parametrize("case", ORACLE_SPACES)
+    def test_evaluate_and_blend_match_the_per_patch_oracle(self, case, rng):
+        ns, space = ORACLE_SPACES[case]()
+        s = m.from_nodal_values(space, np.sin(3.0 * ns.points).sum(axis=1))
+        pou = PartitionOfUnity.for_space(space)
+        bounds = np.array([[0.0, 1.0]] * ns.d)
+        pts = np.vstack([covered_samples(pou, rng, 300, bounds), ns.points])
+        oracle = np.array([blend_disconnected(s.patch_eval, pou, x) for x in pts])
+        batched = pou.evaluate(s, pts)
+        one_point = np.array([blend(s, pou, x) for x in pts])
+        assert np.array_equal(batched, one_point)
+        assert np.all(np.abs(batched - oracle) <= 1e-13 * (1.0 + np.abs(oracle)))
+
+    def test_mixed_space_stacks_two_shape_groups(self):
+        ns, space = five_star_sublist_space(6)
+        s = m.from_nodal_values(space, np.zeros(ns.n))
+        groups, group_of, _ = s._table
+        assert len(groups) == 2
+        assert np.array_equal(np.bincount(group_of), [25, 4])  # 5 x 5 interior stars, 4 corner constants
+
+    def test_eval_pairs_matches_patch_eval(self, rng):
+        ns, space = five_star_sublist_space(4)
+        s = m.from_nodal_values(space, rng.standard_normal(ns.n))
+        patches = rng.integers(0, space.m, 50)
+        pts = rng.random((50, 2))
+        expected = [float(s.patch_eval(int(i), x)) for i, x in zip(patches, pts)]
+        assert np.allclose(s.eval_pairs(patches, pts), expected, rtol=1e-13, atol=1e-13)
+
+    def test_evaluate_chunks_agree_with_one_call(self, rng, monkeypatch):
+        ns, space = halton_r3_space()
+        s = m.from_nodal_values(space, np.cos(ns.points).prod(axis=1))
+        pou = PartitionOfUnity.for_space(space)
+        pts = covered_samples(pou, rng, 50, np.array([[0.0, 1.0], [0.0, 1.0]]))
+        whole, restricted = pou.evaluate(s, pts), m.restriction(s)
+        monkeypatch.setattr(pum, "EVAL_CHUNK_POINTS", 7)
+        monkeypatch.setattr(spline, "EVAL_CHUNK_PAIRS", 5)
+        assert np.array_equal(pou.evaluate(s, pts), whole)
+        assert np.array_equal(m.restriction(s), restricted)
+        assert pou.evaluate(s, np.zeros((0, 2))).shape == (0,)
+
+    def test_points_of_the_wrong_dimension_rejected(self):
+        ns, space = halton_r3_space()
+        s = m.from_nodal_values(space, np.zeros(ns.n))
+        pou = PartitionOfUnity.for_space(space)
+        with pytest.raises(InvalidInputError):
+            pou.evaluate(s, [[0.5, 0.5, 0.5]])
+
+    def test_coefficients_are_read_only_copies(self):
+        ns, space = quadratic_overlap_space_1d(4)
+        coeffs = [np.zeros(3) for _ in range(space.m)]
+        s = m.OverlapSpline(space=space, patch_coeffs=tuple(coeffs))
+        coeffs[0][0] = 1.0
+        assert s.patch_coeffs[0][0] == 0.0
+        with pytest.raises(ValueError):
+            s.patch_coeffs[0][0] = 1.0
+
+    def test_blend_makes_no_per_patch_call_once_the_table_is_built(self, rng, monkeypatch):
+        ns, space = halton_r3_space()
+        s = m.from_nodal_values(space, np.sin(ns.points).sum(axis=1))
+        pou = PartitionOfUnity.for_space(space)
+        pts = covered_samples(pou, rng, 200, np.array([[0.0, 1.0], [0.0, 1.0]]))
+        blend(s, pou, pts[0])  # builds the table and the tree
+        calls = {"derivative": 0, "weights_at": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(KernelSpace, "_derivative", counting("derivative", KernelSpace._derivative))
+        monkeypatch.setattr(PartitionOfUnity, "weights_at",
+                            counting("weights_at", PartitionOfUnity.weights_at))
+        values = [blend(s, pou, x) for x in pts]
+        m.restriction(s)
+        assert calls == {"derivative": 0, "weights_at": 0}
+        assert np.all(np.isfinite(values))

@@ -19,6 +19,7 @@ from helpers import (
     five_star_full_p2_space,
     five_star_sublist_space,
     grid1d,
+    halton_r3_space,
     jittered_cloud,
     quadratic_overlap_space_1d,
 )
@@ -43,6 +44,27 @@ def membership_lists(space):
         for k in patch.influence.indices:
             members[k].append(i)
     return members
+
+
+def never_first_patch(space):
+    """A patch that is never the first (lowest-index) patch at any of its nodes.
+
+    Only the cross-check of restriction sees such a patch's values.
+    """
+    members = membership_lists(space)
+    hidden = set(range(space.m)) - {ms[0] for ms in members}
+    return min(hidden)
+
+
+def first_connection_violation(s):
+    """Oracle: (node, first patch, offending patch, their values) of the first disagreement."""
+    for k, ms in enumerate(membership_lists(s.space)):
+        v0 = float(s.patch_eval(ms[0], s.space.nodes.points[k]))
+        for i in ms[1:]:
+            v = float(s.patch_eval(i, s.space.nodes.points[k]))
+            if abs(v - v0) > spline_module.CONNECTION_RTOL * (1.0 + abs(v0)):
+                return k, ms[0], i, v0, v
+    return None
 
 
 def kernel_space(seed):
@@ -316,6 +338,36 @@ class TestRestriction:
         with pytest.raises(InconsistentSplineError,
                            match=f"patch 4 is not finite at node {first_node}: nan"):
             m.restriction(broken)
+
+    def test_perturbed_coefficient_reported_through_the_table(self):
+        ns, space = halton_r3_space()
+        s = m.from_nodal_values(space, np.sin(ns.points).sum(axis=1))
+        i = never_first_patch(space)
+        bad = [np.copy(c) for c in s.patch_coeffs]
+        bad[i][0] += 1e-3
+        broken = m.OverlapSpline(space=space, patch_coeffs=tuple(bad))
+        k, a, b, v0, v = first_connection_violation(broken)
+        assert b == i
+        with pytest.raises(InconsistentSplineError,
+                           match=rf"^patches {a} and {i} disagree at node {k}: ") as err:
+            m.restriction(broken)
+        got = re.search(r": (\S+) vs (\S+)$", str(err.value))
+        assert float(got[1]) == pytest.approx(v0, rel=1e-12)
+        assert float(got[2]) == pytest.approx(v, rel=1e-12)
+
+    @pytest.mark.parametrize("entry", [0, -1], ids=["kernel-coefficient", "tail-coefficient"])
+    def test_nan_coefficient_reported_through_the_table(self, entry):
+        ns, space = halton_r3_space()
+        s = m.from_nodal_values(space, np.sin(ns.points).sum(axis=1))
+        i = never_first_patch(space)
+        bad = [np.copy(c) for c in s.patch_coeffs]
+        bad[i][entry] = np.nan
+        broken = m.OverlapSpline(space=space, patch_coeffs=tuple(bad))
+        first_node = int(space.patches[i].influence.indices.min())
+        with pytest.raises(InconsistentSplineError,
+                           match=rf"^patch {i} is not finite at node {first_node}: nan$"):
+            m.restriction(broken)
+        assert not np.isfinite(m.connection_defect(broken))
 
 
 class TestLagrangeRow:
