@@ -44,6 +44,7 @@ from .spaces import (
     operator_terms,
     poly_patch_recipe,
     poly_space_dim,
+    shape_key,
     unisolvency_rank,
 )
 
@@ -150,12 +151,9 @@ def _shape_key(y, infl: InfluenceSet, space) -> tuple:
     """Rows with equal keys stack into one batched system."""
     if y.shape != (space.d,) or infl.points.shape[1] != space.d:
         raise InvalidInputError(f"point or stencil dimension differs from the {space.d}-dimensional space")
-    if isinstance(space, KernelSpace):
-        if not np.array_equal(space.centers, infl.points):
-            raise InvalidInputError("kernel space centers must be the influence nodes")
-        tail = None if space.aug is None else space.aug.exponents
-        return ("kernel", space.d, infl.size, space.kernel, tail)
-    return ("poly", space.d, infl.size, space.exponents)
+    if isinstance(space, KernelSpace) and not np.array_equal(space.centers, infl.points):
+        raise InvalidInputError("kernel space centers must be the influence nodes")
+    return shape_key(space), infl.size
 
 
 def _chunk_or_rows(op, ys, infls, spaces) -> list:

@@ -37,10 +37,6 @@ DEFAULT_RADIUS_FACTOR = 1.25
 # never drops a ball that the exact ``t < 1`` test keeps.
 QUERY_PAD = 1e-12
 
-# Points per ball query in `PartitionOfUnity.evaluate`; bounds the
-# per-point neighbour lists and the (point, ball) pair arrays.
-EVAL_CHUNK_POINTS = 1024
-
 
 @dataclass(frozen=True, eq=False)
 class PartitionOfUnity:
@@ -102,13 +98,8 @@ class PartitionOfUnity:
         if self.m != s.space.m:
             raise InvalidInputError("partition balls must align with the spline's patches")
         points = self._points(points)
-        out = np.empty(points.shape[0])
-        for lo in range(0, points.shape[0], EVAL_CHUNK_POINTS):
-            chunk = points[lo:lo + EVAL_CHUNK_POINTS]
-            point, ball, gamma = self._cover(chunk)
-            vals = s.eval_pairs(ball, chunk[point])
-            out[lo:lo + chunk.shape[0]] = np.bincount(point, gamma * vals, minlength=chunk.shape[0])
-        return out
+        point, ball, gamma = self._cover(points)
+        return np.bincount(point, gamma * s.eval_pairs(ball, points[point]), minlength=points.shape[0])
 
     @classmethod
     def for_space(cls, space: OverlapSplineSpace) -> "PartitionOfUnity":

@@ -362,6 +362,21 @@ class KernelSpace(_BasisSpace):
 PatchSpace = PolySpace | KernelSpace
 
 
+def shape_key(space: PatchSpace) -> tuple:
+    """Family-level shape of a patch space; spaces with equal keys stack along a leading axis.
+
+    A polynomial space is its exponent list; a kernel space is its centre
+    array shape, kernel and tail exponents.  The key reads no computed
+    block, so it is cheap for every space.  It leaves out a kernel space's
+    dimension: a tail of deficient rank at the centres widens the
+    moment-null block, so a caller stacking that block adds the dimension.
+    """
+    if isinstance(space, KernelSpace):
+        tail = None if space.aug is None else space.aug.exponents
+        return ("kernel", space.centers.shape, space.kernel, tail)
+    return ("poly", space.exponents)
+
+
 def operator_terms(op: Operator, d: int, x) -> list[tuple[tuple[int, ...], float]]:
     """Expand an operator at a point into (derivative multi-index, coefficient) terms."""
     if op.kind == "identity":

@@ -7,8 +7,8 @@ connection condition).  No partition of the domain is ever formed: the
 patches simply overlap, and the nodal-value map ties them together.
 
 A member evaluates its patches through one lazily built, cached table per
-group of equally shaped patches (family, kernel, centre count and tail
-exponents, or the exponent list of a polynomial patch).  The table stacks
+group of equally shaped patches (`spaces.shape_key` and the dimension,
+which a rank-deficient kernel tail changes).  The table stacks
 the kernel centres with the collapsed kernel weights
 ``kernel_norm * moment_null @ c_kernel`` and the shift, scale and
 coefficients of the polynomial part, so `OverlapSpline.eval_pairs`
@@ -57,6 +57,7 @@ from .spaces import (
     local_interpolate,
     monomial_derivatives,
     patch_value,
+    shape_key,
     unisolvency_rank,
 )
 
@@ -172,7 +173,8 @@ class OverlapSpline:
         keys: dict = {}
         group_of = np.empty(self.space.m, dtype=np.intp)
         for i, p in enumerate(self.space.patches):
-            group_of[i] = keys.setdefault(_shape_key(p.space), len(keys))
+            # a rank-deficient tail widens the moment-null block, so the dimension joins the key
+            group_of[i] = keys.setdefault((shape_key(p.space), p.space.dim), len(keys))
         members = [np.flatnonzero(group_of == g) for g in range(len(keys))]
         slot = np.empty(self.space.m, dtype=np.intp)
         for rows in members:
@@ -194,13 +196,6 @@ class OverlapSpline:
                 chunk = rows[lo:lo + EVAL_CHUNK_PAIRS]
                 out[chunk] = group.values(slot[patches[chunk]], points[chunk])
         return out
-
-
-def _shape_key(ps: PatchSpace) -> tuple:
-    """Patches with equal keys stack into one table group."""
-    if isinstance(ps, PolySpace):
-        return ("poly", ps.exponents)
-    return ("kernel", ps.kernel, ps.centers.shape, None if ps.aug is None else ps.aug.exponents)
 
 
 @dataclass(frozen=True, eq=False)

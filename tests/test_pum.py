@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import meshfd as m
-from meshfd import pum, spline
+from meshfd import spline
 from meshfd.errors import CoverageError, InvalidInputError
 from meshfd.pum import DEFAULT_RADIUS_FACTOR, PartitionOfUnity, blend, blend_disconnected
 from meshfd.spaces import KernelSpace, local_interpolate, patch_value
@@ -275,13 +275,12 @@ class TestEvaluationTable:
         expected = [float(s.patch_eval(int(i), x)) for i, x in zip(patches, pts)]
         assert np.allclose(s.eval_pairs(patches, pts), expected, rtol=1e-13, atol=1e-13)
 
-    def test_evaluate_chunks_agree_with_one_call(self, rng, monkeypatch):
+    def test_pair_chunks_agree_with_one_call(self, rng, monkeypatch):
         ns, space = halton_r3_space()
         s = m.from_nodal_values(space, np.cos(ns.points).prod(axis=1))
         pou = PartitionOfUnity.for_space(space)
         pts = covered_samples(pou, rng, 50, np.array([[0.0, 1.0], [0.0, 1.0]]))
         whole, restricted = pou.evaluate(s, pts), m.restriction(s)
-        monkeypatch.setattr(pum, "EVAL_CHUNK_POINTS", 7)
         monkeypatch.setattr(spline, "EVAL_CHUNK_PAIRS", 5)
         assert np.array_equal(pou.evaluate(s, pts), whole)
         assert np.array_equal(m.restriction(s), restricted)

@@ -74,6 +74,25 @@ def kernel_space(seed):
                              m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0)))
 
 
+def mixed_tail_rank_space():
+    """r^3 patches with a linear tail on four nodes each; patch 1's nodes are collinear.
+
+    Patches 0 and 2 have a full-rank tail (dimension 4), patch 1 a tail of
+    rank 2 (dimension 5): equal kernel, size and tail, different dimension.
+    """
+    pts = np.array([[0.0, 0.0], [0.4, 0.0], [0.0, 0.4], [0.3, 0.3],
+                    [0.5, 0.5], [0.7, 0.7], [0.9, 0.9], [1.0, 0.2]])
+    ns = m.NodeSet(points=pts, boundary_mask=np.zeros(len(pts), dtype=bool))
+    recipe = m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0), augmentation_degree=1)
+    patches = []
+    for idx in ([0, 1, 2, 3], [3, 4, 5, 6], [4, 5, 6, 7]):
+        center = pts[idx[0]]
+        infl = m.InfluenceSet(center=center, indices=np.array(idx),
+                              distances=np.linalg.norm(pts[idx] - center, axis=1), points=pts[idx])
+        patches.append(m.Patch(infl, recipe(infl)))
+    return ns, m.OverlapSplineSpace(nodes=ns, patches=tuple(patches))
+
+
 class TestBuildSpace:
     def test_1d_quadratic_layout(self):
         ns, space = quadratic_overlap_space_1d(8)
@@ -368,6 +387,35 @@ class TestRestriction:
                            match=rf"^patch {i} is not finite at node {first_node}: nan$"):
             m.restriction(broken)
         assert not np.isfinite(m.connection_defect(broken))
+
+
+    def test_patches_differing_only_in_tail_rank(self, rng):
+        ns, space = mixed_tail_rank_space()
+        assert [p.space.dim for p in space.patches] == [4, 5, 4]
+        s = m.OverlapSpline(space=space, patch_coeffs=tuple(
+            rng.standard_normal(p.space.dim) for p in space.patches))
+        node, patch, _ = space.incidence
+        oracle = [float(s.patch_eval(i, ns.points[k])) for k, i in zip(node, patch)]
+        assert np.allclose(s.eval_pairs(patch, ns.points[node]), oracle, rtol=1e-13, atol=1e-13)
+        values = [[float(s.patch_eval(i, ns.points[k])) for i in ms]
+                  for k, ms in enumerate(membership_lists(space))]
+        defect = max(abs(v - vals[0]) / (1.0 + abs(vals[0])) for vals in values for v in vals)
+        assert m.connection_defect(s) == pytest.approx(defect, abs=1e-13)
+        k, a, b, _, _ = first_connection_violation(s)
+        with pytest.raises(InconsistentSplineError, match=rf"^patches {a} and {b} disagree at node {k}: "):
+            m.restriction(s)
+
+        # a linear function carried by every tail: consistent, so it restricts to its nodal values
+        def tail_of(ps, a0=0.5, grad=np.array([2.0, -1.0])):
+            c = np.zeros(ps.dim)
+            tail = {(0, 0): a0 + grad @ ps.aug.shift, (1, 0): ps.aug.scale * grad[0],
+                    (0, 1): ps.aug.scale * grad[1]}
+            c[ps.dim - ps.q_dim:] = [tail[e] for e in ps.aug.exponents]
+            return c
+
+        linear = m.OverlapSpline(space=space, patch_coeffs=tuple(tail_of(p.space) for p in space.patches))
+        expected = 0.5 + ns.points @ np.array([2.0, -1.0])
+        assert np.allclose(m.restriction(linear), expected, rtol=1e-13, atol=1e-13)
 
 
 class TestLagrangeRow:
