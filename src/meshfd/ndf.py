@@ -7,9 +7,8 @@ a transposed Vandermonde system; kernel spaces with a polynomial tail
 lead to the symmetric saddle system whose multiplier block is discarded.
 
 There is one exactness implementation, the batched engine
-`weights_batch`: rows whose patch spaces share a shape (space type,
-stencil size, basis or tail exponents, kernel) are stacked and solved
-together, chunk by chunk.  `weights_poly` and `weights_kernel` are
+`weights_batch`: rows whose patch spaces share a shape (`spaces.shape_key`
+and the stencil size) are stacked and solved together, chunk by chunk.  `weights_poly` and `weights_kernel` are
 one-row batches of it, and a row's result does not depend on the rows it
 is stacked with.  The cardinal (Lagrange) rows of `spline.lagrange_row`
 are the independent second route: they solve the patch's nodal matrix
