@@ -17,9 +17,21 @@ def numerical_rank(a, rtol=RANK_RTOL):
     if a.size == 0 or min(a.shape) == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
     return int(np.count_nonzero(s > rtol * s[0]))
+
+
+def stacked_solve(a, b):
+    """Solve every a[r] x = b[r], row by row if the batch raises; returns solutions and {row: error}."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0], {}
+    except np.linalg.LinAlgError:
+        sol, singular = np.full(b.shape, np.nan), {}
+        for r in range(len(a)):
+            try:
+                sol[r] = np.linalg.solve(a[r : r + 1], b[r : r + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError as exc:
+                singular[r] = exc
+        return sol, singular
 
 
 def null_space(a, rtol=RANK_RTOL):
@@ -28,12 +40,7 @@ def null_space(a, rtol=RANK_RTOL):
     A matrix with no rows has the full identity as its null space.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    n_cols = a.shape[1]
-    if a.shape[0] == 0 or a.size == 0:
-        return np.eye(n_cols)
+    if a.size == 0:
+        return np.eye(a.shape[1])
     _, s, vt = np.linalg.svd(a, full_matrices=True)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > rtol * s[0]))
-    return vt[rank:].T.copy()
+    return vt[np.count_nonzero(s > rtol * s[0]):].T.copy()

@@ -7,12 +7,14 @@ a transposed Vandermonde system; kernel spaces with a polynomial tail
 lead to the symmetric saddle system whose multiplier block is discarded.
 
 There is one exactness implementation, the batched engine
-`weights_batch`: rows whose patch spaces share a shape (`spaces.shape_key`
-and the stencil size) are stacked and solved together, chunk by chunk.  `weights_poly` and `weights_kernel` are
-one-row batches of it, and a row's result does not depend on the rows it
-is stacked with.  The cardinal (Lagrange) rows of `spline.lagrange_row`
-are the independent second route: they solve the patch's nodal matrix
-(its basis at its own nodes) and share no solve with this engine.
+`weights_batch`: chunk by chunk, rows whose patch spaces share a shape, a
+stencil size and a dimension are stacked by `spaces.stack_spaces`, which
+gives every basis matrix, and solved together.  `weights_poly` and
+`weights_kernel` are one-row batches of it, and a row's result does not
+depend on the rows it is stacked with.  The cardinal (Lagrange) rows of
+`spline.lagrange_row` are the independent second route: they solve the
+patch's nodal matrix (its basis at its own nodes) and share no solve with
+this engine.
 
 When the exactness conditions do not pin the weights down uniquely, the
 minimum-2-norm solution is returned; an inconsistent system raises with
@@ -32,25 +34,23 @@ from .errors import (
     UnsolvableExactnessError,
 )
 from .geometry import InfluenceSet, NodeSet, knn
-from .linalg import RANK_RTOL, numerical_rank
+from .linalg import RANK_RTOL, numerical_rank, stacked_solve
 from .operators import IDENTITY, LAPLACIAN, SECOND_DERIVATIVE_1D, Operator  # noqa: F401 (re-export)
 from .spaces import (
     KernelSpace,
     PolySpace,
     apply_operator,
-    kernel_derivative,
-    monomial_derivatives,
+    monomial_exponents,
     operator_terms,
     poly_patch_recipe,
-    poly_space_dim,
-    shape_key,
+    stack_spaces,
     unisolvency_rank,
 )
 
 # A produced row must reproduce its generating space to this relative defect.
 EXACTNESS_RTOL = 1e-8
 
-# Rows stacked into one solve; keeps the transient arrays of a chunk at a few MB.
+# Rows (or nodal fits) stacked into one solve; keeps the transient arrays of a chunk at a few MB.
 CHUNK_ROWS = 256
 
 # `unisolvent_influence` gives up at this multiple of the polynomial dimension.
@@ -120,52 +120,46 @@ def weights_batch(op: Operator, points, influences, spaces) -> list:
 
     Returns one entry per row, a `StencilWeights` or the `MeshfdError` that
     row raised, so a caller can report a failure with its own context.
-    Rows are grouped by patch-space shape and solved in stacked chunks of
-    `CHUNK_ROWS`; every check of a single row is applied row by row, and a
-    row's weights and residual do not depend on the rows stacked with it.
+    Rows are taken in chunks of `CHUNK_ROWS`, each grouped by
+    `spaces.stack_spaces` into stacked solves; every check of a single row
+    is applied row by row, and a row's weights and residual do not depend
+    on the rows stacked with it.
     """
-    out: list = [None] * len(points)
-    groups: dict[tuple, list[int]] = {}
-    ys = []
-    for i, (y, infl, space) in enumerate(zip(points, influences, spaces)):
-        y = np.asarray(y, dtype=float).reshape(-1)
-        ys.append(y)
-        try:
-            key = _shape_key(y, infl, space)
-        except MeshfdError as exc:
-            out[i] = exc
-            continue
-        groups.setdefault(key, []).append(i)
-    for members in groups.values():
-        for start in range(0, len(members), CHUNK_ROWS):
-            chunk = members[start : start + CHUNK_ROWS]
-            rows = _chunk_or_rows(op, [ys[i] for i in chunk], [influences[i] for i in chunk],
-                                  [spaces[i] for i in chunk])
-            for i, row in zip(chunk, rows):
+    ys = [np.asarray(y, dtype=float).reshape(-1) for y in points]
+    out: list = [_row_error(y, infl, space) for y, infl, space in zip(ys, influences, spaces)]
+    valid = np.array([i for i, err in enumerate(out) if err is None], dtype=np.intp)
+    for lo in range(0, valid.size, CHUNK_ROWS):
+        chunk = valid[lo:lo + CHUNK_ROWS]
+        for members, basis in stack_spaces([spaces[i] for i in chunk], [influences[i].size for i in chunk]):
+            rows = chunk[members]
+            solved = _chunk_or_rows(op, [ys[i] for i in rows], [influences[i] for i in rows], basis,
+                                    np.arange(rows.size))
+            for i, row in zip(rows, solved):
                 out[i] = row
     return out
 
 
-def _shape_key(y, infl: InfluenceSet, space) -> tuple:
-    """Rows with equal keys stack into one batched system."""
+def _row_error(y, infl: InfluenceSet, space) -> InvalidInputError | None:
+    """Why a row cannot be stacked with its space, or None."""
     if y.shape != (space.d,) or infl.points.shape[1] != space.d:
-        raise InvalidInputError(f"point or stencil dimension differs from the {space.d}-dimensional space")
+        return InvalidInputError(f"point or stencil dimension differs from the {space.d}-dimensional space")
     if isinstance(space, KernelSpace) and not np.array_equal(space.centers, infl.points):
-        raise InvalidInputError("kernel space centers must be the influence nodes")
-    return shape_key(space), infl.size
+        return InvalidInputError("kernel space centers must be the influence nodes")
+    return None
 
 
-def _chunk_or_rows(op, ys, infls, spaces) -> list:
+def _chunk_or_rows(op, ys, infls, basis, slots) -> list:
     """Solve a chunk; when a chunk-wide step raises, solve its rows one at a time."""
     try:
-        return _solve_chunk(op, ys, infls, spaces)
+        return _solve_chunk(op, ys, infls, basis, slots)
     except MeshfdError as exc:
         if len(ys) == 1:
             return [exc]
-        return [_chunk_or_rows(op, [y], [i], [s])[0] for y, i, s in zip(ys, infls, spaces)]
+        return [_chunk_or_rows(op, ys[j:j + 1], infls[j:j + 1], basis, slots[j:j + 1])[0]
+                for j in range(len(ys))]
 
 
-def _solve_chunk(op, ys, infls, spaces) -> list:
+def _solve_chunk(op, ys, infls, basis, slots) -> list:
     y = np.array(ys)
     x = np.stack([infl.points for infl in infls])
     out: list = [None] * len(ys)
@@ -175,11 +169,10 @@ def _solve_chunk(op, ys, infls, spaces) -> list:
             w = np.zeros(x.shape[1])
             w[np.argmax(hits[r])] = 1.0
             out[r] = StencilWeights(point=y[r], influence=infls[r], weights=w, residual=0.0)
-    todo = [r for r in range(len(ys)) if out[r] is None]
-    if todo:
-        solve = _kernel_rows if isinstance(spaces[0], KernelSpace) else _poly_rows
-        rows = solve(op, y[todo], x[todo], [spaces[r] for r in todo])
-        for r, row in zip(todo, rows):
+    todo = np.array([r for r in range(len(ys)) if out[r] is None], dtype=np.intp)
+    if todo.size:
+        solve = _poly_rows if basis.kernel is None else _kernel_rows
+        for r, row in zip(todo, solve(op, y[todo], x[todo], basis, slots[todo])):
             out[r] = row if isinstance(row, MeshfdError) else StencilWeights(
                 point=y[r], influence=infls[r], weights=row[0], residual=row[1]
             )
@@ -204,39 +197,6 @@ def _operator_coefficients(op: Operator, d: int, y) -> tuple[list, np.ndarray]:
     return betas, np.broadcast_to(coef, (y.shape[0], len(betas)))
 
 
-def _apply(betas, coef, derivative, shape) -> np.ndarray:
-    """Sum of coefficient times ``derivative(beta)`` over the operator's terms."""
-    out = np.zeros(shape)
-    for k, beta in enumerate(betas):
-        out = out + coef[:, k, None] * derivative(beta)
-    return out
-
-
-def _monomial_system(betas, coef, y, x, polys) -> tuple[np.ndarray, np.ndarray]:
-    """Equally shaped polynomial spaces: basis at the stencil nodes (R, n, dim), operator at y (R, dim)."""
-    exps = polys[0].exponents
-    shift = np.array([ps.shift for ps in polys])
-    scale = np.array([ps.scale for ps in polys])
-    at_nodes = monomial_derivatives((x - shift[:, None, :]) / scale[:, None, None], exps, (0,) * x.shape[2])
-    z_y = (y - shift) / scale[:, None]
-    at_y = _apply(betas, coef, lambda beta: monomial_derivatives(z_y, exps, beta, scale), (len(y), len(exps)))
-    return at_nodes, at_y
-
-
-def _stacked_solve(a, b) -> tuple[np.ndarray, dict]:
-    """Solve every a[r] x = b[r]; returns the solutions and {row: error} for singular rows."""
-    try:
-        return np.linalg.solve(a, b[..., None])[..., 0], {}
-    except np.linalg.LinAlgError:
-        sol, singular = np.full(b.shape, np.nan), {}
-        for r in range(len(a)):
-            try:
-                sol[r] = np.linalg.solve(a[r : r + 1], b[r : r + 1, :, None])[0, :, 0]
-            except np.linalg.LinAlgError as exc:
-                singular[r] = exc
-        return sol, singular
-
-
 def _min_norm(a, b) -> np.ndarray:
     """Minimum-2-norm least-squares solutions of stacked systems, rank cut at RANK_RTOL."""
     return (np.linalg.pinv(a, rcond=RANK_RTOL) @ b[..., None])[..., 0]
@@ -247,14 +207,15 @@ def _rank(a) -> int | None:
     return numerical_rank(a) if np.all(np.isfinite(a)) else None
 
 
-def _poly_rows(op, y, x, spaces) -> list:
+def _poly_rows(op, y, x, basis, slots) -> list:
     """Stacked transposed Vandermonde systems; entries are (weights, residual) or an error."""
     betas, coef = _operator_coefficients(op, x.shape[2], y)
-    e, t = _monomial_system(betas, coef, y, x, spaces)
+    e = basis.evaluate(x, rows=slots)[2]
+    t = basis.evaluate(y[:, None, :], betas, coef, slots)[2][:, 0, :]
     n, dim = e.shape[1:]
     et = np.swapaxes(e, 1, 2)
     if n == dim:
-        w, singular = _stacked_solve(et, t)
+        w, singular = stacked_solve(et, t)
         rows = list(singular)
         if rows:
             w[rows] = _min_norm(et[rows], t[rows])
@@ -276,63 +237,38 @@ def _poly_rows(op, y, x, spaces) -> list:
     return out
 
 
-def _kernel_rows(op, y, x, spaces) -> list:
+def _kernel_rows(op, y, x, basis, slots) -> list:
     """Stacked saddle systems ``[[K, P], [P^T, 0]]``; entries are (weights, residual) or an error.
 
-    As in `KernelSpace`, kernel values carry each patch's ``kernel_norm``
-    (for a polyharmonic kernel, the kernel in the patch's scaled
-    coordinates) and the tail is evaluated in local coordinates.  The
-    exactness defect is measured on the space's basis: the kernel
-    translates combined by an orthonormal basis of ``{c : P^T c = 0}``
-    (from the same SVD that gives the tail rank), plus the tail monomials.
+    ``K`` and ``P`` are the scaled translates and the tail at the stencil
+    nodes, the kernel centres; the exactness defect is measured on the basis.
     """
-    kernel, q = spaces[0].kernel, spaces[0].q_dim
-    n_rows, n, d = x.shape
-    norm = np.array([ks.kernel_norm for ks in spaces])[:, None]
+    q, (n_rows, n, d) = len(basis.exponents), x.shape
+    if basis.tail_rank < q:
+        return [UnsolvableExactnessError(
+            f"polynomial tail block has rank {basis.tail_rank} < {q}: "
+            "influence nodes are not unisolvent for the tail",
+            rank=basis.tail_rank, n_conditions=q,
+        ) for _ in range(n_rows)]
     betas, coef = _operator_coefficients(op, d, y)
-    kmat = norm[:, :, None] * kernel_derivative(kernel, x[:, :, None, :] - x[:, None, :, :], (0,) * d)
-    k_rhs = norm * _apply(betas, coef, lambda beta: kernel_derivative(kernel, y[:, None, :] - x, beta),
-                          (n_rows, n))
-
-    out: list = [None] * n_rows
-    if q:
-        p, p_rhs = _monomial_system(betas, coef, y, x, [ks.aug for ks in spaces])
-        _, s, vt = np.linalg.svd(np.swapaxes(p, 1, 2), full_matrices=True)
-        rank = np.count_nonzero(s > RANK_RTOL * s[:, :1], axis=1)
-        for r in np.flatnonzero(rank < q):
-            out[r] = UnsolvableExactnessError(
-                f"polynomial tail block has rank {rank[r]} < {q}: "
-                "influence nodes are not unisolvent for the tail",
-                rank=int(rank[r]), n_conditions=q,
-            )
-        null = np.swapaxes(vt[:, q:, :], 1, 2)
-    ok = [r for r in range(n_rows) if out[r] is None]
-    if not ok:
-        return out
-
-    a = np.zeros((len(ok), n + q, n + q))
-    a[:, :n, :n] = kmat[ok]
-    b = k_rhs[ok]
-    e, t = kmat[ok], k_rhs[ok]
-    if q:
-        a[:, :n, n:] = p[ok]
-        a[:, n:, :n] = np.swapaxes(p[ok], 1, 2)
-        b = np.concatenate([b, p_rhs[ok]], axis=1)
-        e = np.concatenate([e @ null[ok], p[ok]], axis=2)
-        t = np.concatenate([(t[:, None, :] @ null[ok])[:, 0, :], p_rhs[ok]], axis=1)
-    sol, singular = _stacked_solve(a, b)
+    kmat, p, e = basis.evaluate(None, rows=slots)
+    k_rhs, p_rhs, t = basis.evaluate(y[:, None, :], betas, coef, slots)
+    t = t[:, 0, :]
+    a = np.block([[kmat, p], [np.swapaxes(p, 1, 2), np.zeros((n_rows, q, q))]])
+    sol, singular = stacked_solve(a, np.concatenate([k_rhs, p_rhs], axis=2)[:, 0, :])
     w = sol[:, :n]
     defect = _defects(w, e, t)
-    for j, r in enumerate(ok):
-        if j in singular:
-            out[r] = UnsolvableExactnessError(f"singular saddle system: {singular[j]}")
-        elif not defect[j] <= EXACTNESS_RTOL:
-            out[r] = UnsolvableExactnessError(
-                f"kernel exactness defect {defect[j]:.2e} on a {n}-node stencil",
-                rank=_rank(a[j]), n_conditions=e.shape[2], defect=float(defect[j]),
-            )
+    out: list = []
+    for r in range(n_rows):
+        if r in singular:
+            out.append(UnsolvableExactnessError(f"singular saddle system: {singular[r]}"))
+        elif not defect[r] <= EXACTNESS_RTOL:
+            out.append(UnsolvableExactnessError(
+                f"kernel exactness defect {defect[r]:.2e} on a {n}-node stencil",
+                rank=_rank(a[r]), n_conditions=e.shape[2], defect=float(defect[r]),
+            ))
         else:
-            out[r] = (w[j], float(defect[j]))
+            out.append((w[r], float(defect[r])))
     return out
 
 
@@ -357,7 +293,7 @@ def unisolvent_influence(
     serves every step: the (distance, index) order is total, so each
     smaller stencil is a prefix of it.
     """
-    target = len(tuple(sublist)) if sublist is not None else poly_space_dim(ns.d, degree)
+    target = len(tuple(sublist)) if sublist is not None else len(monomial_exponents(ns.d, degree))
     cap = min(GROWTH_CAP * target, ns.n)
     recipe = poly_patch_recipe(degree, sublist=sublist)
     last_rank = 0

@@ -12,9 +12,9 @@ cached on the partition: the query radius is the largest radius padded by
 ``QUERY_PAD`` (relative), and the exact ``t < 1`` test then keeps each
 point's covering balls in ascending order.  `PartitionOfUnity.evaluate`
 blends a spline at many points in array operations: every (point, covering
-patch) pair is evaluated once through the spline's stacked evaluation
-table (`OverlapSpline.eval_pairs`) and the weighted values are summed per
-point with ``np.bincount``.  `blend` is its one-point wrapper and
+patch) pair is evaluated once through the spline's stacked basis and
+coefficients (`OverlapSpline.eval_pairs`) and the weighted values are
+summed per point with ``np.bincount``.  `blend` is its one-point wrapper and
 `PartitionOfUnity.weights_at` the one-point view of the same query;
 `blend_disconnected` blends any per-patch callable through `weights_at`.
 """
@@ -86,6 +86,9 @@ class PartitionOfUnity:
         if points.ndim != 2 or points.shape[1] != self.centers.shape[1]:
             raise InvalidInputError(
                 f"points must have shape (n, {self.centers.shape[1]}), got {points.shape}")
+        finite = np.isfinite(points).all(axis=1)
+        if not finite.all():
+            raise InvalidInputError(f"point {points[np.argmin(finite)].tolist()} is not finite")
         return points
 
     def weights_at(self, x) -> tuple[np.ndarray, np.ndarray]:

@@ -19,6 +19,10 @@ Both families share one evaluation method pair (`eval_basis`,
 point dimension once; a family supplies only the derivative of its basis
 at a batch of checked points.  A polynomial exponent list is checked once
 per (dimension, degree, list) and shared by every space built from it.
+
+Many patches are evaluated at once by the `StackedBasis` groups of
+`stack_spaces`: exactness rows, nodal fits and spline values all take their
+matrices from them, so a kernel space's basis layout is known here only.
 """
 
 from __future__ import annotations
@@ -53,10 +57,6 @@ def monomial_exponents(d: int, degree: int) -> tuple[tuple[int, ...], ...]:
     alphas = [a for a in itertools.product(range(degree + 1), repeat=d) if sum(a) <= degree]
     alphas.sort(key=lambda a: (sum(a), tuple(-e for e in a)))
     return tuple(alphas)
-
-
-def poly_space_dim(d: int, degree: int) -> int:
-    return math.comb(degree + d, d)
 
 
 class _BasisSpace:
@@ -336,16 +336,10 @@ class KernelSpace(_BasisSpace):
         return 0 if self.aug is None else self.aug.dim
 
     @cached_property
-    def poly_block(self) -> np.ndarray:
-        """P[j, l] = q_l(x_j): tail basis at the centers, shape (n, q_dim)."""
-        if self.aug is None:
-            return np.zeros((self.n, 0))
-        return np.atleast_2d(self.aug.eval_basis(self.centers))
-
-    @cached_property
     def moment_null(self) -> np.ndarray:
-        """Orthonormal basis of {c : P^T c = 0}, the admissible kernel coefficients."""
-        return null_space(self.poly_block.T)
+        """Orthonormal basis of {c : P^T c = 0}, P the tail at the centers: the admissible coefficients."""
+        p = np.zeros((self.n, 0)) if self.aug is None else self.aug.eval_basis(self.centers)
+        return null_space(p.T)
 
     @property
     def dim(self) -> int:
@@ -362,19 +356,107 @@ class KernelSpace(_BasisSpace):
 PatchSpace = PolySpace | KernelSpace
 
 
-def shape_key(space: PatchSpace) -> tuple:
-    """Family-level shape of a patch space; spaces with equal keys stack along a leading axis.
+def _derivative_sum(derivative, betas, coef, shape) -> np.ndarray:
+    """``derivative(beta)`` of the one multi-index, or with ``coef`` (R, len(betas)) the operator's sum."""
+    if coef is None:
+        return derivative(*betas)
+    out = np.zeros(shape)
+    for k, beta in enumerate(betas):
+        out = out + coef[:, k, None, None] * derivative(beta)
+    return out
 
-    A polynomial space is its exponent list; a kernel space is its centre
-    array shape, kernel and tail exponents.  The key reads no computed
-    block, so it is cheap for every space.  It leaves out a kernel space's
-    dimension: a tail of deficient rank at the centres widens the
-    moment-null block, so a caller stacking that block adds the dimension.
+
+@dataclass(frozen=True, eq=False)
+class StackedBasis:
+    """Patch spaces of one shape and one dimension, stacked along a leading axis by `stack_spaces`.
+
+    Kernel part: ``centers`` (g, n, d), ``norm`` (g,), ``tail_at_centers``
+    (g, n, q) and the moment-null bases ``null`` (g, n, n - tail_rank), None
+    without a tail; n = 0 for a polynomial group.  Polynomial part (a tail
+    or a whole `PolySpace`): ``exponents``, ``shift`` (g, d), ``scale`` (g,).
     """
-    if isinstance(space, KernelSpace):
-        tail = None if space.aug is None else space.aug.exponents
-        return ("kernel", space.centers.shape, space.kernel, tail)
-    return ("poly", space.exponents)
+
+    kernel: Kernel | None
+    centers: np.ndarray
+    norm: np.ndarray
+    exponents: tuple[tuple[int, ...], ...]
+    shift: np.ndarray
+    scale: np.ndarray
+    tail_at_centers: np.ndarray
+    null: np.ndarray | None
+    tail_rank: int
+
+    @property
+    def dim(self) -> int:
+        return self.centers.shape[1] - self.tail_rank + len(self.exponents)
+
+    def evaluate(self, points, betas=None, coef=None, rows=slice(None)) -> tuple:
+        """Scaled kernel translates (R, m, n), tail monomials (R, m, q) and basis (R, m, dim).
+
+        ``points`` (R, m, d) belong to the stacked spaces ``rows``; None means
+        the kernel centres, whose tail block is the one the SVD measured.
+        ``betas`` is one derivative multi-index (default: values) or, with
+        ``coef`` (R, len(betas)), an operator's terms to sum.
+        """
+        centers = self.centers[rows]
+        at = centers if points is None else points
+        betas = [(0,) * at.shape[2]] if betas is None else betas
+        translates = None if self.kernel is None else self.norm[rows][:, None, None] * _derivative_sum(
+            lambda beta: kernel_derivative(self.kernel, at[:, :, None, :] - centers[:, None, :, :], beta),
+            betas, coef, at.shape[:2] + centers.shape[1:2])
+        scale = self.scale[rows]
+        z = (at - self.shift[rows][:, None, :]) / scale[:, None, None]
+        tail = self.tail_at_centers[rows] if points is None else _derivative_sum(
+            lambda beta: monomial_derivatives(z, self.exponents, beta, scale[:, None]),
+            betas, coef, at.shape[:2] + (len(self.exponents),))
+        if self.null is None:
+            return translates, tail, tail if translates is None else translates
+        return translates, tail, np.concatenate([translates @ self.null[rows], tail], axis=2)
+
+
+def stack_spaces(spaces, sizes) -> list[tuple[np.ndarray, StackedBasis]]:
+    """(member indices, evaluator) per group of spaces with one shape, node count and dimension.
+
+    A polynomial space's shape is its exponent list; a kernel space's is
+    its centre count, kernel and tail exponents.  ``sizes`` holds the number
+    of nodes each space is paired with, so that a group's nodal matrices
+    stack.  A kernel group's tails at its centres go through one batched
+    SVD, whose ranks split the group by dimension (a tail of deficient rank
+    widens the moment-null block) and whose right singular vectors are the
+    moment-null bases.
+    """
+    keys: dict = {}
+    for i, (space, size) in enumerate(zip(spaces, sizes)):
+        if isinstance(space, KernelSpace):
+            tail = None if space.aug is None else space.aug.exponents
+            shape = ("kernel", space.centers.shape, space.kernel, tail)
+        else:
+            shape = ("poly", space.exponents)
+        keys.setdefault((shape, size), []).append(i)
+    out = []
+    for members in keys.values():
+        members = np.array(members, dtype=np.intp)
+        group = [spaces[i] for i in members]
+        first, g, d = group[0], len(group), group[0].d
+        kernel = first.kernel if isinstance(first, KernelSpace) else None
+        polys = group if kernel is None else [s.aug for s in group]
+        exps, shift, scale = (), np.zeros((g, d)), np.ones(g)
+        if polys[0] is not None:
+            exps, shift = polys[0].exponents, np.stack([q.shift for q in polys])
+            scale = np.array([q.scale for q in polys])
+        centers = np.zeros((g, 0, d)) if kernel is None else np.stack([s.centers for s in group])
+        norm = np.array([1.0 if kernel is None else s.kernel_norm for s in group])
+        tail = monomial_derivatives((centers - shift[:, None, :]) / scale[:, None, None], exps, (0,) * d)
+        rank, vt = np.zeros(g, dtype=np.intp), None
+        if kernel is not None and exps:
+            _, sv, vt = np.linalg.svd(np.swapaxes(tail, 1, 2), full_matrices=True)
+            rank = np.count_nonzero(sv > RANK_RTOL * sv[:, :1], axis=1)
+        for r in np.unique(rank):
+            sel = rank == r
+            null = None if vt is None else np.swapaxes(vt[sel, r:, :], 1, 2)
+            out.append((members[sel], StackedBasis(kernel, centers[sel], norm[sel], exps, shift[sel],
+                                                   scale[sel], tail[sel], null, int(r))))
+    return out
 
 
 def operator_terms(op: Operator, d: int, x) -> list[tuple[tuple[int, ...], float]]:
@@ -413,12 +495,9 @@ def operator_terms(op: Operator, d: int, x) -> list[tuple[tuple[int, ...], float
 
 def apply_operator(space: PatchSpace, op: Operator, x) -> np.ndarray:
     """Values of L applied to every basis function of the space, at a point x."""
-    out = None
+    out = np.zeros(space.dim)
     for beta, coeff in operator_terms(op, space.d, x):
-        term = coeff * space.eval_basis_derivative(x, beta)
-        out = term if out is None else out + term
-    if out is None:
-        out = np.zeros(space.dim)
+        out = out + coeff * space.eval_basis_derivative(x, beta)
     return out
 
 
@@ -449,29 +528,28 @@ def local_interpolate(space: PatchSpace, coords, values) -> np.ndarray:
         raise InvalidInputError("one value per interpolation node is required")
     if values.size == 0:
         raise InvalidInputError("interpolation needs at least one node")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise InvalidInputError(f"value at node {bad[0]} is not finite: {values[bad[0]]}")
     n_nodes = coords.shape[0]
     if isinstance(space, KernelSpace) and n_nodes != space.n:
         raise InvalidInputError("kernel interpolation expects values at the kernel centers")
     tol = INTERPOLATION_RTOL * (1.0 + float(np.max(np.abs(values))))
 
     e = np.atleast_2d(space.eval_basis(coords))
+
+    def failure(message):
+        return NotAnInterpolationSetError(message, rank=numerical_rank(e), dim=space.dim, n_nodes=n_nodes)
+
     if n_nodes != space.dim:
-        raise NotAnInterpolationSetError(
-            f"{n_nodes} nodes cannot be an interpolation set for dimension {space.dim}",
-            rank=numerical_rank(e), dim=space.dim, n_nodes=n_nodes,
-        )
+        raise failure(f"{n_nodes} nodes cannot be an interpolation set for dimension {space.dim}")
     try:
         coeffs = np.linalg.solve(e, values)
     except np.linalg.LinAlgError:
-        raise NotAnInterpolationSetError(
-            "singular interpolation system", rank=numerical_rank(e), dim=space.dim, n_nodes=n_nodes
-        ) from None
+        raise failure("singular interpolation system") from None
     defect = float(np.max(np.abs(e @ coeffs - values)))
     if not defect <= tol:
-        raise NotAnInterpolationSetError(
-            f"interpolation residual {defect:.2e} exceeds tolerance {tol:.2e}",
-            rank=numerical_rank(e), dim=space.dim, n_nodes=n_nodes,
-        )
+        raise failure(f"interpolation residual {defect:.2e} exceeds tolerance {tol:.2e}")
     return coeffs
 
 

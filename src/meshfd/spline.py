@@ -6,18 +6,16 @@ that any two patches sharing a node take the same value there (the
 connection condition).  No partition of the domain is ever formed: the
 patches simply overlap, and the nodal-value map ties them together.
 
-A member evaluates its patches through one lazily built, cached table per
-group of equally shaped patches (`spaces.shape_key` and the dimension,
-which a rank-deficient kernel tail changes).  The table stacks
-the kernel centres with the collapsed kernel weights
-``kernel_norm * moment_null @ c_kernel`` and the shift, scale and
-coefficients of the polynomial part, so `OverlapSpline.eval_pairs`
-evaluates "patch ``p[j]`` at point ``x[j]``" for any set of pairs in array
-operations.  `restriction` and `connection_defect` evaluate every
-membership of the `incidence` table in one such call, and partition-of-unity
-blending (`meshfd.pum`) evaluates every (point, covering patch) pair in
-one.  `OverlapSpline.patch_eval` keeps the per-patch route through the
-patch's own space as the oracle.
+A space groups its patches once, through `spaces.stack_spaces`, into
+stacked evaluators of equally shaped patches of one dimension.
+`from_nodal_values` fits each group with one stacked nodal solve, and
+`OverlapSpline.eval_pairs` evaluates "patch ``p[j]`` at point ``x[j]``" for
+any set of pairs as the stacked basis times the stacked coefficients.
+`restriction` and `connection_defect` evaluate every membership of the
+`incidence` table in one such call, and partition-of-unity blending
+(`meshfd.pum`) evaluates every (point, covering patch) pair in one.
+`OverlapSpline.patch_eval` and `spaces.local_interpolate` keep the
+per-patch routes through the patch's own space as the oracles.
 
 The dimension analyzer builds the connection-constraint matrix (one
 chained pair per extra membership of a node, so exactly ``m_k - 1`` rows
@@ -44,20 +42,16 @@ from .errors import (
     NotAnInterpolationSetError,
 )
 from .geometry import InfluenceSet, NodeSet, influences
-from .linalg import null_space, numerical_rank
-from .ndf import StencilWeights, exactness_defect
+from .linalg import null_space, numerical_rank, stacked_solve
+from .ndf import CHUNK_ROWS, StencilWeights, exactness_defect
 from .operators import Operator
 from .spaces import (
-    Kernel,
-    KernelSpace,
+    INTERPOLATION_RTOL,
     PatchSpace,
     PolySpace,
     apply_operator,
-    kernel_derivative,
-    local_interpolate,
-    monomial_derivatives,
     patch_value,
-    shape_key,
+    stack_spaces,
     unisolvency_rank,
 )
 
@@ -136,6 +130,16 @@ class OverlapSplineSpace:
     def m(self) -> int:
         return len(self.patches)
 
+    @cached_property
+    def _stacks(self) -> tuple[tuple, np.ndarray, np.ndarray]:
+        """The patches as `spaces.stack_spaces` groups (members, evaluator); each patch's group and slot."""
+        sizes = [p.influence.size for p in self.patches]
+        groups = tuple(stack_spaces([p.space for p in self.patches], sizes))
+        group_of, slot = np.empty(self.m, dtype=np.intp), np.empty(self.m, dtype=np.intp)
+        for g, (members, _) in enumerate(groups):
+            group_of[members], slot[members] = g, np.arange(members.size)
+        return groups, group_of, slot
+
     @property
     def interpolatory(self) -> bool:
         return all(p.is_interpolation_set for p in self.patches)
@@ -157,10 +161,11 @@ class OverlapSpline:
         if len(self.patch_coeffs) != self.space.m:
             raise InvalidInputError("one coefficient vector per patch is required")
         coeffs = tuple(np.array(c, dtype=float).reshape(-1) for c in self.patch_coeffs)
-        for c, p in zip(coeffs, self.space.patches):
-            if c.shape[0] != p.space.dim:
+        groups, group_of, _ = self.space._stacks
+        for c, dim in zip(coeffs, np.array([basis.dim for _, basis in groups])[group_of]):
+            if c.shape[0] != dim:
                 raise InvalidInputError("coefficient length does not match the patch dimension")
-            c.setflags(write=False)  # private read-only copies: `_table` caches them
+            c.setflags(write=False)  # private read-only copies: `_coeffs` stacks them once
         object.__setattr__(self, "patch_coeffs", coeffs)
 
     def patch_eval(self, i: int, x):
@@ -168,82 +173,29 @@ class OverlapSpline:
         return patch_value(self.space.patches[i].space, self.patch_coeffs[i], x)
 
     @cached_property
-    def _table(self) -> tuple[tuple["_ShapeGroup", ...], np.ndarray, np.ndarray]:
-        """The stacked evaluation table: shape groups, and each patch's group and slot in it."""
-        keys: dict = {}
-        group_of = np.empty(self.space.m, dtype=np.intp)
-        for i, p in enumerate(self.space.patches):
-            # a rank-deficient tail widens the moment-null block, so the dimension joins the key
-            group_of[i] = keys.setdefault((shape_key(p.space), p.space.dim), len(keys))
-        members = [np.flatnonzero(group_of == g) for g in range(len(keys))]
-        slot = np.empty(self.space.m, dtype=np.intp)
-        for rows in members:
-            slot[rows] = np.arange(rows.size)
-        groups = tuple(_ShapeGroup.stack([self.space.patches[i].space for i in rows],
-                                         [self.patch_coeffs[i] for i in rows]) for rows in members)
-        return groups, group_of, slot
+    def _coeffs(self) -> tuple[np.ndarray, ...]:
+        """Coefficients stacked like the space's evaluator groups, one (g, dim) array per group."""
+        return tuple(np.stack([self.patch_coeffs[i] for i in rows]) for rows, _ in self.space._stacks[0])
 
     def eval_pairs(self, patches, points) -> np.ndarray:
-        """Value of patch ``patches[j]`` at ``points[j]`` for every j, from the stacked table."""
-        patches = np.asarray(patches, dtype=np.intp).reshape(-1)
-        points = np.asarray(points, dtype=float).reshape(patches.size, self.space.nodes.d)
-        groups, group_of, slot = self._table
+        """Value of patch ``patches[j]`` at ``points[j]`` for every j: stacked basis times coefficients."""
+        patches, d, m = np.asarray(patches), self.space.nodes.d, self.space.m
+        if patches.size and (patches.dtype.kind not in "iu" or patches.min() < 0 or patches.max() >= m):
+            raise InvalidInputError(f"patch indices must be integers in [0, {m})")
+        patches = patches.astype(np.intp).reshape(-1)
+        points = np.asarray(points, dtype=float)
+        if points.shape != (patches.size, d):
+            raise InvalidInputError(f"expected points of shape ({patches.size}, {d}), got {points.shape}")
+        groups, group_of, slot = self.space._stacks
         out = np.empty(patches.size)
         which = group_of[patches]
-        for g, group in enumerate(groups):
+        for g, ((_, basis), coeffs) in enumerate(zip(groups, self._coeffs)):
             rows = np.flatnonzero(which == g)
             for lo in range(0, rows.size, EVAL_CHUNK_PAIRS):
                 chunk = rows[lo:lo + EVAL_CHUNK_PAIRS]
-                out[chunk] = group.values(slot[patches[chunk]], points[chunk])
-        return out
-
-
-@dataclass(frozen=True, eq=False)
-class _ShapeGroup:
-    """Patches of one shape, stacked along a leading slot axis.
-
-    A kernel patch's translates collapse to one weight per centre,
-    ``kernel_norm * moment_null @ (kernel coefficients)``; the polynomial
-    part (a kernel tail or a whole `PolySpace`) keeps its shift, scale and
-    coefficients.  ``kernel`` is None for a polynomial group, ``exponents``
-    empty for a tail-free kernel group.
-    """
-
-    kernel: Kernel | None
-    centers: np.ndarray  # (g, n, d)
-    kernel_weights: np.ndarray  # (g, n)
-    exponents: tuple[tuple[int, ...], ...]
-    shift: np.ndarray  # (g, d)
-    scale: np.ndarray  # (g,)
-    coeffs: np.ndarray  # (g, len(exponents))
-
-    @classmethod
-    def stack(cls, spaces, coeffs) -> "_ShapeGroup":
-        first, c, g = spaces[0], np.stack(coeffs), len(spaces)
-        kernel, centers, weights, nk = None, np.zeros((g, 0, first.d)), np.zeros((g, 0)), 0
-        if isinstance(first, KernelSpace):
-            kernel, nk = first.kernel, first.moment_null.shape[1]
-            centers = np.stack([ps.centers for ps in spaces])
-            null = np.stack([ps.moment_null for ps in spaces])
-            norm = np.array([ps.kernel_norm for ps in spaces])
-            weights = norm[:, None] * np.einsum("gnk,gk->gn", null, c[:, :nk])
-        polys = [ps.aug if isinstance(ps, KernelSpace) else ps for ps in spaces]
-        if polys[0] is None:
-            return cls(kernel, centers, weights, (), np.zeros((g, first.d)), np.ones(g), c[:, nk:])
-        return cls(kernel, centers, weights, polys[0].exponents, np.stack([q.shift for q in polys]),
-                   np.array([q.scale for q in polys]), c[:, nk:])
-
-    def values(self, slot: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Patch ``slot[j]`` of this group at ``x[j]``."""
-        out = np.zeros(slot.size)
-        if self.kernel is not None:
-            k = kernel_derivative(self.kernel, x[:, None, :] - self.centers[slot], (0,) * x.shape[1])
-            out = (k * self.kernel_weights[slot]).sum(axis=1)
-        if self.exponents:
-            scale = self.scale[slot]
-            z = (x - self.shift[slot]) / scale[:, None]
-            mono = monomial_derivatives(z, self.exponents, (0,) * x.shape[1], scale)
-            out = out + (mono * self.coeffs[slot]).sum(axis=1)
+                at = slot[patches[chunk]]
+                values = basis.evaluate(points[chunk, None, :], rows=at)[2][:, 0, :]
+                out[chunk] = (values * coeffs[at]).sum(axis=1)
         return out
 
 
@@ -362,24 +314,42 @@ def dimension_analysis(space: OverlapSplineSpace, guard: int = ANALYSIS_GUARD) -
 def from_nodal_values(space: OverlapSplineSpace, values) -> OverlapSpline:
     """The unique member taking the given values at the nodes.
 
-    Each patch is the local interpolant of the values on its influence set;
-    this parameterization exists exactly when the space is interpolatory.
-    The local solve is the one test: a patch fails when `local_interpolate`
-    finds its nodal matrix non-square, singular or inaccurate, and any
-    failing patch raises `ContractError` naming the first ten.
+    Each patch is the local interpolant of the values on its influence set
+    (the coefficients of `local_interpolate`); this parameterization exists
+    exactly when the space is interpolatory.  Each `spaces.stack_spaces`
+    group is one stacked nodal solve, in chunks of `CHUNK_ROWS`, and the
+    solve is the one test: a non-square group fails all of its patches, a
+    singular or inaccurate one fails alone, and failures raise
+    `ContractError` naming the first ten.
     """
     values = np.asarray(values, dtype=float).reshape(-1)
     if values.shape[0] != space.nodes.n:
         raise InvalidInputError(f"expected {space.nodes.n} nodal values, got {values.shape[0]}")
-    coeffs, failing = [], []
-    for i, patch in enumerate(space.patches):
-        local = values[patch.influence.indices]
-        try:
-            coeffs.append(local_interpolate(patch.space, patch.influence.points, local))
-        except NotAnInterpolationSetError:
-            failing.append(i)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise InvalidInputError(f"value at node {bad[0]} is not finite: {values[bad[0]]}")
+    coeffs, failing = [None] * space.m, []
+    for members, basis in space._stacks[0]:
+        if space.patches[members[0]].influence.size != basis.dim:  # a non-square nodal matrix
+            failing.extend(members.tolist())
+            continue
+        for lo in range(0, members.size, CHUNK_ROWS):
+            chunk, rows = members[lo:lo + CHUNK_ROWS], slice(lo, lo + CHUNK_ROWS)
+            pts = np.stack([space.patches[i].influence.points for i in chunk])
+            if basis.kernel is not None:  # a kernel space's nodes are its centres
+                if not np.array_equal(pts, basis.centers[rows]):
+                    raise InvalidInputError("kernel interpolation expects values at the kernel centers")
+                pts = None
+            local = values[np.stack([space.patches[i].influence.indices for i in chunk])]
+            e = basis.evaluate(pts, rows=rows)[2]
+            c, _ = stacked_solve(e, local)
+            defect = np.max(np.abs((e @ c[..., None])[..., 0] - local), axis=1)
+            good = defect <= INTERPOLATION_RTOL * (1.0 + np.max(np.abs(local), axis=1))
+            failing.extend(chunk[~good].tolist())
+            for i, ci in zip(chunk[good], c[good]):
+                coeffs[i] = ci
     if failing:
-        raise ContractError(f"space is not interpolatory (failing patches: {tuple(failing[:10])})")
+        raise ContractError(f"space is not interpolatory (failing patches: {tuple(sorted(failing)[:10])})")
     return OverlapSpline(space=space, patch_coeffs=tuple(coeffs))
 
 

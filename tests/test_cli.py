@@ -200,6 +200,22 @@ class TestPumEvalCommand:
             assert abs(v - np.sin(np.pi * x)) < 5e-3
 
 
+    def test_non_finite_value_in_file_reported(self, tmp_path, capsys):
+        values = tmp_path / "values.csv"
+        values.write_text("value\n" + "\n".join(["0.5"] * 3 + ["nan"] + ["0.5"] * 13) + "\n")
+        cfg = {
+            "nodes": {"kind": "grid", "d": 1, "n_per_axis": 17, "bounds": [[0.0, 1.0]]},
+            "space": {"kind": "poly", "degree": 2},
+            "selector": {"kind": "knn", "k": 3},
+            "centers": "all",
+            "values": {"kind": "file", "path": str(values)},
+        }
+        path = write_config(tmp_path / "pum.json.in", cfg)
+        assert run_cli("pum-eval", path, tmp_path / "out") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "InvalidInputError", "message": "value at node 3 is not finite: nan"}
+
+
 class TestSubprocessInvocation:
     def test_two_processes_produce_identical_bytes(self, solve_config, tmp_path):
         import subprocess

@@ -5,7 +5,7 @@ import meshfd as m
 from meshfd import spline
 from meshfd.errors import CoverageError, InvalidInputError
 from meshfd.pum import DEFAULT_RADIUS_FACTOR, PartitionOfUnity, blend, blend_disconnected
-from meshfd.spaces import KernelSpace, local_interpolate, patch_value
+from meshfd.spaces import KernelSpace, StackedBasis, local_interpolate, patch_value
 
 from helpers import (
     five_star_sublist_space,
@@ -263,9 +263,10 @@ class TestEvaluationTable:
     def test_mixed_space_stacks_two_shape_groups(self):
         ns, space = five_star_sublist_space(6)
         s = m.from_nodal_values(space, np.zeros(ns.n))
-        groups, group_of, _ = s._table
-        assert len(groups) == 2
+        groups, group_of, _ = s.space._stacks
+        assert [basis.dim for _, basis in groups] == [5, 1]
         assert np.array_equal(np.bincount(group_of), [25, 4])  # 5 x 5 interior stars, 4 corner constants
+        assert [c.shape for c in s._coeffs] == [(25, 5), (4, 1)]
 
     def test_eval_pairs_matches_patch_eval(self, rng):
         ns, space = five_star_sublist_space(4)
@@ -285,6 +286,33 @@ class TestEvaluationTable:
         assert np.array_equal(pou.evaluate(s, pts), whole)
         assert np.array_equal(m.restriction(s), restricted)
         assert pou.evaluate(s, np.zeros((0, 2))).shape == (0,)
+
+    @pytest.mark.parametrize("patches, points", [
+        (lambda n: [-1], [[0.5, 0.5]]),
+        (lambda n: [0.7], [[0.5, 0.5]]),
+        (lambda n: [n], [[0.5, 0.5]]),
+        (lambda n: [True], [[0.5, 0.5]]),
+        (lambda n: [0, 1], [[0.5, 0.5]]),
+        (lambda n: [0], [0.5, 0.5]),
+    ], ids=["negative", "fractional", "past-the-end", "boolean", "count-mismatch", "flat-point"])
+    def test_eval_pairs_rejects_bad_pairs(self, patches, points):
+        ns, space = halton_r3_space()
+        s = m.from_nodal_values(space, np.zeros(ns.n))
+        with pytest.raises(InvalidInputError):
+            s.eval_pairs(patches(space.m), points)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        ns, space = halton_r3_space()
+        s = m.from_nodal_values(space, np.zeros(ns.n))
+        pou = PartitionOfUnity.for_space(space)
+        message = rf"^point \[0.5, {bad}\] is not finite$"
+        with pytest.raises(InvalidInputError, match=message):
+            pou.evaluate(s, [[0.5, 0.5], [0.5, bad]])
+        with pytest.raises(InvalidInputError, match=message):
+            blend(s, pou, [0.5, bad])
+        with pytest.raises(InvalidInputError, match=message):
+            pou.weights_at([0.5, bad])
 
     def test_points_of_the_wrong_dimension_rejected(self):
         ns, space = halton_r3_space()
@@ -307,8 +335,9 @@ class TestEvaluationTable:
         s = m.from_nodal_values(space, np.sin(ns.points).sum(axis=1))
         pou = PartitionOfUnity.for_space(space)
         pts = covered_samples(pou, rng, 200, np.array([[0.0, 1.0], [0.0, 1.0]]))
-        blend(s, pou, pts[0])  # builds the table and the tree
-        calls = {"derivative": 0, "weights_at": 0}
+        blend(s, pou, pts[0])  # stacks the coefficients and builds the tree
+        assert len(space._stacks[0]) == 1
+        calls = {"derivative": 0, "stack_spaces": 0, "evaluate": 0, "weights_at": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -317,9 +346,13 @@ class TestEvaluationTable:
             return wrapper
 
         monkeypatch.setattr(KernelSpace, "_derivative", counting("derivative", KernelSpace._derivative))
+        monkeypatch.setattr(spline, "stack_spaces", counting("stack_spaces", spline.stack_spaces))
+        monkeypatch.setattr(StackedBasis, "evaluate", counting("evaluate", StackedBasis.evaluate))
         monkeypatch.setattr(PartitionOfUnity, "weights_at",
                             counting("weights_at", PartitionOfUnity.weights_at))
         values = [blend(s, pou, x) for x in pts]
         m.restriction(s)
-        assert calls == {"derivative": 0, "weights_at": 0}
+        # one stacked evaluation per blended point and per chunk of memberships; no per-patch route
+        chunks = -(-space.incidence[0].size // spline.EVAL_CHUNK_PAIRS)
+        assert calls == {"derivative": 0, "stack_spaces": 0, "evaluate": len(pts) + chunks, "weights_at": 0}
         assert np.all(np.isfinite(values))

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +8,9 @@ from hypothesis import given, strategies as st
 
 import meshfd as m
 from meshfd.errors import InvalidInputError, NotAnInterpolationSetError
-from meshfd.spaces import KernelSpace, PolySpace, kernel_derivative, patch_value
+from meshfd.spaces import KernelSpace, PolySpace, kernel_derivative, patch_value, stack_spaces
 
-from helpers import FIVE_STAR_SUBLIST
+from helpers import FIVE_STAR_SUBLIST, five_star_sublist_space, halton_r3_space, jittered_cloud
 
 
 class TestMonomialBasis:
@@ -202,6 +204,14 @@ class TestLocalInterpolate:
             m.local_interpolate(ks, coords, np.arange(5.0))
         assert (err.value.rank, err.value.dim, err.value.n_nodes) == (5, 6, 5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        coords = np.array([[0.0], [0.5], [1.0]])
+        values = np.array([1.0, bad, bad])
+        for space in (PolySpace.full(1, 2), KernelSpace(m.Kernel("gauss", 1.0), coords)):
+            with pytest.raises(InvalidInputError, match=rf"^value at node 1 is not finite: {bad}$"):
+                m.local_interpolate(space, coords, values)
+
     def test_kernel_values_off_the_centers_rejected(self):
         coords = np.array([[0.0], [0.5], [1.0]])
         ks = KernelSpace(m.Kernel("gauss", 1.0), coords)
@@ -347,3 +357,64 @@ class TestKernelDerivatives:
               + value(center[0] - [step, 0])) / step**2
         assert got == pytest.approx(fd, rel=1e-6)
         assert kernel_derivative(kernel, center[0] - center, (1, 1))[0] == 0.0
+
+
+STACK_CASES = {
+    "r3-degree-2-tail": lambda: halton_r3_space(count=40, k=12)[1],
+    "gauss-tail-free": lambda: m.build_space(jittered_cloud(3, n_axis=6), "all", ("knn", 7),
+                                             m.kernel_patch_recipe(m.Kernel("gauss", 3.0))),
+    "five-star-constant-patches": lambda: five_star_sublist_space(4)[1],
+}
+
+
+class TestStackedBasis:
+    """The stacked evaluator against each space's own basis, the one-patch oracle."""
+
+    @pytest.mark.parametrize("case", STACK_CASES)
+    @pytest.mark.parametrize("beta", [(0, 0), (1, 0), (0, 2), (1, 1)])
+    def test_matches_each_space_and_its_dimension(self, case, beta, rng):
+        patches = STACK_CASES[case]().patches
+        spaces = [p.space for p in patches]
+        groups = stack_spaces(spaces, [p.influence.size for p in patches])
+        assert sorted(np.concatenate([members for members, _ in groups]).tolist()) == list(range(len(spaces)))
+        for members, basis in groups:
+            pts = rng.random((members.size, 3, 2))
+            got = basis.evaluate(pts, [beta])[2]
+            for j, i in enumerate(members):
+                assert basis.dim == spaces[i].dim
+                oracle = spaces[i].eval_basis_derivative(pts[j], beta)
+                assert np.allclose(got[j], oracle, rtol=1e-12, atol=1e-12 * np.max(np.abs(oracle)))
+
+    def test_kernel_group_takes_the_moment_null_bases_of_its_spaces(self):
+        spaces = [p.space for p in halton_r3_space(count=40, k=12)[1].patches]
+        ((members, basis),) = stack_spaces(spaces, [12] * len(spaces))
+        for j, i in enumerate(members):
+            assert np.array_equal(basis.null[j], spaces[i].moment_null)
+            assert np.array_equal(basis.tail_at_centers[j], spaces[i].aug.eval_basis(spaces[i].centers))
+
+    def test_operator_terms_are_summed_with_their_coefficients(self, rng):
+        spaces = [p.space for p in halton_r3_space(count=40, k=12)[1].patches]
+        ((_, basis),) = stack_spaces(spaces, [12] * len(spaces))
+        pts = rng.random((basis.centers.shape[0], 1, 2))
+        betas = [(2, 0), (1, 1), (0, 2)]
+        coef = rng.standard_normal((pts.shape[0], 3))
+        parts = [basis.evaluate(pts, [beta])[2] for beta in betas]
+        expected = sum(coef[:, k, None, None] * part for k, part in enumerate(parts))
+        assert np.allclose(basis.evaluate(pts, betas, coef)[2], expected, rtol=1e-12, atol=1e-9)
+
+    def test_kernel_group_splits_by_tail_rank(self):
+        line = np.column_stack([np.linspace(0.0, 1.0, 4), np.linspace(0.0, 0.5, 4)])
+        plane = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.6, 0.7]])
+        spaces = [KernelSpace(m.Kernel("polyharmonic", 3.0), c, aug=PolySpace.full(2, 1, shift=c[0]))
+                  for c in (plane, line, plane + 1.0)]
+        groups = stack_spaces(spaces, [4, 4, 4])
+        assert [(members.tolist(), basis.tail_rank, basis.dim) for members, basis in groups] == [
+            ([1], 2, 5), ([0, 2], 3, 4)]
+        assert [spaces[i].dim for i in range(3)] == [4, 5, 4]
+
+    def test_only_spaces_names_the_basis_layout(self):
+        """Kernel translates, monomial derivatives and the moment-null block stay inside spaces.py."""
+        layout = re.compile(r"\b(kernel_derivative|monomial_derivatives|moment_null|kernel_norm)\b")
+        src = Path(m.__file__).parent
+        leaks = sorted(f.name for f in src.glob("*.py") if f.name != "spaces.py" and layout.search(f.read_text()))
+        assert leaks == []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import meshfd as m
+import meshfd.spaces as spaces_module
 import meshfd.spline as spline_module
 from meshfd.errors import (
     AnalysisSizeError,
@@ -297,6 +298,72 @@ class TestFromNodalValues:
                                for i in failing)
         with pytest.raises(ContractError, match=re.escape(f"(failing patches: {failing})")):
             m.from_nodal_values(space, np.zeros(ns.n))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        ns, space = halton_r3_space()
+        values = np.zeros(ns.n)
+        values[[7, 30]] = bad
+        with pytest.raises(InvalidInputError, match=rf"^value at node 7 is not finite: {bad}$"):
+            m.from_nodal_values(space, values)
+
+    @pytest.mark.parametrize("build", [
+        halton_r3_space,
+        lambda: five_star_sublist_space(6),
+        lambda: (lambda ns, space: (ns, m.OverlapSplineSpace(ns, space.patches[::2])))(*mixed_tail_rank_space()),
+    ], ids=["pum-eval-small", "five-star-mixed", "mixed-tail-rank-full-patches"])
+    def test_coefficients_equal_local_interpolate(self, build, rng):
+        ns, space = build()
+        values = rng.standard_normal(ns.n)
+        s = m.from_nodal_values(space, values)
+        for patch, c in zip(space.patches, s.patch_coeffs):
+            oracle = m.local_interpolate(patch.space, patch.influence.points, values[patch.influence.indices])
+            assert np.array_equal(c, oracle)
+
+    def test_non_square_group_fails_all_its_patches(self):
+        ns, space = mixed_tail_rank_space()  # patch 1: dimension 5 on 4 nodes
+        with pytest.raises(ContractError, match=re.escape("(failing patches: (1,))")):
+            m.from_nodal_values(space, np.ones(ns.n))
+
+    def test_singular_patch_fails_alone_in_its_stacked_group(self, monkeypatch):
+        ns, space = five_star_sublist_space(4)
+        bottom = np.flatnonzero(ns.points[:, 1] == 0.0)  # five collinear nodes: the y column vanishes
+        center = ns.points[bottom[2]]
+        infl = m.InfluenceSet(center=center, indices=bottom, points=ns.points[bottom],
+                              distances=np.linalg.norm(ns.points[bottom] - center, axis=1))
+        recipe = m.poly_patch_recipe(2, sublist=FIVE_STAR_SUBLIST)
+        space = m.OverlapSplineSpace(ns, space.patches + (m.Patch(infl, recipe(infl)),))
+        solves, solve = [], spline_module.stacked_solve
+
+        def spy(a, b):
+            sol, singular = solve(a, b)
+            solves.append((len(a), sorted(singular), np.isfinite(sol).all(axis=1)))
+            return sol, singular
+
+        monkeypatch.setattr(spline_module, "stacked_solve", spy)
+        with pytest.raises(ContractError, match=re.escape(f"(failing patches: ({space.m - 1},))")):
+            m.from_nodal_values(space, np.cos(ns.points).sum(axis=1))
+        (size, singular, finite), = [entry for entry in solves if entry[1]]
+        assert size == 10 and singular == [9]  # nine interior stars fitted beside it
+        assert finite.tolist() == [True] * 9 + [False]
+
+    def test_kernel_centers_must_be_the_influence_nodes(self):
+        ns, space = kernel_space(0)
+        patch = space.patches[0]
+        moved = m.KernelSpace(patch.space.kernel, patch.influence.points + 0.01, aug=patch.space.aug,
+                              scale=patch.space.scale)
+        shifted = m.OverlapSplineSpace(ns, (m.Patch(patch.influence, moved),) + space.patches[1:])
+        with pytest.raises(InvalidInputError, match="kernel interpolation expects values at the kernel centers"):
+            m.from_nodal_values(shifted, np.zeros(ns.n))
+
+    def test_tail_is_evaluated_at_the_centres_once_per_group(self, monkeypatch):
+        ns, space = halton_r3_space()
+        calls = []
+        monomials = spaces_module.monomial_derivatives
+        monkeypatch.setattr(spaces_module, "monomial_derivatives",
+                            lambda z, *args: calls.append(z.shape) or monomials(z, *args))
+        m.from_nodal_values(space, np.sin(ns.points).sum(axis=1))
+        assert calls == [(space.m, 12, 2)]  # one kernel group of 12-node patches
 
     def test_local_solves_are_the_only_test(self, monkeypatch):
         calls = []
