@@ -7,14 +7,13 @@ a transposed Vandermonde system; kernel spaces with a polynomial tail
 lead to the symmetric saddle system whose multiplier block is discarded.
 
 There is one exactness implementation, the batched engine
-`weights_batch`: chunk by chunk, rows whose patch spaces share a shape, a
-stencil size and a dimension are stacked by `spaces.stack_spaces`, which
-gives every basis matrix, and solved together.  `weights_poly` and
-`weights_kernel` are one-row batches of it, and a row's result does not
-depend on the rows it is stacked with.  The cardinal (Lagrange) rows of
+`weights_batch`: chunk by chunk, `spaces.stack_spaces` stacks each distinct
+patch (influence set and space) once, with its stencil, and the rows of
+equally shaped patches are solved together; a row's result does not depend
+on the rows it is stacked with.  `weights_poly` and `weights_kernel` are
+one-row batches of it.  The cardinal (Lagrange) rows of
 `spline.lagrange_row` are the independent second route: they solve the
-patch's nodal matrix (its basis at its own nodes) and share no solve with
-this engine.
+patch's nodal matrix and share no solve with this engine.
 
 When the exactness conditions do not pin the weights down uniquely, the
 minimum-2-norm solution is returned; an inconsistent system raises with
@@ -120,62 +119,58 @@ def weights_batch(op: Operator, points, influences, spaces) -> list:
 
     Returns one entry per row, a `StencilWeights` or the `MeshfdError` that
     row raised, so a caller can report a failure with its own context.
-    Rows are taken in chunks of `CHUNK_ROWS`, each grouped by
-    `spaces.stack_spaces` into stacked solves; every check of a single row
-    is applied row by row, and a row's weights and residual do not depend
-    on the rows stacked with it.
+    Rows are taken in chunks of `CHUNK_ROWS`; the rows of one patch share
+    its stack, and a row's weights and residual do not depend on the rows
+    stacked with it.  A chunk whose stacking or solve raises is solved row
+    by row, so that each bad row gets its own error.
     """
     ys = [np.asarray(y, dtype=float).reshape(-1) for y in points]
-    out: list = [_row_error(y, infl, space) for y, infl, space in zip(ys, influences, spaces)]
-    valid = np.array([i for i, err in enumerate(out) if err is None], dtype=np.intp)
-    for lo in range(0, valid.size, CHUNK_ROWS):
-        chunk = valid[lo:lo + CHUNK_ROWS]
-        for members, basis in stack_spaces([spaces[i] for i in chunk], [influences[i].size for i in chunk]):
-            rows = chunk[members]
-            solved = _chunk_or_rows(op, [ys[i] for i in rows], [influences[i] for i in rows], basis,
-                                    np.arange(rows.size))
-            for i, row in zip(rows, solved):
-                out[i] = row
+    out: list = []
+    for lo in range(0, len(ys), CHUNK_ROWS):
+        rows = slice(lo, lo + CHUNK_ROWS)
+        out.extend(_chunk_or_rows(op, ys[rows], influences[rows], spaces[rows]))
     return out
 
 
-def _row_error(y, infl: InfluenceSet, space) -> InvalidInputError | None:
-    """Why a row cannot be stacked with its space, or None."""
-    if y.shape != (space.d,) or infl.points.shape[1] != space.d:
-        return InvalidInputError(f"point or stencil dimension differs from the {space.d}-dimensional space")
-    if isinstance(space, KernelSpace) and not np.array_equal(space.centers, infl.points):
-        return InvalidInputError("kernel space centers must be the influence nodes")
-    return None
-
-
-def _chunk_or_rows(op, ys, infls, basis, slots) -> list:
+def _chunk_or_rows(op, ys, infls, spaces) -> list:
     """Solve a chunk; when a chunk-wide step raises, solve its rows one at a time."""
     try:
-        return _solve_chunk(op, ys, infls, basis, slots)
+        return _solve_chunk(op, ys, infls, spaces)
     except MeshfdError as exc:
         if len(ys) == 1:
             return [exc]
-        return [_chunk_or_rows(op, ys[j:j + 1], infls[j:j + 1], basis, slots[j:j + 1])[0]
+        return [_chunk_or_rows(op, ys[j:j + 1], infls[j:j + 1], spaces[j:j + 1])[0]
                 for j in range(len(ys))]
 
 
-def _solve_chunk(op, ys, infls, basis, slots) -> list:
-    y = np.array(ys)
-    x = np.stack([infl.points for infl in infls])
+def _solve_chunk(op, ys, infls, spaces) -> list:
+    if any(y.shape != (space.d,) for y, space in zip(ys, spaces)):
+        raise InvalidInputError("point dimension differs from the dimension of its patch space")
+    patch_of: dict = {}  # each distinct (space, influence set) pairing, numbered; both compare by identity
+    patch = np.array([patch_of.setdefault(pairing, len(patch_of)) for pairing in zip(spaces, infls)])
     out: list = [None] * len(ys)
+    for members, basis in stack_spaces(*zip(*patch_of)):
+        slot = np.full(len(patch_of), -1)
+        slot[members] = np.arange(members.size)
+        rows = np.flatnonzero(slot[patch] >= 0)
+        for r, row in zip(rows, _solve_group(op, np.array([ys[r] for r in rows]), basis, slot[patch[rows]])):
+            out[r] = row if isinstance(row, MeshfdError) else StencilWeights(ys[r], infls[r], *row)
+    return out
+
+
+def _solve_group(op, y, basis, slots) -> list:
+    out: list = [None] * len(y)
     if op.kind == "identity":  # Kronecker row when y is a stencil node
-        hits = np.all(x == y[:, None, :], axis=2)
+        hits = np.all(basis.centers[slots] == y[:, None, :], axis=2)
         for r in np.flatnonzero(hits.any(axis=1)):
-            w = np.zeros(x.shape[1])
+            w = np.zeros(hits.shape[1])
             w[np.argmax(hits[r])] = 1.0
-            out[r] = StencilWeights(point=y[r], influence=infls[r], weights=w, residual=0.0)
-    todo = np.array([r for r in range(len(ys)) if out[r] is None], dtype=np.intp)
+            out[r] = (w, 0.0)
+    todo = np.array([r for r in range(len(y)) if out[r] is None], dtype=np.intp)
     if todo.size:
         solve = _poly_rows if basis.kernel is None else _kernel_rows
-        for r, row in zip(todo, solve(op, y[todo], x[todo], basis, slots[todo])):
-            out[r] = row if isinstance(row, MeshfdError) else StencilWeights(
-                point=y[r], influence=infls[r], weights=row[0], residual=row[1]
-            )
+        for r, row in zip(todo, solve(op, y[todo], basis, slots[todo])):
+            out[r] = row
     return out
 
 
@@ -207,10 +202,10 @@ def _rank(a) -> int | None:
     return numerical_rank(a) if np.all(np.isfinite(a)) else None
 
 
-def _poly_rows(op, y, x, basis, slots) -> list:
+def _poly_rows(op, y, basis, slots) -> list:
     """Stacked transposed Vandermonde systems; entries are (weights, residual) or an error."""
-    betas, coef = _operator_coefficients(op, x.shape[2], y)
-    e = basis.evaluate(x, rows=slots)[2]
+    betas, coef = _operator_coefficients(op, y.shape[1], y)
+    e = basis.evaluate(None, rows=slots)[2]
     t = basis.evaluate(y[:, None, :], betas, coef, slots)[2][:, 0, :]
     n, dim = e.shape[1:]
     et = np.swapaxes(e, 1, 2)
@@ -237,13 +232,13 @@ def _poly_rows(op, y, x, basis, slots) -> list:
     return out
 
 
-def _kernel_rows(op, y, x, basis, slots) -> list:
+def _kernel_rows(op, y, basis, slots) -> list:
     """Stacked saddle systems ``[[K, P], [P^T, 0]]``; entries are (weights, residual) or an error.
 
     ``K`` and ``P`` are the scaled translates and the tail at the stencil
     nodes, the kernel centres; the exactness defect is measured on the basis.
     """
-    q, (n_rows, n, d) = len(basis.exponents), x.shape
+    q, n_rows, (n, d) = len(basis.exponents), len(y), basis.centers.shape[1:]
     if basis.tail_rank < q:
         return [UnsolvableExactnessError(
             f"polynomial tail block has rank {basis.tail_rank} < {q}: "

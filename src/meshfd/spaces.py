@@ -21,8 +21,9 @@ at a batch of checked points.  A polynomial exponent list is checked once
 per (dimension, degree, list) and shared by every space built from it.
 
 Many patches are evaluated at once by the `StackedBasis` groups of
-`stack_spaces`: exactness rows, nodal fits and spline values all take their
-matrices from them, so a kernel space's basis layout is known here only.
+`stack_spaces`, which stacks each patch (influence set and space) with its
+stencil and checks the pairing; exactness rows, nodal fits and spline
+values take their matrices from them, so the basis layout is known here only.
 """
 
 from __future__ import annotations
@@ -368,16 +369,18 @@ def _derivative_sum(derivative, betas, coef, shape) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StackedBasis:
-    """Patch spaces of one shape and one dimension, stacked along a leading axis by `stack_spaces`.
+    """Patches of one shape and one dimension, stacked along a leading axis by `stack_spaces`.
 
-    Kernel part: ``centers`` (g, n, d), ``norm`` (g,), ``tail_at_centers``
-    (g, n, q) and the moment-null bases ``null`` (g, n, n - tail_rank), None
-    without a tail; n = 0 for a polynomial group.  Polynomial part (a tail
-    or a whole `PolySpace`): ``exponents``, ``shift`` (g, d), ``scale`` (g,).
+    ``centers`` (g, s, d) are the stencil nodes, ``indices`` (g, s) their
+    node indices.  Kernel part: ``norm`` (g,) and the moment-null bases
+    ``null`` (g, s, s - tail_rank), None without a tail.  Polynomial part (a
+    tail or a `PolySpace`): ``exponents``, ``shift`` (g, d), ``scale`` (g,) and
+    ``tail_at_centers`` (g, s, q), its values at the stencil nodes.
     """
 
     kernel: Kernel | None
     centers: np.ndarray
+    indices: np.ndarray
     norm: np.ndarray
     exponents: tuple[tuple[int, ...], ...]
     shift: np.ndarray
@@ -388,13 +391,13 @@ class StackedBasis:
 
     @property
     def dim(self) -> int:
-        return self.centers.shape[1] - self.tail_rank + len(self.exponents)
+        return (0 if self.kernel is None else self.centers.shape[1]) - self.tail_rank + len(self.exponents)
 
     def evaluate(self, points, betas=None, coef=None, rows=slice(None)) -> tuple:
-        """Scaled kernel translates (R, m, n), tail monomials (R, m, q) and basis (R, m, dim).
+        """Scaled kernel translates (R, m, s), tail monomials (R, m, q) and basis (R, m, dim).
 
-        ``points`` (R, m, d) belong to the stacked spaces ``rows``; None means
-        the kernel centres, whose tail block is the one the SVD measured.
+        ``points`` (R, m, d) belong to the stacked patches ``rows``; None means
+        their stencil nodes, whose stacked tail block gives the nodal matrix.
         ``betas`` is one derivative multi-index (default: values) or, with
         ``coef`` (R, len(betas)), an operator's terms to sum.
         """
@@ -414,25 +417,29 @@ class StackedBasis:
         return translates, tail, np.concatenate([translates @ self.null[rows], tail], axis=2)
 
 
-def stack_spaces(spaces, sizes) -> list[tuple[np.ndarray, StackedBasis]]:
-    """(member indices, evaluator) per group of spaces with one shape, node count and dimension.
+def stack_spaces(spaces, influences) -> list[tuple[np.ndarray, StackedBasis]]:
+    """(member indices, evaluator) per group of patches with one shape and dimension.
 
-    A polynomial space's shape is its exponent list; a kernel space's is
-    its centre count, kernel and tail exponents.  ``sizes`` holds the number
-    of nodes each space is paired with, so that a group's nodal matrices
-    stack.  A kernel group's tails at its centres go through one batched
-    SVD, whose ranks split the group by dimension (a tail of deficient rank
-    widens the moment-null block) and whose right singular vectors are the
-    moment-null bases.
+    Patch i pairs ``spaces[i]`` with ``influences[i]``; this is the one check
+    of a pairing (stencil dimension; a kernel space's centres are its stencil
+    nodes).  The shape is a polynomial space's exponent list or a kernel
+    space's kernel and tail, plus the stencil's size and dimension.  A kernel
+    group's tails at its nodes go through one batched SVD, whose ranks split
+    the group by dimension (a tail of deficient rank widens the moment-null
+    block) and whose right singular vectors are the moment-null bases.
     """
     keys: dict = {}
-    for i, (space, size) in enumerate(zip(spaces, sizes)):
-        if isinstance(space, KernelSpace):
-            tail = None if space.aug is None else space.aug.exponents
-            shape = ("kernel", space.centers.shape, space.kernel, tail)
-        else:
+    for i, (space, infl) in enumerate(zip(spaces, influences)):
+        if infl.points.shape[1] != space.d:
+            raise InvalidInputError(
+                f"stencil of dimension {infl.points.shape[1]} in a {space.d}-dimensional space")
+        if isinstance(space, PolySpace):
             shape = ("poly", space.exponents)
-        keys.setdefault((shape, size), []).append(i)
+        elif space.centers is infl.points or np.array_equal(space.centers, infl.points):
+            shape = ("kernel", space.kernel, None if space.aug is None else space.aug.exponents)
+        else:
+            raise InvalidInputError("kernel interpolation expects values at the kernel centers")
+        keys.setdefault((shape, infl.points.shape), []).append(i)
     out = []
     for members in keys.values():
         members = np.array(members, dtype=np.intp)
@@ -444,7 +451,8 @@ def stack_spaces(spaces, sizes) -> list[tuple[np.ndarray, StackedBasis]]:
         if polys[0] is not None:
             exps, shift = polys[0].exponents, np.stack([q.shift for q in polys])
             scale = np.array([q.scale for q in polys])
-        centers = np.zeros((g, 0, d)) if kernel is None else np.stack([s.centers for s in group])
+        centers = np.stack([influences[i].points for i in members])
+        indices = np.stack([influences[i].indices for i in members])
         norm = np.array([1.0 if kernel is None else s.kernel_norm for s in group])
         tail = monomial_derivatives((centers - shift[:, None, :]) / scale[:, None, None], exps, (0,) * d)
         rank, vt = np.zeros(g, dtype=np.intp), None
@@ -454,8 +462,8 @@ def stack_spaces(spaces, sizes) -> list[tuple[np.ndarray, StackedBasis]]:
         for r in np.unique(rank):
             sel = rank == r
             null = None if vt is None else np.swapaxes(vt[sel, r:, :], 1, 2)
-            out.append((members[sel], StackedBasis(kernel, centers[sel], norm[sel], exps, shift[sel],
-                                                   scale[sel], tail[sel], null, int(r))))
+            out.append((members[sel], StackedBasis(kernel, centers[sel], indices[sel], norm[sel], exps,
+                                                   shift[sel], scale[sel], tail[sel], null, int(r))))
     return out
 
 

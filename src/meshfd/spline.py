@@ -6,8 +6,9 @@ that any two patches sharing a node take the same value there (the
 connection condition).  No partition of the domain is ever formed: the
 patches simply overlap, and the nodal-value map ties them together.
 
-A space groups its patches once, through `spaces.stack_spaces`, into
-stacked evaluators of equally shaped patches of one dimension.
+A space groups its patches once, through `spaces.stack_spaces` (which
+checks every pairing), into stacked evaluators of equally shaped patches of
+one dimension that hold each patch's stencil nodes and node indices.
 `from_nodal_values` fits each group with one stacked nodal solve, and
 `OverlapSpline.eval_pairs` evaluates "patch ``p[j]`` at point ``x[j]``" for
 any set of pairs as the stacked basis times the stacked coefficients.
@@ -133,8 +134,7 @@ class OverlapSplineSpace:
     @cached_property
     def _stacks(self) -> tuple[tuple, np.ndarray, np.ndarray]:
         """The patches as `spaces.stack_spaces` groups (members, evaluator); each patch's group and slot."""
-        sizes = [p.influence.size for p in self.patches]
-        groups = tuple(stack_spaces([p.space for p in self.patches], sizes))
+        groups = tuple(stack_spaces([p.space for p in self.patches], [p.influence for p in self.patches]))
         group_of, slot = np.empty(self.m, dtype=np.intp), np.empty(self.m, dtype=np.intp)
         for g, (members, _) in enumerate(groups):
             group_of[members], slot[members] = g, np.arange(members.size)
@@ -243,6 +243,8 @@ def build_space(
     which completes the cover with single-node constant patches (the
     natural carriers of Dirichlet rows).
     """
+    if uncovered not in ("error", "constant-patch"):
+        raise InvalidInputError(f"unknown uncovered policy {uncovered!r}")
     patches: list[Patch] = []
     points, indices = _resolve_centers(nodes, centers)
     for infl in influences(nodes, points, selector, center_indices=indices):
@@ -252,14 +254,11 @@ def build_space(
             )
         patches.append(Patch(influence=infl, space=recipe(infl)))
 
-    member_nodes = [np.zeros(0, dtype=int)] + [p.influence.indices for p in patches]
-    missing = _uncovered(nodes.n, np.concatenate(member_nodes))
-    if missing.size:
-        if uncovered == "constant-patch":
-            for infl in influences(nodes, None, ("knn", 1), center_indices=missing):
-                patches.append(Patch(infl, PolySpace.full(nodes.d, 0, shift=infl.center, scale=1.0)))
-        elif uncovered != "error":
-            raise InvalidInputError(f"unknown uncovered policy {uncovered!r}")
+    if uncovered == "constant-patch":  # with "error" the space's own coverage check raises
+        member_nodes = [np.zeros(0, dtype=int)] + [p.influence.indices for p in patches]
+        missing = _uncovered(nodes.n, np.concatenate(member_nodes))
+        for infl in influences(nodes, None, ("knn", 1), center_indices=missing):
+            patches.append(Patch(infl, PolySpace.full(nodes.d, 0, shift=infl.center, scale=1.0)))
     space = OverlapSplineSpace(nodes=nodes, patches=tuple(patches))
     failing = space.failing_patches if _log.isEnabledFor(logging.INFO) else ()
     if failing:
@@ -317,10 +316,10 @@ def from_nodal_values(space: OverlapSplineSpace, values) -> OverlapSpline:
     Each patch is the local interpolant of the values on its influence set
     (the coefficients of `local_interpolate`); this parameterization exists
     exactly when the space is interpolatory.  Each `spaces.stack_spaces`
-    group is one stacked nodal solve, in chunks of `CHUNK_ROWS`, and the
-    solve is the one test: a non-square group fails all of its patches, a
-    singular or inaccurate one fails alone, and failures raise
-    `ContractError` naming the first ten.
+    group, with its nodal matrices and node indices, is one stacked nodal
+    solve in chunks of `CHUNK_ROWS`, and the solve is the one test: a
+    non-square group fails all of its patches, a singular or inaccurate one
+    fails alone, and failures raise `ContractError` naming the first ten.
     """
     values = np.asarray(values, dtype=float).reshape(-1)
     if values.shape[0] != space.nodes.n:
@@ -330,18 +329,13 @@ def from_nodal_values(space: OverlapSplineSpace, values) -> OverlapSpline:
         raise InvalidInputError(f"value at node {bad[0]} is not finite: {values[bad[0]]}")
     coeffs, failing = [None] * space.m, []
     for members, basis in space._stacks[0]:
-        if space.patches[members[0]].influence.size != basis.dim:  # a non-square nodal matrix
+        if basis.centers.shape[1] != basis.dim:  # a non-square nodal matrix
             failing.extend(members.tolist())
             continue
         for lo in range(0, members.size, CHUNK_ROWS):
             chunk, rows = members[lo:lo + CHUNK_ROWS], slice(lo, lo + CHUNK_ROWS)
-            pts = np.stack([space.patches[i].influence.points for i in chunk])
-            if basis.kernel is not None:  # a kernel space's nodes are its centres
-                if not np.array_equal(pts, basis.centers[rows]):
-                    raise InvalidInputError("kernel interpolation expects values at the kernel centers")
-                pts = None
-            local = values[np.stack([space.patches[i].influence.indices for i in chunk])]
-            e = basis.evaluate(pts, rows=rows)[2]
+            local = values[basis.indices[rows]]
+            e = basis.evaluate(None, rows=rows)[2]
             c, _ = stacked_solve(e, local)
             defect = np.max(np.abs((e @ c[..., None])[..., 0] - local), axis=1)
             good = defect <= INTERPOLATION_RTOL * (1.0 + np.max(np.abs(local), axis=1))

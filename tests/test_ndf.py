@@ -80,6 +80,17 @@ class TestWeightsPoly:
         assert np.allclose(sw.weights, w_oracle, atol=1e-9)
         assert sw.residual <= 1e-12
 
+    def test_square_singular_system_takes_the_minimum_norm_row(self):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])  # collinear: the y column vanishes
+        infl = m.InfluenceSet(center=pts[0], indices=[0, 1, 2], distances=pts[:, 0], points=pts)
+        ps = PolySpace.full(2, 1)
+        sw = m.weights_poly(m.IDENTITY, [0.5, 0.0], infl, ps)
+        assert np.allclose(sw.weights, [7 / 12, 1 / 3, 1 / 12], rtol=0.0, atol=1e-15)
+        assert sw.residual <= m.ndf.EXACTNESS_RTOL
+        with pytest.raises(UnsolvableExactnessError, match="system rank 2, augmented rank 3") as err:
+            m.weights_poly(m.IDENTITY, [0.5, 0.3], infl, ps)
+        assert err.value.rank == 2
+
     def test_inconsistent_target_raises_with_rank(self):
         ns = grid1d(2)
         infl = m.knn(ns, [0.5], 1)  # single node at 0.5

@@ -236,6 +236,75 @@ class TestBatchedAssembly:
                 assert np.array_equal(gs.matrix[j].toarray()[0], expected)
                 assert gs.row_meta[j].residual == sw.residual
 
+    @pytest.mark.parametrize("op", [m.Operator("laplacian", identity_on_boundary=False), GENERAL_OP],
+                             ids=["laplacian", "general"])
+    def test_aggregate_rows_equal_one_row_calls(self, monkeypatch, op):
+        """Per-set-aggregate rows share their patch's stack and still equal the one-row calls."""
+        for space in self.mixed_spaces():
+            sigma = build_sigma(space, "per-set-aggregate")
+            expected = np.zeros((sigma.size, space.nodes.n))
+            residuals = []
+            for j, pair in enumerate(sigma.pairs):
+                patch = space.patches[pair.patch]
+                sw = one_row(op, pair, patch)
+                expected[j, patch.influence.indices] = sw.weights
+                residuals.append(sw.residual)
+            for chunk_rows in (1, 7, 256):
+                monkeypatch.setattr(m.ndf, "CHUNK_ROWS", chunk_rows)
+                gs = assemble(space, op, lambda x: 0.0, sigma)
+                assert np.array_equal(gs.matrix.toarray(), expected)
+                assert [meta.residual for meta in gs.row_meta] == residuals
+
+    @pytest.mark.parametrize("chunk_rows", [7, 256])
+    def test_rows_of_one_patch_share_one_stack(self, monkeypatch, chunk_rows):
+        monkeypatch.setattr(m.ndf, "CHUNK_ROWS", chunk_rows)
+        ns = m.generate_scattered(2, 30, [(0.0, 1.0), (0.0, 1.0)], source="halton")
+        space = m.build_space(ns, "all", ("knn", 9), R3_TAIL1)
+        sigma = build_sigma(space, "per-set-aggregate")
+        stacked, stack = [], m.ndf.stack_spaces
+
+        def counting(spaces, influences):
+            stacked.append(len(spaces))
+            return stack(spaces, influences)
+
+        monkeypatch.setattr(m.ndf, "stack_spaces", counting)
+        assemble(space, m.Operator("laplacian", identity_on_boundary=False), lambda x: 0.0, sigma)
+        patches = [pair.patch for pair in sigma.pairs]
+        distinct = [len(set(patches[lo:lo + chunk_rows])) for lo in range(0, len(patches), chunk_rows)]
+        assert stacked == distinct
+        assert sum(stacked) < len(patches)  # nine rows per patch
+
+    @pytest.mark.parametrize("bad", ["moved-centres", "wrong-dimension"])
+    def test_bad_row_mid_chunk_gets_its_own_error(self, bad):
+        ns = m.generate_scattered(2, 30, [(0.0, 1.0), (0.0, 1.0)], source="halton")
+        space = m.build_space(ns, "all", ("knn", 9), R3_TAIL1)
+        sigma = build_sigma(space, "same-index")
+        pairs = [pair for pair in sigma.pairs if not ns.boundary_mask[pair.node]]
+        k = len(pairs) // 2
+        patches = [space.patches[pair.patch] for pair in pairs]
+        points = [pair.point for pair in pairs]
+        if bad == "moved-centres":
+            ps = patches[k].space
+            moved = m.KernelSpace(ps.kernel, ps.centers + 0.01, aug=ps.aug, scale=ps.scale)
+            patches[k] = m.Patch(patches[k].influence, moved)
+        else:
+            points[k] = np.append(points[k], 0.5)
+        rows = m.ndf.weights_batch(m.LAPLACIAN, points, [p.influence for p in patches],
+                                   [p.space for p in patches])
+        assert isinstance(rows[k], InvalidInputError)
+        for j, (row, pair) in enumerate(zip(rows, pairs)):
+            if j != k:
+                sw = one_row(m.LAPLACIAN, pair, patches[j])
+                assert np.array_equal(row.weights, sw.weights) and row.residual == sw.residual
+        if bad == "moved-centres":
+            moved_space = m.OverlapSplineSpace(ns, tuple(patches[k] if i == pairs[k].patch else p
+                                                         for i, p in enumerate(space.patches)))
+            with pytest.raises(m.AssemblyError) as err:
+                assemble(moved_space, m.LAPLACIAN, lambda x: 0.0, sigma)
+            row = next(j for j, pair in enumerate(sigma.pairs) if pair is pairs[k])
+            assert (err.value.row, err.value.patch) == (row, pairs[k].patch)
+            assert "kernel interpolation expects values at the kernel centers" in str(err.value)
+
     def test_collinear_stencil_mid_chunk_names_row_and_patch(self):
         rng = np.random.default_rng(5)
         line = np.column_stack([np.linspace(0.0, 0.7, 8), np.full(8, 10.0)])
@@ -433,6 +502,23 @@ class TestLeastSquaresFallbacks:
         assert not sol.rank_report.full_rank
         ref = np.linalg.lstsq(self.A, self.B, rcond=None)[0]
         assert np.allclose(sol.nodal_values, ref, rtol=0.0, atol=1e-10)
+
+
+class TestNormalEquationRejection:
+    def test_rejected_normal_equations_fall_back_to_the_dense_solve(self, monkeypatch):
+        ns = m.generate_scattered(2, 60, [(0.0, 1.0), (0.0, 1.0)], source="halton")
+        recipe = m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0), augmentation_degree=2)
+        space = m.build_space(ns, "all", ("knn", 12), recipe)
+        p = preset("poisson2d")
+        gs = assemble(space, p.operator, p.rhs, build_sigma(space, "per-set-aggregate"),
+                      dirichlet_data=p.dirichlet)
+        accepted = solve_least_squares(gs)
+        assert accepted.rank_report.note.startswith("normal-equation residual")
+        monkeypatch.setattr(solve, "NORMAL_EQUATION_RTOL", 0.0)
+        fallback = solve_least_squares(gs)
+        assert fallback.rank_report.note == f"dense minimum-norm fallback, rank {ns.n} of {ns.n}"
+        assert fallback.rank_report.full_rank
+        assert np.max(np.abs(fallback.nodal_values - accepted.nodal_values)) <= 1e-8
 
 
 class TestGaussPipeline:

@@ -375,7 +375,7 @@ class TestStackedBasis:
     def test_matches_each_space_and_its_dimension(self, case, beta, rng):
         patches = STACK_CASES[case]().patches
         spaces = [p.space for p in patches]
-        groups = stack_spaces(spaces, [p.influence.size for p in patches])
+        groups = stack_spaces(spaces, [p.influence for p in patches])
         assert sorted(np.concatenate([members for members, _ in groups]).tolist()) == list(range(len(spaces)))
         for members, basis in groups:
             pts = rng.random((members.size, 3, 2))
@@ -386,15 +386,16 @@ class TestStackedBasis:
                 assert np.allclose(got[j], oracle, rtol=1e-12, atol=1e-12 * np.max(np.abs(oracle)))
 
     def test_kernel_group_takes_the_moment_null_bases_of_its_spaces(self):
-        spaces = [p.space for p in halton_r3_space(count=40, k=12)[1].patches]
-        ((members, basis),) = stack_spaces(spaces, [12] * len(spaces))
+        patches = halton_r3_space(count=40, k=12)[1].patches
+        spaces = [p.space for p in patches]
+        ((members, basis),) = stack_spaces(spaces, [p.influence for p in patches])
         for j, i in enumerate(members):
             assert np.array_equal(basis.null[j], spaces[i].moment_null)
             assert np.array_equal(basis.tail_at_centers[j], spaces[i].aug.eval_basis(spaces[i].centers))
 
     def test_operator_terms_are_summed_with_their_coefficients(self, rng):
-        spaces = [p.space for p in halton_r3_space(count=40, k=12)[1].patches]
-        ((_, basis),) = stack_spaces(spaces, [12] * len(spaces))
+        patches = halton_r3_space(count=40, k=12)[1].patches
+        ((_, basis),) = stack_spaces([p.space for p in patches], [p.influence for p in patches])
         pts = rng.random((basis.centers.shape[0], 1, 2))
         betas = [(2, 0), (1, 1), (0, 2)]
         coef = rng.standard_normal((pts.shape[0], 3))
@@ -407,7 +408,9 @@ class TestStackedBasis:
         plane = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.6, 0.7]])
         spaces = [KernelSpace(m.Kernel("polyharmonic", 3.0), c, aug=PolySpace.full(2, 1, shift=c[0]))
                   for c in (plane, line, plane + 1.0)]
-        groups = stack_spaces(spaces, [4, 4, 4])
+        groups = stack_spaces(spaces, [m.InfluenceSet(center=c[0], indices=np.arange(4), points=c,
+                                                      distances=np.linalg.norm(c - c[0], axis=1))
+                                       for c in (plane, line, plane + 1.0)])
         assert [(members.tolist(), basis.tail_rank, basis.dim) for members, basis in groups] == [
             ([1], 2, 5), ([0, 2], 3, 4)]
         assert [spaces[i].dim for i in range(3)] == [4, 5, 4]

@@ -178,6 +178,11 @@ class TestBuildSpace:
         assert space.interpolatory
         assert len(calls) == space.m
 
+    def test_unknown_uncovered_policy_rejected_even_when_all_nodes_are_covered(self):
+        ns = m.generate_grid(2, 5, [(0, 1), (0, 1)])
+        with pytest.raises(InvalidInputError, match="unknown uncovered policy 'bogus'"):
+            m.build_space(ns, "all", ("knn", 5), m.poly_patch_recipe(1), uncovered="bogus")
+
     @pytest.mark.parametrize("bad", [[-1, 2], [2, 7]])
     def test_out_of_range_center_indices_rejected(self, bad):
         ns = grid1d(6)
@@ -355,6 +360,16 @@ class TestFromNodalValues:
         shifted = m.OverlapSplineSpace(ns, (m.Patch(patch.influence, moved),) + space.patches[1:])
         with pytest.raises(InvalidInputError, match="kernel interpolation expects values at the kernel centers"):
             m.from_nodal_values(shifted, np.zeros(ns.n))
+
+    def test_stacked_evaluation_rejects_moved_kernel_centres(self):
+        ns, space = kernel_space(0)
+        s = m.from_nodal_values(space, np.zeros(ns.n))
+        patch = space.patches[0]
+        moved = m.KernelSpace(patch.space.kernel, patch.influence.points + 0.01, aug=patch.space.aug,
+                              scale=patch.space.scale)
+        shifted = m.OverlapSplineSpace(ns, (m.Patch(patch.influence, moved),) + space.patches[1:])
+        with pytest.raises(InvalidInputError, match="kernel interpolation expects values at the kernel centers"):
+            m.OverlapSpline(shifted, s.patch_coeffs).eval_pairs([0], ns.points[:1])
 
     def test_tail_is_evaluated_at_the_centres_once_per_group(self, monkeypatch):
         ns, space = halton_r3_space()
