@@ -14,7 +14,10 @@ place that chooses and orders influence sets (`knn` and `range_search` are
 one-center calls of it).  kNN asks the tree for k + 1 neighbors per center
 and re-queries a ball only where the (k+1)-th distance ties the k-th within
 `_TIE_MARGIN`; range is one batched ball query; one sort by (center, exact
-distance, node index) then orders every candidate.
+distance, node index) then orders every candidate.  The sets come back as
+one `InfluenceTable` in CSR form, the influence half of the patch table
+(`spaces.PatchTable`) that is the one patch representation of the package;
+an `InfluenceSet` is a view of one of its rows, built on request.
 """
 
 from __future__ import annotations
@@ -139,6 +142,39 @@ class InfluenceSet:
         return float(self.distances[-1]) if self.distances.size else 0.0
 
 
+@dataclass(frozen=True, eq=False)
+class InfluenceTable:
+    """Influence sets of many centers in CSR form.
+
+    Set i holds the nodes ``indices[offsets[i]:offsets[i + 1]]`` with their
+    ``distances`` and ``points``, ordered as in an `InfluenceSet`, around
+    ``centers[i]``; ``center_index[i]`` is the center's node index, or -1.
+    """
+
+    offsets: np.ndarray
+    indices: np.ndarray
+    distances: np.ndarray
+    points: np.ndarray
+    centers: np.ndarray
+    center_index: np.ndarray
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    @cached_property
+    def radii(self) -> np.ndarray:
+        """Each set's `InfluenceSet.radius`: its last distance, 0 for an empty set."""
+        return np.where(self.sizes > 0, np.concatenate([[0.0], self.distances])[self.offsets[1:]], 0.0)
+
+    def __getitem__(self, i) -> InfluenceSet:
+        """Set i as an `InfluenceSet` view of the table's arrays."""
+        lo, hi, ci = self.offsets[i], self.offsets[i + 1], int(self.center_index[i])
+        return InfluenceSet(center=self.centers[i], indices=self.indices[lo:hi],
+                            distances=self.distances[lo:hi], points=self.points[lo:hi],
+                            center_index=None if ci < 0 else ci)
+
+
 def _ball_candidates(ns: NodeSet, centers, rows, radii):
     """(owner, node) pairs of one batched ball query around centers[rows]."""
     balls = ns.tree.query_ball_point(centers[rows], radii)
@@ -165,14 +201,15 @@ def _knn_candidates(ns: NodeSet, centers, k: int):
     return owner, cand
 
 
-def influences(ns: NodeSet, centers, selector, center_indices=None) -> list[InfluenceSet]:
+def influences(ns: NodeSet, centers, selector, center_indices=None) -> InfluenceTable:
     """Influence sets of many centers: the one neighbor query of the package.
 
-    ``centers`` is an (m, d) array of points, or None to center on the
-    nodes ``center_indices``; when given, ``center_indices`` (one node index
-    in ``[0, N)`` per center) is recorded as each set's ``center_index``.
-    ``selector`` is ``("knn", k)`` or ``("range", radius)``.  Members of
-    every set are ordered by (exact distance, node index).
+    ``centers`` is an (m, d) array of finite points, or None to center on
+    the nodes ``center_indices``; when given, ``center_indices`` (one node
+    index in ``[0, N)`` per center) is recorded as each set's center index.
+    ``selector`` is ``("knn", k)`` with an integer k or ``("range", radius)``
+    with a positive finite radius.  Members of every set are ordered by
+    (exact distance, node index).
     """
     if center_indices is not None:
         center_indices = np.asarray(center_indices, dtype=int).reshape(-1)
@@ -184,16 +221,21 @@ def influences(ns: NodeSet, centers, selector, center_indices=None) -> list[Infl
     centers = np.asarray(centers, dtype=float)
     if centers.ndim != 2 or centers.shape[1] != ns.d:
         raise InvalidInputError("center points must match the node dimension")
+    finite = np.isfinite(centers).all(axis=1)
+    if not finite.all():
+        raise InvalidInputError(f"center {centers[np.argmin(finite)].tolist()} is not finite")
     m = centers.shape[0]
 
     kind, value = selector
     if kind == "knn":
+        if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+            raise InvalidInputError(f"knn selector needs an integer k, got {value!r}")
         k = int(value)
         owner, cand = _knn_candidates(ns, centers, k)
     elif kind == "range":
         radius = float(value)
-        if radius <= 0.0:
-            raise InvalidInputError("range selector needs a positive radius")
+        if not (math.isfinite(radius) and radius > 0.0):
+            raise InvalidInputError(f"range selector needs a positive finite radius, got {value!r}")
         owner, cand = _ball_candidates(ns, centers, np.arange(m), radius * (1.0 + _TIE_MARGIN))
     else:
         raise InvalidInputError(f"unknown influence selector {kind!r}")
@@ -204,18 +246,13 @@ def influences(ns: NodeSet, centers, selector, center_indices=None) -> list[Infl
         owner, cand, dist = owner[keep], cand[keep], dist[keep]
     order = np.lexsort((cand, dist, owner))
     owner, cand, dist = owner[order], cand[order], dist[order]
-    starts = np.searchsorted(owner, np.arange(m + 1))
-    ends = starts[:-1] + k if kind == "knn" else starts[1:]
-    return [
-        InfluenceSet(
-            center=centers[i],
-            indices=cand[lo:hi],
-            distances=dist[lo:hi],
-            points=ns.points[cand[lo:hi]],
-            center_index=None if center_indices is None else int(center_indices[i]),
-        )
-        for i, (lo, hi) in enumerate(zip(starts[:-1], ends))
-    ]
+    offsets = np.searchsorted(owner, np.arange(m + 1))
+    if kind == "knn" and cand.size > k * m:  # a tied center's ball holds more than k candidates: keep k
+        keep = np.arange(owner.size) - offsets[owner] < k
+        cand, dist = cand[keep], dist[keep]
+        offsets = np.concatenate([[0], np.cumsum(np.minimum(np.diff(offsets), k))])
+    index = np.full(m, -1) if center_indices is None else center_indices
+    return InfluenceTable(offsets, cand, dist, ns.points[cand], centers, index)
 
 
 def knn(ns: NodeSet, center, k: int, center_index: int | None = None) -> InfluenceSet:
@@ -231,9 +268,6 @@ def range_search(ns: NodeSet, center, radius: float, center_index: int | None = 
     An empty result is allowed and returns an empty influence set.
     """
     center = _as_point(center, ns.d)
-    radius = float(radius)
-    if radius <= 0.0:
-        raise InvalidInputError("range_search needs a positive radius")
     ci = None if center_index is None else [center_index]
     return influences(ns, center[None, :], ("range", radius), ci)[0]
 

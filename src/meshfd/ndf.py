@@ -7,11 +7,12 @@ a transposed Vandermonde system; kernel spaces with a polynomial tail
 lead to the symmetric saddle system whose multiplier block is discarded.
 
 There is one exactness implementation, the batched engine
-`weights_batch`: chunk by chunk, `spaces.stack_spaces` stacks each distinct
-patch (influence set and space) once, with its stencil, and the rows of
-equally shaped patches are solved together; a row's result does not depend
-on the rows it is stacked with.  `weights_poly` and `weights_kernel` are
-one-row batches of it.  The cardinal (Lagrange) rows of
+`exactness_rows`, whose rows are points on patches of a `spaces.PatchTable`:
+chunk by chunk, `spaces.stack_spaces` stacks each distinct patch once, with
+its stencil, and the rows of equally shaped patches are solved together; a
+row's result does not depend on the rows it is stacked with.
+`weights_batch` returns its rows as `StencilWeights`, and `weights_poly` and
+`weights_kernel` are one-row batches of it.  The cardinal (Lagrange) rows of
 `spline.lagrange_row` are the independent second route: they solve the
 patch's nodal matrix and share no solve with this engine.
 
@@ -37,6 +38,7 @@ from .linalg import RANK_RTOL, numerical_rank, stacked_solve
 from .operators import IDENTITY, LAPLACIAN, SECOND_DERIVATIVE_1D, Operator  # noqa: F401 (re-export)
 from .spaces import (
     KernelSpace,
+    PatchTable,
     PolySpace,
     apply_operator,
     monomial_exponents,
@@ -88,7 +90,7 @@ def exactness_defect(weights, basis_at_nodes, targets) -> float:
 
 
 def weights_poly(op: Operator, y, infl: InfluenceSet, ps: PolySpace) -> StencilWeights:
-    """Weights exact on a polynomial space (a one-row `weights_batch`).
+    """Weights exact on a polynomial space (a one-row `exactness_rows`).
 
     Square unisolvent stencils give the unique row; a stencil larger than
     the space dimension gives the minimum-2-norm row.  A target outside the
@@ -98,7 +100,7 @@ def weights_poly(op: Operator, y, infl: InfluenceSet, ps: PolySpace) -> StencilW
 
 
 def weights_kernel(op: Operator, y, infl: InfluenceSet, ks: KernelSpace) -> StencilWeights:
-    """Weights exact on a kernel space with polynomial tail (a one-row `weights_batch`).
+    """Weights exact on a kernel space with polynomial tail (a one-row `exactness_rows`).
 
     Solves ``[[K, P], [P^T, 0]] [w; lam] = [LK(y, .); Lq(y)]`` and discards
     the multipliers; exactness then holds for the moment-constrained kernel
@@ -108,53 +110,59 @@ def weights_kernel(op: Operator, y, infl: InfluenceSet, ks: KernelSpace) -> Sten
 
 
 def _one_row(op, y, infl, space) -> StencilWeights:
-    row = weights_batch(op, [y], [infl], [space])[0]
+    row = exactness_rows(op, [y], PatchTable.of_pairs([infl], [space]), [0])[0]
     if isinstance(row, MeshfdError):
         raise row
-    return row
+    return StencilWeights(np.asarray(y, dtype=float).reshape(-1), infl, *row)
 
 
-def weights_batch(op: Operator, points, influences, spaces) -> list:
-    """Exactness weights for many rows: row i is ``op`` at ``points[i]`` on its patch.
+def weights_batch(op: Operator, points, table: PatchTable, patches) -> list:
+    """`exactness_rows` as `StencilWeights`, each with a view of its patch's influence set."""
+    rows = exactness_rows(op, points, table, patches)
+    return [row if isinstance(row, MeshfdError) else
+            StencilWeights(np.asarray(y, dtype=float).reshape(-1), table.influence[p], *row)
+            for y, p, row in zip(points, patches, rows)]
 
-    Returns one entry per row, a `StencilWeights` or the `MeshfdError` that
-    row raised, so a caller can report a failure with its own context.
-    Rows are taken in chunks of `CHUNK_ROWS`; the rows of one patch share
-    its stack, and a row's weights and residual do not depend on the rows
-    stacked with it.  A chunk whose stacking or solve raises is solved row
-    by row, so that each bad row gets its own error.
+
+def exactness_rows(op: Operator, points, table: PatchTable, patches) -> list:
+    """Exactness weights for many rows: row i is ``op`` at ``points[i]`` on table patch ``patches[i]``.
+
+    Returns one entry per row, ``(weights, residual)`` with the weights
+    aligned with the patch's influence set, or the `MeshfdError` that row
+    raised, so a caller can report a failure with its own context.  Rows
+    are taken in chunks of `CHUNK_ROWS`; a chunk whose stacking or solve
+    raises is solved row by row, so that each bad row gets its own error.
     """
-    ys = [np.asarray(y, dtype=float).reshape(-1) for y in points]
+    ys, patches = [np.asarray(y, dtype=float).reshape(-1) for y in points], table.ids(patches)
+    if patches.size != len(ys):
+        raise InvalidInputError("one patch index per point is required")
     out: list = []
     for lo in range(0, len(ys), CHUNK_ROWS):
-        rows = slice(lo, lo + CHUNK_ROWS)
-        out.extend(_chunk_or_rows(op, ys[rows], influences[rows], spaces[rows]))
+        out.extend(_chunk_or_rows(op, ys[lo:lo + CHUNK_ROWS], table, patches[lo:lo + CHUNK_ROWS]))
     return out
 
 
-def _chunk_or_rows(op, ys, infls, spaces) -> list:
+def _chunk_or_rows(op, ys, table, patches) -> list:
     """Solve a chunk; when a chunk-wide step raises, solve its rows one at a time."""
     try:
-        return _solve_chunk(op, ys, infls, spaces)
+        return _solve_chunk(op, ys, table, patches)
     except MeshfdError as exc:
         if len(ys) == 1:
             return [exc]
-        return [_chunk_or_rows(op, ys[j:j + 1], infls[j:j + 1], spaces[j:j + 1])[0]
-                for j in range(len(ys))]
+        return [_chunk_or_rows(op, ys[j:j + 1], table, patches[j:j + 1])[0] for j in range(len(ys))]
 
 
-def _solve_chunk(op, ys, infls, spaces) -> list:
-    if any(y.shape != (space.d,) for y, space in zip(ys, spaces)):
+def _solve_chunk(op, ys, table, patches) -> list:
+    if any(y.shape != table.shift.shape[1:] for y in ys):
         raise InvalidInputError("point dimension differs from the dimension of its patch space")
-    patch_of: dict = {}  # each distinct (space, influence set) pairing, numbered; both compare by identity
-    patch = np.array([patch_of.setdefault(pairing, len(patch_of)) for pairing in zip(spaces, infls)])
+    distinct, patch = np.unique(patches, return_inverse=True)  # each row's index among the distinct patches
     out: list = [None] * len(ys)
-    for members, basis in stack_spaces(*zip(*patch_of)):
-        slot = np.full(len(patch_of), -1)
+    for members, basis in stack_spaces(table, distinct):
+        slot = np.full(distinct.size, -1)
         slot[members] = np.arange(members.size)
         rows = np.flatnonzero(slot[patch] >= 0)
         for r, row in zip(rows, _solve_group(op, np.array([ys[r] for r in rows]), basis, slot[patch[rows]])):
-            out[r] = row if isinstance(row, MeshfdError) else StencilWeights(ys[r], infls[r], *row)
+            out[r] = row
     return out
 
 
@@ -246,7 +254,8 @@ def _kernel_rows(op, y, basis, slots) -> list:
             rank=basis.tail_rank, n_conditions=q,
         ) for _ in range(n_rows)]
     betas, coef = _operator_coefficients(op, d, y)
-    kmat, p, e = basis.evaluate(None, rows=slots)
+    distinct, back = np.unique(slots, return_inverse=True)  # each patch's nodal blocks once per chunk
+    kmat, p, e = (block[back] for block in basis.evaluate(None, rows=distinct))
     k_rhs, p_rhs, t = basis.evaluate(y[:, None, :], betas, coef, slots)
     t = t[:, 0, :]
     a = np.block([[kmat, p], [np.swapaxes(p, 1, 2), np.zeros((n_rows, q, q))]])

@@ -113,10 +113,8 @@ class PartitionOfUnity:
         and influence membership agree (single-node patches use half the
         gap to their nearest neighbor).
         """
-        nodes = space.nodes
-        centers = np.array([p.center for p in space.patches])
-        size = np.array([p.influence.size for p in space.patches])
-        stencil = np.array([p.influence.radius for p in space.patches])
+        nodes, infl = space.nodes, space.table.influence
+        centers, size, stencil = infl.centers, infl.sizes, infl.radii
         k = min(int(size.max()) + 1, nodes.n)
         dists, _ = nodes.tree.query(centers, k=k)
         # distance to the nearest node outside each patch: its (size + 1)-th neighbor

@@ -22,7 +22,7 @@ from .operators import IDENTITY, LAPLACIAN, SECOND_DERIVATIVE_1D, Operator
 from .problems import Problem, convergence_study, preset
 from .pum import PartitionOfUnity
 from .solve import SigmaMap, assemble, build_sigma, solve_least_squares, solve_square
-from .spaces import Kernel, kernel_patch_recipe, poly_patch_recipe
+from .spaces import Kernel, PatchTable, kernel_patch_recipe, poly_patch_recipe
 from .spline import OverlapSplineSpace, build_space, dimension_analysis, from_nodal_values
 
 _OPERATORS = {
@@ -196,16 +196,15 @@ def run_stencil(cfg, out_dir) -> dict:
         raise ConfigError("stencil subcommand needs a 'stencil': {'y': [...]} section")
     ns = build_nodeset(cfg)
     y = np.asarray(spec["y"], dtype=float).reshape(-1)
-    infl = influences(ns, y[None, :], make_selector(cfg))[0]
-    space = make_recipe(cfg)(infl)
+    table = PatchTable.of_recipes([(influences(ns, y[None, :], make_selector(cfg)), make_recipe(cfg))])
     problem = resolve_problem(cfg)
     op = resolve_operator(cfg, problem)
-    sw = weights_batch(op, [y], [infl], [space])[0]
+    sw = weights_batch(op, [y], table, [0])[0]
     if isinstance(sw, MeshfdError):
         raise sw
     row = {
         "y": [float(v) for v in y],
-        "nodes": [int(i) for i in infl.indices],
+        "nodes": [int(i) for i in sw.influence.indices],
         "weights": [float(w) for w in sw.weights],
         "residual": float(sw.residual),
     }

@@ -26,7 +26,7 @@ from .errors import (
     SingularSystemError,
 )
 from .linalg import RANK_RTOL
-from .ndf import weights_batch
+from .ndf import exactness_rows
 from .operators import Operator
 from .spline import OverlapSplineSpace, lagrange_row
 
@@ -97,8 +97,7 @@ def _check_region(space, pairs):
     """Every collocation point must lie in the influence region of its patch."""
     points = np.array([p.point for p in pairs]).reshape(len(pairs), space.nodes.d)
     patch = np.array([p.patch for p in pairs], dtype=int)
-    centers = np.array([q.center for q in space.patches])[patch]
-    radii = np.array([q.influence.radius for q in space.patches])[patch]
+    centers, radii = space.table.influence.centers[patch], space.table.influence.radii[patch]
     dist = np.linalg.norm(points - centers, axis=1)
     bad = np.flatnonzero((dist > 2.0 * radii) & (dist > 0.0))
     if bad.size:
@@ -122,15 +121,13 @@ def build_sigma(space: OverlapSplineSpace, strategy: str, collocation_points=Non
     assignment.  Each strategy yields distinct (point, patch) pairs by
     construction.
     """
-    nodes = space.nodes
+    nodes, infl = space.nodes, space.table.influence
     pairs: list[SigmaPair] = []
 
     if strategy == "same-index":
-        centered: dict[int, int] = {}
-        for pi, patch in enumerate(space.patches):
-            node = patch.center_node
-            if node is not None and node not in centered:
-                centered[node] = pi
+        has = np.flatnonzero(infl.center_index >= 0)
+        node, first = np.unique(infl.center_index[has], return_index=True)
+        centered = dict(zip(node.tolist(), has[first].tolist()))  # each node's first patch centred on it
         node_of, patch_of, _ = space.incidence
         for j in range(nodes.n):
             pi = centered.get(j)
@@ -139,7 +136,7 @@ def build_sigma(space: OverlapSplineSpace, strategy: str, collocation_points=Non
                 members = patch_of[lo:hi].tolist()
                 pi = min(
                     members,
-                    key=lambda i: (float(np.linalg.norm(nodes.points[j] - space.patches[i].center)), i),
+                    key=lambda i: (float(np.linalg.norm(nodes.points[j] - infl.centers[i])), i),
                 )
             pairs.append(SigmaPair(point=nodes.points[j], patch=pi, node=j))
 
@@ -149,7 +146,7 @@ def build_sigma(space: OverlapSplineSpace, strategy: str, collocation_points=Non
         pts = np.atleast_2d(np.asarray(collocation_points, dtype=float))
         if pts.shape[1] != nodes.d:
             raise InvalidInputError("collocation points must match the node dimension")
-        centers = np.array([p.center for p in space.patches])
+        centers = infl.centers
         tol = 1e-12 * max(1.0, nodes.diameter)
         dup_count: dict[bytes, int] = {}
         for y in pts:
@@ -167,9 +164,9 @@ def build_sigma(space: OverlapSplineSpace, strategy: str, collocation_points=Non
             pairs.append(SigmaPair(point=y, patch=pi, node=node))
 
     elif strategy == "per-set-aggregate":
-        for pi, patch in enumerate(space.patches):
-            for j in patch.influence.indices:
-                pairs.append(SigmaPair(point=nodes.points[int(j)], patch=pi, node=int(j)))
+        owner = np.repeat(np.arange(space.m), infl.sizes).tolist()
+        pairs = [SigmaPair(point=nodes.points[j], patch=pi, node=j)
+                 for pi, j in zip(owner, infl.indices.tolist())]
 
     else:
         raise ConfigError(f"unknown sigma strategy {strategy!r}")
@@ -200,9 +197,10 @@ def assemble(
     the right-hand side f(y_j); rows at flagged Dirichlet nodes are exact
     unit rows with ``dirichlet_data`` (falling back to f) on the right.
     The exactness route computes all other rows in one call to the batched
-    engine `ndf.weights_batch`; the ``"lagrange"`` route is the independent
-    cardinal construction, one `spline.lagrange_row` per row.  A row that
-    fails raises `AssemblyError` carrying its row and patch index.
+    engine `ndf.exactness_rows` on the space's patch table; the
+    ``"lagrange"`` route is the independent cardinal construction, one
+    `spline.lagrange_row` per row.  A row that fails raises `AssemblyError`
+    carrying its row and patch index.
     """
     if route not in ("exactness", "lagrange"):
         raise ConfigError(f"unknown assembly route {route!r}")
@@ -214,12 +212,11 @@ def assemble(
         bool(op.identity_on_boundary and p.node is not None and boundary[p.node]) for p in pairs
     ]
     free = [j for j, dj in enumerate(dirichlet) if not dj]
-    patches = [space.patches[pairs[j].patch] for j in free]
     if route == "lagrange":
         rows = [_attempt(lagrange_row, space, pairs[j].patch, op, pairs[j].point) for j in free]
+        rows = [row if isinstance(row, MeshfdError) else (row.weights, row.residual) for row in rows]
     else:
-        rows = weights_batch(op, [pairs[j].point for j in free],
-                             [p.influence for p in patches], [p.space for p in patches])
+        rows = exactness_rows(op, [pairs[j].point for j in free], space.table, [pairs[j].patch for j in free])
     for j, row in zip(free, rows):
         if isinstance(row, MeshfdError):
             pair = pairs[j]
@@ -229,7 +226,7 @@ def assemble(
             ) from row
     computed = dict(zip(free, rows))
 
-    m = len(pairs)
+    m, offsets, indices = len(pairs), space.table.influence.offsets, space.table.influence.indices
     cols, vals, meta = [], [], []
     rhs = np.empty(m)
     for j, pair in enumerate(pairs):
@@ -240,11 +237,10 @@ def assemble(
             rhs[j] = float(data(pair.point))
             residual = 0.0
         else:
-            sw = computed[j]
-            cols.append(sw.influence.indices)
-            vals.append(sw.weights)
+            weights, residual = computed[j]
+            cols.append(indices[offsets[pair.patch]:offsets[pair.patch + 1]])
+            vals.append(weights)
             rhs[j] = float(f(pair.point))
-            residual = sw.residual
         meta.append(RowMeta(point=pair.point, patch=pair.patch, residual=float(residual),
                             dirichlet=dirichlet[j]))
     row_idx = np.repeat(np.arange(m), [c.size for c in cols])

@@ -20,10 +20,11 @@ point dimension once; a family supplies only the derivative of its basis
 at a batch of checked points.  A polynomial exponent list is checked once
 per (dimension, degree, list) and shared by every space built from it.
 
-Many patches are evaluated at once by the `StackedBasis` groups of
-`stack_spaces`, which stacks each patch (influence set and space) with its
-stencil and checks the pairing; exactness rows, nodal fits and spline
-values take their matrices from them, so the basis layout is known here only.
+A collection of patches is one `PatchTable`, filled by the recipes in array
+operations (a recipe stays callable on one influence set) or from checked
+hand-made pairings.  Its `StackedBasis` groups (`stack_spaces`) evaluate
+many patches at once; exactness rows, nodal fits and spline values take
+their matrices from them, so the basis layout is known here only.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError, NotAnInterpolationSetError
+from .geometry import InfluenceTable
 from .linalg import RANK_RTOL, null_space, numerical_rank
 from .operators import Operator
 
@@ -202,6 +204,10 @@ class Kernel:
             return 0
         return int(math.floor(self.param / 2.0)) + 1
 
+    def norm(self, scale: float) -> float:
+        """Multiplier of the kernel values of a space of this scale: ``scale**(-alpha)``, or 1 for Gauss."""
+        return scale ** (-self.param) if self.family == "polyharmonic" else 1.0
+
     def phi(self, r):
         r = np.asarray(r, dtype=float)
         if self.family == "gauss":
@@ -320,9 +326,7 @@ class KernelSpace(_BasisSpace):
     @property
     def kernel_norm(self) -> float:
         """Multiplier applied to all kernel values; 1 unless the kernel is homogeneous."""
-        if self.kernel.family == "polyharmonic":
-            return self.scale ** (-self.kernel.param)
-        return 1.0
+        return self.kernel.norm(self.scale)
 
     @property
     def n(self) -> int:
@@ -417,53 +421,108 @@ class StackedBasis:
         return translates, tail, np.concatenate([translates @ self.null[rows], tail], axis=2)
 
 
-def stack_spaces(spaces, influences) -> list[tuple[np.ndarray, StackedBasis]]:
-    """(member indices, evaluator) per group of patches with one shape and dimension.
+@dataclass(frozen=True, eq=False)
+class PatchTable:
+    """Every patch of a collection as arrays: the one patch representation.
 
-    Patch i pairs ``spaces[i]`` with ``influences[i]``; this is the one check
-    of a pairing (stencil dimension; a kernel space's centres are its stencil
-    nodes).  The shape is a polynomial space's exponent list or a kernel
-    space's kernel and tail, plus the stencil's size and dimension.  A kernel
-    group's tails at its nodes go through one batched SVD, whose ranks split
-    the group by dimension (a tail of deficient rank widens the moment-null
-    block) and whose right singular vectors are the moment-null bases.
+    Patch i pairs set i of ``influence`` with a space of shape
+    ``shapes[shape[i]]``: (None, exponents) for a `PolySpace`, (kernel, tail
+    exponents) for a `KernelSpace` on the stencil nodes.  ``shift`` (m, d) and
+    ``scale`` (m,) place its polynomial part and ``norm`` (m,) scales its kernel.
     """
-    keys: dict = {}
-    for i, (space, infl) in enumerate(zip(spaces, influences)):
-        if infl.points.shape[1] != space.d:
-            raise InvalidInputError(
-                f"stencil of dimension {infl.points.shape[1]} in a {space.d}-dimensional space")
-        if isinstance(space, PolySpace):
-            shape = ("poly", space.exponents)
-        elif space.centers is infl.points or np.array_equal(space.centers, infl.points):
-            shape = ("kernel", space.kernel, None if space.aug is None else space.aug.exponents)
-        else:
-            raise InvalidInputError("kernel interpolation expects values at the kernel centers")
-        keys.setdefault((shape, infl.points.shape), []).append(i)
+
+    influence: InfluenceTable
+    shapes: tuple
+    shape: np.ndarray
+    shift: np.ndarray
+    scale: np.ndarray
+    norm: np.ndarray
+
+    def ids(self, patches) -> np.ndarray:
+        """``patches`` as a flat index array, once it is known to name rows of the table."""
+        patches, m = np.asarray(patches), len(self.influence.centers)
+        if patches.size and (patches.dtype.kind not in "iu" or patches.min() < 0 or patches.max() >= m):
+            raise InvalidInputError(f"patch indices must be integers in [0, {m})")
+        return patches.astype(np.intp).reshape(-1)
+
+    @classmethod
+    def of_recipes(cls, parts) -> "PatchTable":
+        """The table of (influence table, recipe) parts, in order, one shape id per part."""
+        infls, columns = [t for t, _ in parts], [recipe.columns(t) for t, recipe in parts]
+        start = np.cumsum([0] + [t.indices.size for t in infls])
+        influence = InfluenceTable(
+            np.concatenate([[0]] + [t.offsets[1:] + lo for t, lo in zip(infls, start)]),
+            *(np.concatenate([getattr(t, name) for t in infls])
+              for name in ("indices", "distances", "points", "centers", "center_index")))
+        shape = np.repeat(np.arange(len(parts)), [len(t.centers) for t in infls])
+        return cls(influence, tuple(c[0] for c in columns), shape,
+                   *(np.concatenate([c[k] for c in columns]) for k in (1, 2, 3)))
+
+    @classmethod
+    def of_pairs(cls, influences, spaces) -> "PatchTable":
+        """The table of hand-made patches, ``spaces[i]`` on ``influences[i]``: the one check of a pairing.
+
+        A stencil must have its space's dimension, and a kernel space's
+        centres must be its stencil nodes.
+        """
+        sets, spaces = list(influences), list(spaces)
+        d, shapes, shape, shift, scale, norm = spaces[0].d if spaces else 1, {}, [], [], [], []
+        for space, infl in zip(spaces, sets):
+            if not infl.points.shape[1] == space.d == d:
+                raise InvalidInputError(
+                    f"stencil of dimension {infl.points.shape[1]} in a {space.d}-dimensional space")
+            poly = space if isinstance(space, PolySpace) else space.aug
+            if poly is space:
+                key = (None, space.exponents)
+            elif space.centers is infl.points or np.array_equal(space.centers, infl.points):
+                key = (space.kernel, () if poly is None else poly.exponents)
+            else:
+                raise InvalidInputError("kernel interpolation expects values at the kernel centers")
+            shape.append(shapes.setdefault(key, len(shapes)))
+            shift.append(np.zeros(d) if poly is None else poly.shift)
+            scale.append(1.0 if poly is None else poly.scale)
+            norm.append(1.0 if poly is space else space.kernel_norm)
+        index = np.array([-1 if s.center_index is None else s.center_index for s in sets], dtype=int)
+        points = [np.zeros((0, d))] + [np.reshape(s.points, (-1, d)) for s in sets]
+        table = InfluenceTable(np.cumsum([0] + [s.size for s in sets]),
+                               np.concatenate([np.zeros(0, dtype=int)] + [s.indices for s in sets]),
+                               np.concatenate([np.zeros(0)] + [s.distances for s in sets]),
+                               np.concatenate(points), np.reshape([s.center for s in sets], (-1, d)), index)
+        return cls(table, tuple(shapes), np.array(shape, dtype=int), np.reshape(shift, (-1, d)),
+                   np.array(scale), np.array(norm))
+
+
+def stack_spaces(table: PatchTable, patches) -> list[tuple[np.ndarray, StackedBasis]]:
+    """(member positions in ``patches``, evaluator) per group of table rows with one shape and size.
+
+    A kernel group's tails at its nodes go through one batched SVD, whose
+    ranks split the group by dimension (a tail of deficient rank widens the
+    moment-null block) and whose right singular vectors are the moment-null
+    bases.
+    """
+    patches = np.asarray(patches, dtype=np.intp).reshape(-1)
+    infl = table.influence
+    size, shape = infl.sizes[patches], table.shape[patches]
+    keys, which = np.unique(shape * (int(size.max(initial=0)) + 1) + size, return_inverse=True)
     out = []
-    for members in keys.values():
-        members = np.array(members, dtype=np.intp)
-        group = [spaces[i] for i in members]
-        first, g, d = group[0], len(group), group[0].d
-        kernel = first.kernel if isinstance(first, KernelSpace) else None
-        polys = group if kernel is None else [s.aug for s in group]
-        exps, shift, scale = (), np.zeros((g, d)), np.ones(g)
-        if polys[0] is not None:
-            exps, shift = polys[0].exponents, np.stack([q.shift for q in polys])
-            scale = np.array([q.scale for q in polys])
-        centers = np.stack([influences[i].points for i in members])
-        indices = np.stack([influences[i].indices for i in members])
-        norm = np.array([1.0 if kernel is None else s.kernel_norm for s in group])
-        tail = monomial_derivatives((centers - shift[:, None, :]) / scale[:, None, None], exps, (0,) * d)
-        rank, vt = np.zeros(g, dtype=np.intp), None
+    for key in range(keys.size):
+        members = np.flatnonzero(which == key)
+        rows = patches[members]
+        kernel, exps = table.shapes[shape[members[0]]]
+        at = infl.offsets[rows][:, None] + np.arange(size[members[0]])
+        centers, shift, scale = infl.points[at], table.shift[rows], table.scale[rows]
+        tail = monomial_derivatives((centers - shift[:, None, :]) / scale[:, None, None], exps,
+                                    (0,) * centers.shape[2])
+        rank, vt = np.zeros(rows.size, dtype=np.intp), None
         if kernel is not None and exps:
             _, sv, vt = np.linalg.svd(np.swapaxes(tail, 1, 2), full_matrices=True)
             rank = np.count_nonzero(sv > RANK_RTOL * sv[:, :1], axis=1)
-        for r in np.unique(rank):
+        for r in sorted(set(rank.tolist())):
             sel = rank == r
             null = None if vt is None else np.swapaxes(vt[sel, r:, :], 1, 2)
-            out.append((members[sel], StackedBasis(kernel, centers[sel], indices[sel], norm[sel], exps,
-                                                   shift[sel], scale[sel], tail[sel], null, int(r))))
+            out.append((members[sel], StackedBasis(kernel, centers[sel], infl.indices[at[sel]],
+                                                   table.norm[rows[sel]], exps, shift[sel], scale[sel],
+                                                   tail[sel], null, int(r))))
     return out
 
 
@@ -567,8 +626,49 @@ def patch_value(space: PatchSpace, coeffs, x):
     return vals @ np.asarray(coeffs, dtype=float)
 
 
-def poly_patch_recipe(degree: int, sublist=None):
-    """Per-stencil polynomial space factory: shift = stencil center, scale = stencil radius.
+def _stencil_scale(radius):
+    """A recipe's local scale: the stencil radius, or 1 for a one-node stencil."""
+    return np.where(radius > 0.0, radius, 1.0)
+
+
+@dataclass(frozen=True)
+class Recipe:
+    """The spaces of one shape on every stencil, with shift = stencil center and scale = stencil radius.
+
+    Without a ``kernel``: monomials of total degree <= ``degree``, or the
+    ``sublist`` exponents.  With one: its translates on the stencil nodes
+    plus a full tail of ``degree`` (None: no tail).  `columns` gives every
+    set of an `InfluenceTable` at once; a call gives the space of one set.
+    """
+
+    kernel: Kernel | None
+    degree: int | None
+    sublist: tuple | None = None
+
+    def exponents(self, d: int) -> tuple[tuple[int, ...], ...]:
+        if self.degree is None:
+            return ()
+        exps = monomial_exponents(d, self.degree) if self.sublist is None else self.sublist
+        return _checked_exponents(d, self.degree, exps)
+
+    def columns(self, table: InfluenceTable) -> tuple:
+        """Shape, shifts, scales and kernel norms of the spaces of all sets, for `PatchTable.of_recipes`."""
+        if self.kernel is not None and not table.sizes.all():
+            raise InvalidInputError("a kernel space needs at least one center")
+        scale = _stencil_scale(table.radii)
+        # a Python power per space, as `KernelSpace.kernel_norm`: a vectorized one may differ in the last bit
+        norm = [1.0] * scale.size if self.kernel is None else [self.kernel.norm(s) for s in scale.tolist()]
+        return (self.kernel, self.exponents(table.points.shape[1])), table.centers, scale, np.array(norm)
+
+    def __call__(self, infl) -> PatchSpace:
+        d, scale, poly = infl.points.shape[1], float(_stencil_scale(infl.radius)), None
+        if self.degree is not None:
+            poly = PolySpace(d, self.degree, infl.center, scale, self.exponents(d))
+        return poly if self.kernel is None else KernelSpace(self.kernel, infl.points, aug=poly, scale=scale)
+
+
+def poly_patch_recipe(degree: int, sublist=None) -> Recipe:
+    """Per-stencil polynomial spaces.
 
     A ``sublist`` fixes the exponents (and the degree, its largest total
     degree); it is normalized once, here.
@@ -576,18 +676,11 @@ def poly_patch_recipe(degree: int, sublist=None):
     if sublist is not None:
         sublist = tuple(tuple(int(e) for e in a) for a in sublist)
         degree = max(sum(a) for a in sublist)
-
-    def make(infl) -> PolySpace:
-        d = infl.points.shape[1]
-        scale = infl.radius if infl.radius > 0.0 else 1.0
-        exps = monomial_exponents(d, degree) if sublist is None else sublist
-        return PolySpace(d=d, degree=degree, shift=infl.center, scale=scale, exponents=exps)
-
-    return make
+    return Recipe(None, degree, sublist)
 
 
-def kernel_patch_recipe(kernel: Kernel, augmentation_degree="minimal"):
-    """Per-stencil kernel space factory with a polynomial tail.
+def kernel_patch_recipe(kernel: Kernel, augmentation_degree="minimal") -> Recipe:
+    """Per-stencil kernel spaces with a polynomial tail.
 
     ``augmentation_degree`` is the total degree of the tail Q:
     ``"minimal"`` resolves to ``cpd_order - 1`` (no tail for a positive
@@ -607,12 +700,4 @@ def kernel_patch_recipe(kernel: Kernel, augmentation_degree="minimal"):
         raise InvalidInputError(
             f"tail degree {degree} below the minimal degree {minimal} for this kernel"
         )
-
-    def make(infl) -> KernelSpace:
-        scale = infl.radius if infl.radius > 0.0 else 1.0
-        aug = None
-        if degree is not None:
-            aug = PolySpace.full(infl.points.shape[1], degree, shift=infl.center, scale=scale)
-        return KernelSpace(kernel, infl.points, aug=aug, scale=scale)
-
-    return make
+    return Recipe(kernel, degree)

@@ -6,9 +6,12 @@ that any two patches sharing a node take the same value there (the
 connection condition).  No partition of the domain is ever formed: the
 patches simply overlap, and the nodal-value map ties them together.
 
-A space groups its patches once, through `spaces.stack_spaces` (which
-checks every pairing), into stacked evaluators of equally shaped patches of
-one dimension that hold each patch's stencil nodes and node indices.
+A space holds its patches as one `spaces.PatchTable`, the one patch
+representation, filled by `build_space` in array operations or from
+hand-made `Patch` objects; ``space.patches`` are views built on first
+access, for the one-patch oracles.  The table is grouped once, through
+`spaces.stack_spaces`, into stacked evaluators of equally shaped patches
+whose nodal matrices also give the patch ranks, one batched SVD per group.
 `from_nodal_values` fits each group with one stacked nodal solve, and
 `OverlapSpline.eval_pairs` evaluates "patch ``p[j]`` at point ``x[j]``" for
 any set of pairs as the stacked basis times the stacked coefficients.
@@ -43,15 +46,17 @@ from .errors import (
     NotAnInterpolationSetError,
 )
 from .geometry import InfluenceSet, NodeSet, influences
-from .linalg import null_space, numerical_rank, stacked_solve
+from .linalg import RANK_RTOL, null_space, numerical_rank, stacked_solve
 from .ndf import CHUNK_ROWS, StencilWeights, exactness_defect
 from .operators import Operator
 from .spaces import (
     INTERPOLATION_RTOL,
     PatchSpace,
-    PolySpace,
+    PatchTable,
+    Recipe,
     apply_operator,
     patch_value,
+    poly_patch_recipe,
     stack_spaces,
     unisolvency_rank,
 )
@@ -103,18 +108,27 @@ def _uncovered(n: int, member_nodes) -> np.ndarray:
     return np.flatnonzero(np.bincount(member_nodes, minlength=n) == 0)
 
 
-@dataclass(frozen=True, eq=False)
 class OverlapSplineSpace:
-    """Node set plus covering patches; `incidence` is the one membership table."""
+    """Node set plus covering patches held as one `PatchTable`; `incidence` is the one membership table.
 
-    nodes: NodeSet
-    patches: tuple[Patch, ...]
+    Built from hand-made `Patch` objects, or (by `build_space`) from a table
+    and the recipe of each shape id, which builds the `patches` views.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "patches", tuple(self.patches))
-        missing = _uncovered(self.nodes.n, self.incidence[0])
+    def __init__(self, nodes: NodeSet, patches=None, *, table: PatchTable | None = None, recipes=()):
+        if table is None:
+            self.__dict__["patches"] = patches = tuple(patches)
+            table = PatchTable.of_pairs([p.influence for p in patches], [p.space for p in patches])
+        self.nodes, self.table, self._recipes = nodes, table, tuple(recipes)
+        missing = _uncovered(nodes.n, self.incidence[0])
         if missing.size:
             raise ConstructionError(f"nodes not covered by any patch: {missing.tolist()[:10]}")
+
+    @cached_property
+    def patches(self) -> tuple[Patch, ...]:
+        """One `Patch` per table row, its space made by the row's recipe from the row's influence set."""
+        sets = map(self.table.influence.__getitem__, range(self.m))
+        return tuple(Patch(infl, self._recipes[k](infl)) for infl, k in zip(sets, self.table.shape.tolist()))
 
     @cached_property
     def incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -122,19 +136,19 @@ class OverlapSplineSpace:
 
         ``flat`` indexes the patch-by-patch concatenation of the influence sets.
         """
-        node = np.concatenate([np.zeros(0, dtype=int)] + [p.influence.indices for p in self.patches])
-        patch = np.repeat(np.arange(self.m), [p.influence.size for p in self.patches])
+        node = self.table.influence.indices
+        patch = np.repeat(np.arange(self.m), self.table.influence.sizes)
         flat = np.lexsort((patch, node))
         return node[flat], patch[flat], flat
 
     @property
     def m(self) -> int:
-        return len(self.patches)
+        return len(self.table.influence.centers)
 
     @cached_property
     def _stacks(self) -> tuple[tuple, np.ndarray, np.ndarray]:
         """The patches as `spaces.stack_spaces` groups (members, evaluator); each patch's group and slot."""
-        groups = tuple(stack_spaces([p.space for p in self.patches], [p.influence for p in self.patches]))
+        groups = tuple(stack_spaces(self.table, np.arange(self.m)))
         group_of, slot = np.empty(self.m, dtype=np.intp), np.empty(self.m, dtype=np.intp)
         for g, (members, _) in enumerate(groups):
             group_of[members], slot[members] = g, np.arange(members.size)
@@ -142,12 +156,21 @@ class OverlapSplineSpace:
 
     @property
     def interpolatory(self) -> bool:
-        return all(p.is_interpolation_set for p in self.patches)
+        return not self.failing_patches
 
-    @property
+    @cached_property
     def failing_patches(self) -> tuple[int, ...]:
-        """Indices of patches whose node set is not an interpolation set."""
-        return tuple(i for i, p in enumerate(self.patches) if not p.is_interpolation_set)
+        """Patches that are not interpolation sets (`Patch.is_interpolation_set`), by stacked rank SVDs."""
+        failing = []
+        for members, basis in self._stacks[0]:
+            if basis.centers.shape[1] != basis.dim:
+                failing.append(members)
+                continue
+            for lo in range(0, members.size, CHUNK_ROWS):
+                sv = np.linalg.svd(basis.evaluate(None, rows=slice(lo, lo + CHUNK_ROWS))[2], compute_uv=False)
+                rank = np.count_nonzero(sv > RANK_RTOL * sv[:, :1], axis=1)
+                failing.append(members[lo:lo + CHUNK_ROWS][rank < basis.dim])
+        return tuple(np.sort(np.concatenate([np.zeros(0, dtype=int)] + failing)).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,10 +202,7 @@ class OverlapSpline:
 
     def eval_pairs(self, patches, points) -> np.ndarray:
         """Value of patch ``patches[j]`` at ``points[j]`` for every j: stacked basis times coefficients."""
-        patches, d, m = np.asarray(patches), self.space.nodes.d, self.space.m
-        if patches.size and (patches.dtype.kind not in "iu" or patches.min() < 0 or patches.max() >= m):
-            raise InvalidInputError(f"patch indices must be integers in [0, {m})")
-        patches = patches.astype(np.intp).reshape(-1)
+        patches, d = self.space.table.ids(patches), self.space.nodes.d
         points = np.asarray(points, dtype=float)
         if points.shape != (patches.size, d):
             raise InvalidInputError(f"expected points of shape ({patches.size}, {d}), got {points.shape}")
@@ -234,32 +254,32 @@ def build_space(
 ) -> OverlapSplineSpace:
     """Assemble an overlap-spline space from centers, a selector, and a space recipe.
 
-    ``selector`` is ``("knn", k)`` or ``("range", radius)``; ``recipe`` maps
-    an influence set to a patch space.  Patches failing the interpolation-set
-    test are kept, not rejected, and reported through ``failing_patches``
-    and one INFO record on the ``meshfd.spline`` logger (patch ranks are
-    measured for it only when INFO is enabled there).  Nodes covered by
-    no patch abort the construction unless ``uncovered="constant-patch"``,
-    which completes the cover with single-node constant patches (the
-    natural carriers of Dirichlet rows).
+    ``selector`` is ``("knn", k)`` or ``("range", radius)``; ``recipe`` fills
+    the patch table's space columns for all influence sets at once, so no
+    per-patch object is built.  Patches failing the interpolation-set test
+    are kept, not rejected, and reported through ``failing_patches`` and one
+    INFO record on the ``meshfd.spline`` logger (ranks are measured for it
+    only when INFO is enabled there).  Nodes covered by no patch abort the
+    construction unless ``uncovered="constant-patch"``, which completes the
+    cover with ``poly_patch_recipe(0)`` on the missing nodes' kNN-1 sets
+    (the natural carriers of Dirichlet rows).
     """
     if uncovered not in ("error", "constant-patch"):
         raise InvalidInputError(f"unknown uncovered policy {uncovered!r}")
-    patches: list[Patch] = []
+    if not isinstance(recipe, Recipe):
+        raise InvalidInputError("recipe must be a spaces.Recipe; hand-made patches go to OverlapSplineSpace")
     points, indices = _resolve_centers(nodes, centers)
-    for infl in influences(nodes, points, selector, center_indices=indices):
-        if infl.size == 0:
-            raise ConstructionError(
-                f"selector {selector!r} yields no influence nodes around {infl.center.tolist()}"
-            )
-        patches.append(Patch(influence=infl, space=recipe(infl)))
-
+    table = influences(nodes, points, selector, center_indices=indices)
+    empty = np.flatnonzero(table.sizes == 0)
+    if empty.size:
+        raise ConstructionError(
+            f"selector {selector!r} yields no influence nodes around {table.centers[empty[0]].tolist()}"
+        )
+    parts = [(table, recipe)]
     if uncovered == "constant-patch":  # with "error" the space's own coverage check raises
-        member_nodes = [np.zeros(0, dtype=int)] + [p.influence.indices for p in patches]
-        missing = _uncovered(nodes.n, np.concatenate(member_nodes))
-        for infl in influences(nodes, None, ("knn", 1), center_indices=missing):
-            patches.append(Patch(infl, PolySpace.full(nodes.d, 0, shift=infl.center, scale=1.0)))
-    space = OverlapSplineSpace(nodes=nodes, patches=tuple(patches))
+        missing = _uncovered(nodes.n, table.indices)
+        parts.append((influences(nodes, None, ("knn", 1), center_indices=missing), poly_patch_recipe(0)))
+    space = OverlapSplineSpace(nodes, table=PatchTable.of_recipes(parts), recipes=[r for _, r in parts])
     failing = space.failing_patches if _log.isEnabledFor(logging.INFO) else ()
     if failing:
         _log.info("%d of %d patches are not interpolation sets (first: %s)",

@@ -246,6 +246,40 @@ class TestBatchedInfluences:
             assert one.center_index == patch.center_node
 
 
+class TestQueryArguments:
+    """The one neighbor query rejects a non-finite centre and a malformed selector."""
+
+    GRID = m.generate_grid(2, 5, [(0.0, 1.0), (0.0, 1.0)])
+
+    @pytest.mark.parametrize("query", [
+        lambda ns: m.knn(ns, [np.nan, 0.5], 3),
+        lambda ns: m.range_search(ns, [0.5, np.inf], 0.3),
+        lambda ns: m.build_space(ns, np.array([[0.5, 0.5], [np.nan, 0.5]]), ("knn", 3), m.poly_patch_recipe(1)),
+        lambda ns: m.build_space(ns, np.array([[0.5, 0.5], [0.5, -np.inf]]), ("range", 0.3), m.poly_patch_recipe(0)),
+    ], ids=["knn", "range_search", "build_space-knn", "build_space-range"])
+    def test_non_finite_centre_rejected(self, query):
+        with pytest.raises(InvalidInputError, match="is not finite"):
+            query(self.GRID)
+
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -0.5])
+    def test_range_needs_a_positive_finite_radius(self, radius):
+        with pytest.raises(InvalidInputError, match="positive finite radius"):
+            m.build_space(self.GRID, "all", ("range", radius), m.poly_patch_recipe(0))
+        with pytest.raises(InvalidInputError, match="positive finite radius"):
+            m.range_search(self.GRID, [0.5, 0.5], radius)
+
+    @pytest.mark.parametrize("k", [5.7, 5.0, True, np.bool_(True), "5"])
+    def test_knn_needs_an_integer_k(self, k):
+        with pytest.raises(InvalidInputError, match="integer k"):
+            m.build_space(self.GRID, "all", ("knn", k), m.poly_patch_recipe(1))
+        with pytest.raises(InvalidInputError, match="integer k"):
+            m.knn(self.GRID, [0.5, 0.5], k)
+
+    def test_numpy_integer_k_is_an_integer(self):
+        assert np.array_equal(m.knn(self.GRID, [0.5, 0.5], np.int64(5)).indices,
+                              m.knn(self.GRID, [0.5, 0.5], 5).indices)
+
+
 class TestInfluenceSet:
     def test_duplicate_indices_rejected(self):
         pts = np.array([[0.0], [0.5], [0.0]])

@@ -6,6 +6,7 @@ import meshfd as m
 from meshfd.errors import ConfigError, InvalidInputError, SingularSystemError
 from meshfd import solve
 from meshfd.problems import preset
+from meshfd.spaces import PatchTable, StackedBasis
 from meshfd.solve import (
     GlobalSystem,
     RowMeta,
@@ -263,9 +264,9 @@ class TestBatchedAssembly:
         sigma = build_sigma(space, "per-set-aggregate")
         stacked, stack = [], m.ndf.stack_spaces
 
-        def counting(spaces, influences):
-            stacked.append(len(spaces))
-            return stack(spaces, influences)
+        def counting(table, patches):
+            stacked.append(len(patches))
+            return stack(table, patches)
 
         monkeypatch.setattr(m.ndf, "stack_spaces", counting)
         assemble(space, m.Operator("laplacian", identity_on_boundary=False), lambda x: 0.0, sigma)
@@ -273,6 +274,26 @@ class TestBatchedAssembly:
         distinct = [len(set(patches[lo:lo + chunk_rows])) for lo in range(0, len(patches), chunk_rows)]
         assert stacked == distinct
         assert sum(stacked) < len(patches)  # nine rows per patch
+
+    @pytest.mark.parametrize("chunk_rows", [7, 256])
+    def test_each_patch_nodal_block_evaluated_once_per_chunk(self, monkeypatch, chunk_rows):
+        monkeypatch.setattr(m.ndf, "CHUNK_ROWS", chunk_rows)
+        ns = m.generate_scattered(2, 30, [(0.0, 1.0), (0.0, 1.0)], source="halton")
+        space = m.build_space(ns, "all", ("knn", 9), R3_TAIL1)
+        sigma = build_sigma(space, "per-set-aggregate")
+        at_nodes, evaluate = [], StackedBasis.evaluate
+
+        def counting(basis, points, betas=None, coef=None, rows=slice(None)):
+            if points is None:  # patch i is centred on node i, its first stencil node
+                at_nodes.append(basis.indices[rows][:, 0].tolist())
+            return evaluate(basis, points, betas, coef, rows)
+
+        monkeypatch.setattr(StackedBasis, "evaluate", counting)
+        assemble(space, m.Operator("laplacian", identity_on_boundary=False), lambda x: 0.0, sigma)
+        patches = [pair.patch for pair in sigma.pairs]
+        chunks = [sorted(set(patches[lo:lo + chunk_rows])) for lo in range(0, len(patches), chunk_rows)]
+        assert len(at_nodes) == len(chunks)  # one kernel group per chunk on this cloud
+        assert [sorted(seen) for seen in at_nodes] == chunks
 
     @pytest.mark.parametrize("bad", ["moved-centres", "wrong-dimension"])
     def test_bad_row_mid_chunk_gets_its_own_error(self, bad):
@@ -283,27 +304,25 @@ class TestBatchedAssembly:
         k = len(pairs) // 2
         patches = [space.patches[pair.patch] for pair in pairs]
         points = [pair.point for pair in pairs]
-        if bad == "moved-centres":
+        if bad == "moved-centres":  # a bad pairing is refused where the table is filled, before any row
             ps = patches[k].space
-            moved = m.KernelSpace(ps.kernel, ps.centers + 0.01, aug=ps.aug, scale=ps.scale)
-            patches[k] = m.Patch(patches[k].influence, moved)
-        else:
-            points[k] = np.append(points[k], 0.5)
-        rows = m.ndf.weights_batch(m.LAPLACIAN, points, [p.influence for p in patches],
-                                   [p.space for p in patches])
+            moved = m.Patch(patches[k].influence, m.KernelSpace(ps.kernel, ps.centers + 0.01, aug=ps.aug,
+                                                                 scale=ps.scale))
+            message = "kernel interpolation expects values at the kernel centers"
+            with pytest.raises(InvalidInputError, match=message):
+                PatchTable.of_pairs([p.influence for p in patches[:k] + [moved]],
+                                    [p.space for p in patches[:k] + [moved]])
+            with pytest.raises(InvalidInputError, match=message):
+                m.OverlapSplineSpace(ns, tuple(moved if i == pairs[k].patch else p
+                                               for i, p in enumerate(space.patches)))
+            return
+        points[k] = np.append(points[k], 0.5)
+        rows = m.ndf.weights_batch(m.LAPLACIAN, points, space.table, [pair.patch for pair in pairs])
         assert isinstance(rows[k], InvalidInputError)
         for j, (row, pair) in enumerate(zip(rows, pairs)):
             if j != k:
                 sw = one_row(m.LAPLACIAN, pair, patches[j])
                 assert np.array_equal(row.weights, sw.weights) and row.residual == sw.residual
-        if bad == "moved-centres":
-            moved_space = m.OverlapSplineSpace(ns, tuple(patches[k] if i == pairs[k].patch else p
-                                                         for i, p in enumerate(space.patches)))
-            with pytest.raises(m.AssemblyError) as err:
-                assemble(moved_space, m.LAPLACIAN, lambda x: 0.0, sigma)
-            row = next(j for j, pair in enumerate(sigma.pairs) if pair is pairs[k])
-            assert (err.value.row, err.value.patch) == (row, pairs[k].patch)
-            assert "kernel interpolation expects values at the kernel centers" in str(err.value)
 
     def test_collinear_stencil_mid_chunk_names_row_and_patch(self):
         rng = np.random.default_rng(5)

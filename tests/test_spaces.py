@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 import meshfd as m
 from meshfd.errors import InvalidInputError, NotAnInterpolationSetError
-from meshfd.spaces import KernelSpace, PolySpace, kernel_derivative, patch_value, stack_spaces
+from meshfd.spaces import KernelSpace, PatchTable, PolySpace, kernel_derivative, patch_value, stack_spaces
 
 from helpers import FIVE_STAR_SUBLIST, five_star_sublist_space, halton_r3_space, jittered_cloud
 
@@ -373,9 +373,9 @@ class TestStackedBasis:
     @pytest.mark.parametrize("case", STACK_CASES)
     @pytest.mark.parametrize("beta", [(0, 0), (1, 0), (0, 2), (1, 1)])
     def test_matches_each_space_and_its_dimension(self, case, beta, rng):
-        patches = STACK_CASES[case]().patches
-        spaces = [p.space for p in patches]
-        groups = stack_spaces(spaces, [p.influence for p in patches])
+        space = STACK_CASES[case]()
+        spaces = [p.space for p in space.patches]
+        groups = stack_spaces(space.table, np.arange(space.m))
         assert sorted(np.concatenate([members for members, _ in groups]).tolist()) == list(range(len(spaces)))
         for members, basis in groups:
             pts = rng.random((members.size, 3, 2))
@@ -386,16 +386,16 @@ class TestStackedBasis:
                 assert np.allclose(got[j], oracle, rtol=1e-12, atol=1e-12 * np.max(np.abs(oracle)))
 
     def test_kernel_group_takes_the_moment_null_bases_of_its_spaces(self):
-        patches = halton_r3_space(count=40, k=12)[1].patches
-        spaces = [p.space for p in patches]
-        ((members, basis),) = stack_spaces(spaces, [p.influence for p in patches])
+        space = halton_r3_space(count=40, k=12)[1]
+        spaces = [p.space for p in space.patches]
+        ((members, basis),) = stack_spaces(space.table, np.arange(space.m))
         for j, i in enumerate(members):
             assert np.array_equal(basis.null[j], spaces[i].moment_null)
             assert np.array_equal(basis.tail_at_centers[j], spaces[i].aug.eval_basis(spaces[i].centers))
 
     def test_operator_terms_are_summed_with_their_coefficients(self, rng):
-        patches = halton_r3_space(count=40, k=12)[1].patches
-        ((_, basis),) = stack_spaces([p.space for p in patches], [p.influence for p in patches])
+        space = halton_r3_space(count=40, k=12)[1]
+        ((_, basis),) = stack_spaces(space.table, np.arange(space.m))
         pts = rng.random((basis.centers.shape[0], 1, 2))
         betas = [(2, 0), (1, 1), (0, 2)]
         coef = rng.standard_normal((pts.shape[0], 3))
@@ -408,9 +408,10 @@ class TestStackedBasis:
         plane = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.6, 0.7]])
         spaces = [KernelSpace(m.Kernel("polyharmonic", 3.0), c, aug=PolySpace.full(2, 1, shift=c[0]))
                   for c in (plane, line, plane + 1.0)]
-        groups = stack_spaces(spaces, [m.InfluenceSet(center=c[0], indices=np.arange(4), points=c,
-                                                      distances=np.linalg.norm(c - c[0], axis=1))
-                                       for c in (plane, line, plane + 1.0)])
+        table = PatchTable.of_pairs([m.InfluenceSet(center=c[0], indices=np.arange(4), points=c,
+                                                    distances=np.linalg.norm(c - c[0], axis=1))
+                                     for c in (plane, line, plane + 1.0)], spaces)
+        groups = stack_spaces(table, np.arange(3))
         assert [(members.tolist(), basis.tail_rank, basis.dim) for members, basis in groups] == [
             ([1], 2, 5), ([0, 2], 3, 4)]
         assert [spaces[i].dim for i in range(3)] == [4, 5, 4]

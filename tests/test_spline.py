@@ -8,6 +8,7 @@ import pytest
 import meshfd as m
 import meshfd.spaces as spaces_module
 import meshfd.spline as spline_module
+from meshfd.spaces import PatchTable, stack_spaces
 from meshfd.errors import (
     AnalysisSizeError,
     ConstructionError,
@@ -20,6 +21,7 @@ from helpers import (
     five_star_full_p2_space,
     five_star_sublist_space,
     grid1d,
+    grid2d,
     halton_r3_space,
     jittered_cloud,
     quadratic_overlap_space_1d,
@@ -132,6 +134,27 @@ class TestBuildSpace:
             five_star_sublist_space(4)
         assert caplog.records == []
 
+    @pytest.mark.parametrize("case", ["knn5-grid-singular-edges", "mixed-tail-rank", "constant-patch-cover"])
+    def test_stacked_ranks_equal_per_patch_ranks(self, case, monkeypatch, caplog):
+        """`failing_patches` comes from one batched SVD per stack group: no per-patch rank, no view."""
+        grid, (ns, hand) = grid2d(8), mixed_tail_rank_space()
+        build = {
+            "knn5-grid-singular-edges": lambda: m.build_space(
+                grid, "all", ("knn", 5), m.poly_patch_recipe(2, sublist=FIVE_STAR_SUBLIST)),
+            "mixed-tail-rank": lambda: m.OverlapSplineSpace(ns, hand.patches),
+            "constant-patch-cover": lambda: five_star_full_p2_space(4)[1],
+        }[case]
+        built = []
+        monkeypatch.setattr(spline_module, "unisolvency_rank", lambda *args: built.append("rank"))
+        monkeypatch.setattr(m.Patch, "__init__", lambda *args, **kwargs: built.append("patch"))
+        with caplog.at_level(logging.INFO, logger="meshfd.spline"):
+            space = build()  # build_space logs its failing patches
+            failing, interpolatory = space.failing_patches, space.interpolatory
+        assert built == []
+        monkeypatch.undo()
+        assert failing and not interpolatory
+        assert failing == tuple(i for i, p in enumerate(space.patches) if not p.is_interpolation_set)
+
     def test_constant_patch_completion_covers(self):
         ns, space = five_star_full_p2_space(4)
         assert space.m == 13
@@ -173,10 +196,16 @@ class TestBuildSpace:
         ns, space = kernel_space(0)
         assert [f.name for f in dataclasses.fields(m.Patch)] == ["influence", "space"]
         assert calls == []
-        assert space.interpolatory
-        assert len(calls) == space.m
-        assert space.interpolatory
-        assert len(calls) == space.m
+        assert space.interpolatory  # stacked ranks: no per-patch rank SVD
+        assert calls == []
+        assert space.patches[3].is_interpolation_set and space.patches[3].unisolvent
+        assert len(calls) == 1
+
+    def test_recipe_must_be_a_recipe_object(self):
+        ns = grid1d(6)
+        recipe = m.poly_patch_recipe(2)
+        with pytest.raises(InvalidInputError, match="recipe must be a spaces.Recipe"):
+            m.build_space(ns, "interior", ("knn", 3), lambda infl: recipe(infl))
 
     def test_unknown_uncovered_policy_rejected_even_when_all_nodes_are_covered(self):
         ns = m.generate_grid(2, 5, [(0, 1), (0, 1)])
@@ -357,9 +386,8 @@ class TestFromNodalValues:
         patch = space.patches[0]
         moved = m.KernelSpace(patch.space.kernel, patch.influence.points + 0.01, aug=patch.space.aug,
                               scale=patch.space.scale)
-        shifted = m.OverlapSplineSpace(ns, (m.Patch(patch.influence, moved),) + space.patches[1:])
         with pytest.raises(InvalidInputError, match="kernel interpolation expects values at the kernel centers"):
-            m.from_nodal_values(shifted, np.zeros(ns.n))
+            m.OverlapSplineSpace(ns, (m.Patch(patch.influence, moved),) + space.patches[1:])
 
     def test_stacked_evaluation_rejects_moved_kernel_centres(self):
         ns, space = kernel_space(0)
@@ -367,9 +395,9 @@ class TestFromNodalValues:
         patch = space.patches[0]
         moved = m.KernelSpace(patch.space.kernel, patch.influence.points + 0.01, aug=patch.space.aug,
                               scale=patch.space.scale)
-        shifted = m.OverlapSplineSpace(ns, (m.Patch(patch.influence, moved),) + space.patches[1:])
         with pytest.raises(InvalidInputError, match="kernel interpolation expects values at the kernel centers"):
-            m.OverlapSpline(shifted, s.patch_coeffs).eval_pairs([0], ns.points[:1])
+            stack_spaces(PatchTable.of_pairs([patch.influence], [moved]), [0])
+        assert np.array_equal(s.eval_pairs([0], ns.points[:1]), [0.0])
 
     def test_tail_is_evaluated_at_the_centres_once_per_group(self, monkeypatch):
         ns, space = halton_r3_space()
