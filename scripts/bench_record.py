@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Write a checked-in record of paired benchmark runs of a parent and a changed checkout.
+"""Write a checked-in record of benchmark runs: paired runs of two checkouts, or the runs of one.
 
     python3 scripts/bench_record.py PARENT_DIR CHANGE_DIR OUT_JSON
+    python3 scripts/bench_record.py CHECKOUT_DIR OUT_JSON
 
 Each directory is a checkout in which ``perfbench/run.py`` wrote its reports
 to ``.perfbench_out/<workload>-seed<n>-trace<t>.json``.  Untraced reports of
@@ -13,6 +14,10 @@ apart by more than the parent's interquartile range) and whether the
 change stays within the metric's regression bound.  It also holds the
 attempted and failed pass counts, the per-layer medians of traced reports,
 and the host and library versions the reports recorded.
+
+Given one checkout, the record is one-sided: the same fields for that
+checkout's runs alone (one per seed of ``perfbench/run.py --workload all``),
+each metric's median and quartiles over them, and no pairs.
 """
 
 import argparse
@@ -84,34 +89,72 @@ def record(parent_dir: Path, change_dir: Path, benchmark: dict) -> dict:
                             for side, reps in (("parent", parent), ("change", change))}
                 for m in benchmark["per_layer"]}}
         workloads[name] = entry
-    host = {side: sorted({json.dumps({k: rep["environment"].get(k) for k in HOST_KEYS}, sort_keys=True)
-                          for rep in reps.values()})
-            for side, reps in (("parent", parent), ("change", change))}
     return {
         "command": benchmark["command"],
         "seconds": sorted({rep["seconds"] for rep in change.values()}),
-        "host": {side: [json.loads(h) for h in hosts] for side, hosts in host.items()},
+        "host": {side: hosts(reps) for side, reps in (("parent", parent), ("change", change))},
+        "workloads": workloads,
+    }
+
+
+def hosts(reports: dict) -> list:
+    """The distinct host and library versions of some reports."""
+    seen = {json.dumps({k: rep["environment"].get(k) for k in HOST_KEYS}, sort_keys=True)
+            for rep in reports.values()}
+    return [json.loads(h) for h in sorted(seen)]
+
+
+def one_sided(checkout: Path, benchmark: dict) -> dict:
+    """The runs of one checkout: per workload, each metric's spread over its seeds, and no pairs."""
+    reports = load_reports(checkout)
+    workloads = {}
+    for name in sorted({w for w, _, _ in reports}):
+        runs = {t: [reports[k] for k in sorted(reports) if k[0] == name and k[2] == t] for t in (0, 1)}
+        entry = {
+            "seeds": [rep["seed"] for rep in runs[0]],
+            "attempted": sum(rep["attempted"] for rep in runs[0]),
+            "failed": sum(rep["failed"] for rep in runs[0]),
+            "end_to_end": {
+                m["name"]: {"unit": m["unit"], "better": m["better"],
+                            **spread([rep["end_to_end"][m["name"]]["median"] for rep in runs[0]])}
+                for m in benchmark["end_to_end"] if runs[0]
+            },
+        }
+        if runs[1]:
+            entry["per_layer"] = {"seeds": [rep["seed"] for rep in runs[1]], **{
+                m["name"]: spread([rep["per_layer"][m["name"]]["median"] for rep in runs[1]])
+                for m in benchmark["per_layer"]}}
+        workloads[name] = entry
+    return {
+        "command": benchmark["command"],
+        "seconds": sorted({rep["seconds"] for rep in reports.values()}),
+        "host": hosts(reports),
         "workloads": workloads,
     }
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("parent", type=Path)
-    ap.add_argument("change", type=Path)
+    ap.add_argument("checkouts", type=Path, nargs="+", help="PARENT_DIR CHANGE_DIR, or one CHECKOUT_DIR")
     ap.add_argument("out", type=Path)
     args = ap.parse_args(argv)
+    if len(args.checkouts) > 2:
+        ap.error("give two checkouts (parent and change) or one")
     with open(ROOT / "BENCHMARK.json") as fh:
         benchmark = json.load(fh)
-    doc = record(args.parent, args.change, benchmark)
+    doc = record(*args.checkouts, benchmark) if len(args.checkouts) == 2 else one_sided(args.checkouts[0], benchmark)
     if not doc["workloads"]:
-        print(f"no reports under {args.change / '.perfbench_out'}", file=sys.stderr)
+        print(f"no reports under {args.checkouts[-1] / '.perfbench_out'}", file=sys.stderr)
         return 1
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
     for name, entry in doc["workloads"].items():
         for metric, cmp in entry.get("end_to_end", {}).items():
+            if "pairs" not in cmp:
+                print(f"{name:<18} {metric:<15} median {cmp['median']:.6g}  quartiles "
+                      f"{cmp['q1']:.6g} .. {cmp['q3']:.6g}  runs {len(cmp['runs'])}")
+                continue
             print(f"{name:<18} {metric:<15} parent {cmp['parent']['median']:.6g}  change "
                   f"{cmp['change']['median']:.6g}  wins {cmp['change_wins']}/{cmp['pairs']}  "
                   f"gain {'shown' if cmp['gain_shown'] else 'not shown'}  "

@@ -7,12 +7,15 @@ a transposed Vandermonde system; kernel spaces with a polynomial tail
 lead to the symmetric saddle system whose multiplier block is discarded.
 
 There is one exactness implementation, the batched engine
-`exactness_rows`, whose rows are points on patches of a `spaces.PatchTable`:
-chunk by chunk, `spaces.stack_spaces` stacks each distinct patch once, with
-its stencil, and the rows of equally shaped patches are solved together; a
-row's result does not depend on the rows it is stacked with.
-`weights_batch` returns its rows as `StencilWeights`, and `weights_poly` and
-`weights_kernel` are one-row batches of it.  The cardinal (Lagrange) rows of
+`exactness_rows`, whose rows are an (R, d) point array on patches of a
+`spaces.PatchTable`: chunk by chunk, `spaces.stack_spaces` stacks each
+distinct patch once, with its stencil, and the rows of equally shaped
+patches are solved together; a row's result does not depend on the rows it
+is stacked with.  It returns arrays, not one object per row: every row's
+weights in one flat array, slice after slice, the residuals, and the errors
+of failed rows by row.  `weights_batch` returns its rows as
+`StencilWeights`, and `weights_poly` and `weights_kernel` are one-row
+batches of the engine.  The cardinal (Lagrange) rows of
 `spline.lagrange_row` are the independent second route: they solve the
 patch's nodal matrix and share no solve with this engine.
 
@@ -110,76 +113,98 @@ def weights_kernel(op: Operator, y, infl: InfluenceSet, ks: KernelSpace) -> Sten
 
 
 def _one_row(op, y, infl, space) -> StencilWeights:
-    row = exactness_rows(op, [y], PatchTable.of_pairs([infl], [space]), [0])[0]
-    if isinstance(row, MeshfdError):
-        raise row
-    return StencilWeights(np.asarray(y, dtype=float).reshape(-1), infl, *row)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    weights, residual, errors = exactness_rows(op, y[None, :], PatchTable.of_pairs([infl], [space]), [0])
+    if errors:
+        raise errors[0]
+    return StencilWeights(y, infl, weights, float(residual[0]))
 
 
 def weights_batch(op: Operator, points, table: PatchTable, patches) -> list:
-    """`exactness_rows` as `StencilWeights`, each with a view of its patch's influence set."""
-    rows = exactness_rows(op, points, table, patches)
-    return [row if isinstance(row, MeshfdError) else
-            StencilWeights(np.asarray(y, dtype=float).reshape(-1), table.influence[p], *row)
-            for y, p, row in zip(points, patches, rows)]
+    """`exactness_rows` as `StencilWeights` with a view of the patch's influence set, or the row's error.
 
-
-def exactness_rows(op: Operator, points, table: PatchTable, patches) -> list:
-    """Exactness weights for many rows: row i is ``op`` at ``points[i]`` on table patch ``patches[i]``.
-
-    Returns one entry per row, ``(weights, residual)`` with the weights
-    aligned with the patch's influence set, or the `MeshfdError` that row
-    raised, so a caller can report a failure with its own context.  Rows
-    are taken in chunks of `CHUNK_ROWS`; a chunk whose stacking or solve
-    raises is solved row by row, so that each bad row gets its own error.
+    A point of another dimension than the table's gets its own `InvalidInputError`.
     """
-    ys, patches = [np.asarray(y, dtype=float).reshape(-1) for y in points], table.ids(patches)
+    ys, patches, d = [np.asarray(y, dtype=float).reshape(-1) for y in points], table.ids(patches), table.shift.shape[1]
     if patches.size != len(ys):
         raise InvalidInputError("one patch index per point is required")
-    out: list = []
-    for lo in range(0, len(ys), CHUNK_ROWS):
-        out.extend(_chunk_or_rows(op, ys[lo:lo + CHUNK_ROWS], table, patches[lo:lo + CHUNK_ROWS]))
-    return out
+    ok, out = [j for j, y in enumerate(ys) if y.shape == (d,)], [None] * len(ys)
+    weights, residual, errors = exactness_rows(op, np.reshape([ys[j] for j in ok], (-1, d)), table, patches[ok])
+    start = np.cumsum(np.concatenate([[0], table.influence.sizes[patches[ok]]]))
+    for r, j in enumerate(ok):
+        out[j] = errors.get(r) or StencilWeights(ys[j], table.influence[patches[j]], weights[start[r]:start[r + 1]],
+                                                 float(residual[r]))
+    return [InvalidInputError("point dimension differs from the dimension of its patch space") if row is None
+            else row for row in out]
 
 
-def _chunk_or_rows(op, ys, table, patches) -> list:
+def exactness_rows(op: Operator, points, table: PatchTable, patches):
+    """Exactness weights for many rows: row i is ``op`` at ``points[i]`` on table patch ``patches[i]``.
+
+    ``points`` is an (R, d) array.  Returns ``(weights, residual, errors)``:
+    every row's weights, aligned with its patch's influence set, in one flat
+    array, slice after slice in row order; each row's exactness defect (R,);
+    and ``{row: MeshfdError}`` for the rows that failed, whose weights and
+    residual are NaN, so that a caller can report them with its own context.
+    Rows are taken in chunks of `CHUNK_ROWS`; a chunk whose stacking or solve
+    raises is solved row by row, so that each bad row gets its own error.
+    """
+    points, patches, step = np.asarray(points, dtype=float), table.ids(patches), CHUNK_ROWS
+    if points.shape != (patches.size, table.shift.shape[1]):
+        raise InvalidInputError(f"points must be one ({table.shift.shape[1]},) row per patch index, "
+                                f"got shape {points.shape} for {patches.size} patch indices")
+    parts = [_chunk_or_rows(op, points[lo:lo + step], table, patches[lo:lo + step])
+             for lo in range(0, patches.size, step)]
+    return parts[0] if len(parts) == 1 else _joined(parts, step)
+
+
+def _joined(parts, step: int):
+    """Consecutive ``exactness_rows`` outputs of ``step`` rows each, as one."""
+    return (np.concatenate([np.zeros(0)] + [w for w, _, _ in parts]),
+            np.concatenate([np.zeros(0)] + [res for _, res, _ in parts]),
+            {k * step + r: exc for k, (_, _, errors) in enumerate(parts) for r, exc in errors.items()})
+
+
+def _chunk_or_rows(op, y, table, patches):
     """Solve a chunk; when a chunk-wide step raises, solve its rows one at a time."""
     try:
-        return _solve_chunk(op, ys, table, patches)
+        return _solve_chunk(op, y, table, patches)
     except MeshfdError as exc:
-        if len(ys) == 1:
-            return [exc]
-        return [_chunk_or_rows(op, ys[j:j + 1], table, patches[j:j + 1])[0] for j in range(len(ys))]
+        if len(y) == 1:
+            return np.full(table.influence.sizes[patches[0]], np.nan), np.full(1, np.nan), {0: exc}
+        return _joined([_chunk_or_rows(op, y[j:j + 1], table, patches[j:j + 1]) for j in range(len(y))], 1)
 
 
-def _solve_chunk(op, ys, table, patches) -> list:
-    if any(y.shape != table.shift.shape[1:] for y in ys):
-        raise InvalidInputError("point dimension differs from the dimension of its patch space")
+def _solve_chunk(op, y, table, patches):
+    start = np.cumsum(np.concatenate([[0], table.influence.sizes[patches]]))  # each row's weight slice
+    weights, residual, errors = np.empty(start[-1]), np.empty(len(y)), {}
     distinct, patch = np.unique(patches, return_inverse=True)  # each row's index among the distinct patches
-    out: list = [None] * len(ys)
     for members, basis in stack_spaces(table, distinct):
         slot = np.full(distinct.size, -1)
         slot[members] = np.arange(members.size)
         rows = np.flatnonzero(slot[patch] >= 0)
-        for r, row in zip(rows, _solve_group(op, np.array([ys[r] for r in rows]), basis, slot[patch[rows]])):
-            out[r] = row
-    return out
+        w, residual[rows], group_errors = _solve_group(op, y[rows], basis, slot[patch[rows]])
+        weights[start[rows][:, None] + np.arange(w.shape[1])] = w
+        errors.update((int(rows[r]), exc) for r, exc in group_errors.items())
+    return weights, residual, errors
 
 
-def _solve_group(op, y, basis, slots) -> list:
-    out: list = [None] * len(y)
-    if op.kind == "identity":  # Kronecker row when y is a stencil node
+def _solve_group(op, y, basis, slots):
+    """Rows of one stacked group: weights (R, n), residuals (R,) and {row: error}; a failed row is NaN."""
+    solve = _poly_rows if basis.kernel is None else _kernel_rows
+    if op.kind != "identity":
+        w, residual, errors = solve(op, y, basis, slots)
+    else:  # Kronecker row when y is a stencil node
         hits = np.all(basis.centers[slots] == y[:, None, :], axis=2)
-        for r in np.flatnonzero(hits.any(axis=1)):
-            w = np.zeros(hits.shape[1])
-            w[np.argmax(hits[r])] = 1.0
-            out[r] = (w, 0.0)
-    todo = np.array([r for r in range(len(y)) if out[r] is None], dtype=np.intp)
-    if todo.size:
-        solve = _poly_rows if basis.kernel is None else _kernel_rows
-        for r, row in zip(todo, solve(op, y[todo], basis, slots[todo])):
-            out[r] = row
-    return out
+        kron, w, residual, errors = hits.any(axis=1), np.zeros(hits.shape), np.zeros(len(y)), {}
+        w[kron, np.argmax(hits[kron], axis=1)] = 1.0
+        todo = np.flatnonzero(~kron)
+        if todo.size:
+            w[todo], residual[todo], todo_errors = solve(op, y[todo], basis, slots[todo])
+            errors = {int(todo[r]): exc for r, exc in todo_errors.items()}
+    if errors:
+        w[list(errors)] = residual[list(errors)] = np.nan
+    return w, residual, errors
 
 
 def _operator_coefficients(op: Operator, d: int, y) -> tuple[list, np.ndarray]:
@@ -210,8 +235,8 @@ def _rank(a) -> int | None:
     return numerical_rank(a) if np.all(np.isfinite(a)) else None
 
 
-def _poly_rows(op, y, basis, slots) -> list:
-    """Stacked transposed Vandermonde systems; entries are (weights, residual) or an error."""
+def _poly_rows(op, y, basis, slots):
+    """Stacked transposed Vandermonde systems: weights (R, n), residuals (R,) and {row: error}."""
     betas, coef = _operator_coefficients(op, y.shape[1], y)
     e = basis.evaluate(None, rows=slots)[2]
     t = basis.evaluate(y[:, None, :], betas, coef, slots)[2][:, 0, :]
@@ -224,35 +249,31 @@ def _poly_rows(op, y, basis, slots) -> list:
             w[rows] = _min_norm(et[rows], t[rows])
     else:
         w = _min_norm(et, t)
-    defect = _defects(w, e, t)
-    out = []
-    for r in range(len(y)):
-        if not defect[r] <= EXACTNESS_RTOL:
-            rank_a = _rank(et[r])
-            rank_aug = _rank(np.hstack([et[r], t[r][:, None]]))
-            out.append(UnsolvableExactnessError(
-                f"exactness defect {defect[r]:.2e}: system rank {rank_a}, augmented rank {rank_aug} "
-                f"({dim} conditions, {n} nodes)",
-                rank=rank_a, n_conditions=dim, defect=float(defect[r]),
-            ))
-        else:
-            out.append((w[r], float(defect[r])))
-    return out
+    defect, errors = _defects(w, e, t), {}
+    for r in np.flatnonzero(~(defect <= EXACTNESS_RTOL)).tolist():
+        rank_a = _rank(et[r])
+        rank_aug = _rank(np.hstack([et[r], t[r][:, None]]))
+        errors[r] = UnsolvableExactnessError(
+            f"exactness defect {defect[r]:.2e}: system rank {rank_a}, augmented rank {rank_aug} "
+            f"({dim} conditions, {n} nodes)",
+            rank=rank_a, n_conditions=dim, defect=float(defect[r]),
+        )
+    return w, defect, errors
 
 
-def _kernel_rows(op, y, basis, slots) -> list:
-    """Stacked saddle systems ``[[K, P], [P^T, 0]]``; entries are (weights, residual) or an error.
+def _kernel_rows(op, y, basis, slots):
+    """Stacked saddle systems ``[[K, P], [P^T, 0]]``: weights (R, n), residuals (R,) and {row: error}.
 
     ``K`` and ``P`` are the scaled translates and the tail at the stencil
     nodes, the kernel centres; the exactness defect is measured on the basis.
     """
     q, n_rows, (n, d) = len(basis.exponents), len(y), basis.centers.shape[1:]
     if basis.tail_rank < q:
-        return [UnsolvableExactnessError(
+        return np.full((n_rows, n), np.nan), np.full(n_rows, np.nan), {r: UnsolvableExactnessError(
             f"polynomial tail block has rank {basis.tail_rank} < {q}: "
             "influence nodes are not unisolvent for the tail",
             rank=basis.tail_rank, n_conditions=q,
-        ) for _ in range(n_rows)]
+        ) for r in range(n_rows)}
     betas, coef = _operator_coefficients(op, d, y)
     distinct, back = np.unique(slots, return_inverse=True)  # each patch's nodal blocks once per chunk
     kmat, p, e = (block[back] for block in basis.evaluate(None, rows=distinct))
@@ -262,18 +283,13 @@ def _kernel_rows(op, y, basis, slots) -> list:
     sol, singular = stacked_solve(a, np.concatenate([k_rhs, p_rhs], axis=2)[:, 0, :])
     w = sol[:, :n]
     defect = _defects(w, e, t)
-    out: list = []
-    for r in range(n_rows):
-        if r in singular:
-            out.append(UnsolvableExactnessError(f"singular saddle system: {singular[r]}"))
-        elif not defect[r] <= EXACTNESS_RTOL:
-            out.append(UnsolvableExactnessError(
-                f"kernel exactness defect {defect[r]:.2e} on a {n}-node stencil",
-                rank=_rank(a[r]), n_conditions=e.shape[2], defect=float(defect[r]),
-            ))
-        else:
-            out.append((w[r], float(defect[r])))
-    return out
+    errors = {r: UnsolvableExactnessError(f"singular saddle system: {exc}") for r, exc in singular.items()}
+    for r in np.flatnonzero(~(defect <= EXACTNESS_RTOL)).tolist():
+        errors.setdefault(r, UnsolvableExactnessError(
+            f"kernel exactness defect {defect[r]:.2e} on a {n}-node stencil",
+            rank=_rank(a[r]), n_conditions=e.shape[2], defect=float(defect[r]),
+        ))
+    return w, defect, errors
 
 
 def verify_exactness(sw: StencilWeights, space, op: Operator) -> float:

@@ -3,15 +3,19 @@
 Each collocation point is paired with one patch through a sigma map; the
 row for that point is the operator applied to the patch's cardinal basis
 (or, equivalently, the exactness-condition weights), supported on the
-patch's influence set.  Dirichlet nodes receive exact unit rows.  Square
-systems go through a sparse direct factorization; overdetermined systems
-are solved in the least-squares sense with an explicit normal-equation
-residual check and a flagged minimum-norm fallback on rank deficiency.
+patch's influence set.  Dirichlet nodes receive exact unit rows.  Rows are
+arrays, not objects: a `SigmaMap` holds each row's point, patch and node, a
+`GlobalSystem` each row's residual and Dirichlet flag, and the CSR arrays are
+gathered straight from the influence table.  Square systems go through a
+sparse direct factorization; overdetermined systems are solved in the
+least-squares sense with an explicit normal-equation residual check and a
+flagged minimum-norm fallback on rank deficiency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -48,27 +52,32 @@ class SigmaPair:
 
 @dataclass(frozen=True, eq=False)
 class SigmaMap:
+    """Row j collocates at ``points[j]`` (M, d) on patch ``patch[j]``; ``node[j]`` is its node id, or -1."""
+
     strategy: str
-    pairs: tuple[SigmaPair, ...]
+    points: np.ndarray
+    patch: np.ndarray
+    node: np.ndarray
 
     @property
     def size(self) -> int:
-        return len(self.pairs)
+        return len(self.patch)
 
-
-@dataclass(frozen=True, eq=False)
-class RowMeta:
-    point: np.ndarray
-    patch: int
-    residual: float
-    dirichlet: bool
+    @cached_property
+    def pairs(self) -> tuple[SigmaPair, ...]:
+        """The rows as `SigmaPair` views, built on first access; node -1 shows as None."""
+        return tuple(SigmaPair(y, p, None if j < 0 else j)
+                     for y, p, j in zip(self.points, self.patch.tolist(), self.node.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
 class GlobalSystem:
+    """The sparse system, and per row its exactness residual (0 for a unit row) and Dirichlet flag."""
+
     matrix: scipy.sparse.csr_matrix
     rhs: np.ndarray
-    row_meta: tuple[RowMeta, ...]
+    residual: np.ndarray
+    dirichlet: np.ndarray
 
     @property
     def shape(self):
@@ -76,7 +85,7 @@ class GlobalSystem:
 
     @property
     def worst_row_residual(self) -> float:
-        return max((m.residual for m in self.row_meta), default=0.0)
+        return float(self.residual.max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -93,10 +102,8 @@ class Solution:
     rank_report: RankReport
 
 
-def _check_region(space, pairs):
+def _check_region(space, points, patch):
     """Every collocation point must lie in the influence region of its patch."""
-    points = np.array([p.point for p in pairs]).reshape(len(pairs), space.nodes.d)
-    patch = np.array([p.patch for p in pairs], dtype=int)
     centers, radii = space.table.influence.centers[patch], space.table.influence.radii[patch]
     dist = np.linalg.norm(points - centers, axis=1)
     bad = np.flatnonzero((dist > 2.0 * radii) & (dist > 0.0))
@@ -111,76 +118,69 @@ def _check_region(space, pairs):
 def build_sigma(space: OverlapSplineSpace, strategy: str, collocation_points=None) -> SigmaMap:
     """Assign a patch to every collocation point.
 
-    ``same-index``: collocation at the nodes; a node takes the patch centered
-    on it, or the nearest containing patch when it has none (the endpoint
-    redirection of one-dimensional layouts).  ``nearest-node``: explicit
-    points, each taking the patch with the nearest center; exact duplicates
-    take successively farther centers so repeated points carry distinct
-    patches.  ``per-set-aggregate``: every patch contributes a block of
-    collocation points, one per influence node, with a block-constant
-    assignment.  Each strategy yields distinct (point, patch) pairs by
-    construction.
+    ``same-index``: collocation at the nodes; a node takes the first patch
+    centered on it, or, when it has none (the endpoint redirection of
+    one-dimensional layouts), the nearest patch it belongs to, ties going to
+    the lower index.  ``nearest-node``: explicit points, each taking the
+    patch with the nearest center; repeats of a point (``-0.0`` equals
+    ``0.0``) take successively farther centers so repeated points carry
+    distinct patches.  ``per-set-aggregate``: every patch contributes a
+    block of collocation points, one per influence node, with a
+    block-constant assignment.  Each strategy yields distinct (point,
+    patch) pairs by construction.
     """
     nodes, infl = space.nodes, space.table.influence
-    pairs: list[SigmaPair] = []
 
     if strategy == "same-index":
+        points, node, patch = nodes.points, np.arange(nodes.n), np.full(nodes.n, -1)
         has = np.flatnonzero(infl.center_index >= 0)
-        node, first = np.unique(infl.center_index[has], return_index=True)
-        centered = dict(zip(node.tolist(), has[first].tolist()))  # each node's first patch centred on it
+        centred, first = np.unique(infl.center_index[has], return_index=True)
+        patch[centred] = has[first]
         node_of, patch_of, _ = space.incidence
-        for j in range(nodes.n):
-            pi = centered.get(j)
-            if pi is None:
-                lo, hi = np.searchsorted(node_of, [j, j + 1])
-                members = patch_of[lo:hi].tolist()
-                pi = min(
-                    members,
-                    key=lambda i: (float(np.linalg.norm(nodes.points[j] - infl.centers[i])), i),
-                )
-            pairs.append(SigmaPair(point=nodes.points[j], patch=pi, node=j))
+        rest = np.flatnonzero(patch[node_of] < 0)  # memberships of the nodes no patch is centred on
+        diff = points[node_of[rest]] - infl.centers[patch_of[rest]]
+        dist = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])  # as np.linalg.norm of one difference
+        pick = rest[np.lexsort((patch_of[rest], dist, node_of[rest]))]
+        pick = pick[np.diff(node_of[pick], prepend=-1) != 0]  # each node's (distance, patch) minimum
+        patch[node_of[pick]] = patch_of[pick]
 
     elif strategy == "nearest-node":
         if collocation_points is None:
             raise ConfigError("nearest-node strategy needs explicit collocation points")
-        pts = np.atleast_2d(np.asarray(collocation_points, dtype=float))
-        if pts.shape[1] != nodes.d:
+        points = np.atleast_2d(np.asarray(collocation_points, dtype=float))
+        if points.shape[1] != nodes.d:
             raise InvalidInputError("collocation points must match the node dimension")
-        centers = infl.centers
-        tol = 1e-12 * max(1.0, nodes.diameter)
-        dup_count: dict[bytes, int] = {}
-        for y in pts:
-            rank = dup_count.get(y.tobytes(), 0)
-            dup_count[y.tobytes()] = rank + 1
-            dist = np.linalg.norm(centers - y, axis=1)
-            order = np.lexsort((np.arange(len(centers)), dist))
+        centers, patch, repeats = infl.centers, np.empty(len(points), dtype=int), {}
+        for j, y in enumerate(points):
+            rank = repeats[(y + 0.0).tobytes()] = repeats.get((y + 0.0).tobytes(), -1) + 1
+            order = np.lexsort((np.arange(len(centers)), np.linalg.norm(centers - y, axis=1)))
             if rank >= len(order):
-                raise ConfigError(
-                    f"collocation point {y.tolist()} repeats more often than there are patches"
-                )
-            pi = int(order[rank])
-            node_dist, node_idx = nodes.tree.query(y)
-            node = int(node_idx) if node_dist <= tol else None
-            pairs.append(SigmaPair(point=y, patch=pi, node=node))
+                raise ConfigError(f"collocation point {y.tolist()} repeats more often than there are patches")
+            patch[j] = order[rank]
+        node_dist, node_idx = nodes.tree.query(points)
+        node = np.where(node_dist <= 1e-12 * max(1.0, nodes.diameter), node_idx, -1)
 
     elif strategy == "per-set-aggregate":
-        owner = np.repeat(np.arange(space.m), infl.sizes).tolist()
-        pairs = [SigmaPair(point=nodes.points[j], patch=pi, node=j)
-                 for pi, j in zip(owner, infl.indices.tolist())]
+        node, patch = infl.indices, np.repeat(np.arange(space.m), infl.sizes)
+        points = nodes.points[node]
 
     else:
         raise ConfigError(f"unknown sigma strategy {strategy!r}")
 
-    _check_region(space, pairs)
-    return SigmaMap(strategy=strategy, pairs=tuple(pairs))
+    _check_region(space, points, patch)
+    return SigmaMap(strategy=strategy, points=points, patch=patch, node=node)
 
 
-def _attempt(fn, *args):
-    """fn(*args), or the MeshfdError it raised."""
-    try:
-        return fn(*args)
-    except MeshfdError as exc:
-        return exc
+def _lagrange_rows(space, op, points, patch):
+    """`ndf.exactness_rows`' output by the cardinal route, one `spline.lagrange_row` per row."""
+    rows, errors = [], {}
+    for r, (y, p) in enumerate(zip(points, patch.tolist())):
+        try:
+            rows.append(lagrange_row(space, p, op, y))
+        except MeshfdError as exc:
+            errors[r] = exc
+    return (np.concatenate([np.zeros(0)] + [row.weights for row in rows]),
+            np.array([row.residual for row in rows], dtype=float), errors)
 
 
 def assemble(
@@ -200,55 +200,39 @@ def assemble(
     engine `ndf.exactness_rows` on the space's patch table; the
     ``"lagrange"`` route is the independent cardinal construction, one
     `spline.lagrange_row` per row.  A row that fails raises `AssemblyError`
-    carrying its row and patch index.
+    carrying its row and patch index.  A row's CSR columns are its patch's
+    influence-table slice, and its values the engine's flat output.
     """
     if route not in ("exactness", "lagrange"):
         raise ConfigError(f"unknown assembly route {route!r}")
     if route == "lagrange" and not space.interpolatory:
         raise ContractError("the cardinal-basis route requires an interpolatory space")
-    pairs = sigma.pairs
-    boundary = space.nodes.boundary_mask
-    dirichlet = [
-        bool(op.identity_on_boundary and p.node is not None and boundary[p.node]) for p in pairs
-    ]
-    free = [j for j, dj in enumerate(dirichlet) if not dj]
+    infl, m = space.table.influence, sigma.size
+    dirichlet = (sigma.node >= 0) & space.nodes.boundary_mask[sigma.node] & bool(op.identity_on_boundary)
+    free = np.flatnonzero(~dirichlet)
+    points, patch = sigma.points[free], sigma.patch[free]
     if route == "lagrange":
-        rows = [_attempt(lagrange_row, space, pairs[j].patch, op, pairs[j].point) for j in free]
-        rows = [row if isinstance(row, MeshfdError) else (row.weights, row.residual) for row in rows]
+        weights, residual, errors = _lagrange_rows(space, op, points, patch)
     else:
-        rows = exactness_rows(op, [pairs[j].point for j in free], space.table, [pairs[j].patch for j in free])
-    for j, row in zip(free, rows):
-        if isinstance(row, MeshfdError):
-            pair = pairs[j]
-            raise AssemblyError(
-                f"row {j} (patch {pair.patch}, point {pair.point.tolist()}): {row}",
-                row=j, patch=pair.patch,
-            ) from row
-    computed = dict(zip(free, rows))
+        weights, residual, errors = exactness_rows(op, points, space.table, patch)
+    if errors:
+        r = min(errors)
+        raise AssemblyError(f"row {free[r]} (patch {patch[r]}, point {points[r].tolist()}): {errors[r]}",
+                            row=int(free[r]), patch=int(patch[r])) from errors[r]
 
-    m, offsets, indices = len(pairs), space.table.influence.offsets, space.table.influence.indices
-    cols, vals, meta = [], [], []
-    rhs = np.empty(m)
-    for j, pair in enumerate(pairs):
-        if dirichlet[j]:
-            cols.append(np.array([pair.node]))
-            vals.append(np.array([1.0]))
-            data = dirichlet_data if dirichlet_data is not None else f
-            rhs[j] = float(data(pair.point))
-            residual = 0.0
-        else:
-            weights, residual = computed[j]
-            cols.append(indices[offsets[pair.patch]:offsets[pair.patch + 1]])
-            vals.append(weights)
-            rhs[j] = float(f(pair.point))
-        meta.append(RowMeta(point=pair.point, patch=pair.patch, residual=float(residual),
-                            dirichlet=dirichlet[j]))
-    row_idx = np.repeat(np.arange(m), [c.size for c in cols])
-    matrix = scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (row_idx, np.concatenate(cols))), shape=(m, space.nodes.n)
-    )
+    sizes = np.where(dirichlet, 1, infl.sizes[sigma.patch])
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    row = np.repeat(np.arange(m), sizes)  # each entry's row
+    data, indices, at = np.ones(indptr[-1]), sigma.node[row], ~dirichlet[row]  # a unit row: 1.0 at its node
+    data[at] = weights
+    indices[at] = infl.indices[(np.arange(indptr[-1]) + (infl.offsets[sigma.patch] - indptr[:-1])[row])[at]]
+    matrix = scipy.sparse.csr_matrix((data, indices, indptr), shape=(m, space.nodes.n))
     matrix.sort_indices()
-    return GlobalSystem(matrix=matrix, rhs=rhs, row_meta=tuple(meta))
+    bc = dirichlet_data if dirichlet_data is not None else f
+    rhs = np.array([float((bc if dj else f)(y)) for y, dj in zip(sigma.points, dirichlet.tolist())], dtype=float)
+    row_residual = np.zeros(m)
+    row_residual[free] = residual
+    return GlobalSystem(matrix=matrix, rhs=rhs, residual=row_residual, dirichlet=dirichlet)
 
 
 def _inverse_one_norm_estimate(lu, n, max_iters=5) -> float:

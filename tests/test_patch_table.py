@@ -39,7 +39,7 @@ def pipeline_outputs(wl, space, inputs) -> list:
         gs = m.assemble(space, PROBLEM.operator, PROBLEM.rhs, sigma, dirichlet_data=PROBLEM.dirichlet)
         solution = (m.solve_least_squares if wl.least_squares else m.solve_square)(gs)
         a = gs.matrix
-        return [a.data, a.indices, a.indptr, gs.rhs, [meta.residual for meta in gs.row_meta],
+        return [a.data, a.indices, a.indptr, gs.rhs, gs.residual,
                 solution.nodal_values]
     s = m.from_nodal_values(space, inputs.nodal_values)
     pou = m.PartitionOfUnity.for_space(space)

@@ -9,7 +9,6 @@ from meshfd.problems import preset
 from meshfd.spaces import PatchTable, StackedBasis
 from meshfd.solve import (
     GlobalSystem,
-    RowMeta,
     assemble,
     build_sigma,
     solve_least_squares,
@@ -137,11 +136,11 @@ class TestAssemble:
         ns, space = five_star_sublist_space(5)
         sigma = build_sigma(space, "same-index")
         gs = assemble(space, p.operator, p.rhs, sigma, dirichlet_data=p.dirichlet)
-        for j, meta in enumerate(gs.row_meta):
-            if meta.dirichlet:
-                row = gs.matrix.getrow(j)
-                assert row.nnz == 1
-                assert row.data[0] == 1.0
+        assert np.array_equal(gs.dirichlet, ns.boundary_mask)
+        for j in np.flatnonzero(gs.dirichlet):
+            row = gs.matrix.getrow(j)
+            assert row.nnz == 1
+            assert row.data[0] == 1.0
 
     def test_stencil_sparsity(self):
         ns = jittered_cloud(3, n_axis=8)
@@ -235,7 +234,7 @@ class TestBatchedAssembly:
                 expected = np.zeros(space.nodes.n)
                 expected[patch.influence.indices] = sw.weights
                 assert np.array_equal(gs.matrix[j].toarray()[0], expected)
-                assert gs.row_meta[j].residual == sw.residual
+                assert gs.residual[j] == sw.residual
 
     @pytest.mark.parametrize("op", [m.Operator("laplacian", identity_on_boundary=False), GENERAL_OP],
                              ids=["laplacian", "general"])
@@ -254,7 +253,7 @@ class TestBatchedAssembly:
                 monkeypatch.setattr(m.ndf, "CHUNK_ROWS", chunk_rows)
                 gs = assemble(space, op, lambda x: 0.0, sigma)
                 assert np.array_equal(gs.matrix.toarray(), expected)
-                assert [meta.residual for meta in gs.row_meta] == residuals
+                assert gs.residual.tolist() == residuals
 
     @pytest.mark.parametrize("chunk_rows", [7, 256])
     def test_rows_of_one_patch_share_one_stack(self, monkeypatch, chunk_rows):
@@ -392,7 +391,7 @@ class TestSolveSquare:
         gs = GlobalSystem(
             matrix=scipy.sparse.csr_matrix(np.ones((3, 2))),
             rhs=np.ones(3),
-            row_meta=tuple(RowMeta(np.zeros(1), 0, 0.0, False) for _ in range(3)),
+            residual=np.zeros(3), dirichlet=np.zeros(3, dtype=bool),
         )
         with pytest.raises(InvalidInputError):
             solve_square(gs)
@@ -401,7 +400,7 @@ class TestSolveSquare:
         a = scipy.sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         gs = GlobalSystem(
             matrix=a, rhs=np.ones(2),
-            row_meta=tuple(RowMeta(np.zeros(1), 0, 0.0, False) for _ in range(2)),
+            residual=np.zeros(2), dirichlet=np.zeros(2, dtype=bool),
         )
         with pytest.raises(SingularSystemError) as err:
             solve_square(gs)
@@ -464,7 +463,7 @@ class TestSolveLeastSquares:
         a = scipy.sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]]))
         gs = GlobalSystem(
             matrix=a, rhs=np.array([2.0, 2.0, 4.0]),
-            row_meta=tuple(RowMeta(np.zeros(1), 0, 0.0, False) for _ in range(3)),
+            residual=np.zeros(3), dirichlet=np.zeros(3, dtype=bool),
         )
         sol = solve_least_squares(gs)
         assert not sol.rank_report.full_rank
@@ -475,7 +474,7 @@ class TestSolveLeastSquares:
         a = scipy.sparse.csr_matrix(np.ones((2, 3)))
         gs = GlobalSystem(
             matrix=a, rhs=np.ones(2),
-            row_meta=tuple(RowMeta(np.zeros(1), 0, 0.0, False) for _ in range(2)),
+            residual=np.zeros(2), dirichlet=np.zeros(2, dtype=bool),
         )
         with pytest.raises(InvalidInputError):
             solve_least_squares(gs)
@@ -504,7 +503,7 @@ class TestLeastSquaresFallbacks:
     def system(self):
         return GlobalSystem(
             matrix=scipy.sparse.csr_matrix(self.A), rhs=self.B,
-            row_meta=tuple(RowMeta(np.zeros(1), 0, 0.0, False) for _ in range(4)),
+            residual=np.zeros(4), dirichlet=np.zeros(4, dtype=bool),
         )
 
     def test_dense_minimum_norm_branch(self):
