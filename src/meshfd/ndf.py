@@ -5,6 +5,9 @@ influence; the weights are determined by requiring the formula to be
 exact for every element of a generating space.  Polynomial spaces lead to
 a transposed Vandermonde system; kernel spaces with a polynomial tail
 lead to the symmetric saddle system whose multiplier block is discarded.
+A polynomial row's defect is measured on its space's basis; a kernel row's
+defect is the residual of its own saddle system, so the row path forms no
+moment-null basis (only nodal fits and spline values read one).
 
 There is one exactness implementation, the batched engine
 `exactness_rows`, whose rows are an (R, d) point array on patches of a
@@ -238,8 +241,8 @@ def _rank(a) -> int | None:
 def _poly_rows(op, y, basis, slots):
     """Stacked transposed Vandermonde systems: weights (R, n), residuals (R,) and {row: error}."""
     betas, coef = _operator_coefficients(op, y.shape[1], y)
-    e = basis.evaluate(None, rows=slots)[2]
-    t = basis.evaluate(y[:, None, :], betas, coef, slots)[2][:, 0, :]
+    e = basis.evaluate(None, rows=slots)
+    t = basis.evaluate(y[:, None, :], betas, coef, slots)[:, 0, :]
     n, dim = e.shape[1:]
     et = np.swapaxes(e, 1, 2)
     if n == dim:
@@ -265,7 +268,8 @@ def _kernel_rows(op, y, basis, slots):
     """Stacked saddle systems ``[[K, P], [P^T, 0]]``: weights (R, n), residuals (R,) and {row: error}.
 
     ``K`` and ``P`` are the scaled translates and the tail at the stencil
-    nodes, the kernel centres; the exactness defect is measured on the basis.
+    nodes, the kernel centres.  A row's defect is the residual of its own
+    saddle system (`_saddle_defects`); no moment-null basis is formed.
     """
     q, n_rows, (n, d) = len(basis.exponents), len(y), basis.centers.shape[1:]
     if basis.tail_rank < q:
@@ -276,20 +280,34 @@ def _kernel_rows(op, y, basis, slots):
         ) for r in range(n_rows)}
     betas, coef = _operator_coefficients(op, d, y)
     distinct, back = np.unique(slots, return_inverse=True)  # each patch's nodal blocks once per chunk
-    kmat, p, e = (block[back] for block in basis.evaluate(None, rows=distinct))
-    k_rhs, p_rhs, t = basis.evaluate(y[:, None, :], betas, coef, slots)
-    t = t[:, 0, :]
+    kmat, p = (block[back] for block in basis.blocks(None, rows=distinct))
+    k_rhs, p_rhs = basis.blocks(y[:, None, :], betas, coef, slots)
     a = np.block([[kmat, p], [np.swapaxes(p, 1, 2), np.zeros((n_rows, q, q))]])
-    sol, singular = stacked_solve(a, np.concatenate([k_rhs, p_rhs], axis=2)[:, 0, :])
+    rhs = np.concatenate([k_rhs, p_rhs], axis=2)[:, 0, :]
+    sol, singular = stacked_solve(a, rhs)
     w = sol[:, :n]
-    defect = _defects(w, e, t)
+    defect = _saddle_defects(a, sol, rhs, n)
     errors = {r: UnsolvableExactnessError(f"singular saddle system: {exc}") for r, exc in singular.items()}
     for r in np.flatnonzero(~(defect <= EXACTNESS_RTOL)).tolist():
         errors.setdefault(r, UnsolvableExactnessError(
             f"kernel exactness defect {defect[r]:.2e} on a {n}-node stencil",
-            rank=_rank(a[r]), n_conditions=e.shape[2], defect=float(defect[r]),
+            rank=_rank(a[r]), n_conditions=n + q, defect=float(defect[r]),
         ))
     return w, defect, errors
+
+
+def _saddle_defects(a, sol, rhs, n: int) -> np.ndarray:
+    """Max relative residual of stacked saddle systems ``a @ sol = rhs`` whose first ``n`` unknowns are weights.
+
+    Condition i is scaled by ``max(1, |rhs_i|, sum_j |a_ij| |w_j|)`` over the
+    weights only: a huge multiplier cannot enlarge the scale of its own
+    residual.  The tail conditions are then the exactness defects of the
+    tail polynomials.
+    """
+    lhs = (a @ sol[:, :, None])[:, :, 0]
+    term_scale = (np.abs(a[:, :, :n]) @ np.abs(sol[:, :n, None]))[:, :, 0]
+    denom = np.maximum(1.0, np.maximum(np.abs(rhs), term_scale))
+    return np.max(np.abs(lhs - rhs) / denom, axis=1)
 
 
 def verify_exactness(sw: StencilWeights, space, op: Operator) -> float:

@@ -150,6 +150,9 @@ def build_sigma(space: OverlapSplineSpace, strategy: str, collocation_points=Non
         points = np.atleast_2d(np.asarray(collocation_points, dtype=float))
         if points.shape[1] != nodes.d:
             raise InvalidInputError("collocation points must match the node dimension")
+        bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+        if bad.size:
+            raise InvalidInputError(f"collocation point {bad[0]} is not finite: {points[bad[0]].tolist()}")
         centers, patch, repeats = infl.centers, np.empty(len(points), dtype=int), {}
         for j, y in enumerate(points):
             rank = repeats[(y + 0.0).tobytes()] = repeats.get((y + 0.0).tobytes(), -1) + 1

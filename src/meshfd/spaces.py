@@ -23,8 +23,10 @@ per (dimension, degree, list) and shared by every space built from it.
 A collection of patches is one `PatchTable`, filled by the recipes in array
 operations (a recipe stays callable on one influence set) or from checked
 hand-made pairings.  Its `StackedBasis` groups (`stack_spaces`) evaluate
-many patches at once; exactness rows, nodal fits and spline values take
-their matrices from them, so the basis layout is known here only.
+many patches at once, so the basis layout is known here only.  Kernel
+exactness rows take the translates and tail monomials (`StackedBasis.blocks`);
+nodal fits and spline values take the basis (`StackedBasis.evaluate`), the
+only reader of the moment-null bases.
 """
 
 from __future__ import annotations
@@ -376,10 +378,11 @@ class StackedBasis:
     """Patches of one shape and one dimension, stacked along a leading axis by `stack_spaces`.
 
     ``centers`` (g, s, d) are the stencil nodes, ``indices`` (g, s) their
-    node indices.  Kernel part: ``norm`` (g,) and the moment-null bases
-    ``null`` (g, s, s - tail_rank), None without a tail.  Polynomial part (a
-    tail or a `PolySpace`): ``exponents``, ``shift`` (g, d), ``scale`` (g,) and
-    ``tail_at_centers`` (g, s, q), its values at the stencil nodes.
+    node indices.  Kernel part: ``norm`` (g,) and ``tail_rank``, the rank of
+    every tail at the nodes.  Polynomial part (a tail or a `PolySpace`):
+    ``exponents``, ``shift`` (g, d), ``scale`` (g,) and ``tail_at_centers``
+    (g, s, q), its values at the stencil nodes.  The moment-null bases
+    ``null`` are computed on first access: only `evaluate` reads them.
     """
 
     kernel: Kernel | None
@@ -390,35 +393,60 @@ class StackedBasis:
     shift: np.ndarray
     scale: np.ndarray
     tail_at_centers: np.ndarray
-    null: np.ndarray | None
     tail_rank: int
 
     @property
     def dim(self) -> int:
         return (0 if self.kernel is None else self.centers.shape[1]) - self.tail_rank + len(self.exponents)
 
-    def evaluate(self, points, betas=None, coef=None, rows=slice(None)) -> tuple:
-        """Scaled kernel translates (R, m, s), tail monomials (R, m, q) and basis (R, m, dim).
+    @cached_property
+    def null(self) -> np.ndarray | None:
+        """Moment-null bases (g, s, s - tail_rank), each `KernelSpace.moment_null`; None without a kernel tail."""
+        if self.kernel is None or not self.exponents:
+            return None
+        _, _, vt = np.linalg.svd(np.swapaxes(self.tail_at_centers, 1, 2), full_matrices=True)
+        return np.swapaxes(vt[:, self.tail_rank:, :], 1, 2)
+
+    def blocks(self, points, betas=None, coef=None, rows=slice(None)) -> tuple:
+        """Scaled kernel translates (R, m, s), None without a kernel, and tail monomials (R, m, q).
 
         ``points`` (R, m, d) belong to the stacked patches ``rows``; None means
-        their stencil nodes, whose stacked tail block gives the nodal matrix.
+        the values at their stencil nodes, whose translate matrix is evaluated
+        once per node pair and mirrored, and whose tail block is stacked.
         ``betas`` is one derivative multi-index (default: values) or, with
         ``coef`` (R, len(betas)), an operator's terms to sum.
         """
         centers = self.centers[rows]
-        at = centers if points is None else points
-        betas = [(0,) * at.shape[2]] if betas is None else betas
+        if points is None:
+            translates = None if self.kernel is None else self._nodal_translates(centers, self.norm[rows])
+            return translates, self.tail_at_centers[rows]
+        betas = [(0,) * points.shape[2]] if betas is None else betas
         translates = None if self.kernel is None else self.norm[rows][:, None, None] * _derivative_sum(
-            lambda beta: kernel_derivative(self.kernel, at[:, :, None, :] - centers[:, None, :, :], beta),
-            betas, coef, at.shape[:2] + centers.shape[1:2])
+            lambda beta: kernel_derivative(self.kernel, points[:, :, None, :] - centers[:, None, :, :], beta),
+            betas, coef, points.shape[:2] + centers.shape[1:2])
         scale = self.scale[rows]
-        z = (at - self.shift[rows][:, None, :]) / scale[:, None, None]
-        tail = self.tail_at_centers[rows] if points is None else _derivative_sum(
-            lambda beta: monomial_derivatives(z, self.exponents, beta, scale[:, None]),
-            betas, coef, at.shape[:2] + (len(self.exponents),))
-        if self.null is None:
-            return translates, tail, tail if translates is None else translates
-        return translates, tail, np.concatenate([translates @ self.null[rows], tail], axis=2)
+        z = (points - self.shift[rows][:, None, :]) / scale[:, None, None]
+        tail = _derivative_sum(lambda beta: monomial_derivatives(z, self.exponents, beta, scale[:, None]),
+                               betas, coef, points.shape[:2] + (len(self.exponents),))
+        return translates, tail
+
+    def _nodal_translates(self, centers, norm) -> np.ndarray:
+        """``norm * K(x_i, x_j)`` (R, s, s) from the pairs i < j, mirrored, with ``norm * phi(0)`` on the diagonal."""
+        s = centers.shape[1]
+        upper = np.triu_indices(s, 1)
+        out = np.empty((centers.shape[0], s, s))
+        out[:, upper[0], upper[1]] = out[:, upper[1], upper[0]] = norm[:, None] * kernel_derivative(
+            self.kernel, centers[:, upper[0]] - centers[:, upper[1]], (0,) * centers.shape[2])
+        out[:, np.arange(s), np.arange(s)] = norm[:, None] * self.kernel.phi(np.zeros(1))
+        return out
+
+    def evaluate(self, points, betas=None, coef=None, rows=slice(None)) -> np.ndarray:
+        """The basis (R, m, dim) built from `blocks`: translates times the moment-null bases, then the tail."""
+        translates, tail = self.blocks(points, betas, coef, rows)
+        if translates is None:
+            return tail
+        null = self.null
+        return translates if null is None else np.concatenate([translates @ null[rows], tail], axis=2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -495,10 +523,10 @@ class PatchTable:
 def stack_spaces(table: PatchTable, patches) -> list[tuple[np.ndarray, StackedBasis]]:
     """(member positions in ``patches``, evaluator) per group of table rows with one shape and size.
 
-    A kernel group's tails at its nodes go through one batched SVD, whose
-    ranks split the group by dimension (a tail of deficient rank widens the
-    moment-null block) and whose right singular vectors are the moment-null
-    bases.
+    A kernel group's tails at its nodes go through one batched SVD of
+    singular values only, whose ranks split the group by dimension (a tail
+    of deficient rank widens the moment-null block).  The moment-null bases
+    are left to `StackedBasis.null`, which only evaluation reads.
     """
     patches = np.asarray(patches, dtype=np.intp).reshape(-1)
     infl = table.influence
@@ -513,16 +541,15 @@ def stack_spaces(table: PatchTable, patches) -> list[tuple[np.ndarray, StackedBa
         centers, shift, scale = infl.points[at], table.shift[rows], table.scale[rows]
         tail = monomial_derivatives((centers - shift[:, None, :]) / scale[:, None, None], exps,
                                     (0,) * centers.shape[2])
-        rank, vt = np.zeros(rows.size, dtype=np.intp), None
+        rank = np.zeros(rows.size, dtype=np.intp)
         if kernel is not None and exps:
-            _, sv, vt = np.linalg.svd(np.swapaxes(tail, 1, 2), full_matrices=True)
+            sv = np.linalg.svd(tail, compute_uv=False)
             rank = np.count_nonzero(sv > RANK_RTOL * sv[:, :1], axis=1)
         for r in sorted(set(rank.tolist())):
             sel = rank == r
-            null = None if vt is None else np.swapaxes(vt[sel, r:, :], 1, 2)
             out.append((members[sel], StackedBasis(kernel, centers[sel], infl.indices[at[sel]],
                                                    table.norm[rows[sel]], exps, shift[sel], scale[sel],
-                                                   tail[sel], null, int(r))))
+                                                   tail[sel], int(r))))
     return out
 
 

@@ -167,7 +167,7 @@ class OverlapSplineSpace:
                 failing.append(members)
                 continue
             for lo in range(0, members.size, CHUNK_ROWS):
-                sv = np.linalg.svd(basis.evaluate(None, rows=slice(lo, lo + CHUNK_ROWS))[2], compute_uv=False)
+                sv = np.linalg.svd(basis.evaluate(None, rows=slice(lo, lo + CHUNK_ROWS)), compute_uv=False)
                 rank = np.count_nonzero(sv > RANK_RTOL * sv[:, :1], axis=1)
                 failing.append(members[lo:lo + CHUNK_ROWS][rank < basis.dim])
         return tuple(np.sort(np.concatenate([np.zeros(0, dtype=int)] + failing)).tolist())
@@ -214,7 +214,7 @@ class OverlapSpline:
             for lo in range(0, rows.size, EVAL_CHUNK_PAIRS):
                 chunk = rows[lo:lo + EVAL_CHUNK_PAIRS]
                 at = slot[patches[chunk]]
-                values = basis.evaluate(points[chunk, None, :], rows=at)[2][:, 0, :]
+                values = basis.evaluate(points[chunk, None, :], rows=at)[:, 0, :]
                 out[chunk] = (values * coeffs[at]).sum(axis=1)
         return out
 
@@ -355,7 +355,7 @@ def from_nodal_values(space: OverlapSplineSpace, values) -> OverlapSpline:
         for lo in range(0, members.size, CHUNK_ROWS):
             chunk, rows = members[lo:lo + CHUNK_ROWS], slice(lo, lo + CHUNK_ROWS)
             local = values[basis.indices[rows]]
-            e = basis.evaluate(None, rows=rows)[2]
+            e = basis.evaluate(None, rows=rows)
             c, _ = stacked_solve(e, local)
             defect = np.max(np.abs((e @ c[..., None])[..., 0] - local), axis=1)
             good = defect <= INTERPOLATION_RTOL * (1.0 + np.max(np.abs(local), axis=1))

@@ -6,6 +6,16 @@ import meshfd as m
 
 FIVE_STAR_SUBLIST = [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2)]
 
+# Point-dependent coefficients; the first-order x term vanishes on half the
+# points, so rows of one chunk carry different sets of derivative terms.
+GENERAL_OP = m.Operator(
+    "general-second-order",
+    a=lambda x: np.array([[1.0 + x[0], 0.3 * x[1]], [0.3 * x[1], 2.0 - x[1]]]),
+    b=lambda x: np.array([max(x[0] - 0.5, 0.0), 1.0]),
+    c=lambda x: float(x[0] * x[1]),
+    identity_on_boundary=False,
+)
+
 
 def grid1d(n_intervals, bounds=(0.0, 1.0)):
     return m.generate_grid(1, n_intervals + 1, [bounds])

@@ -74,6 +74,13 @@ class TestNearestNode:
         assert sigma.node.tolist() == [4, 4, 4]
         assert np.signbit(sigma.points[1, 0])  # the point itself is kept as given
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_point_rejected(self, bad):
+        ns = m.generate_grid(1, 9, [(-1.0, 1.0)])
+        space = m.build_space(ns, "all", ("knn", 3), m.poly_patch_recipe(2))
+        with pytest.raises(InvalidInputError, match="collocation point 0 is not finite"):
+            m.build_sigma(space, "nearest-node", collocation_points=[[bad], [0.1]])
+
     def test_nodes_of_one_batched_query_equal_one_query_per_point(self):
         ns = jittered_cloud(2, n_axis=7)
         space = m.build_space(ns, "all", ("knn", 6), m.poly_patch_recipe(2))

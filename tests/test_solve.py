@@ -16,6 +16,7 @@ from meshfd.solve import (
 )
 
 from helpers import (
+    GENERAL_OP,
     five_star_sublist_space,
     jittered_cloud,
     quadratic_overlap_space_1d,
@@ -196,17 +197,6 @@ def one_row(op, pair, patch):
 
 R3_TAIL1 = m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0), augmentation_degree=1)
 
-# Point-dependent coefficients; the first-order x term vanishes on half the
-# points, so rows of one chunk carry different sets of derivative terms.
-GENERAL_OP = m.Operator(
-    "general-second-order",
-    a=lambda x: np.array([[1.0 + x[0], 0.3 * x[1]], [0.3 * x[1], 2.0 - x[1]]]),
-    b=lambda x: np.array([max(x[0] - 0.5, 0.0), 1.0]),
-    c=lambda x: float(x[0] * x[1]),
-    identity_on_boundary=False,
-)
-
-
 class TestBatchedAssembly:
     def mixed_spaces(self):
         """Kernel kNN patches plus single-node constant patches, and range stencils of varying size."""
@@ -280,14 +270,14 @@ class TestBatchedAssembly:
         ns = m.generate_scattered(2, 30, [(0.0, 1.0), (0.0, 1.0)], source="halton")
         space = m.build_space(ns, "all", ("knn", 9), R3_TAIL1)
         sigma = build_sigma(space, "per-set-aggregate")
-        at_nodes, evaluate = [], StackedBasis.evaluate
+        at_nodes, blocks = [], StackedBasis.blocks
 
         def counting(basis, points, betas=None, coef=None, rows=slice(None)):
             if points is None:  # patch i is centred on node i, its first stencil node
                 at_nodes.append(basis.indices[rows][:, 0].tolist())
-            return evaluate(basis, points, betas, coef, rows)
+            return blocks(basis, points, betas, coef, rows)
 
-        monkeypatch.setattr(StackedBasis, "evaluate", counting)
+        monkeypatch.setattr(StackedBasis, "blocks", counting)
         assemble(space, m.Operator("laplacian", identity_on_boundary=False), lambda x: 0.0, sigma)
         patches = [pair.patch for pair in sigma.pairs]
         chunks = [sorted(set(patches[lo:lo + chunk_rows])) for lo in range(0, len(patches), chunk_rows)]

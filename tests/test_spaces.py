@@ -379,7 +379,7 @@ class TestStackedBasis:
         assert sorted(np.concatenate([members for members, _ in groups]).tolist()) == list(range(len(spaces)))
         for members, basis in groups:
             pts = rng.random((members.size, 3, 2))
-            got = basis.evaluate(pts, [beta])[2]
+            got = basis.evaluate(pts, [beta])
             for j, i in enumerate(members):
                 assert basis.dim == spaces[i].dim
                 oracle = spaces[i].eval_basis_derivative(pts[j], beta)
@@ -399,9 +399,9 @@ class TestStackedBasis:
         pts = rng.random((basis.centers.shape[0], 1, 2))
         betas = [(2, 0), (1, 1), (0, 2)]
         coef = rng.standard_normal((pts.shape[0], 3))
-        parts = [basis.evaluate(pts, [beta])[2] for beta in betas]
+        parts = [basis.evaluate(pts, [beta]) for beta in betas]
         expected = sum(coef[:, k, None, None] * part for k, part in enumerate(parts))
-        assert np.allclose(basis.evaluate(pts, betas, coef)[2], expected, rtol=1e-12, atol=1e-9)
+        assert np.allclose(basis.evaluate(pts, betas, coef), expected, rtol=1e-12, atol=1e-9)
 
     def test_kernel_group_splits_by_tail_rank(self):
         line = np.column_stack([np.linspace(0.0, 1.0, 4), np.linspace(0.0, 0.5, 4)])
