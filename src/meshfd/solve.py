@@ -6,8 +6,10 @@ row for that point is the operator applied to the patch's cardinal basis
 patch's influence set.  Dirichlet nodes receive exact unit rows.  Rows are
 arrays, not objects: a `SigmaMap` holds each row's point, patch and node, a
 `GlobalSystem` each row's residual and Dirichlet flag, and the CSR arrays are
-gathered straight from the influence table.  Square systems go through a
-sparse direct factorization; overdetermined systems are solved in the
+gathered straight from the influence table.  A square solve imposes the
+Dirichlet values exactly: the unit rows fix their nodes, the known columns
+move to the right-hand side, and only the interior block goes through a
+sparse direct factorization.  Overdetermined systems are solved in the
 least-squares sense with an explicit normal-equation residual check and a
 flagged minimum-norm fallback on rank deficiency.
 """
@@ -20,6 +22,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.spatial import cKDTree
 
 from .errors import (
     AssemblyError,
@@ -29,6 +32,7 @@ from .errors import (
     MeshfdError,
     SingularSystemError,
 )
+from .geometry import _TIE_MARGIN
 from .linalg import RANK_RTOL
 from .ndf import exactness_rows
 from .operators import Operator
@@ -36,6 +40,12 @@ from .spline import OverlapSplineSpace, lagrange_row
 
 # Acceptance bound for the normal-equation residual of a least-squares solve.
 NORMAL_EQUATION_RTOL = 1e-7
+
+# Factorization of the interior block of a square solve: SuperLU's minimum
+# degree ordering on the pattern of B + B^T, in symmetric mode, keeping a
+# diagonal pivot unless it is below this share of its column's largest entry.
+SQUARE_ORDERING = "MMD_AT_PLUS_A"
+SQUARE_PIVOT_THRESH = 0.1
 
 # Largest dense fallback for rank-deficient least squares, in matrix entries.
 _DENSE_FALLBACK_ENTRIES = 4_000_000
@@ -115,6 +125,30 @@ def _check_region(space, points, patch):
         )
 
 
+def _nearest_centers(centers, points) -> np.ndarray:
+    """Each point's patch by (exact distance, patch index); the r-th repeat of a point takes rank r.
+
+    A kd-tree of the centres gives each point's rank-r distance; every centre
+    within it (padded by the tree's rounding slack) is re-ranked by exact
+    distance, so the pick equals that of sorting all centres.
+    """
+    key = np.unique(points + 0.0, axis=0, return_inverse=True)[1].reshape(-1)  # -0.0 equals 0.0
+    order = np.argsort(key, kind="stable")
+    rank = np.empty(len(points), dtype=int)
+    rank[order] = np.arange(len(points)) - np.searchsorted(key[order], key[order])
+    over = np.flatnonzero(rank >= len(centers))
+    if over.size:
+        raise ConfigError(f"collocation point {points[over[0]].tolist()} repeats more often than there are patches")
+    tree, k = cKDTree(centers), int(rank.max(initial=0)) + 1
+    kth = tree.query(points, k=k)[0].reshape(len(points), k)[np.arange(len(points)), rank]
+    balls = tree.query_ball_point(points, kth * (1.0 + _TIE_MARGIN) + 1e-300)
+    owner = np.repeat(np.arange(len(points)), [len(b) for b in balls])
+    cand = np.concatenate([np.zeros(0, dtype=int), *balls]).astype(int)
+    dist = np.linalg.norm(centers[cand] - points[owner], axis=1)
+    cand = cand[np.lexsort((cand, dist, owner))]
+    return cand[np.searchsorted(owner, np.arange(len(points))) + rank]
+
+
 def build_sigma(space: OverlapSplineSpace, strategy: str, collocation_points=None) -> SigmaMap:
     """Assign a patch to every collocation point.
 
@@ -153,13 +187,7 @@ def build_sigma(space: OverlapSplineSpace, strategy: str, collocation_points=Non
         bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
         if bad.size:
             raise InvalidInputError(f"collocation point {bad[0]} is not finite: {points[bad[0]].tolist()}")
-        centers, patch, repeats = infl.centers, np.empty(len(points), dtype=int), {}
-        for j, y in enumerate(points):
-            rank = repeats[(y + 0.0).tobytes()] = repeats.get((y + 0.0).tobytes(), -1) + 1
-            order = np.lexsort((np.arange(len(centers)), np.linalg.norm(centers - y, axis=1)))
-            if rank >= len(order):
-                raise ConfigError(f"collocation point {y.tolist()} repeats more often than there are patches")
-            patch[j] = order[rank]
+        patch = _nearest_centers(infl.centers, points)
         node_dist, node_idx = nodes.tree.query(points)
         node = np.where(node_dist <= 1e-12 * max(1.0, nodes.diameter), node_idx, -1)
 
@@ -275,24 +303,54 @@ def _dense_cond(matrix) -> float:
 
 
 def solve_square(gs: GlobalSystem) -> Solution:
-    """Direct sparse factorization of a square collocation system."""
+    """Direct sparse solve of a square collocation system, Dirichlet unknowns eliminated.
+
+    Every flagged Dirichlet row must be a unit row (one stored entry, 1.0);
+    it fixes its node's value to its right-hand side exactly, and the known
+    columns move to the right-hand side of the interior rows.  Only the
+    interior block (interior rows by unfixed nodes) is factored, with a
+    minimum-degree ordering of its symmetrized pattern and a diagonal pivot
+    preference (`SQUARE_ORDERING`, `SQUARE_PIVOT_THRESH`).  The residual is
+    that of the full system; the condition estimate is the factored
+    block's.  Two unit rows on one node leave the block non-square and
+    raise `SingularSystemError`.
+    """
     m, n = gs.shape
     if m != n:
         raise InvalidInputError(f"square solve needs M == N, got {m} x {n}")
-    a = gs.matrix.tocsc()
+    a = gs.matrix.tocsr()
+    rows = np.flatnonzero(gs.dirichlet)
+    start = a.indptr[rows]
+    unit = a.indptr[rows + 1] - start == 1
+    unit[unit] = a.data[start[unit]] == 1.0
+    if not unit.all():
+        raise InvalidInputError(f"Dirichlet row {rows[~unit][0]} is not a unit row (one entry, 1.0)")
+    known = a.indices[start]
+    fixed = np.zeros(n, dtype=bool)
+    fixed[known] = True
+    if np.count_nonzero(fixed) < known.size:
+        twice = np.flatnonzero(np.bincount(known, minlength=n) > 1)[0]
+        raise SingularSystemError(f"two Dirichlet rows fix node {twice}: the interior block is not square",
+                                  cond_estimate=float("inf"))
+    u = np.zeros(n)
+    u[known] = gs.rhs[rows]
+    interior = a[~gs.dirichlet]
+    free = np.flatnonzero(~fixed)
+    block = interior[:, free].tocsc()
     try:
-        lu = scipy.sparse.linalg.splu(a)
-        u = lu.solve(gs.rhs)
+        lu = scipy.sparse.linalg.splu(block, permc_spec=SQUARE_ORDERING, diag_pivot_thresh=SQUARE_PIVOT_THRESH,
+                                      options={"SymmetricMode": True})
+        u[free] = lu.solve(gs.rhs[~gs.dirichlet] - interior @ u)
     except (RuntimeError, ValueError) as exc:
         raise SingularSystemError(
-            f"singular collocation system: {exc}", cond_estimate=_dense_cond(gs.matrix)
+            f"singular collocation system: {exc}", cond_estimate=_dense_cond(block)
         ) from None
     if not np.all(np.isfinite(u)):
         raise SingularSystemError(
-            "factorization produced non-finite values", cond_estimate=_dense_cond(gs.matrix)
+            "factorization produced non-finite values", cond_estimate=_dense_cond(block)
         )
     residual = float(np.linalg.norm(gs.matrix @ u - gs.rhs))
-    cond = _cond_estimate_from_lu(gs.matrix, lu)
+    cond = _cond_estimate_from_lu(block, lu) if free.size else 1.0  # all unit rows: a permutation
     return Solution(
         nodal_values=u,
         residual_norm=residual,

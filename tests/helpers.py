@@ -5,6 +5,7 @@ import numpy as np
 import meshfd as m
 
 FIVE_STAR_SUBLIST = [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2)]
+SEVEN_STAR_SUBLIST = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (0, 2, 0), (0, 0, 2)]
 
 # Point-dependent coefficients; the first-order x term vanishes on half the
 # points, so rows of one chunk carry different sets of derivative terms.
@@ -39,6 +40,18 @@ def five_star_sublist_space(n_intervals):
     space = m.build_space(
         ns, "interior", ("range", 1.2 * h),
         m.poly_patch_recipe(2, sublist=FIVE_STAR_SUBLIST),
+        uncovered="constant-patch",
+    )
+    return ns, space
+
+
+def seven_star_sublist_space(n_intervals):
+    """3-D grid patches on the 7-stars with the axis-aligned quadratic sublist."""
+    ns = m.generate_grid(3, n_intervals + 1, [(0.0, 1.0)] * 3)
+    h = 1.0 / n_intervals
+    space = m.build_space(
+        ns, "interior", ("range", 1.2 * h),
+        m.poly_patch_recipe(2, sublist=SEVEN_STAR_SUBLIST),
         uncovered="constant-patch",
     )
     return ns, space

@@ -33,6 +33,15 @@ def brute_force_same_index(space):
     return picks
 
 
+def brute_force_nearest_node(space, points):
+    """The r-th repeat of a point takes the r-th centre by (exact distance, patch index) over all centres."""
+    centers, picks, repeats = space.table.influence.centers, [], {}
+    for y in np.asarray(points, dtype=float):
+        rank = repeats[(y + 0.0).tobytes()] = repeats.get((y + 0.0).tobytes(), -1) + 1
+        picks.append(int(np.lexsort((np.arange(len(centers)), np.linalg.norm(centers - y, axis=1)))[rank]))
+    return picks
+
+
 def cell_centred_space():
     """A 5 x 5 grid with patches at the 16 cell centres: no node is a centre, and every node is tied."""
     ns = m.generate_grid(2, 5, [(0.0, 1.0), (0.0, 1.0)])
@@ -73,6 +82,25 @@ class TestNearestNode:
         assert sigma.patch.tolist() == [4, 3, 5]
         assert sigma.node.tolist() == [4, 4, 4]
         assert np.signbit(sigma.points[1, 0])  # the point itself is kept as given
+
+    def test_picks_equal_the_brute_force_rule(self):
+        space = cell_centred_space()  # every node and cell edge midpoint is equidistant from 2-4 centres
+        ties = np.vstack([space.nodes.points, [[0.25, 0.5], [0.5, 0.125]]])
+        cloud = m.build_space(jittered_cloud(6, n_axis=12), "all", ("knn", 6), m.poly_patch_recipe(1))
+        rng = np.random.default_rng(6)
+        scattered = np.vstack([rng.random((200, 2)), cloud.nodes.points[::7], [[0.0, 0.5], [-0.0, 0.5]]])
+        for sp, points in ((space, ties), (cloud, scattered)):
+            points = np.vstack([points, np.tile(points[3], (5, 1)), points[::4]])  # repeats, interleaved
+            picks = m.build_sigma(sp, "nearest-node", collocation_points=points).patch.tolist()
+            assert picks == brute_force_nearest_node(sp, points)
+
+    def test_more_repeats_than_patches_rejected(self):
+        space = cell_centred_space()
+        points = np.vstack([[[0.1, 0.1]], np.tile([0.5, 0.5], (17, 1))])
+        assert m.build_sigma(space, "nearest-node", collocation_points=points[:17]).patch.tolist() == \
+            brute_force_nearest_node(space, points[:17])
+        with pytest.raises(m.ConfigError, match=r"point \[0.5, 0.5\] repeats more often than there are patches"):
+            m.build_sigma(space, "nearest-node", collocation_points=points)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_point_rejected(self, bad):

@@ -18,6 +18,7 @@ from meshfd.solve import (
 from helpers import (
     GENERAL_OP,
     five_star_sublist_space,
+    halton_r3_space,
     jittered_cloud,
     quadratic_overlap_space_1d,
 )
@@ -395,6 +396,96 @@ class TestSolveSquare:
         with pytest.raises(SingularSystemError) as err:
             solve_square(gs)
         assert err.value.cond_estimate is not None
+
+
+def _hand_system(rows, dirichlet, rhs):
+    return GlobalSystem(matrix=scipy.sparse.csr_matrix(np.array(rows, dtype=float)),
+                        rhs=np.array(rhs, dtype=float), residual=np.zeros(len(rows)),
+                        dirichlet=np.array(dirichlet, dtype=bool))
+
+
+def _boundary_data(x):
+    return 1.0 + float(np.sum(x))
+
+
+ELIMINATION_SYSTEMS = {
+    "bvp1d": lambda: (quadratic_overlap_space_1d(16)[1], preset("bvp1d")),
+    "five-star": lambda: (five_star_sublist_space(8)[1], preset("poisson2d")),
+    "r3-tail2": lambda: (halton_r3_space(60)[1], preset("poisson2d")),
+}
+
+
+class TestEliminatedSolve:
+    """The Dirichlet unknowns are imposed exactly and only the interior block is factored."""
+
+    def system(self, name):
+        space, p = ELIMINATION_SYSTEMS[name]()
+        return assemble(space, p.operator, p.rhs, build_sigma(space, "same-index"),
+                        dirichlet_data=_boundary_data)
+
+    @pytest.mark.parametrize("name", sorted(ELIMINATION_SYSTEMS))
+    def test_agrees_with_a_dense_solve_of_the_full_system(self, name):
+        gs = self.system(name)
+        assert gs.dirichlet.any()
+        ref = np.linalg.solve(gs.matrix.toarray(), gs.rhs)
+        u = solve_square(gs).nodal_values
+        assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("name", sorted(ELIMINATION_SYSTEMS))
+    def test_dirichlet_values_are_the_rhs_bit_for_bit(self, name):
+        gs = self.system(name)
+        rows = np.flatnonzero(gs.dirichlet)
+        nodes = gs.matrix.indices[gs.matrix.indptr[rows]]
+        u = solve_square(gs).nodal_values
+        assert np.array_equal(u[nodes], gs.rhs[rows])
+        assert np.unique(gs.rhs[rows]).size > 1  # non-constant boundary data
+
+    def test_splu_gets_the_interior_block(self, monkeypatch):
+        gs = self.system("five-star")
+        seen, splu = [], scipy.sparse.linalg.splu
+
+        def spy(a, **kwargs):
+            seen.append((a.shape, kwargs))
+            return splu(a, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+        sol = solve_square(gs)
+        n, d = gs.shape[0], int(gs.dirichlet.sum())
+        assert seen == [((n - d, n - d), {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.1,
+                                          "options": {"SymmetricMode": True}})]
+        block = gs.matrix.toarray()[~gs.dirichlet][:, ~gs.dirichlet]  # each unit row sits on its own node
+        assert sol.rank_report.cond_estimate == pytest.approx(np.linalg.cond(block, 1), rel=1e-9)
+        assert sol.residual_norm == np.linalg.norm(gs.matrix @ sol.nodal_values - gs.rhs)
+
+    def test_two_unit_rows_on_one_node_raise(self):
+        gs = _hand_system([[1, 0, 0], [1, 0, 0], [1, -2, 1]], [True, True, False], [1, 2, 0])
+        with pytest.raises(SingularSystemError, match="two Dirichlet rows fix node 0"):
+            solve_square(gs)
+
+    @pytest.mark.parametrize("row", [[1, 1, 0], [2, 0, 0], [0, 0, 0]], ids=["two-entries", "not-one", "empty"])
+    def test_flagged_row_that_is_not_a_unit_row_raises(self, row):
+        gs = _hand_system([row, [1, -2, 1], [0, 0, 1]], [True, False, True], [1, 0, 3])
+        with pytest.raises(InvalidInputError, match="Dirichlet row 0 is not a unit row"):
+            solve_square(gs)
+
+    def test_system_without_dirichlet_rows(self):
+        rows = [[4, -1, 0.5], [-1, 3, -1], [0.25, -1, 2]]
+        gs = _hand_system(rows, [False] * 3, [1, 2, 3])
+        sol = solve_square(gs)
+        assert np.allclose(sol.nodal_values, np.linalg.solve(rows, [1, 2, 3]), rtol=1e-14, atol=0.0)
+
+    def test_system_of_unit_rows_only(self):
+        gs = _hand_system([[0, 1, 0], [0, 0, 1], [1, 0, 0]], [True] * 3, [1.5, -2.5, 3.5])
+        sol = solve_square(gs)
+        assert sol.nodal_values.tolist() == [3.5, 1.5, -2.5]
+        assert sol.residual_norm == 0.0
+        assert sol.rank_report.cond_estimate == 1.0
+
+    def test_singular_interior_block_reported_with_its_condition(self):
+        gs = _hand_system([[1, 0, 0], [0, 1, 1], [5, 1, 1]], [True, False, False], [1, 2, 3])
+        with pytest.raises(SingularSystemError) as err:
+            solve_square(gs)
+        assert err.value.cond_estimate > 1e15
 
 
 class TestSolveLeastSquares:
