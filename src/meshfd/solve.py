@@ -9,9 +9,11 @@ arrays, not objects: a `SigmaMap` holds each row's point, patch and node, a
 gathered straight from the influence table.  A square solve imposes the
 Dirichlet values exactly: the unit rows fix their nodes, the known columns
 move to the right-hand side, and only the interior block goes through a
-sparse direct factorization.  Overdetermined systems are solved in the
-least-squares sense with an explicit normal-equation residual check and a
-flagged minimum-norm fallback on rank deficiency.
+sparse direct factorization, its unknowns (and the interior rows with them)
+in lexicographic order of their node coordinates, so that its fill does not
+depend on how the nodes are labelled.  Overdetermined systems are solved in
+the least-squares sense with an explicit normal-equation residual check and
+a flagged minimum-norm fallback on rank deficiency.
 """
 
 from __future__ import annotations
@@ -82,12 +84,14 @@ class SigmaMap:
 
 @dataclass(frozen=True, eq=False)
 class GlobalSystem:
-    """The sparse system, and per row its exactness residual (0 for a unit row) and Dirichlet flag."""
+    """The sparse system; per row its exactness residual (0 for a unit row) and Dirichlet flag;
+    per column its node's coordinates, ``points`` (N, d)."""
 
     matrix: scipy.sparse.csr_matrix
     rhs: np.ndarray
     residual: np.ndarray
     dirichlet: np.ndarray
+    points: np.ndarray
 
     @property
     def shape(self):
@@ -263,7 +267,8 @@ def assemble(
     rhs = np.array([float((bc if dj else f)(y)) for y, dj in zip(sigma.points, dirichlet.tolist())], dtype=float)
     row_residual = np.zeros(m)
     row_residual[free] = residual
-    return GlobalSystem(matrix=matrix, rhs=rhs, residual=row_residual, dirichlet=dirichlet)
+    return GlobalSystem(matrix=matrix, rhs=rhs, residual=row_residual, dirichlet=dirichlet,
+                        points=space.nodes.points)
 
 
 def _inverse_one_norm_estimate(lu, n, max_iters=5) -> float:
@@ -308,12 +313,19 @@ def solve_square(gs: GlobalSystem) -> Solution:
     Every flagged Dirichlet row must be a unit row (one stored entry, 1.0);
     it fixes its node's value to its right-hand side exactly, and the known
     columns move to the right-hand side of the interior rows.  Only the
-    interior block (interior rows by unfixed nodes) is factored, with a
-    minimum-degree ordering of its symmetrized pattern and a diagonal pivot
-    preference (`SQUARE_ORDERING`, `SQUARE_PIVOT_THRESH`).  The residual is
-    that of the full system; the condition estimate is the factored
-    block's.  Two unit rows on one node leave the block non-square and
-    raise `SingularSystemError`.
+    interior block (interior rows by unfixed nodes) is factored.  Its
+    unknowns are taken in lexicographic order of their node coordinates
+    (first coordinate slowest, the order of `geometry.generate_grid`), and
+    the interior rows by the same permutation, so row k still pairs with
+    unknown k as in index order; two labellings of one node set thus factor
+    the same block.  The factorization uses a minimum-degree ordering of the
+    block's symmetrized pattern and a diagonal pivot preference
+    (`SQUARE_ORDERING`, `SQUARE_PIVOT_THRESH`).  The residual is that of the
+    full system; the condition estimate is the factored block's.  When the
+    estimate times machine epsilon reaches 1 the solution keeps no digit:
+    it is still returned, with ``full_rank=False`` and a note.  Two unit
+    rows on one node leave the block non-square and raise
+    `SingularSystemError`.
     """
     m, n = gs.shape
     if m != n:
@@ -334,13 +346,15 @@ def solve_square(gs: GlobalSystem) -> Solution:
                                   cond_estimate=float("inf"))
     u = np.zeros(n)
     u[known] = gs.rhs[rows]
-    interior = a[~gs.dirichlet]
-    free = np.flatnonzero(~fixed)
+    inner, free = np.flatnonzero(~gs.dirichlet), np.flatnonzero(~fixed)
+    p = np.lexsort(gs.points[free].T[::-1])  # the first coordinate is the primary key
+    inner, free = inner[p], free[p]
+    interior = a[inner]
     block = interior[:, free].tocsc()
     try:
         lu = scipy.sparse.linalg.splu(block, permc_spec=SQUARE_ORDERING, diag_pivot_thresh=SQUARE_PIVOT_THRESH,
                                       options={"SymmetricMode": True})
-        u[free] = lu.solve(gs.rhs[~gs.dirichlet] - interior @ u)
+        u[free] = lu.solve(gs.rhs[inner] - interior @ u)
     except (RuntimeError, ValueError) as exc:
         raise SingularSystemError(
             f"singular collocation system: {exc}", cond_estimate=_dense_cond(block)
@@ -351,10 +365,14 @@ def solve_square(gs: GlobalSystem) -> Solution:
         )
     residual = float(np.linalg.norm(gs.matrix @ u - gs.rhs))
     cond = _cond_estimate_from_lu(block, lu) if free.size else 1.0  # all unit rows: a permutation
+    eps = np.finfo(float).eps
+    no_digit = cond * eps >= 1.0
+    note = (f"interior-block condition estimate {cond:.3e} reaches 1/eps = {1.0 / eps:.3e}: "
+            "the solution keeps no digit") if no_digit else ""
     return Solution(
         nodal_values=u,
         residual_norm=residual,
-        rank_report=RankReport(full_rank=True, cond_estimate=cond),
+        rank_report=RankReport(full_rank=not no_digit, cond_estimate=cond, note=note),
     )
 
 

@@ -33,28 +33,32 @@ def quadratic_overlap_space_1d(n_intervals):
     return ns, space
 
 
-def five_star_sublist_space(n_intervals):
-    """Grid patches on the 5-stars with the axis-aligned quadratic sublist."""
-    ns = grid2d(n_intervals)
+def _star_sublist_space(ns, n_intervals, sublist, order):
+    """Grid patches on the stars of the axis-aligned quadratic sublist; ``order`` relabels the nodes."""
+    if order is not None:
+        ns = m.NodeSet(points=ns.points[order], boundary_mask=ns.boundary_mask[order])
     h = 1.0 / n_intervals
     space = m.build_space(
         ns, "interior", ("range", 1.2 * h),
-        m.poly_patch_recipe(2, sublist=FIVE_STAR_SUBLIST),
+        m.poly_patch_recipe(2, sublist=sublist),
         uncovered="constant-patch",
     )
     return ns, space
 
 
-def seven_star_sublist_space(n_intervals):
-    """3-D grid patches on the 7-stars with the axis-aligned quadratic sublist."""
+def five_star_sublist_space(n_intervals, order=None):
+    """Grid patches on the 5-stars with the axis-aligned quadratic sublist.
+
+    ``order`` (a permutation of the generator's labels) gives node i the
+    generator's node ``order[i]``.
+    """
+    return _star_sublist_space(grid2d(n_intervals), n_intervals, FIVE_STAR_SUBLIST, order)
+
+
+def seven_star_sublist_space(n_intervals, order=None):
+    """3-D grid patches on the 7-stars with the axis-aligned quadratic sublist; ``order`` as above."""
     ns = m.generate_grid(3, n_intervals + 1, [(0.0, 1.0)] * 3)
-    h = 1.0 / n_intervals
-    space = m.build_space(
-        ns, "interior", ("range", 1.2 * h),
-        m.poly_patch_recipe(2, sublist=SEVEN_STAR_SUBLIST),
-        uncovered="constant-patch",
-    )
-    return ns, space
+    return _star_sublist_space(ns, n_intervals, SEVEN_STAR_SUBLIST, order)
 
 
 def five_star_full_p2_space(n_intervals):

@@ -21,7 +21,13 @@ from helpers import (
     halton_r3_space,
     jittered_cloud,
     quadratic_overlap_space_1d,
+    seven_star_sublist_space,
 )
+
+
+def _line(n):
+    """Coordinates for the n columns of a hand-made system: nodes on a line, in index order."""
+    return np.arange(n, dtype=float)[:, None]
 
 
 class TestBuildSigma:
@@ -382,7 +388,7 @@ class TestSolveSquare:
         gs = GlobalSystem(
             matrix=scipy.sparse.csr_matrix(np.ones((3, 2))),
             rhs=np.ones(3),
-            residual=np.zeros(3), dirichlet=np.zeros(3, dtype=bool),
+            residual=np.zeros(3), dirichlet=np.zeros(3, dtype=bool), points=_line(2),
         )
         with pytest.raises(InvalidInputError):
             solve_square(gs)
@@ -391,7 +397,7 @@ class TestSolveSquare:
         a = scipy.sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         gs = GlobalSystem(
             matrix=a, rhs=np.ones(2),
-            residual=np.zeros(2), dirichlet=np.zeros(2, dtype=bool),
+            residual=np.zeros(2), dirichlet=np.zeros(2, dtype=bool), points=_line(2),
         )
         with pytest.raises(SingularSystemError) as err:
             solve_square(gs)
@@ -401,7 +407,7 @@ class TestSolveSquare:
 def _hand_system(rows, dirichlet, rhs):
     return GlobalSystem(matrix=scipy.sparse.csr_matrix(np.array(rows, dtype=float)),
                         rhs=np.array(rhs, dtype=float), residual=np.zeros(len(rows)),
-                        dirichlet=np.array(dirichlet, dtype=bool))
+                        dirichlet=np.array(dirichlet, dtype=bool), points=_line(len(rows[0])))
 
 
 def _boundary_data(x):
@@ -488,6 +494,81 @@ class TestEliminatedSolve:
         assert err.value.cond_estimate > 1e15
 
 
+STAR_GRIDS = {
+    "five-star-16": (five_star_sublist_space, 16),
+    "five-star-64": (five_star_sublist_space, 64),
+    "seven-star-8": (seven_star_sublist_space, 8),
+}
+
+
+class TestNodeOrder:
+    """The interior block is factored in coordinate order, so node labels do not reach the solve."""
+
+    @staticmethod
+    def solve(builder, n, order=None):
+        ns, space = builder(n, order)
+        gs = assemble(space, m.LAPLACIAN, lambda x: float(np.cos(np.sum(x))), build_sigma(space, "same-index"),
+                      dirichlet_data=_boundary_data)
+        return ns, solve_square(gs)
+
+    @pytest.mark.parametrize("name", sorted(STAR_GRIDS))
+    def test_relabelled_grid_gives_the_same_solution_bit_for_bit(self, name):
+        builder, n = STAR_GRIDS[name]
+        ns, ref = self.solve(builder, n)
+        order = np.random.default_rng(14).permutation(ns.n)
+        _, sol = self.solve(builder, n, order)
+        assert np.array_equal(sol.nodal_values, ref.nodal_values[order])
+        assert sol.rank_report.cond_estimate == ref.rank_report.cond_estimate
+
+    def test_generator_order_factors_the_block_in_index_order(self, monkeypatch):
+        ns, space = five_star_sublist_space(8)
+        gs = assemble(space, m.LAPLACIAN, lambda x: 1.0, build_sigma(space, "same-index"),
+                      dirichlet_data=_boundary_data)
+        seen, splu = [], scipy.sparse.linalg.splu
+
+        def spy(a, **kwargs):
+            seen.append(a)
+            return splu(a, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+        solve_square(gs)
+        inner = ns.interior_indices
+        assert (seen[0] != gs.matrix[inner][:, inner]).nnz == 0
+
+
+class TestNoDigitLeft:
+    """A block whose condition estimate reaches 1/eps is reported, not silently returned."""
+
+    @staticmethod
+    def random_cloud_solve(seed):
+        ns = m.generate_scattered(2, 1600, [(0.0, 1.0), (0.0, 1.0)], source="random", seed=seed)
+        recipe = m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0), augmentation_degree=2)
+        space = m.build_space(ns, "all", ("knn", 12), recipe)
+        p = preset("poisson2d")
+        gs = assemble(space, p.operator, p.rhs, build_sigma(space, "same-index"), dirichlet_data=p.dirichlet)
+        return solve_square(gs)
+
+    def test_failing_random_cloud_is_flagged(self):
+        report = self.random_cloud_solve(2).rank_report
+        assert not report.full_rank
+        assert report.cond_estimate * np.finfo(float).eps >= 1.0
+        assert report.note.startswith(f"interior-block condition estimate {report.cond_estimate:.3e}")
+        assert "1/eps = 4.504e+15" in report.note
+
+    def test_working_random_cloud_is_not_flagged(self):
+        report = self.random_cloud_solve(3).rank_report
+        assert report.full_rank
+        assert report.note == ""
+        assert report.cond_estimate < 1e8
+
+    def test_nearly_singular_hand_block_is_flagged_and_still_solved(self):
+        gs = _hand_system([[1, 1], [1, 1 + 4e-16]], [False, False], [2, 2])
+        sol = solve_square(gs)
+        assert not sol.rank_report.full_rank
+        assert "keeps no digit" in sol.rank_report.note
+        assert np.all(np.isfinite(sol.nodal_values))
+
+
 class TestSolveLeastSquares:
     def test_square_nonsingular_matches_collocation(self):
         p = preset("poisson2d")
@@ -544,7 +625,7 @@ class TestSolveLeastSquares:
         a = scipy.sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]]))
         gs = GlobalSystem(
             matrix=a, rhs=np.array([2.0, 2.0, 4.0]),
-            residual=np.zeros(3), dirichlet=np.zeros(3, dtype=bool),
+            residual=np.zeros(3), dirichlet=np.zeros(3, dtype=bool), points=_line(2),
         )
         sol = solve_least_squares(gs)
         assert not sol.rank_report.full_rank
@@ -555,7 +636,7 @@ class TestSolveLeastSquares:
         a = scipy.sparse.csr_matrix(np.ones((2, 3)))
         gs = GlobalSystem(
             matrix=a, rhs=np.ones(2),
-            residual=np.zeros(2), dirichlet=np.zeros(2, dtype=bool),
+            residual=np.zeros(2), dirichlet=np.zeros(2, dtype=bool), points=_line(3),
         )
         with pytest.raises(InvalidInputError):
             solve_least_squares(gs)
@@ -584,7 +665,7 @@ class TestLeastSquaresFallbacks:
     def system(self):
         return GlobalSystem(
             matrix=scipy.sparse.csr_matrix(self.A), rhs=self.B,
-            residual=np.zeros(4), dirichlet=np.zeros(4, dtype=bool),
+            residual=np.zeros(4), dirichlet=np.zeros(4, dtype=bool), points=_line(3),
         )
 
     def test_dense_minimum_norm_branch(self):
