@@ -9,15 +9,18 @@ Neighbor queries run on a kd-tree but their contract is the brute-force
 one: results are ordered by exact distance, with exact ties broken by
 ascending node index, so that downstream stencils are reproducible.
 
-All neighbor queries go through one batched core, `influences`, the only
-place that chooses and orders influence sets (`knn` and `range_search` are
-one-center calls of it).  kNN asks the tree for k + 1 neighbors per center
-and re-queries a ball only where the (k+1)-th distance ties the k-th within
-`_TIE_MARGIN`; range is one batched ball query; one sort by (center, exact
-distance, node index) then orders every candidate.  The sets come back as
-one `InfluenceTable` in CSR form, the influence half of the patch table
-(`spaces.PatchTable`) that is the one patch representation of the package;
-an `InfluenceSet` is a view of one of its rows, built on request.
+All neighbor queries go through one batched core, the only place in the
+package that breaks distance ties: `influences` chooses and orders influence
+sets (`knn` and `range_search` are one-center calls of it), and
+`ranked_nearest` picks the rank-r nearest point of a bare cloud, such as
+patch centres, which may coincide.  kNN asks a kd-tree for k + 1 neighbors
+per center and re-queries a ball only where the (k+1)-th distance ties the
+k-th within `_TIE_MARGIN`; range is one batched ball query; one sort by
+(center, exact distance, index) then orders every candidate.  The sets
+come back as one `InfluenceTable` in CSR form, the influence half of the
+patch table (`spaces.PatchTable`) that is the one patch representation of
+the package; an `InfluenceSet` is a view of one of its rows, built on
+request.
 """
 
 from __future__ import annotations
@@ -175,20 +178,20 @@ class InfluenceTable:
                             center_index=None if ci < 0 else ci)
 
 
-def _ball_candidates(ns: NodeSet, centers, rows, radii):
-    """(owner, node) pairs of one batched ball query around centers[rows]."""
-    balls = ns.tree.query_ball_point(centers[rows], radii)
+def _ball_candidates(tree: cKDTree, centers, rows, radii):
+    """(owner, point) pairs of one batched ball query around centers[rows]."""
+    balls = tree.query_ball_point(centers[rows], radii)
     cand = np.concatenate([np.zeros(0, dtype=int), *balls]).astype(int)
     return np.repeat(rows, [len(b) for b in balls]), cand
 
 
-def _knn_candidates(ns: NodeSet, centers, k: int):
-    """(owner, node) pairs holding each center's k nearest nodes; ties get a ball re-query."""
-    if not 1 <= k <= ns.n:
-        raise InvalidInputError(f"k must satisfy 1 <= k <= {ns.n}, got {k}")
+def _knn_candidates(tree: cKDTree, centers, k: int):
+    """(owner, point) pairs holding each center's k nearest tree points; ties get a ball re-query."""
+    if not 1 <= k <= tree.n:
+        raise InvalidInputError(f"k must satisfy 1 <= k <= {tree.n}, got {k}")
     m = centers.shape[0]
-    k_tree = min(k + 1, ns.n)
-    d_tree, i_tree = ns.tree.query(centers, k=k_tree)
+    k_tree = min(k + 1, tree.n)
+    d_tree, i_tree = tree.query(centers, k=k_tree)
     d_tree, i_tree = d_tree.reshape(m, k_tree), i_tree.reshape(m, k_tree)
     reach = d_tree[:, k - 1] * (1.0 + _TIE_MARGIN) + 1e-300
     tied = d_tree[:, k] <= reach if k_tree > k else np.zeros(m, dtype=bool)
@@ -196,9 +199,22 @@ def _knn_candidates(ns: NodeSet, centers, k: int):
     owner, cand = np.repeat(untied, k), i_tree[untied, :k].ravel()
     if untied.size < m:
         rows = np.flatnonzero(tied)
-        tied_owner, tied_cand = _ball_candidates(ns, centers, rows, reach[rows])
+        tied_owner, tied_cand = _ball_candidates(tree, centers, rows, reach[rows])
         owner, cand = np.concatenate([owner, tied_owner]), np.concatenate([cand, tied_cand])
     return owner, cand
+
+
+def ranked_nearest(cloud, points, rank) -> np.ndarray:
+    """Index of point i's rank-``rank[i]`` nearest cloud point (0 is the nearest); ``rank`` is an int array.
+
+    Cloud points are ordered by (exact distance, index), as by sorting the
+    whole cloud.  The cloud is a bare (n, d) array, not a `NodeSet`, since
+    its points may coincide; every rank must be below n.
+    """
+    owner, cand = _knn_candidates(cKDTree(cloud), points, int(rank.max(initial=0)) + 1)
+    dist = np.linalg.norm(cloud[cand] - points[owner], axis=1)
+    order = np.lexsort((cand, dist, owner))
+    return cand[order][np.searchsorted(owner[order], np.arange(len(points))) + rank]
 
 
 def influences(ns: NodeSet, centers, selector, center_indices=None) -> InfluenceTable:
@@ -231,12 +247,12 @@ def influences(ns: NodeSet, centers, selector, center_indices=None) -> Influence
         if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
             raise InvalidInputError(f"knn selector needs an integer k, got {value!r}")
         k = int(value)
-        owner, cand = _knn_candidates(ns, centers, k)
+        owner, cand = _knn_candidates(ns.tree, centers, k)
     elif kind == "range":
         radius = float(value)
         if not (math.isfinite(radius) and radius > 0.0):
             raise InvalidInputError(f"range selector needs a positive finite radius, got {value!r}")
-        owner, cand = _ball_candidates(ns, centers, np.arange(m), radius * (1.0 + _TIE_MARGIN))
+        owner, cand = _ball_candidates(ns.tree, centers, np.arange(m), radius * (1.0 + _TIE_MARGIN))
     else:
         raise InvalidInputError(f"unknown influence selector {kind!r}")
 

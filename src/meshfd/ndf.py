@@ -5,22 +5,26 @@ influence; the weights are determined by requiring the formula to be
 exact for every element of a generating space.  Polynomial spaces lead to
 a transposed Vandermonde system; kernel spaces with a polynomial tail
 lead to the symmetric saddle system whose multiplier block is discarded.
-A polynomial row's defect is measured on its space's basis; a kernel row's
-defect is the residual of its own saddle system, so the row path forms no
-moment-null basis (only nodal fits and spline values read one).
 
-There is one exactness implementation, the batched engine
-`exactness_rows`, whose rows are an (R, d) point array on patches of a
-`spaces.PatchTable`: chunk by chunk, `spaces.stack_spaces` stacks each
+There is one exactness implementation and one entry to it, the batched
+engine `exactness_rows`, whose rows are an (R, d) point array on patches of
+a `spaces.PatchTable`: chunk by chunk, `spaces.stack_spaces` stacks each
 distinct patch once, with its stencil, and the rows of equally shaped
 patches are solved together; a row's result does not depend on the rows it
 is stacked with.  It returns arrays, not one object per row: every row's
 weights in one flat array, slice after slice, the residuals, and the errors
-of failed rows by row.  `weights_batch` returns its rows as
-`StencilWeights`, and `weights_poly` and `weights_kernel` are one-row
-batches of the engine.  The cardinal (Lagrange) rows of
-`spline.lagrange_row` are the independent second route: they solve the
-patch's nodal matrix and share no solve with this engine.
+of failed rows by row.  When a chunk-wide step raises, the chunk's rows are
+solved again one at a time into the same arrays, so that each bad row gets
+its own error.  `weights_poly` and `weights_kernel` are one-row batches of
+the engine.  The cardinal (Lagrange) rows of `spline.lagrange_row` are the
+independent second route: they solve the patch's nodal matrix and share no
+solve with this engine.
+
+One defect formula judges every row, `exactness_defect` and the cardinal
+rows included: the relative residual of the row's own linear system, the
+transposed Vandermonde system for a polynomial row and the saddle system
+for a kernel row, so the row path forms no moment-null basis (only nodal
+fits and spline values read one).
 
 When the exactness conditions do not pin the weights down uniquely, the
 minimum-2-norm solution is returned; an inconsistent system raises with
@@ -74,25 +78,17 @@ class StencilWeights:
     residual: float
 
 
-def _defects(w, e, t) -> np.ndarray:
-    """`exactness_defect` of stacked rows: w (R, n), e (R, n, k), t (R, k)."""
-    lhs = (w[:, None, :] @ e)[:, 0, :]
-    term_scale = (np.abs(w)[:, None, :] @ np.abs(e))[:, 0, :]
-    denom = np.maximum(1.0, np.maximum(np.abs(t), term_scale))
-    return np.max(np.abs(lhs - t) / denom, axis=1)
-
-
 def exactness_defect(weights, basis_at_nodes, targets) -> float:
-    """Max relative defect of ``sum_i w_i p_k(x_i) - t_k`` over basis index k.
+    """Max relative defect of ``sum_i w_i p_k(x_i) - t_k`` over basis index k (the engine's `_defects`).
 
     The denominator includes the magnitude sum of the weighted terms so that
     rows with large weights and heavy cancellation (second-order stencils at
     small spacing) are judged relative to their own scale.
     """
     w = np.asarray(weights, dtype=float).reshape(1, -1)
-    b = np.atleast_2d(np.asarray(basis_at_nodes, dtype=float))[None]
+    et = np.atleast_2d(np.asarray(basis_at_nodes, dtype=float)).T[None]
     t = np.asarray(targets, dtype=float).reshape(1, -1)
-    return float(_defects(w, b, t)[0])
+    return float(_defects(et, w, t, w.shape[1])[0])
 
 
 def weights_poly(op: Operator, y, infl: InfluenceSet, ps: PolySpace) -> StencilWeights:
@@ -123,24 +119,6 @@ def _one_row(op, y, infl, space) -> StencilWeights:
     return StencilWeights(y, infl, weights, float(residual[0]))
 
 
-def weights_batch(op: Operator, points, table: PatchTable, patches) -> list:
-    """`exactness_rows` as `StencilWeights` with a view of the patch's influence set, or the row's error.
-
-    A point of another dimension than the table's gets its own `InvalidInputError`.
-    """
-    ys, patches, d = [np.asarray(y, dtype=float).reshape(-1) for y in points], table.ids(patches), table.shift.shape[1]
-    if patches.size != len(ys):
-        raise InvalidInputError("one patch index per point is required")
-    ok, out = [j for j, y in enumerate(ys) if y.shape == (d,)], [None] * len(ys)
-    weights, residual, errors = exactness_rows(op, np.reshape([ys[j] for j in ok], (-1, d)), table, patches[ok])
-    start = np.cumsum(np.concatenate([[0], table.influence.sizes[patches[ok]]]))
-    for r, j in enumerate(ok):
-        out[j] = errors.get(r) or StencilWeights(ys[j], table.influence[patches[j]], weights[start[r]:start[r + 1]],
-                                                 float(residual[r]))
-    return [InvalidInputError("point dimension differs from the dimension of its patch space") if row is None
-            else row for row in out]
-
-
 def exactness_rows(op: Operator, points, table: PatchTable, patches):
     """Exactness weights for many rows: row i is ``op`` at ``points[i]`` on table patch ``patches[i]``.
 
@@ -152,44 +130,39 @@ def exactness_rows(op: Operator, points, table: PatchTable, patches):
     Rows are taken in chunks of `CHUNK_ROWS`; a chunk whose stacking or solve
     raises is solved row by row, so that each bad row gets its own error.
     """
-    points, patches, step = np.asarray(points, dtype=float), table.ids(patches), CHUNK_ROWS
+    points, patches = np.asarray(points, dtype=float), table.ids(patches)
     if points.shape != (patches.size, table.shift.shape[1]):
         raise InvalidInputError(f"points must be one ({table.shift.shape[1]},) row per patch index, "
                                 f"got shape {points.shape} for {patches.size} patch indices")
-    parts = [_chunk_or_rows(op, points[lo:lo + step], table, patches[lo:lo + step])
-             for lo in range(0, patches.size, step)]
-    return parts[0] if len(parts) == 1 else _joined(parts, step)
-
-
-def _joined(parts, step: int):
-    """Consecutive ``exactness_rows`` outputs of ``step`` rows each, as one."""
-    return (np.concatenate([np.zeros(0)] + [w for w, _, _ in parts]),
-            np.concatenate([np.zeros(0)] + [res for _, res, _ in parts]),
-            {k * step + r: exc for k, (_, _, errors) in enumerate(parts) for r, exc in errors.items()})
-
-
-def _chunk_or_rows(op, y, table, patches):
-    """Solve a chunk; when a chunk-wide step raises, solve its rows one at a time."""
-    try:
-        return _solve_chunk(op, y, table, patches)
-    except MeshfdError as exc:
-        if len(y) == 1:
-            return np.full(table.influence.sizes[patches[0]], np.nan), np.full(1, np.nan), {0: exc}
-        return _joined([_chunk_or_rows(op, y[j:j + 1], table, patches[j:j + 1]) for j in range(len(y))], 1)
-
-
-def _solve_chunk(op, y, table, patches):
     start = np.cumsum(np.concatenate([[0], table.influence.sizes[patches]]))  # each row's weight slice
-    weights, residual, errors = np.empty(start[-1]), np.empty(len(y)), {}
-    distinct, patch = np.unique(patches, return_inverse=True)  # each row's index among the distinct patches
+    weights, residual, errors = np.empty(start[-1]), np.empty(patches.size), {}
+    for lo in range(0, patches.size, CHUNK_ROWS):
+        chunk = np.arange(lo, min(lo + CHUNK_ROWS, patches.size))
+        try:
+            errors.update(_solve_chunk(op, points, table, patches, chunk, start, weights, residual))
+        except MeshfdError:
+            for r in chunk.tolist():
+                try:
+                    errors.update(_solve_chunk(op, points, table, patches, np.array([r]), start, weights, residual))
+                except MeshfdError as exc:
+                    weights[start[r]:start[r + 1]] = residual[r] = np.nan
+                    errors[r] = exc
+    return weights, residual, errors
+
+
+def _solve_chunk(op, points, table, patches, chunk, start, weights, residual) -> dict:
+    """Solve the rows ``chunk`` into their slices of ``weights`` and ``residual``; return their {row: error}."""
+    errors = {}
+    distinct, patch = np.unique(patches[chunk], return_inverse=True)  # each row's index among the distinct patches
     for members, basis in stack_spaces(table, distinct):
         slot = np.full(distinct.size, -1)
         slot[members] = np.arange(members.size)
-        rows = np.flatnonzero(slot[patch] >= 0)
-        w, residual[rows], group_errors = _solve_group(op, y[rows], basis, slot[patch[rows]])
+        local = np.flatnonzero(slot[patch] >= 0)
+        rows = chunk[local]
+        w, residual[rows], group_errors = _solve_group(op, points[rows], basis, slot[patch[local]])
         weights[start[rows][:, None] + np.arange(w.shape[1])] = w
         errors.update((int(rows[r]), exc) for r, exc in group_errors.items())
-    return weights, residual, errors
+    return errors
 
 
 def _solve_group(op, y, basis, slots):
@@ -252,7 +225,7 @@ def _poly_rows(op, y, basis, slots):
             w[rows] = _min_norm(et[rows], t[rows])
     else:
         w = _min_norm(et, t)
-    defect, errors = _defects(w, e, t), {}
+    defect, errors = _defects(et, w, t, n), {}
     for r in np.flatnonzero(~(defect <= EXACTNESS_RTOL)).tolist():
         rank_a = _rank(et[r])
         rank_aug = _rank(np.hstack([et[r], t[r][:, None]]))
@@ -269,7 +242,7 @@ def _kernel_rows(op, y, basis, slots):
 
     ``K`` and ``P`` are the scaled translates and the tail at the stencil
     nodes, the kernel centres.  A row's defect is the residual of its own
-    saddle system (`_saddle_defects`); no moment-null basis is formed.
+    saddle system (`_defects`); no moment-null basis is formed.
     """
     q, n_rows, (n, d) = len(basis.exponents), len(y), basis.centers.shape[1:]
     if basis.tail_rank < q:
@@ -286,7 +259,7 @@ def _kernel_rows(op, y, basis, slots):
     rhs = np.concatenate([k_rhs, p_rhs], axis=2)[:, 0, :]
     sol, singular = stacked_solve(a, rhs)
     w = sol[:, :n]
-    defect = _saddle_defects(a, sol, rhs, n)
+    defect = _defects(a, sol, rhs, n)
     errors = {r: UnsolvableExactnessError(f"singular saddle system: {exc}") for r, exc in singular.items()}
     for r in np.flatnonzero(~(defect <= EXACTNESS_RTOL)).tolist():
         errors.setdefault(r, UnsolvableExactnessError(
@@ -296,13 +269,16 @@ def _kernel_rows(op, y, basis, slots):
     return w, defect, errors
 
 
-def _saddle_defects(a, sol, rhs, n: int) -> np.ndarray:
-    """Max relative residual of stacked saddle systems ``a @ sol = rhs`` whose first ``n`` unknowns are weights.
+def _defects(a, sol, rhs, n: int) -> np.ndarray:
+    """Max relative residual of stacked systems ``a @ sol = rhs`` whose first ``n`` unknowns are weights.
 
     Condition i is scaled by ``max(1, |rhs_i|, sum_j |a_ij| |w_j|)`` over the
-    weights only: a huge multiplier cannot enlarge the scale of its own
-    residual.  The tail conditions are then the exactness defects of the
-    tail polynomials.
+    weights only, so that rows with large weights and heavy cancellation
+    (second-order stencils at small spacing) are judged relative to their own
+    scale, and a huge saddle multiplier cannot enlarge the scale of its own
+    residual.  For a polynomial row (``a`` the transposed Vandermonde matrix,
+    no multipliers) and for the tail conditions of a saddle system these are
+    the exactness defects of the basis polynomials.
     """
     lhs = (a @ sol[:, :, None])[:, :, 0]
     term_scale = (np.abs(a[:, :, :n]) @ np.abs(sol[:, :n, None]))[:, :, 0]

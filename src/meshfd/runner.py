@@ -15,9 +15,9 @@ import time
 import numpy as np
 
 from .config import resolve_config
-from .errors import ConfigError, MeshfdError
+from .errors import ConfigError
 from .geometry import NodeSet, generate_grid, generate_scattered, influences, load_nodes, save_nodes
-from .ndf import weights_batch
+from .ndf import exactness_rows
 from .operators import IDENTITY, LAPLACIAN, SECOND_DERIVATIVE_1D, Operator
 from .problems import Problem, convergence_study, preset
 from .pum import PartitionOfUnity
@@ -37,24 +37,9 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def dump_json(doc) -> str:
-    return json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n"
+    """Sorted-key JSON of a document that may hold numpy scalars and arrays."""
+    return json.dumps(doc, indent=2, sort_keys=True, default=lambda o: o.tolist()) + "\n"
 
 
 def build_nodeset(cfg) -> NodeSet:
@@ -199,14 +184,14 @@ def run_stencil(cfg, out_dir) -> dict:
     table = PatchTable.of_recipes([(influences(ns, y[None, :], make_selector(cfg)), make_recipe(cfg))])
     problem = resolve_problem(cfg)
     op = resolve_operator(cfg, problem)
-    sw = weights_batch(op, [y], table, [0])[0]
-    if isinstance(sw, MeshfdError):
-        raise sw
+    weights, residual, errors = exactness_rows(op, y[None, :], table, [0])
+    if errors:
+        raise errors[0]
     row = {
         "y": [float(v) for v in y],
-        "nodes": [int(i) for i in sw.influence.indices],
-        "weights": [float(w) for w in sw.weights],
-        "residual": float(sw.residual),
+        "nodes": [int(i) for i in table.influence.indices],
+        "weights": [float(w) for w in weights],
+        "residual": float(residual[0]),
     }
     with open(_out_path(out_dir, cfg["outputs"]["stencil"]), "w") as fh:
         fh.write(dump_json(row))

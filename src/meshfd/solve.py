@@ -24,7 +24,6 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
-from scipy.spatial import cKDTree
 
 from .errors import (
     AssemblyError,
@@ -34,7 +33,7 @@ from .errors import (
     MeshfdError,
     SingularSystemError,
 )
-from .geometry import _TIE_MARGIN
+from .geometry import ranked_nearest
 from .linalg import RANK_RTOL
 from .ndf import exactness_rows
 from .operators import Operator
@@ -130,12 +129,7 @@ def _check_region(space, points, patch):
 
 
 def _nearest_centers(centers, points) -> np.ndarray:
-    """Each point's patch by (exact distance, patch index); the r-th repeat of a point takes rank r.
-
-    A kd-tree of the centres gives each point's rank-r distance; every centre
-    within it (padded by the tree's rounding slack) is re-ranked by exact
-    distance, so the pick equals that of sorting all centres.
-    """
+    """Each point's patch by (exact distance, patch index); the r-th repeat of a point takes rank r."""
     key = np.unique(points + 0.0, axis=0, return_inverse=True)[1].reshape(-1)  # -0.0 equals 0.0
     order = np.argsort(key, kind="stable")
     rank = np.empty(len(points), dtype=int)
@@ -143,14 +137,7 @@ def _nearest_centers(centers, points) -> np.ndarray:
     over = np.flatnonzero(rank >= len(centers))
     if over.size:
         raise ConfigError(f"collocation point {points[over[0]].tolist()} repeats more often than there are patches")
-    tree, k = cKDTree(centers), int(rank.max(initial=0)) + 1
-    kth = tree.query(points, k=k)[0].reshape(len(points), k)[np.arange(len(points)), rank]
-    balls = tree.query_ball_point(points, kth * (1.0 + _TIE_MARGIN) + 1e-300)
-    owner = np.repeat(np.arange(len(points)), [len(b) for b in balls])
-    cand = np.concatenate([np.zeros(0, dtype=int), *balls]).astype(int)
-    dist = np.linalg.norm(centers[cand] - points[owner], axis=1)
-    cand = cand[np.lexsort((cand, dist, owner))]
-    return cand[np.searchsorted(owner, np.arange(len(points))) + rank]
+    return ranked_nearest(centers, points, rank)
 
 
 def build_sigma(space: OverlapSplineSpace, strategy: str, collocation_points=None) -> SigmaMap:

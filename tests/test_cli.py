@@ -84,6 +84,21 @@ class TestStencilCommand:
         assert len(row["nodes"]) == 5
 
 
+    def test_unsolvable_row_exits_one_with_its_error(self, tmp_path, capsys):
+        cfg = {
+            "nodes": {"kind": "grid", "d": 1, "n_per_axis": 9, "bounds": [[0.0, 1.0]]},
+            "space": {"kind": "poly", "degree": 2},
+            "selector": {"kind": "knn", "k": 2},
+            "operator": {"kind": "second-derivative-1d"},
+            "stencil": {"y": [0.5]},
+        }
+        path = write_config(tmp_path / "stencil.json.in", cfg)
+        assert run_cli("stencil", path, tmp_path / "out") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "UnsolvableExactnessError", "message": "exactness defect 1.00e+00: system rank 2, "
+                       "augmented rank 3 (3 conditions, 2 nodes)"}
+
+
 class TestGenerateCommand:
     def test_writes_nodes_csv(self, tmp_path):
         cfg = {"nodes": {"kind": "scattered", "d": 2, "count": 40, "bounds": [[0, 1], [0, 1]]}}

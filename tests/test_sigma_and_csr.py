@@ -231,6 +231,32 @@ class TestFlatEngineOutput:
                 sw = m.weights_kernel(m.LAPLACIAN, pts[r], space.patches[r].influence, space.patches[r].space)
                 assert np.array_equal(w, sw.weights) and residual[r] == sw.residual
 
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 256])
+    def test_chunk_wide_error_is_retried_row_by_row(self, monkeypatch, chunk_rows):
+        """A point on a kernel centre fails the stacked r^1.5 Laplacian of its whole chunk; the retry confines it."""
+        ns = jittered_cloud(3, n_axis=8)
+        space = m.build_space(ns, "all", ("knn", 12),
+                              m.kernel_patch_recipe(m.Kernel("polyharmonic", 1.5), augmentation_degree=2))
+        points = np.random.default_rng(8).uniform(0.1, 0.9, (40, 2))
+        points[[9, 30]] = ns.points[ns.interior_indices[[4, 20]]]
+        sigma = m.build_sigma(space, "nearest-node", collocation_points=points)
+        monkeypatch.setattr(m.ndf, "CHUNK_ROWS", chunk_rows)
+        weights, residual, errors = exactness_rows(m.LAPLACIAN, sigma.points, space.table, sigma.patch)
+        assert sorted(errors) == [9, 30]
+        assert all("second derivative of r^1.5 is undefined at a kernel center" in str(e) for e in errors.values())
+        start = np.cumsum(np.concatenate([[0], space.table.influence.sizes[sigma.patch]]))
+        for r, (y, p) in enumerate(zip(sigma.points, sigma.patch.tolist())):
+            w = weights[start[r]:start[r + 1]]
+            if r in errors:
+                assert np.all(np.isnan(w)) and np.isnan(residual[r])
+            else:
+                sw = m.weights_kernel(m.LAPLACIAN, y, space.patches[p].influence, space.patches[p].space)
+                assert np.array_equal(w, sw.weights) and residual[r] == sw.residual
+        with pytest.raises(m.AssemblyError, match="second derivative of r\\^1.5") as err:
+            m.assemble(space, m.LAPLACIAN, lambda x: 0.0, sigma)
+        assert (err.value.row, err.value.patch) == (9, sigma.patch[9])
+        assert str(err.value).startswith(f"row 9 (patch {sigma.patch[9]}, point {points[9].tolist()}): ")
+
     @pytest.mark.parametrize("points", [np.zeros((3, 3)), np.zeros((2, 2)), np.zeros(6)])
     def test_points_must_be_one_row_per_patch(self, points):
         space = m.build_space(jittered_cloud(3, n_axis=5), "all", ("knn", 9), R3_TAIL1)
