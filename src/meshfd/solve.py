@@ -42,11 +42,12 @@ from .spline import OverlapSplineSpace, lagrange_row
 # Acceptance bound for the normal-equation residual of a least-squares solve.
 NORMAL_EQUATION_RTOL = 1e-7
 
-# Factorization of the interior block of a square solve: SuperLU's minimum
-# degree ordering on the pattern of B + B^T, in symmetric mode, keeping a
-# diagonal pivot unless it is below this share of its column's largest entry.
+# SuperLU policy of both solvers (a square solve's interior block B, the normal
+# equations): minimum degree ordering on the pattern of B + B^T, symmetric mode,
+# and a diagonal pivot kept unless below this share of its column's largest entry.
 SQUARE_ORDERING = "MMD_AT_PLUS_A"
 SQUARE_PIVOT_THRESH = 0.1
+_SPLU = dict(permc_spec=SQUARE_ORDERING, diag_pivot_thresh=SQUARE_PIVOT_THRESH, options={"SymmetricMode": True})
 
 # Largest dense fallback for rank-deficient least squares, in matrix entries.
 _DENSE_FALLBACK_ENTRIES = 4_000_000
@@ -339,8 +340,7 @@ def solve_square(gs: GlobalSystem) -> Solution:
     interior = a[inner]
     block = interior[:, free].tocsc()
     try:
-        lu = scipy.sparse.linalg.splu(block, permc_spec=SQUARE_ORDERING, diag_pivot_thresh=SQUARE_PIVOT_THRESH,
-                                      options={"SymmetricMode": True})
+        lu = scipy.sparse.linalg.splu(block, **_SPLU)
         u[free] = lu.solve(gs.rhs[inner] - interior @ u)
     except (RuntimeError, ValueError) as exc:
         raise SingularSystemError(
@@ -366,10 +366,10 @@ def solve_square(gs: GlobalSystem) -> Solution:
 def solve_least_squares(gs: GlobalSystem, equilibrate: bool = False) -> Solution:
     """Minimum-residual solution of an overdetermined system.
 
-    Solves the normal equations through a sparse factorization and accepts
-    the result only if the normal-equation residual passes its relative
-    bound; otherwise falls back to a dense minimum-norm solve and flags the
-    rank deficiency.
+    Factors the normal equations with the square solver's SuperLU policy
+    (`_SPLU`) and accepts the result only if the normal-equation residual
+    passes its relative bound; otherwise falls back to a dense minimum-norm
+    solve and flags the rank deficiency.
 
     ``equilibrate`` divides every row and its right-hand side by the row's
     2-norm before minimizing.  That changes the functional (it weights the
@@ -394,7 +394,7 @@ def solve_least_squares(gs: GlobalSystem, equilibrate: bool = False) -> Solution
     note = ""
     full_rank = True
     try:
-        lu = scipy.sparse.linalg.splu((a.T @ a).tocsc())
+        lu = scipy.sparse.linalg.splu((a.T @ a).tocsc(), **_SPLU)
         cand = lu.solve(a.T @ b)
         if np.all(np.isfinite(cand)):
             normal_defect = float(np.linalg.norm(a.T @ (a @ cand - b)))

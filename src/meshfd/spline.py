@@ -21,11 +21,9 @@ any set of pairs as the stacked basis times the stacked coefficients.
 `OverlapSpline.patch_eval` and `spaces.local_interpolate` keep the
 per-patch routes through the patch's own space as the oracles.
 
-The dimension analyzer builds the connection-constraint matrix (one
-chained pair per extra membership of a node, so exactly ``m_k - 1`` rows
-for a node in ``m_k`` patches) and splits the total dimension into the
-kernel and image of the nodal-value map by dense rank computation.  It is
-a desk-scale instrument, guarded at 5000 total coefficients.
+The dimension analyzer takes the patch ranks r_i from the batched SVDs of
+`failing_patches`: the nodal-value map T has ``dim ker T = sum(dim P_i - r_i)``
+and ``dim im T = N - rank C``, C the patches' left-null vectors (guarded).
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse
 
 from .errors import (
     AnalysisSizeError,
@@ -46,7 +43,7 @@ from .errors import (
     NotAnInterpolationSetError,
 )
 from .geometry import InfluenceSet, NodeSet, influences
-from .linalg import RANK_RTOL, null_space, numerical_rank, stacked_solve
+from .linalg import RANK_RTOL, numerical_rank, stacked_solve
 from .ndf import CHUNK_ROWS, StencilWeights, exactness_defect
 from .operators import Operator
 from .spaces import (
@@ -64,7 +61,7 @@ from .spaces import (
 # Two patch values at a shared node must agree to this relative tolerance.
 CONNECTION_RTOL = 1e-9
 
-# Dense rank analysis refuses above this many total patch coefficients.
+# Dimension analysis refuses a left-null block C with more rows or columns than this.
 ANALYSIS_GUARD = 5000
 
 # Pairs per stacked evaluation in `OverlapSpline.eval_pairs`; bounds its
@@ -160,17 +157,31 @@ class OverlapSplineSpace:
 
     @cached_property
     def failing_patches(self) -> tuple[int, ...]:
-        """Patches that are not interpolation sets (`Patch.is_interpolation_set`), by stacked rank SVDs."""
-        failing = []
-        for members, basis in self._stacks[0]:
-            if basis.centers.shape[1] != basis.dim:
-                failing.append(members)
-                continue
-            for lo in range(0, members.size, CHUNK_ROWS):
-                sv = np.linalg.svd(basis.evaluate(None, rows=slice(lo, lo + CHUNK_ROWS)), compute_uv=False)
-                rank = np.count_nonzero(sv > RANK_RTOL * sv[:, :1], axis=1)
-                failing.append(members[lo:lo + CHUNK_ROWS][rank < basis.dim])
-        return tuple(np.sort(np.concatenate([np.zeros(0, dtype=int)] + failing)).tolist())
+        """Patches that are not interpolation sets (`Patch.is_interpolation_set`), from `_rank_pass`."""
+        rank, dim, _ = _rank_pass(self)
+        return tuple(np.flatnonzero((rank != dim) | (self.table.influence.sizes != dim)).tolist())
+
+
+def _rank_pass(space: OverlapSplineSpace, left_null: bool = False) -> tuple[np.ndarray, np.ndarray, list]:
+    """Each patch's rank r_i of its nodal matrix E_i and its dimension: one batched SVD per `CHUNK_ROWS` chunk.
+
+    With ``left_null``, also the blocks of C: the left-null vectors of E_i
+    (columns of U past r_i) of each patch with |X_i| > r_i, one row each,
+    beside the node columns they belong in.
+    """
+    rank, dim, null = np.zeros(space.m, dtype=np.intp), np.zeros(space.m, dtype=np.intp), []
+    for members, basis in space._stacks[0]:
+        dim[members], size = basis.dim, basis.centers.shape[1]
+        for lo in range(0, members.size, CHUNK_ROWS):
+            rows = slice(lo, lo + CHUNK_ROWS)
+            svd = np.linalg.svd(basis.evaluate(None, rows=rows), compute_uv=left_null)
+            sv = svd.S if left_null else svd
+            rank[members[rows]] = r = np.count_nonzero(sv > RANK_RTOL * sv[:, :1], axis=1)
+            if left_null:
+                for k in np.unique(r[r < size]):  # U (R, |X_i|, |X_i|), full
+                    null.append((np.swapaxes(svd.U[r == k, :, k:], 1, 2).reshape(-1, size),
+                                 np.repeat(basis.indices[rows][r == k], size - k, axis=0)))
+    return rank, dim, null
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,45 +299,33 @@ def build_space(
 
 
 def dimension_analysis(space: OverlapSplineSpace, guard: int = ANALYSIS_GUARD) -> DimensionReport:
-    """Split the space dimension into kernel and image of the nodal-value map.
+    """Split the space dimension into kernel and image of the nodal-value map T, from per-patch ranks.
 
-    Builds the connection-constraint matrix over all patch coefficients
-    (rows: first containing patch minus each subsequent one, per shared
-    node), so the total dimension is ``D - rank``; the image dimension is
-    the rank of the nodal evaluation map restricted to the constraint null
-    space, and the kernel dimension follows by subtraction.
+    Patch functions vanishing on their own nodes are independent, so ``dim
+    ker T = sum(dim P_i - r_i)``; v is in the image iff every v|X_i is in the
+    range of E_i, so ``dim im T = N - rank C`` (`_rank_pass`).  C's rank is
+    one dense SVD on the columns it touches, refused above ``guard`` rows or
+    columns.  C is empty on interpolatory spaces, but least-squares-type
+    spaces (|X_i| > dim P_i everywhere) give it about N rows: they still refuse.
     """
-    total_coeffs = int(sum(p.space.dim for p in space.patches))
-    if total_coeffs > guard:
-        raise AnalysisSizeError(
-            f"{total_coeffs} patch coefficients exceed the dense-analysis guard {guard}; "
-            "analyze a subsample instead"
-        )
-    node, _, flat = space.incidence
-    first = np.searchsorted(node, node)  # each membership's first entry at its node
-    lead = first == np.arange(node.size)
-    # row j: the basis of membership j's patch at its node, in that patch's coefficient columns
-    values = scipy.sparse.block_diag(
-        [np.atleast_2d(p.space.eval_basis(p.influence.points)) for p in space.patches], format="csr"
-    )[flat]
-    constraints = (values[first[~lead]] - values[~lead]).toarray()
-
-    dim_total = total_coeffs - numerical_rank(constraints)
-    basis = null_space(constraints)
-
-    nodal_map = values[lead].toarray()  # one row per node, from its first patch
-    dim_im = numerical_rank(nodal_map @ basis)
-    dim_ker = dim_total - dim_im
-
-    lower = space.nodes.n + total_coeffs - node.size
-    upper = space.nodes.n if all(p.unisolvent for p in space.patches) else None
+    rank, dim, null = _rank_pass(space, left_null=True)
+    touched = np.unique(np.concatenate([np.zeros(0, dtype=np.intp)] + [k.ravel() for _, k in null]))
+    start = np.cumsum([0] + [len(v) for v, _ in null])
+    if max(start[-1], touched.size) > guard:
+        raise AnalysisSizeError(f"the left-null block C is {start[-1]} x {touched.size}, above the "
+                                f"dense-analysis guard {guard}; analyze a subsample instead")
+    c = np.zeros((start[-1], touched.size))
+    for lo, (v, k) in zip(start, null):
+        np.put_along_axis(c[lo:lo + len(v)], np.searchsorted(touched, k), v, axis=1)
+    dim_ker, dim_im = int(np.sum(dim - rank)), space.nodes.n - numerical_rank(c)
+    sizes = space.table.influence.sizes
     return DimensionReport(
-        dim_total=int(dim_total),
-        dim_ker_T=int(dim_ker),
-        dim_im_T=int(dim_im),
-        lower_bound=int(lower),
-        upper_bound_unisolvent=upper,
-        interpolatory=space.interpolatory,
+        dim_total=dim_ker + dim_im,
+        dim_ker_T=dim_ker,
+        dim_im_T=dim_im,
+        lower_bound=int(space.nodes.n + dim.sum() - sizes.sum()),
+        upper_bound_unisolvent=space.nodes.n if np.all(rank == dim) else None,
+        interpolatory=bool(np.all((rank == dim) & (sizes == dim))),
     )
 
 

@@ -1,8 +1,12 @@
 """Shared builders for the test suite."""
 
 import numpy as np
+import scipy.sparse
 
 import meshfd as m
+from meshfd.errors import AnalysisSizeError
+from meshfd.linalg import null_space, numerical_rank
+from meshfd.spline import ANALYSIS_GUARD, DimensionReport
 
 FIVE_STAR_SUBLIST = [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2)]
 SEVEN_STAR_SUBLIST = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (0, 2, 0), (0, 0, 2)]
@@ -146,3 +150,49 @@ def dense_saddle_laplacian_weights(coords, y, alpha, aug_degree):
     lap_kernel = alpha * (alpha + d - 2.0) * ry ** (alpha - 2.0)
     rhs = np.concatenate([lap_kernel, raw_monomial_laplacian(y, exps)])
     return np.linalg.solve(a, rhs)[:n]
+
+
+# The dense route that `meshfd.spline.dimension_analysis` took before it read
+# the per-patch ranks, kept as its oracle: one global SVD and null space over
+# every patch coefficient.
+def dense_dimension_analysis(space, guard=ANALYSIS_GUARD):
+    """Split the space dimension into kernel and image of the nodal-value map.
+
+    Builds the connection-constraint matrix over all patch coefficients
+    (rows: first containing patch minus each subsequent one, per shared
+    node), so the total dimension is ``D - rank``; the image dimension is
+    the rank of the nodal evaluation map restricted to the constraint null
+    space, and the kernel dimension follows by subtraction.
+    """
+    total_coeffs = int(sum(p.space.dim for p in space.patches))
+    if total_coeffs > guard:
+        raise AnalysisSizeError(
+            f"{total_coeffs} patch coefficients exceed the dense-analysis guard {guard}; "
+            "analyze a subsample instead"
+        )
+    node, _, flat = space.incidence
+    first = np.searchsorted(node, node)  # each membership's first entry at its node
+    lead = first == np.arange(node.size)
+    # row j: the basis of membership j's patch at its node, in that patch's coefficient columns
+    values = scipy.sparse.block_diag(
+        [np.atleast_2d(p.space.eval_basis(p.influence.points)) for p in space.patches], format="csr"
+    )[flat]
+    constraints = (values[first[~lead]] - values[~lead]).toarray()
+
+    dim_total = total_coeffs - numerical_rank(constraints)
+    basis = null_space(constraints)
+
+    nodal_map = values[lead].toarray()  # one row per node, from its first patch
+    dim_im = numerical_rank(nodal_map @ basis)
+    dim_ker = dim_total - dim_im
+
+    lower = space.nodes.n + total_coeffs - node.size
+    upper = space.nodes.n if all(p.unisolvent for p in space.patches) else None
+    return DimensionReport(
+        dim_total=int(dim_total),
+        dim_ker_T=int(dim_ker),
+        dim_im_T=int(dim_im),
+        lower_bound=int(lower),
+        upper_bound_unisolvent=upper,
+        interpolatory=space.interpolatory,
+    )

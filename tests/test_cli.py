@@ -61,6 +61,18 @@ class TestDimCommand:
         printed = json.loads(capsys.readouterr().out)
         assert printed["dim"] == 34
 
+    def test_benchmark_size_grid(self, tmp_path):
+        """A 65^2 kNN-5 grid with the five-point sublist: 21125 coefficients, analyzed from per-patch ranks."""
+        cfg = {
+            "nodes": {"kind": "grid", "d": 2, "n_per_axis": 65, "bounds": [[0.0, 1.0], [0.0, 1.0]]},
+            "space": {"kind": "poly", "degree": 2, "sublist": [list(a) for a in FIVE_STAR_SUBLIST]},
+            "selector": {"kind": "knn", "k": 5},
+        }
+        out = tmp_path / "out"
+        assert run_cli("dim", write_config(tmp_path / "dim.json.in", cfg), out) == 0
+        doc = json.loads((out / "dim.json").read_text())
+        assert doc == {"dim": 4229, "ker": 256, "im": 3973, "lower_bound": 4225, "interpolatory": False}
+
 
 class TestStencilCommand:
     def test_five_point_row(self, tmp_path, capsys):

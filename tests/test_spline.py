@@ -1,6 +1,9 @@
 import dataclasses
 import logging
 import re
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from meshfd.errors import (
 )
 from helpers import (
     FIVE_STAR_SUBLIST,
+    dense_dimension_analysis,
     five_star_full_p2_space,
     five_star_sublist_space,
     grid1d,
@@ -26,6 +30,9 @@ from helpers import (
     jittered_cloud,
     quadratic_overlap_space_1d,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from dimension_probe import random_configuration  # noqa: E402
 
 
 def lagrange_patch_1d(x, j, i, h):
@@ -94,6 +101,43 @@ def mixed_tail_rank_space():
                               distances=np.linalg.norm(pts[idx] - center, axis=1), points=pts[idx])
         patches.append(m.Patch(infl, recipe(infl)))
     return ns, m.OverlapSplineSpace(nodes=ns, patches=tuple(patches))
+
+
+def _jittered_space(k, recipe):
+    ns = jittered_cloud(3, n_axis=7)
+    return m.build_space(ns, "all", ("knn", k), recipe)
+
+
+def _five_point_grid_space(n):
+    """kNN-5 patches with the five-point sublist on an (n+1)^2 grid, as in the fivepoint-grid workload."""
+    return m.build_space(grid2d(n), "all", ("knn", 5), m.poly_patch_recipe(2, sublist=FIVE_STAR_SUBLIST))
+
+
+# Well-conditioned spaces on which the per-patch formula must equal the dense oracle.
+ORACLE_SPACES = {
+    **{f"five-star-full-p2-{n}": (lambda n=n: five_star_full_p2_space(n)[1]) for n in (3, 4, 5)},
+    "quadratic-1d-7": lambda: quadratic_overlap_space_1d(7)[1],
+    "five-star-sublist-4": lambda: five_star_sublist_space(4)[1],
+    "jittered-knn6-p2": lambda: _jittered_space(6, m.poly_patch_recipe(2)),
+    "jittered-knn9-r3": lambda: _jittered_space(9, m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0))),
+    "jittered-knn5-gauss": lambda: _jittered_space(5, m.kernel_patch_recipe(m.Kernel("gauss", 3.0))),
+    "halton-r3": lambda: halton_r3_space()[1],
+    "knn4-quadratic-1d": lambda: m.build_space(grid1d(10), "all", ("knn", 4), m.poly_patch_recipe(2)),
+}
+
+
+def near_line_configuration(rng):
+    """Random polynomial patches on 8-19 nodes within 1e-6 to 1e-12 of the x axis."""
+    n_nodes = int(rng.integers(8, 20))
+    pts = np.column_stack([rng.random(n_nodes), 10.0 ** -rng.integers(6, 13) * rng.standard_normal(n_nodes)])
+    ns = m.NodeSet(points=pts, boundary_mask=np.zeros(n_nodes, dtype=bool))
+    if rng.random() < 0.5:
+        selector = ("knn", int(rng.integers(2, n_nodes + 1)))
+    else:
+        selector = ("range", float(rng.uniform(0.2, 0.8)))
+    centers = pts[rng.integers(0, n_nodes, size=int(rng.integers(1, 6)))]
+    return ns, m.build_space(ns, centers, selector, m.poly_patch_recipe(int(rng.integers(1, 4))),
+                             uncovered="constant-patch")
 
 
 class TestBuildSpace:
@@ -277,9 +321,74 @@ class TestDimensionAnalysis:
         assert checked >= 80
 
     def test_guard_rejects_oversized_analysis(self):
-        ns, space = quadratic_overlap_space_1d(8)
-        with pytest.raises(AnalysisSizeError):
-            m.dimension_analysis(space, guard=10)
+        """The guard bounds the left-null block C: one row per null vector, one column per node it touches.
+
+        kNN-4 patches on a 9-node line: quadratics on the interior centres give C 7 x 9 (the columns
+        trip the guard), constants on every node give it 27 x 9 (the rows do).
+        """
+        for centers, degree, rows in (("interior", 2, 7), ("all", 0, 27)):
+            space = m.build_space(grid1d(8), centers, ("knn", 4), m.poly_patch_recipe(degree))
+            assert m.dimension_analysis(space, guard=max(rows, 9)) == dense_dimension_analysis(space)
+            with pytest.raises(AnalysisSizeError, match=f"{rows} x 9"):
+                m.dimension_analysis(space, guard=max(rows, 9) - 1)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SPACES))
+    def test_equals_dense_oracle(self, name):
+        space = ORACLE_SPACES[name]()
+        assert m.dimension_analysis(space) == dense_dimension_analysis(space)
+
+    @pytest.mark.parametrize("n, dim, ker", [(8, 85, 32), (16, 293, 64)])
+    def test_knn5_five_point_grids(self, n, dim, ker):
+        """kNN-5 five-point patches on an (n+1)^2 grid: ker T is one function per collinear edge patch."""
+        space = _five_point_grid_space(n)
+        rep = m.dimension_analysis(space)
+        assert rep == dense_dimension_analysis(space)
+        assert (rep.dim_total, rep.dim_ker_T, rep.dim_im_T) == (dim, ker, dim - ker)
+        assert rep.dim_ker_T == len(space.failing_patches) == 4 * n
+
+    def test_equals_dense_oracle_on_probe_configurations(self):
+        rng, checked = np.random.default_rng(0), 0
+        while checked < 100:
+            try:
+                ns, space = random_configuration(rng)
+            except ConstructionError:
+                continue
+            assert m.dimension_analysis(space) == dense_dimension_analysis(space)
+            checked += 1
+
+    def test_nearly_dependent_nodes_keep_the_invariants(self):
+        """Nodes within 1e-6 to 1e-12 of a line: rank decisions sit at the tolerance, where the dense
+        oracle's global SVD may decide otherwise, so check what the per-patch formula must satisfy."""
+        rng, checked, deficient = np.random.default_rng(0), 0, 0
+        while checked < 100:
+            try:
+                ns, space = near_line_configuration(rng)
+            except ConstructionError:
+                continue
+            rep = m.dimension_analysis(space)
+            assert rep.dim_ker_T == sum(p.space.dim - p.rank for p in space.patches)
+            assert rep.dim_total == rep.dim_ker_T + rep.dim_im_T >= max(rep.lower_bound, 0)
+            assert rep.dim_im_T <= ns.n
+            assert space.failing_patches == tuple(i for i, p in enumerate(space.patches)
+                                                  if not p.is_interpolation_set)
+            deficient += rep.dim_ker_T > 0
+            checked += 1
+        assert deficient >= 50
+
+    def test_benchmark_scale_space(self, monkeypatch):
+        """The `fivepoint-grid` space (129^2, kNN 5) within the default guard: one batched rank pass,
+        no `Patch` view, no per-patch rank."""
+        space = _five_point_grid_space(128)
+        built = []
+        monkeypatch.setattr(spline_module, "unisolvency_rank", lambda *args: built.append("rank"))
+        monkeypatch.setattr(m.Patch, "__init__", lambda *args, **kwargs: built.append("patch"))
+        start = time.perf_counter()
+        rep = m.dimension_analysis(space)
+        elapsed = time.perf_counter() - start
+        assert built == []
+        assert rep.dim_ker_T == len(space.failing_patches) == 512
+        assert (rep.dim_total, rep.dim_im_T) == (16645, 16133)
+        assert elapsed < 5.0, f"dimension analysis of the 129^2 space took {elapsed:.2f}s"
 
 
 class TestFromNodalValues:
