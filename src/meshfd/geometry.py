@@ -15,8 +15,11 @@ sets (`knn` and `range_search` are one-center calls of it), and
 `ranked_nearest` picks the rank-r nearest point of a bare cloud, such as
 patch centres, which may coincide.  kNN asks a kd-tree for k + 1 neighbors
 per center and re-queries a ball only where the (k+1)-th distance ties the
-k-th within `_TIE_MARGIN`; range is one batched ball query; one sort by
-(center, exact distance, index) then orders every candidate.  The sets
+k-th within `_TIE_MARGIN`; range is one batched ball query.  `_sorted_rows`
+then groups the candidates by center with one stable sort and orders each
+center's row by (exact distance, index), one row-wise sort per row length,
+so no global sort runs over all candidates (the same-index sigma fallback
+of `solve.build_sigma` orders each node's patches with it too).  The sets
 come back as one `InfluenceTable` in CSR form, the influence half of the
 patch table (`spaces.PatchTable`) that is the one patch representation of
 the package; an `InfluenceSet` is a view of one of its rows, built on
@@ -72,6 +75,9 @@ class NodeSet:
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
         if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] < 1:
             raise InvalidInputError(f"points must be a nonempty (N, d) array, got shape {pts.shape}")
+        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+        if bad.size:
+            raise InvalidInputError(f"node {bad[0]} is not finite: {pts[bad[0]].tolist()}")
         mask = np.asarray(self.boundary_mask, dtype=bool).reshape(-1)
         if mask.shape[0] != pts.shape[0]:
             raise InvalidInputError("boundary_mask length must match the number of points")
@@ -204,6 +210,24 @@ def _knn_candidates(tree: cKDTree, centers, k: int):
     return owner, cand
 
 
+def _sorted_rows(owner, cand, dist, m: int):
+    """CSR offsets of m rows and ``cand``, ``dist`` sorted by (owner, distance, candidate).
+
+    One stable sort groups the triples by owner (the candidate queries emit
+    them almost in owner order); one 2-D lexsort per distinct row length then
+    orders every row of that length, so no row is padded to the longest (one
+    range ball may hold every node).  Candidates within a row are distinct.
+    """
+    order = owner.argsort(kind="stable")
+    offsets = owner[order].searchsorted(np.arange(m + 1))
+    starts, sizes = offsets[:-1], offsets[1:] - offsets[:-1]
+    for size in set(sizes.tolist()) - {0, 1}:
+        at = starts[sizes == size][:, None] + np.arange(size)
+        rows = order[at]
+        order[at] = rows[np.arange(len(at))[:, None], np.lexsort((cand[rows], dist[rows]), axis=-1)]
+    return offsets, cand[order], dist[order]
+
+
 def ranked_nearest(cloud, points, rank) -> np.ndarray:
     """Index of point i's rank-``rank[i]`` nearest cloud point (0 is the nearest); ``rank`` is an int array.
 
@@ -212,9 +236,8 @@ def ranked_nearest(cloud, points, rank) -> np.ndarray:
     its points may coincide; every rank must be below n.
     """
     owner, cand = _knn_candidates(cKDTree(cloud), points, int(rank.max(initial=0)) + 1)
-    dist = np.linalg.norm(cloud[cand] - points[owner], axis=1)
-    order = np.lexsort((cand, dist, owner))
-    return cand[order][np.searchsorted(owner[order], np.arange(len(points))) + rank]
+    offsets, cand, _ = _sorted_rows(owner, cand, np.linalg.norm(cloud[cand] - points[owner], axis=1), len(points))
+    return cand[offsets[:-1] + rank]
 
 
 def influences(ns: NodeSet, centers, selector, center_indices=None) -> InfluenceTable:
@@ -260,11 +283,9 @@ def influences(ns: NodeSet, centers, selector, center_indices=None) -> Influence
     if kind == "range":
         keep = dist <= radius
         owner, cand, dist = owner[keep], cand[keep], dist[keep]
-    order = np.lexsort((cand, dist, owner))
-    owner, cand, dist = owner[order], cand[order], dist[order]
-    offsets = np.searchsorted(owner, np.arange(m + 1))
+    offsets, cand, dist = _sorted_rows(owner, cand, dist, m)
     if kind == "knn" and cand.size > k * m:  # a tied center's ball holds more than k candidates: keep k
-        keep = np.arange(owner.size) - offsets[owner] < k
+        keep = np.arange(cand.size) - np.repeat(offsets[:-1], np.diff(offsets)) < k
         cand, dist = cand[keep], dist[keep]
         offsets = np.concatenate([[0], np.cumsum(np.minimum(np.diff(offsets), k))])
     index = np.full(m, -1) if center_indices is None else center_indices
@@ -386,7 +407,10 @@ def load_nodes(path) -> NodeSet:
     for i, row in enumerate(rows[1:]):
         if len(row) != d + 1:
             raise InvalidInputError(f"ragged row {i + 2} in {path}: {len(row)} fields, expected {d + 1}")
-        pts[i] = [float(v) for v in row[:d]]
+        try:
+            pts[i] = [float(v) for v in row[:d]]
+        except ValueError:
+            raise InvalidInputError(f"row {i + 2} in {path}: coordinates must be numbers, got {row[:d]}") from None
         flag = row[d].strip()
         if flag not in ("0", "1"):
             raise InvalidInputError(f"row {i + 2} in {path}: boundary must be 0 or 1, got {flag!r}")

@@ -33,7 +33,7 @@ from .errors import (
     MeshfdError,
     SingularSystemError,
 )
-from .geometry import ranked_nearest
+from .geometry import _sorted_rows, ranked_nearest
 from .linalg import RANK_RTOL
 from .ndf import exactness_rows
 from .operators import Operator
@@ -162,13 +162,14 @@ def build_sigma(space: OverlapSplineSpace, strategy: str, collocation_points=Non
         has = np.flatnonzero(infl.center_index >= 0)
         centred, first = np.unique(infl.center_index[has], return_index=True)
         patch[centred] = has[first]
-        node_of, patch_of, _ = space.incidence
-        rest = np.flatnonzero(patch[node_of] < 0)  # memberships of the nodes no patch is centred on
-        diff = points[node_of[rest]] - infl.centers[patch_of[rest]]
-        dist = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])  # as np.linalg.norm of one difference
-        pick = rest[np.lexsort((patch_of[rest], dist, node_of[rest]))]
-        pick = pick[np.diff(node_of[pick], prepend=-1) != 0]  # each node's (distance, patch) minimum
-        patch[node_of[pick]] = patch_of[pick]
+        if (patch < 0).any():
+            node_of, patch_of, _ = space.incidence
+            rest = np.flatnonzero(patch[node_of] < 0)  # memberships of the nodes no patch is centred on
+            diff = points[node_of[rest]] - infl.centers[patch_of[rest]]
+            dist = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])  # as np.linalg.norm of one difference
+            offsets, nearest, _ = _sorted_rows(node_of[rest], patch_of[rest], dist, nodes.n)
+            lone = np.flatnonzero(np.diff(offsets))  # each takes its row's first: the (distance, patch) minimum
+            patch[lone] = nearest[offsets[lone]]
 
     elif strategy == "nearest-node":
         if collocation_points is None:

@@ -17,7 +17,9 @@ whose nodal matrices also give the patch ranks, one batched SVD per group.
 any set of pairs as the stacked basis times the stacked coefficients.
 `restriction` and `connection_defect` evaluate every membership of the
 `incidence` table in one such call, and partition-of-unity blending
-(`meshfd.pum`) evaluates every (point, covering patch) pair in one.
+(`meshfd.pum`) evaluates every (point, covering patch) pair in one.  The
+table is built on first use; a space checks its node cover on the raw
+influence indices.
 `OverlapSpline.patch_eval` and `spaces.local_interpolate` keep the
 per-patch routes through the patch's own space as the oracles.
 
@@ -117,7 +119,7 @@ class OverlapSplineSpace:
             self.__dict__["patches"] = patches = tuple(patches)
             table = PatchTable.of_pairs([p.influence for p in patches], [p.space for p in patches])
         self.nodes, self.table, self._recipes = nodes, table, tuple(recipes)
-        missing = _uncovered(nodes.n, self.incidence[0])
+        missing = _uncovered(nodes.n, table.influence.indices)
         if missing.size:
             raise ConstructionError(f"nodes not covered by any patch: {missing.tolist()[:10]}")
 
@@ -129,14 +131,14 @@ class OverlapSplineSpace:
 
     @cached_property
     def incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every membership as arrays ``(node, patch, flat)``, sorted by (node, patch).
+        """Every membership as arrays ``(node, patch, flat)``, sorted by (node, patch); built on first use.
 
-        ``flat`` indexes the patch-by-patch concatenation of the influence sets.
+        ``flat`` indexes the patch-by-patch concatenation of the influence sets,
+        so a stable sort by node alone keeps each node's patches ascending.
         """
         node = self.table.influence.indices
-        patch = np.repeat(np.arange(self.m), self.table.influence.sizes)
-        flat = np.lexsort((patch, node))
-        return node[flat], patch[flat], flat
+        flat = np.argsort(node, kind="stable")
+        return node[flat], np.repeat(np.arange(self.m), self.table.influence.sizes)[flat], flat
 
     @property
     def m(self) -> int:

@@ -288,6 +288,22 @@ class TestErrorHandling:
         with pytest.raises(SystemExit):
             main(["generate", "--config", path, "--threads", "2"])
 
+    @pytest.mark.parametrize("bad, message", [("nan", "node 1 is not finite: [0.5, nan]"),
+                                              ("abc", "row 3 in ")])
+    def test_bad_node_file_returns_one(self, tmp_path, capsys, bad, message):
+        nodes = tmp_path / "nodes.csv"
+        nodes.write_text(f"x1,x2,boundary\n0.0,0.0,1\n0.5,{bad},0\n1.0,1.0,1\n")
+        cfg = {
+            "nodes": {"kind": "file", "path": str(nodes)},
+            "space": {"kind": "poly", "degree": 0},
+            "selector": {"kind": "knn", "k": 1},
+            "centers": "all",
+        }
+        assert run_cli("dim", write_config(tmp_path / "dim.json.in", cfg), tmp_path / "o") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidInputError"
+        assert message in err["message"]
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["generate", "--config", str(tmp_path / "nope.json"),
                      "--out-dir", str(tmp_path / "o")]) == 1

@@ -246,6 +246,58 @@ class TestBatchedInfluences:
             assert one.center_index == patch.center_node
 
 
+def relabelled_grid(n_per_axis, seed):
+    """A 2D grid of the unit square with its nodes in a seeded order."""
+    ns = m.generate_grid(2, n_per_axis, [(0.0, 1.0), (0.0, 1.0)])
+    order = np.random.default_rng(seed).permutation(ns.n)
+    return m.NodeSet(points=ns.points[order], boundary_mask=ns.boundary_mask[order])
+
+
+class TestRowOrdering:
+    """Rows grouped by centre and sorted one at a time equal the brute-force order."""
+
+    @pytest.mark.parametrize("n_per_axis", [9, 17])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_relabelled_grids_match_oracle(self, n_per_axis, seed):
+        ns = relabelled_grid(n_per_axis, seed)
+        h = 1.0 / (n_per_axis - 1)
+        for kind, value in (("knn", 5), ("knn", 9), ("range", h), ("range", 1.5 * h), ("range", 2.0 * h)):
+            table = geometry_module.influences(ns, None, (kind, value), np.arange(ns.n))
+            tied = 0
+            for i, center in enumerate(ns.points):
+                if kind == "knn":
+                    idx, dist = brute_force_knn(ns.points, center, value + 1)
+                    tied += dist[value] == dist[value - 1]
+                    idx, dist = idx[:value], dist[:value]
+                else:
+                    idx, dist = brute_force_range(ns.points, center, value)
+                assert np.array_equal(table[i].indices, idx)
+                assert np.array_equal(table[i].distances, dist)
+            assert kind == "range" or tied > 0  # a (k+1)-th neighbour ties the k-th: the ball re-query runs
+
+    def test_one_ball_holds_every_node(self):
+        ns = relabelled_grid(9, 2)
+        centers = np.array([[0.5, 0.5], [1.5, 1.5], [1.74, 0.5625], [-0.5, -0.5], [0.5625, 1.74]])
+        table = geometry_module.influences(ns, centers, ("range", 0.75))
+        assert table.sizes.tolist() == [81, 1, 2, 1, 2]
+        for i, center in enumerate(centers):
+            idx, dist = brute_force_range(ns.points, center, 0.75)
+            assert np.array_equal(table[i].indices, idx)
+            assert np.array_equal(table[i].distances, dist)
+
+    def test_ranked_nearest_matches_oracle(self):
+        grid = m.generate_grid(2, 4, [(0.0, 1.0), (0.0, 1.0)]).points
+        cloud = np.vstack([grid, grid[[5, 5, 10, 0]]])  # coincident points: distance ties at 0
+        rng = np.random.default_rng(3)
+        points = np.vstack([grid, 0.5 * (grid[:-1] + grid[1:]), rng.random((20, 2))])
+        ranks = [np.full(len(points), r) for r in range(4)] + [rng.integers(0, 4, len(points))]
+        for rank in ranks:
+            want = [brute_force_knn(cloud, y, r + 1)[0][r] for y, r in zip(points, rank.tolist())]
+            assert geometry_module.ranked_nearest(cloud, points, rank).tolist() == want
+        _, dist = brute_force_knn(cloud, grid[5], 4)
+        assert dist.tolist() == [0.0, 0.0, 0.0, dist[3]]  # three coincident points, ranked by index
+
+
 class TestQueryArguments:
     """The one neighbor query rejects a non-finite centre and a malformed selector."""
 
@@ -300,6 +352,12 @@ class TestNodeSet:
         m.knn(ns, ns.points[6], 5)
         assert len(built) == 1
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_node_rejected(self, bad):
+        pts = np.array([[0.0, 0.0], [0.5, bad], [1.0, 1.0]])
+        with pytest.raises(InvalidInputError, match=r"^node 1 is not finite: \[0\.5, "):
+            m.NodeSet(points=pts, boundary_mask=[True, False, True])
+
     def test_points_are_read_only(self):
         ns = m.generate_grid(1, 3, [(0.0, 1.0)])
         with pytest.raises(ValueError):
@@ -343,4 +401,16 @@ class TestNodeCsv:
         path = tmp_path / "dup.csv"
         path.write_text("x1,boundary\n0.25,0\n0.25,0\n")
         with pytest.raises(ConstructionError):
+            m.load_nodes(path)
+
+    def test_non_numeric_coordinate_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,x2,boundary\n0.0,0.0,1\n0.5,abc,0\n")
+        with pytest.raises(InvalidInputError, match=f"row 3 in {path}"):
+            m.load_nodes(path)
+
+    def test_non_finite_coordinate_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,x2,boundary\n0.0,0.0,1\n0.5,nan,0\n")
+        with pytest.raises(InvalidInputError, match="node 1 is not finite"):
             m.load_nodes(path)

@@ -162,7 +162,7 @@ class TestBuildSpace:
 
     def test_uncovered_node_is_an_error_naming_it(self):
         ns = grid1d(4)
-        with pytest.raises(ConstructionError, match="0"):
+        with pytest.raises(ConstructionError, match=r"^nodes not covered by any patch: \[0, 1\]$"):
             m.build_space(ns, np.array([[1.0]]), ("knn", 3), m.poly_patch_recipe(2))
 
     def test_non_interpolating_patches_logged_at_info(self, caplog):
@@ -217,7 +217,8 @@ class TestBuildSpace:
         assert centered == [2, 3, 4]
         assert all(p.is_interpolation_set for p in space.patches)
 
-    @pytest.mark.parametrize("build", [lambda: five_star_full_p2_space(4), lambda: kernel_space(2)])
+    @pytest.mark.parametrize("build", [lambda: five_star_full_p2_space(4), lambda: kernel_space(2),
+                                       lambda: halton_r3_space(), lambda: quadratic_overlap_space_1d(7)])
     def test_incidence_matches_membership_loop(self, build):
         ns, space = build()
         node, patch, flat = space.incidence
@@ -227,6 +228,21 @@ class TestBuildSpace:
         owner = np.repeat(np.arange(space.m), [p.influence.size for p in space.patches])
         assert np.array_equal(concatenated[flat], node)
         assert np.array_equal(owner[flat], patch)
+        assert np.array_equal(flat, np.lexsort((owner, concatenated)))  # the (node, patch) sort it replaces
+
+    def test_incidence_not_built_for_node_centred_sigma(self):
+        space = m.build_space(grid2d(8), "all", ("knn", 5), m.poly_patch_recipe(1))
+        m.build_sigma(space, "same-index")
+        assert "incidence" not in space.__dict__
+
+    def test_interior_centres_build_incidence_for_the_sigma_fallback(self):
+        ns, space = quadratic_overlap_space_1d(7)
+        assert "incidence" not in space.__dict__
+        assert m.build_sigma(space, "same-index").patch[[0, -1]].tolist() == [0, space.m - 1]
+        node, patch, flat = space.__dict__["incidence"]
+        members = membership_lists(space)
+        assert list(zip(node.tolist(), patch.tolist())) == [(k, i) for k, ms in enumerate(members) for i in ms]
+        assert np.array_equal(space.table.influence.indices[flat], node)
 
     def test_ranks_measured_on_first_use_only(self, monkeypatch, caplog):
         calls = []
