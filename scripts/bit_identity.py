@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Dump what the benchmark workloads compute, or tell whether two dumps are equal bit for bit.
+
+    PYTHONPATH=src python3 scripts/bit_identity.py dump OUT.npz [--small]
+    python3 scripts/bit_identity.py compare A.npz B.npz
+
+``dump`` runs one pass of every workload of ``perfbench/pipeline.py``
+(``--small``: its small input), once in the generator's node order and
+once in the seeded relabelling, and saves into one ``.npz``: for the three
+solve workloads the assembled CSR arrays (``data``, ``indices``,
+``indptr``), ``rhs``, the row residuals and the solution; for ``pum-eval``
+the stacked patch coefficients, the restriction and the blended values at
+the evaluation points.  The library is the ``meshfd`` on ``PYTHONPATH``,
+so dumping once per checkout checks that a change leaves every output as
+it was.
+
+``compare`` prints one line per array and exits with status 1 when an
+array differs in dtype, shape or any byte, or is missing from one dump.
+"""
+
+import argparse
+import sys
+from pathlib import Path
+
+import numpy as np
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SEED = 7
+
+
+def outputs(small: bool) -> dict:
+    """``{"<workload>/<order>/<array>": array}`` for every workload, in both node orders."""
+    sys.path.insert(0, str(PERFBENCH))  # the workloads import meshfd; `compare` needs neither
+    from pipeline import WORKLOADS, make_inputs, run_pass
+    from tracing import Recorder
+
+    out = {}
+    for name, wl in sorted(WORKLOADS.items()):
+        wl = wl.small() if small else wl
+        for order in ("generator", "relabelled"):
+            res = run_pass(wl, make_inputs(wl, SEED, permute=order == "relabelled"), Recorder(False))
+            key = f"{name}/{order}/"
+            if res.system is not None:
+                matrix = res.system.matrix.tocsr()
+                out.update({key + "data": matrix.data, key + "indices": matrix.indices,
+                            key + "indptr": matrix.indptr, key + "rhs": res.system.rhs,
+                            key + "residual": res.system.residual,
+                            key + "solution": res.solution.nodal_values})
+            else:
+                out.update({key + "coefficients": np.concatenate(res.spline.patch_coeffs),
+                            key + "restriction": res.restricted, key + "blend": res.blended})
+    return out
+
+
+def differences(a: dict, b: dict) -> list[str]:
+    """One line per array of either dump; the lines of arrays that differ start with DIFFERS."""
+    lines = []
+    for key in sorted(set(a) | set(b)):
+        if key not in a or key not in b:
+            lines.append(f"DIFFERS  {key}: only in {'the first' if key in a else 'the second'} dump")
+        elif a[key].dtype != b[key].dtype or a[key].shape != b[key].shape:
+            lines.append(f"DIFFERS  {key}: {a[key].dtype}{a[key].shape} vs {b[key].dtype}{b[key].shape}")
+        elif a[key].tobytes() != b[key].tobytes():
+            as_bytes = [np.frombuffer(x[key].tobytes(), np.uint8).reshape(x[key].size, -1) for x in (a, b)]
+            count = int(np.any(as_bytes[0] != as_bytes[1], axis=1).sum())
+            lines.append(f"DIFFERS  {key}: {count} of {a[key].size} elements")
+        else:
+            lines.append(f"equal    {key}: {a[key].dtype}{a[key].shape}")
+    return lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = ap.add_subparsers(dest="command", required=True)
+    dump = sub.add_parser("dump", help="run the workloads and save their outputs")
+    dump.add_argument("out", type=Path)
+    dump.add_argument("--small", action="store_true", help="the workloads' small inputs")
+    compare = sub.add_parser("compare", help="exit 1 unless two dumps are equal bit for bit")
+    compare.add_argument("first", type=Path)
+    compare.add_argument("second", type=Path)
+    args = ap.parse_args(argv)
+    if args.command == "dump":
+        arrays = outputs(args.small)
+        np.savez(args.out, **arrays)
+        print(f"wrote {len(arrays)} arrays to {args.out}")
+        return 0
+    with np.load(args.first) as first, np.load(args.second) as second:
+        lines = differences(dict(first), dict(second))
+    print("\n".join(lines))
+    bad = sum(line.startswith("DIFFERS") for line in lines)
+    print(f"{len(lines) - bad} of {len(lines)} arrays equal")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -240,9 +240,9 @@ def _poly_rows(op, y, basis, slots):
 def _kernel_rows(op, y, basis, slots):
     """Stacked saddle systems ``[[K, P], [P^T, 0]]``: weights (R, n), residuals (R,) and {row: error}.
 
-    ``K`` and ``P`` are the scaled translates and the tail at the stencil
-    nodes, the kernel centres.  A row's defect is the residual of its own
-    saddle system (`_defects`); no moment-null basis is formed.
+    ``K`` and ``P``, the scaled translates and the tail at the stencil nodes, fill one saddle matrix
+    per stacked patch in place, gathered to the rows only when they are not the stacked patches in
+    order.  A row's defect is the residual of its own saddle system; no moment-null basis is formed.
     """
     q, n_rows, (n, d) = len(basis.exponents), len(y), basis.centers.shape[1:]
     if basis.tail_rank < q:
@@ -252,11 +252,11 @@ def _kernel_rows(op, y, basis, slots):
             rank=basis.tail_rank, n_conditions=q,
         ) for r in range(n_rows)}
     betas, coef = _operator_coefficients(op, d, y)
-    distinct, back = np.unique(slots, return_inverse=True)  # each patch's nodal blocks once per chunk
-    kmat, p = (block[back] for block in basis.blocks(None, rows=distinct))
-    k_rhs, p_rhs = basis.blocks(y[:, None, :], betas, coef, slots)
-    a = np.block([[kmat, p], [np.swapaxes(p, 1, 2), np.zeros((n_rows, q, q))]])
-    rhs = np.concatenate([k_rhs, p_rhs], axis=2)[:, 0, :]
+    a = np.zeros((basis.centers.shape[0], n + q, n + q))  # each stacked patch's saddle matrix, once
+    a[:, :n, :n], a[:, :n, n:] = basis.blocks(None)
+    a[:, n:, :n] = np.swapaxes(a[:, :n, n:], 1, 2)
+    a = a if np.array_equal(slots, np.arange(len(a))) else a[slots]  # equal counts do not prove patch order
+    rhs = np.concatenate(basis.blocks(y[:, None, :], betas, coef, slots), axis=2)[:, 0, :]
     sol, singular = stacked_solve(a, rhs)
     w = sol[:, :n]
     defect = _defects(a, sol, rhs, n)

@@ -22,11 +22,11 @@ per (dimension, degree, list) and shared by every space built from it.
 
 A collection of patches is one `PatchTable`, filled by the recipes in array
 operations (a recipe stays callable on one influence set) or from checked
-hand-made pairings.  Its `StackedBasis` groups (`stack_spaces`) evaluate
-many patches at once, so the basis layout is known here only.  Kernel
-exactness rows take the translates and tail monomials (`StackedBasis.blocks`);
-nodal fits and spline values take the basis (`StackedBasis.evaluate`), the
-only reader of the moment-null bases.
+hand-made pairings.  Its `StackedBasis` groups (`stack_spaces`, split by tail
+ranks that one batched Cholesky certifies) evaluate many patches at once, so the
+basis layout is known here only.  Kernel exactness rows take the translates and
+tail monomials (`StackedBasis.blocks`); nodal fits and spline values take the
+basis (`StackedBasis.evaluate`), the only reader of the moment-null bases.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NotAnInterpolationSetError
 from .geometry import InfluenceTable
-from .linalg import RANK_RTOL, null_space, numerical_rank
+from .linalg import null_space, numerical_rank, stacked_rank
 from .operators import Operator
 
 # Residual tolerance for a successful local interpolation solve.
@@ -523,10 +523,10 @@ class PatchTable:
 def stack_spaces(table: PatchTable, patches) -> list[tuple[np.ndarray, StackedBasis]]:
     """(member positions in ``patches``, evaluator) per group of table rows with one shape and size.
 
-    A kernel group's tails at its nodes go through one batched SVD of
-    singular values only, whose ranks split the group by dimension (a tail
-    of deficient rank widens the moment-null block).  The moment-null bases
-    are left to `StackedBasis.null`, which only evaluation reads.
+    The ranks of a kernel group's tails at its nodes (`linalg.stacked_rank`: a batched Cholesky
+    certifies most, an SVD of singular values decides the rest) split the group by dimension (a
+    tail of deficient rank widens the moment-null block).  The moment-null bases are left to
+    `StackedBasis.null`, which only evaluation reads.
     """
     patches = np.asarray(patches, dtype=np.intp).reshape(-1)
     infl = table.influence
@@ -541,10 +541,7 @@ def stack_spaces(table: PatchTable, patches) -> list[tuple[np.ndarray, StackedBa
         centers, shift, scale = infl.points[at], table.shift[rows], table.scale[rows]
         tail = monomial_derivatives((centers - shift[:, None, :]) / scale[:, None, None], exps,
                                     (0,) * centers.shape[2])
-        rank = np.zeros(rows.size, dtype=np.intp)
-        if kernel is not None and exps:
-            sv = np.linalg.svd(tail, compute_uv=False)
-            rank = np.count_nonzero(sv > RANK_RTOL * sv[:, :1], axis=1)
+        rank = stacked_rank(tail) if kernel is not None and exps else np.zeros(rows.size, dtype=np.intp)
         for r in sorted(set(rank.tolist())):
             sel = rank == r
             out.append((members[sel], StackedBasis(kernel, centers[sel], infl.indices[at[sel]],
@@ -605,7 +602,7 @@ def unisolvency_rank(space: PatchSpace, coords) -> tuple[int, bool]:
     if coords.shape[0] == 0:
         raise InvalidInputError("unisolvency test needs at least one node")
     e = np.atleast_2d(space.eval_basis(coords))
-    rank = numerical_rank(e, rtol=RANK_RTOL)
+    rank = numerical_rank(e)
     return rank, bool(rank == space.dim == coords.shape[0])
 
 

@@ -86,6 +86,19 @@ def halton_r3_space(count=100, k=12):
     return ns, m.build_space(ns, "all", ("knn", k), recipe)
 
 
+def halton_r3_space_3d(count=200, k=20):
+    """r^3 patches with a degree-2 tail (q = 10) on kNN stencils of a Halton cloud in the unit cube."""
+    ns = m.generate_scattered(3, count, [(0.0, 1.0)] * 3, source="halton")
+    recipe = m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0), augmentation_degree=2)
+    return ns, m.build_space(ns, "all", ("knn", k), recipe)
+
+
+def gauss_tail_space(count=60, k=9):
+    """Gauss patches with a linear tail on kNN stencils of a Halton cloud in the unit square."""
+    ns = m.generate_scattered(2, count, [(0.0, 1.0), (0.0, 1.0)], source="halton")
+    return ns, m.build_space(ns, "all", ("knn", k), m.kernel_patch_recipe(m.Kernel("gauss", 3.0), 1))
+
+
 def jittered_cloud(seed, n_axis=14, jitter=0.15):
     """Quasi-uniform scattered nodes: a grid with seeded interior jitter."""
     rng = np.random.default_rng(seed)

@@ -17,7 +17,7 @@ from meshfd.errors import UnsolvableExactnessError
 from meshfd.ndf import EXACTNESS_RTOL, StencilWeights, exactness_rows, verify_exactness
 from meshfd.spaces import StackedBasis, stack_spaces
 
-from helpers import GENERAL_OP, halton_r3_space
+from helpers import GENERAL_OP, gauss_tail_space, halton_r3_space, halton_r3_space_3d
 
 OPERATORS = {"laplacian": m.LAPLACIAN, "general": GENERAL_OP}
 
@@ -65,20 +65,21 @@ def test_a_perturbed_solve_fails_its_own_row(monkeypatch, unknown):
 
 
 def test_assembly_runs_no_full_svd_and_never_reads_the_null_bases(monkeypatch):
+    """Well-conditioned tails are certified by Cholesky: not even an SVD of singular values runs."""
     ns, space = halton_r3_space(count=60, k=12)
     sigma = m.build_sigma(space, "same-index")
-    svd, full_svds, null_reads = np.linalg.svd, [], []
+    svd, full_svds, values_svds, null_reads = np.linalg.svd, [], [], []
 
     def counting_svd(a, *args, **kwargs):
-        if kwargs.get("compute_uv", args[1] if len(args) > 1 else True):
-            full_svds.append(np.shape(a))
+        full = kwargs.get("compute_uv", args[1] if len(args) > 1 else True)
+        (full_svds if full else values_svds).append(np.shape(a))
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(StackedBasis, "null", property(lambda basis: null_reads.append(1)))
     gs = m.assemble(space, m.LAPLACIAN, lambda x: 0.0, sigma, dirichlet_data=lambda x: 0.0)
     assert gs.residual.max() <= EXACTNESS_RTOL
-    assert full_svds == [] and null_reads == []
+    assert full_svds == [] and values_svds == [] and null_reads == []
 
 
 def gauss_space():
@@ -94,7 +95,8 @@ def one_node_space(kernel):
 @pytest.mark.parametrize("build", [
     gauss_space, lambda: halton_r3_space(count=60, k=12)[1],
     lambda: one_node_space(m.Kernel("gauss", 3.0)), lambda: one_node_space(m.Kernel("polyharmonic", 3.0)),
-], ids=["gauss", "r3", "one-node-gauss", "one-node-r3"])
+    lambda: halton_r3_space_3d()[1], lambda: gauss_tail_space()[1],
+], ids=["gauss", "r3", "one-node-gauss", "one-node-r3", "r3-3d-q10", "gauss-linear-tail"])
 def test_nodal_blocks_equal_the_blocks_at_the_centres(build):
     space = build()
     for _, basis in stack_spaces(space.table, np.arange(space.m)):

@@ -1,9 +1,11 @@
-"""Smoke tests: the scripts under scripts/ run against the package and print their tables."""
+"""Smoke tests: the scripts under scripts/ run against the package and print their tables or verdicts."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,3 +35,23 @@ def test_convergence_demo_prints_every_table():
     ):
         assert heading in res.stdout
     assert res.stdout.count("max_err") == 3
+
+
+def test_bit_identity_tells_equal_dumps_from_changed_ones(tmp_path):
+    first, second = tmp_path / "first.npz", tmp_path / "second.npz"
+    res = run_script("bit_identity.py", "dump", str(first), "--small")
+    assert res.returncode == 0, res.stderr
+    res = run_script("bit_identity.py", "compare", str(first), str(first))
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert res.stdout.splitlines()[-1] == "42 of 42 arrays equal"  # 6 arrays x 2 orders x 3 solves, 3 x 2 for pum-eval
+    with np.load(first) as dump:
+        arrays = dict(dump)
+    solution = arrays["rbf-collocate/generator/solution"]
+    solution[3] = np.nextafter(solution[3], np.inf)
+    del arrays["pum-eval/relabelled/blend"]
+    np.savez(second, **arrays)
+    res = run_script("bit_identity.py", "compare", str(first), str(second))
+    assert res.returncode == 1
+    assert f"DIFFERS  rbf-collocate/generator/solution: 1 of {solution.size} elements" in res.stdout
+    assert "DIFFERS  pum-eval/relabelled/blend: only in the first dump" in res.stdout
+    assert res.stdout.splitlines()[-1] == "40 of 42 arrays equal"

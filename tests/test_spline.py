@@ -24,6 +24,7 @@ from helpers import (
     dense_dimension_analysis,
     five_star_full_p2_space,
     five_star_sublist_space,
+    gauss_tail_space,
     grid1d,
     grid2d,
     halton_r3_space,
@@ -470,7 +471,8 @@ class TestFromNodalValues:
         halton_r3_space,
         lambda: five_star_sublist_space(6),
         lambda: (lambda ns, space: (ns, m.OverlapSplineSpace(ns, space.patches[::2])))(*mixed_tail_rank_space()),
-    ], ids=["pum-eval-small", "five-star-mixed", "mixed-tail-rank-full-patches"])
+        gauss_tail_space,
+    ], ids=["pum-eval-small", "five-star-mixed", "mixed-tail-rank-full-patches", "gauss-linear-tail"])
     def test_coefficients_equal_local_interpolate(self, build, rng):
         ns, space = build()
         values = rng.standard_normal(ns.n)
