@@ -16,6 +16,8 @@ it was.
 
 ``compare`` prints one line per array and exits with status 1 when an
 array differs in dtype, shape or any byte, or is missing from one dump.
+The line of a float array that differs ends with the largest absolute
+difference of its elements, so a rounding-level move reads as one.
 """
 
 import argparse
@@ -63,7 +65,10 @@ def differences(a: dict, b: dict) -> list[str]:
         elif a[key].tobytes() != b[key].tobytes():
             as_bytes = [np.frombuffer(x[key].tobytes(), np.uint8).reshape(x[key].size, -1) for x in (a, b)]
             count = int(np.any(as_bytes[0] != as_bytes[1], axis=1).sum())
-            lines.append(f"DIFFERS  {key}: {count} of {a[key].size} elements")
+            line = f"DIFFERS  {key}: {count} of {a[key].size} elements"
+            if a[key].dtype.kind == "f":
+                line += f", largest |difference| {float(np.max(np.abs(a[key] - b[key])))!r}"
+            lines.append(line)
         else:
             lines.append(f"equal    {key}: {a[key].dtype}{a[key].shape}")
     return lines

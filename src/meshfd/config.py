@@ -17,7 +17,7 @@ optional:
       "selector": {"kind": "knn", "k": 9} | {"kind": "range", "radius": 0.3},
       "centers": "all" | "interior" | [node indices],
       "uncovered": "error" | "constant-patch",
-      "operator": {"kind": "identity" | "laplacian" | "second-derivative-1d"},
+      "operator": {"kind": one of operators.KINDS but "general-second-order"},
       "problem": {"preset": "bvp1d" | "poisson2d", "bounds": ...},
       "strategy": {"kind": "same-index"}
                   | {"kind": "per-set-aggregate"}

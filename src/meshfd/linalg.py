@@ -16,13 +16,13 @@ RANK_RTOL = 1e-10
 CERTIFIED_COND = 1e6
 
 
-def numerical_rank(a, rtol=RANK_RTOL):
-    """Rank of a dense matrix: number of singular values above rtol * s_max."""
+def numerical_rank(a):
+    """Rank of a dense matrix: number of singular values above RANK_RTOL * s_max."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0 or min(a.shape) == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
-    return int(np.count_nonzero(s > rtol * s[0]))
+    return int(np.count_nonzero(s > RANK_RTOL * s[0]))
 
 
 def stacked_rank(a) -> np.ndarray:
@@ -63,7 +63,7 @@ def stacked_solve(a, b):
         return sol, singular
 
 
-def null_space(a, rtol=RANK_RTOL):
+def null_space(a):
     """Orthonormal basis (columns) of the null space of a dense matrix.
 
     A matrix with no rows has the full identity as its null space.
@@ -72,4 +72,4 @@ def null_space(a, rtol=RANK_RTOL):
     if a.size == 0:
         return np.eye(a.shape[1])
     _, s, vt = np.linalg.svd(a, full_matrices=True)
-    return vt[np.count_nonzero(s > rtol * s[0]):].T.copy()
+    return vt[np.count_nonzero(s > RANK_RTOL * s[0]):].T.copy()

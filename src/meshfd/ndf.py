@@ -15,10 +15,11 @@ is stacked with.  It returns arrays, not one object per row: every row's
 weights in one flat array, slice after slice, the residuals, and the errors
 of failed rows by row.  When a chunk-wide step raises, the chunk's rows are
 solved again one at a time into the same arrays, so that each bad row gets
-its own error.  `weights_poly` and `weights_kernel` are one-row batches of
-the engine.  The cardinal (Lagrange) rows of `spline.lagrange_row` are the
-independent second route: they solve the patch's nodal matrix and share no
-solve with this engine.
+its own error.  The operator enters as the table of `Operator.terms`.
+`weights_poly` and `weights_kernel` are one-row batches of the engine.  The
+cardinal (Lagrange) rows of `spline.lagrange_row` are the independent
+second route: they solve the patch's nodal matrix and share no solve with
+this engine.
 
 One defect formula judges every row, `exactness_defect` and the cardinal
 rows included: the relative residual of the row's own linear system, the
@@ -45,14 +46,13 @@ from .errors import (
 )
 from .geometry import InfluenceSet, NodeSet, knn
 from .linalg import RANK_RTOL, numerical_rank, stacked_solve
-from .operators import IDENTITY, LAPLACIAN, SECOND_DERIVATIVE_1D, Operator  # noqa: F401 (re-export)
+from .operators import Operator
 from .spaces import (
     KernelSpace,
     PatchTable,
     PolySpace,
     apply_operator,
     monomial_exponents,
-    operator_terms,
     poly_patch_recipe,
     stack_spaces,
     unisolvency_rank,
@@ -183,24 +183,6 @@ def _solve_group(op, y, basis, slots):
     return w, residual, errors
 
 
-def _operator_coefficients(op: Operator, d: int, y) -> tuple[list, np.ndarray]:
-    """Derivative multi-indices of the operator and their coefficients at each point.
-
-    Multi-indices are sorted, so a row sums its terms in the same order in
-    every chunk; a zero coefficient adds nothing.
-    """
-    if op.kind == "general-second-order":
-        per_point = [operator_terms(op, d, p) for p in y]
-    else:
-        per_point = [operator_terms(op, d, None)]
-    betas = sorted({beta for terms in per_point for beta, _ in terms})
-    coef = np.zeros((len(per_point), len(betas)))
-    for r, terms in enumerate(per_point):
-        for beta, c in terms:
-            coef[r, betas.index(beta)] += c
-    return betas, np.broadcast_to(coef, (y.shape[0], len(betas)))
-
-
 def _min_norm(a, b) -> np.ndarray:
     """Minimum-2-norm least-squares solutions of stacked systems, rank cut at RANK_RTOL."""
     return (np.linalg.pinv(a, rcond=RANK_RTOL) @ b[..., None])[..., 0]
@@ -213,7 +195,7 @@ def _rank(a) -> int | None:
 
 def _poly_rows(op, y, basis, slots):
     """Stacked transposed Vandermonde systems: weights (R, n), residuals (R,) and {row: error}."""
-    betas, coef = _operator_coefficients(op, y.shape[1], y)
+    betas, coef = op.terms(y)
     e = basis.evaluate(None, rows=slots)
     t = basis.evaluate(y[:, None, :], betas, coef, slots)[:, 0, :]
     n, dim = e.shape[1:]
@@ -244,14 +226,14 @@ def _kernel_rows(op, y, basis, slots):
     per stacked patch in place, gathered to the rows only when they are not the stacked patches in
     order.  A row's defect is the residual of its own saddle system; no moment-null basis is formed.
     """
-    q, n_rows, (n, d) = len(basis.exponents), len(y), basis.centers.shape[1:]
+    q, n_rows, n = len(basis.exponents), len(y), basis.centers.shape[1]
     if basis.tail_rank < q:
         return np.full((n_rows, n), np.nan), np.full(n_rows, np.nan), {r: UnsolvableExactnessError(
             f"polynomial tail block has rank {basis.tail_rank} < {q}: "
             "influence nodes are not unisolvent for the tail",
             rank=basis.tail_rank, n_conditions=q,
         ) for r in range(n_rows)}
-    betas, coef = _operator_coefficients(op, d, y)
+    betas, coef = op.terms(y)
     a = np.zeros((basis.centers.shape[0], n + q, n + q))  # each stacked patch's saddle matrix, once
     a[:, :n, :n], a[:, :n, n:] = basis.blocks(None)
     a[:, n:, :n] = np.swapaxes(a[:, :n, n:], 1, 2)

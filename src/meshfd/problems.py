@@ -19,7 +19,6 @@ import numpy as np
 from .errors import InvalidInputError, MeshfdError
 from .geometry import NodeSet
 from .operators import LAPLACIAN, SECOND_DERIVATIVE_1D, Operator
-from .spaces import operator_terms
 
 PRESETS = ("bvp1d", "poisson2d")
 
@@ -113,23 +112,21 @@ def _fd_mixed_derivative(fn, x, axis_a, axis_b, step):
 def numeric_operator_apply(op: Operator, fn, x, step: float = 1e-2) -> float:
     """Apply an operator to a plain function by high-order finite differences.
 
-    This is the independent oracle for manufactured-solution checks; it
-    never touches the patch-space machinery.
+    This is the independent oracle for manufactured-solution checks: it
+    reads the operator's terms (`Operator.terms`) and never touches the
+    patch-space machinery.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
+    betas, coef = op.terms(x[None])
     total = 0.0
-    for beta, coeff in operator_terms(op, x.shape[0], x):
-        order = sum(beta)
-        if order == 0:
+    for beta, coeff in zip(betas, coef[0]):
+        axes = [a for a, e in enumerate(beta) for _ in range(e)]
+        if not axes:
             total += coeff * float(fn(x))
-        elif order == 1:
-            total += coeff * _fd_axis_derivative(fn, x, beta.index(1), 1, step)
+        elif len(set(axes)) == 1:
+            total += coeff * _fd_axis_derivative(fn, x, axes[0], len(axes), step)
         else:
-            axes = [a for a, e in enumerate(beta) for _ in range(e)]
-            if axes[0] == axes[1]:
-                total += coeff * _fd_axis_derivative(fn, x, axes[0], 2, step)
-            else:
-                total += coeff * _fd_mixed_derivative(fn, x, axes[0], axes[1], step)
+            total += coeff * _fd_mixed_derivative(fn, x, *axes, step)
     return total
 
 

@@ -15,21 +15,15 @@ import time
 import numpy as np
 
 from .config import resolve_config
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInputError
 from .geometry import NodeSet, generate_grid, generate_scattered, influences, load_nodes, save_nodes
 from .ndf import exactness_rows
-from .operators import IDENTITY, LAPLACIAN, SECOND_DERIVATIVE_1D, Operator
+from .operators import Operator
 from .problems import Problem, convergence_study, preset
 from .pum import PartitionOfUnity
 from .solve import SigmaMap, assemble, build_sigma, solve_least_squares, solve_square
 from .spaces import Kernel, PatchTable, kernel_patch_recipe, poly_patch_recipe
 from .spline import OverlapSplineSpace, build_space, dimension_analysis, from_nodal_values
-
-_OPERATORS = {
-    "identity": IDENTITY,
-    "laplacian": LAPLACIAN,
-    "second-derivative-1d": SECOND_DERIVATIVE_1D,
-}
 
 
 def _fmt(v) -> str:
@@ -116,9 +110,10 @@ def resolve_operator(cfg, problem: Problem | None = None) -> Operator:
     spec = cfg.get("operator")
     if spec:
         kind = spec.get("kind")
-        if kind not in _OPERATORS:
-            raise ConfigError(f"unknown operator kind {kind!r} (general operators are library-only)")
-        return _OPERATORS[kind]
+        try:
+            return Operator(kind)  # a general operator needs coefficient functions
+        except InvalidInputError:
+            raise ConfigError(f"unknown operator kind {kind!r} (general operators are library-only)") from None
     if problem is not None:
         return problem.operator
     raise ConfigError("config needs an 'operator' or a 'problem' section")

@@ -260,11 +260,11 @@ def assemble(
                         points=space.nodes.points)
 
 
-def _inverse_one_norm_estimate(lu, n, max_iters=5) -> float:
-    """Deterministic Hager-style lower estimate of the inverse 1-norm."""
+def _inverse_one_norm_estimate(lu, n) -> float:
+    """Deterministic Hager-style lower estimate of the inverse 1-norm, in at most 5 steps."""
     x = np.full(n, 1.0 / n)
     estimate = 0.0
-    for _ in range(max_iters):
+    for _ in range(5):
         y = lu.solve(x)
         estimate = max(estimate, float(np.linalg.norm(y, 1)))
         s = np.sign(y)
@@ -312,7 +312,8 @@ def solve_square(gs: GlobalSystem) -> Solution:
     (`SQUARE_ORDERING`, `SQUARE_PIVOT_THRESH`).  The residual is that of the
     full system; the condition estimate is the factored block's.  When the
     estimate times machine epsilon reaches 1 the solution keeps no digit:
-    it is still returned, with ``full_rank=False`` and a note.  Two unit
+    it is still returned, with ``full_rank=False`` and a note; so it is
+    when the estimate fails (NaN), as no digit is verified.  Two unit
     rows on one node leave the block non-square and raise
     `SingularSystemError`.
     """
@@ -354,13 +355,17 @@ def solve_square(gs: GlobalSystem) -> Solution:
     residual = float(np.linalg.norm(gs.matrix @ u - gs.rhs))
     cond = _cond_estimate_from_lu(block, lu) if free.size else 1.0  # all unit rows: a permutation
     eps = np.finfo(float).eps
-    no_digit = cond * eps >= 1.0
-    note = (f"interior-block condition estimate {cond:.3e} reaches 1/eps = {1.0 / eps:.3e}: "
-            "the solution keeps no digit") if no_digit else ""
+    if np.isnan(cond):
+        note = "interior-block condition estimate failed: no digit of the solution is verified"
+    elif cond * eps >= 1.0:
+        note = (f"interior-block condition estimate {cond:.3e} reaches 1/eps = {1.0 / eps:.3e}: "
+                "the solution keeps no digit")
+    else:
+        note = ""
     return Solution(
         nodal_values=u,
         residual_norm=residual,
-        rank_report=RankReport(full_rank=not no_digit, cond_estimate=cond, note=note),
+        rank_report=RankReport(full_rank=not note, cond_estimate=cond, note=note),
     )
 
 

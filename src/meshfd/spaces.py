@@ -27,6 +27,8 @@ ranks that one batched Cholesky certifies) evaluate many patches at once, so the
 basis layout is known here only.  Kernel exactness rows take the translates and
 tail monomials (`StackedBasis.blocks`); nodal fits and spline values take the
 basis (`StackedBasis.evaluate`), the only reader of the moment-null bases.
+An operator reaches a basis as the table of `operators.Operator.terms`, summed
+by `blocks` and `evaluate` for many points and by `apply_operator` for one.
 """
 
 from __future__ import annotations
@@ -405,7 +407,8 @@ class StackedBasis:
         if self.kernel is None or not self.exponents:
             return None
         _, _, vt = np.linalg.svd(np.swapaxes(self.tail_at_centers, 1, 2), full_matrices=True)
-        return np.swapaxes(vt[:, self.tail_rank:, :], 1, 2)
+        # contiguous, as `KernelSpace.moment_null`: a product with a strided view may round differently
+        return np.ascontiguousarray(np.swapaxes(vt[:, self.tail_rank:, :], 1, 2))
 
     def blocks(self, points, betas=None, coef=None, rows=slice(None)) -> tuple:
         """Scaled kernel translates (R, m, s), None without a kernel, and tail monomials (R, m, q).
@@ -550,45 +553,12 @@ def stack_spaces(table: PatchTable, patches) -> list[tuple[np.ndarray, StackedBa
     return out
 
 
-def operator_terms(op: Operator, d: int, x) -> list[tuple[tuple[int, ...], float]]:
-    """Expand an operator at a point into (derivative multi-index, coefficient) terms."""
-    if op.kind == "identity":
-        return [((0,) * d, 1.0)]
-    if op.kind == "second-derivative-1d":
-        if d != 1:
-            raise InvalidInputError("second-derivative-1d needs a one-dimensional space")
-        return [((2,), 1.0)]
-    if op.kind == "laplacian":
-        return [(tuple(2 if i == a else 0 for i in range(d)), 1.0) for a in range(d)]
-    # general second order, with coefficients evaluated at the point
-    x_arr = np.asarray(x, dtype=float).reshape(-1)
-    terms: list[tuple[tuple[int, ...], float]] = []
-    if op.a is not None:
-        coeff = np.atleast_2d(np.asarray(op.a(x_arr), dtype=float))
-        if coeff.shape != (d, d):
-            raise InvalidInputError(f"second-order coefficient must be ({d}, {d})")
-        for k in range(d):
-            for l in range(d):
-                if coeff[k, l] != 0.0:
-                    beta = tuple((1 if i == k else 0) + (1 if i == l else 0) for i in range(d))
-                    terms.append((beta, float(coeff[k, l])))
-    if op.b is not None:
-        coeff = np.asarray(op.b(x_arr), dtype=float).reshape(-1)
-        if coeff.shape != (d,):
-            raise InvalidInputError(f"first-order coefficient must be ({d},)")
-        for k in range(d):
-            if coeff[k] != 0.0:
-                terms.append((tuple(1 if i == k else 0 for i in range(d)), float(coeff[k])))
-    if op.c is not None:
-        terms.append(((0,) * d, float(op.c(x_arr))))
-    return terms
-
-
 def apply_operator(space: PatchSpace, op: Operator, x) -> np.ndarray:
-    """Values of L applied to every basis function of the space, at a point x."""
+    """Values of L (the terms of `Operator.terms`) applied to every basis function of the space, at a point x."""
+    betas, coef = op.terms(np.reshape(x, (1, -1)))
     out = np.zeros(space.dim)
-    for beta, coeff in operator_terms(op, space.d, x):
-        out = out + coeff * space.eval_basis_derivative(x, beta)
+    for beta, c in zip(betas, coef[0]):
+        out = out + c * space.eval_basis_derivative(x, beta)
     return out
 
 

@@ -413,32 +413,28 @@ def lagrange_row(space: OverlapSplineSpace, patch_index: int, op: Operator, y) -
     element taking value 1 at influence node k and 0 at the others; the row
     is supported on the patch's influence set only.  The cardinal
     coefficients are the inverse of the patch's nodal matrix (its basis at
-    its own nodes), for polynomial and kernel patches alike.
+    its own nodes), for polynomial and kernel patches alike.  A patch of
+    `failing_patches` raises; only an error measures the patch's own rank.
     """
+    patch_index = range(space.m)[patch_index]
     patch = space.patches[patch_index]
-    if not patch.is_interpolation_set:
-        raise NotAnInterpolationSetError(
-            f"patch {patch_index} is not an interpolation-set pairing "
-            f"(rank {patch.rank}, dim {patch.space.dim}, nodes {patch.influence.size})",
-            rank=patch.rank, dim=patch.space.dim, n_nodes=patch.influence.size,
-        )
+
+    def failure(message):
+        return NotAnInterpolationSetError(message, rank=patch.rank, dim=patch.space.dim,
+                                          n_nodes=patch.influence.size)
+
+    if patch_index in space.failing_patches:
+        raise failure(f"patch {patch_index} is not an interpolation-set pairing "
+                      f"(rank {patch.rank}, dim {patch.space.dim}, nodes {patch.influence.size})")
     y = np.asarray(y, dtype=float).reshape(-1)
-    coords = patch.influence.points
-    ps = patch.space
-
-    singular = NotAnInterpolationSetError(
-        f"singular local system on patch {patch_index}",
-        rank=patch.rank, dim=patch.space.dim, n_nodes=patch.influence.size,
-    )
-
-    e = np.atleast_2d(ps.eval_basis(coords))
+    e = np.atleast_2d(patch.space.eval_basis(patch.influence.points))
     try:
         cardinal = np.linalg.solve(e, np.eye(e.shape[0]))
     except np.linalg.LinAlgError:
-        raise singular from None
+        raise failure(f"singular local system on patch {patch_index}") from None
     if not np.all(np.isfinite(cardinal)):
-        raise singular
-    t = apply_operator(ps, op, y)
+        raise failure(f"singular local system on patch {patch_index}")
+    t = apply_operator(patch.space, op, y)
     w = t @ cardinal
     residual = exactness_defect(w, e, t)
     return StencilWeights(point=y, influence=patch.influence, weights=w, residual=residual)

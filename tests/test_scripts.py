@@ -47,11 +47,14 @@ def test_bit_identity_tells_equal_dumps_from_changed_ones(tmp_path):
     with np.load(first) as dump:
         arrays = dict(dump)
     solution = arrays["rbf-collocate/generator/solution"]
-    solution[3] = np.nextafter(solution[3], np.inf)
+    old = float(solution[3])
+    solution[3] = np.nextafter(old, np.inf)
     del arrays["pum-eval/relabelled/blend"]
     np.savez(second, **arrays)
     res = run_script("bit_identity.py", "compare", str(first), str(second))
     assert res.returncode == 1
-    assert f"DIFFERS  rbf-collocate/generator/solution: 1 of {solution.size} elements" in res.stdout
+    spacing = abs(float(solution[3]) - old)  # adjacent doubles: the difference is exact
+    assert (f"DIFFERS  rbf-collocate/generator/solution: 1 of {solution.size} elements, "
+            f"largest |difference| {spacing!r}\n") in res.stdout
     assert "DIFFERS  pum-eval/relabelled/blend: only in the first dump" in res.stdout
     assert res.stdout.splitlines()[-1] == "40 of 42 arrays equal"

@@ -551,6 +551,16 @@ class TestNoDigitLeft:
         assert report.note == ""
         assert report.cond_estimate < 1e8
 
+    def test_failed_estimate_is_flagged(self, monkeypatch):
+        def fail(lu, n):
+            raise RuntimeError("estimate failed")
+
+        monkeypatch.setattr(solve, "_inverse_one_norm_estimate", fail)
+        report = solve_square(_hand_system([[2, 1], [1, 3]], [False, False], [1, 2])).rank_report
+        assert np.isnan(report.cond_estimate)
+        assert not report.full_rank
+        assert report.note == "interior-block condition estimate failed: no digit of the solution is verified"
+
     def test_nearly_singular_hand_block_is_flagged_and_still_solved(self):
         gs = _hand_system([[1, 1], [1, 1 + 4e-16]], [False, False], [2, 2])
         sol = solve_square(gs)

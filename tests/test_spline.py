@@ -28,6 +28,7 @@ from helpers import (
     grid1d,
     grid2d,
     halton_r3_space,
+    halton_r3_space_3d,
     jittered_cloud,
     quadratic_overlap_space_1d,
 )
@@ -472,7 +473,8 @@ class TestFromNodalValues:
         lambda: five_star_sublist_space(6),
         lambda: (lambda ns, space: (ns, m.OverlapSplineSpace(ns, space.patches[::2])))(*mixed_tail_rank_space()),
         gauss_tail_space,
-    ], ids=["pum-eval-small", "five-star-mixed", "mixed-tail-rank-full-patches", "gauss-linear-tail"])
+        lambda: halton_r3_space_3d(352, 20),
+    ], ids=["pum-eval-small", "five-star-mixed", "mixed-tail-rank-full-patches", "gauss-linear-tail", "r3-3d"])
     def test_coefficients_equal_local_interpolate(self, build, rng):
         ns, space = build()
         values = rng.standard_normal(ns.n)
@@ -718,6 +720,16 @@ class TestLagrangeRow:
         monkeypatch.setattr(np.linalg, "solve", singular)
         with pytest.raises(m.NotAnInterpolationSetError, match="singular local system on patch 2"):
             m.lagrange_row(space, 2, m.SECOND_DERIVATIVE_1D, ns.points[3])
+
+    def test_interpolatory_space_measures_no_patch_rank(self, monkeypatch):
+        ns, space = halton_r3_space(60)
+
+        def no_rank(*args):
+            raise AssertionError("a per-patch rank was measured")
+
+        monkeypatch.setattr(spline_module, "unisolvency_rank", no_rank)
+        gs = m.assemble(space, m.LAPLACIAN, lambda x: 0.0, m.build_sigma(space, "same-index"), route="lagrange")
+        assert gs.matrix.shape == (ns.n, ns.n)
 
     def test_rejects_non_interpolatory_patch(self):
         ns, space = five_star_full_p2_space(4)
