@@ -46,7 +46,6 @@ from .spaces import (
 )
 from .ndf import (
     StencilWeights,
-    exactness_defect,
     unisolvent_influence,
     verify_exactness,
     weights_kernel,

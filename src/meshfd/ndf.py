@@ -16,16 +16,22 @@ weights in one flat array, slice after slice, the residuals, and the errors
 of failed rows by row.  When a chunk-wide step raises, the chunk's rows are
 solved again one at a time into the same arrays, so that each bad row gets
 its own error.  The operator enters as the table of `Operator.terms`.
-`weights_poly` and `weights_kernel` are one-row batches of the engine.  The
-cardinal (Lagrange) rows of `spline.lagrange_row` are the independent
-second route: they solve the patch's nodal matrix and share no solve with
-this engine.
+`weights_poly`, `weights_kernel` and `spline.lagrange_row` are one-row
+batches of it (`one_row`).
 
-One defect formula judges every row, `exactness_defect` and the cardinal
-rows included: the relative residual of the row's own linear system, the
-transposed Vandermonde system for a polynomial row and the saddle system
-for a kernel row, so the row path forms no moment-null basis (only nodal
-fits and spline values read one).
+The engine has two solves.  The nodal solve takes the transposed nodal
+matrix of a group's concrete basis (`StackedBasis.evaluate`): a transposed
+Vandermonde system for a polynomial patch and, on a square patch of either
+family, the cardinal (Lagrange) row ``L l_k(y)``, as exactness on a basis
+and the cardinal functions of a square nodal matrix are the same
+conditions.  The saddle solve reads a kernel group's translates and tail
+(`StackedBasis.blocks`).  The ``"exactness"`` route gives kernel groups the
+saddle solve, the ``"lagrange"`` route the nodal one, so polynomial rows
+are one solve on both routes and kernel rows compare the two systems.
+
+One defect formula judges every row, `verify_exactness` included: the
+relative residual of the row's own system, nodal or saddle; the saddle
+solve forms no moment-null basis.
 
 When the exactness conditions do not pin the weights down uniquely, the
 minimum-2-norm solution is returned; an inconsistent system raises with
@@ -39,6 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
+    ConfigError,
     InvalidInputError,
     MeshfdError,
     NotAnInterpolationSetError,
@@ -78,19 +85,6 @@ class StencilWeights:
     residual: float
 
 
-def exactness_defect(weights, basis_at_nodes, targets) -> float:
-    """Max relative defect of ``sum_i w_i p_k(x_i) - t_k`` over basis index k (the engine's `_defects`).
-
-    The denominator includes the magnitude sum of the weighted terms so that
-    rows with large weights and heavy cancellation (second-order stencils at
-    small spacing) are judged relative to their own scale.
-    """
-    w = np.asarray(weights, dtype=float).reshape(1, -1)
-    et = np.atleast_2d(np.asarray(basis_at_nodes, dtype=float)).T[None]
-    t = np.asarray(targets, dtype=float).reshape(1, -1)
-    return float(_defects(et, w, t, w.shape[1])[0])
-
-
 def weights_poly(op: Operator, y, infl: InfluenceSet, ps: PolySpace) -> StencilWeights:
     """Weights exact on a polynomial space (a one-row `exactness_rows`).
 
@@ -98,7 +92,7 @@ def weights_poly(op: Operator, y, infl: InfluenceSet, ps: PolySpace) -> StencilW
     the space dimension gives the minimum-2-norm row.  A target outside the
     row space of the evaluation matrix is unsolvable and raises.
     """
-    return _one_row(op, y, infl, ps)
+    return one_row(op, y, PatchTable.of_pairs([infl], [ps]), 0)
 
 
 def weights_kernel(op: Operator, y, infl: InfluenceSet, ks: KernelSpace) -> StencilWeights:
@@ -108,18 +102,19 @@ def weights_kernel(op: Operator, y, infl: InfluenceSet, ks: KernelSpace) -> Sten
     the multipliers; exactness then holds for the moment-constrained kernel
     combinations and the whole tail.
     """
-    return _one_row(op, y, infl, ks)
+    return one_row(op, y, PatchTable.of_pairs([infl], [ks]), 0)
 
 
-def _one_row(op, y, infl, space) -> StencilWeights:
+def one_row(op, y, table: PatchTable, patch: int, route: str = "exactness") -> StencilWeights:
+    """``op`` at the point ``y`` on table patch ``patch``: a one-row `exactness_rows` that raises its error."""
     y = np.asarray(y, dtype=float).reshape(-1)
-    weights, residual, errors = exactness_rows(op, y[None, :], PatchTable.of_pairs([infl], [space]), [0])
+    weights, residual, errors = exactness_rows(op, y[None, :], table, [patch], route)
     if errors:
         raise errors[0]
-    return StencilWeights(y, infl, weights, float(residual[0]))
+    return StencilWeights(y, table.influence[patch], weights, float(residual[0]))
 
 
-def exactness_rows(op: Operator, points, table: PatchTable, patches):
+def exactness_rows(op: Operator, points, table: PatchTable, patches, route: str = "exactness"):
     """Exactness weights for many rows: row i is ``op`` at ``points[i]`` on table patch ``patches[i]``.
 
     ``points`` is an (R, d) array.  Returns ``(weights, residual, errors)``:
@@ -129,7 +124,12 @@ def exactness_rows(op: Operator, points, table: PatchTable, patches):
     residual are NaN, so that a caller can report them with its own context.
     Rows are taken in chunks of `CHUNK_ROWS`; a chunk whose stacking or solve
     raises is solved row by row, so that each bad row gets its own error.
+    ``route="lagrange"`` solves kernel groups by their nodal matrices too,
+    which gives the cardinal rows of square patches.
     """
+    if route not in ("exactness", "lagrange"):
+        raise ConfigError(f"unknown route {route!r}")
+    saddle = route == "exactness"
     points, patches = np.asarray(points, dtype=float), table.ids(patches)
     if points.shape != (patches.size, table.shift.shape[1]):
         raise InvalidInputError(f"points must be one ({table.shift.shape[1]},) row per patch index, "
@@ -139,18 +139,19 @@ def exactness_rows(op: Operator, points, table: PatchTable, patches):
     for lo in range(0, patches.size, CHUNK_ROWS):
         chunk = np.arange(lo, min(lo + CHUNK_ROWS, patches.size))
         try:
-            errors.update(_solve_chunk(op, points, table, patches, chunk, start, weights, residual))
+            errors.update(_solve_chunk(op, points, table, patches, chunk, start, weights, residual, saddle))
         except MeshfdError:
             for r in chunk.tolist():
                 try:
-                    errors.update(_solve_chunk(op, points, table, patches, np.array([r]), start, weights, residual))
+                    errors.update(_solve_chunk(op, points, table, patches, np.array([r]), start, weights,
+                                               residual, saddle))
                 except MeshfdError as exc:
                     weights[start[r]:start[r + 1]] = residual[r] = np.nan
                     errors[r] = exc
     return weights, residual, errors
 
 
-def _solve_chunk(op, points, table, patches, chunk, start, weights, residual) -> dict:
+def _solve_chunk(op, points, table, patches, chunk, start, weights, residual, saddle) -> dict:
     """Solve the rows ``chunk`` into their slices of ``weights`` and ``residual``; return their {row: error}."""
     errors = {}
     distinct, patch = np.unique(patches[chunk], return_inverse=True)  # each row's index among the distinct patches
@@ -159,15 +160,15 @@ def _solve_chunk(op, points, table, patches, chunk, start, weights, residual) ->
         slot[members] = np.arange(members.size)
         local = np.flatnonzero(slot[patch] >= 0)
         rows = chunk[local]
-        w, residual[rows], group_errors = _solve_group(op, points[rows], basis, slot[patch[local]])
+        w, residual[rows], group_errors = _solve_group(op, points[rows], basis, slot[patch[local]], saddle)
         weights[start[rows][:, None] + np.arange(w.shape[1])] = w
         errors.update((int(rows[r]), exc) for r, exc in group_errors.items())
     return errors
 
 
-def _solve_group(op, y, basis, slots):
+def _solve_group(op, y, basis, slots, saddle):
     """Rows of one stacked group: weights (R, n), residuals (R,) and {row: error}; a failed row is NaN."""
-    solve = _poly_rows if basis.kernel is None else _kernel_rows
+    solve = _kernel_rows if saddle and basis.kernel is not None else _nodal_rows
     if op.kind != "identity":
         w, residual, errors = solve(op, y, basis, slots)
     else:  # Kronecker row when y is a stencil node
@@ -193,8 +194,8 @@ def _rank(a) -> int | None:
     return numerical_rank(a) if np.all(np.isfinite(a)) else None
 
 
-def _poly_rows(op, y, basis, slots):
-    """Stacked transposed Vandermonde systems: weights (R, n), residuals (R,) and {row: error}."""
+def _nodal_rows(op, y, basis, slots):
+    """Stacked transposed nodal systems of the concrete bases: weights (R, n), residuals (R,), {row: error}."""
     betas, coef = op.terms(y)
     e = basis.evaluate(None, rows=slots)
     t = basis.evaluate(y[:, None, :], betas, coef, slots)[:, 0, :]
@@ -269,10 +270,10 @@ def _defects(a, sol, rhs, n: int) -> np.ndarray:
 
 
 def verify_exactness(sw: StencilWeights, space, op: Operator) -> float:
-    """Recompute the max relative exactness defect of a row over a space's basis."""
+    """Recompute the max relative exactness defect of a row over a space's basis (the engine's `_defects`)."""
     e = np.atleast_2d(space.eval_basis(sw.influence.points))
     t = apply_operator(space, op, sw.point)
-    return exactness_defect(sw.weights, e, t)
+    return float(_defects(e.T[None], np.reshape(sw.weights, (1, -1)), t[None], e.shape[0])[0])
 
 
 def unisolvent_influence(

@@ -17,7 +17,7 @@ import numpy as np
 from .config import resolve_config
 from .errors import ConfigError, InvalidInputError
 from .geometry import NodeSet, generate_grid, generate_scattered, influences, load_nodes, save_nodes
-from .ndf import exactness_rows
+from .ndf import one_row
 from .operators import Operator
 from .problems import Problem, convergence_study, preset
 from .pum import PartitionOfUnity
@@ -70,7 +70,7 @@ def make_recipe(cfg):
         sublist = spec.get("sublist")
         if sublist is not None:
             sublist = [tuple(int(e) for e in a) for a in sublist]
-        return poly_patch_recipe(int(spec["degree"]), sublist=sublist)
+        return poly_patch_recipe(spec["degree"], sublist=sublist)
     aug = spec.get("augmentation_degree", "minimal")
     if kind == "gauss":
         kernel = Kernel("gauss", float(spec["shape"]))
@@ -179,14 +179,12 @@ def run_stencil(cfg, out_dir) -> dict:
     table = PatchTable.of_recipes([(influences(ns, y[None, :], make_selector(cfg)), make_recipe(cfg))])
     problem = resolve_problem(cfg)
     op = resolve_operator(cfg, problem)
-    weights, residual, errors = exactness_rows(op, y[None, :], table, [0])
-    if errors:
-        raise errors[0]
+    sw = one_row(op, y, table, 0)
     row = {
         "y": [float(v) for v in y],
-        "nodes": [int(i) for i in table.influence.indices],
-        "weights": [float(w) for w in weights],
-        "residual": float(residual[0]),
+        "nodes": [int(i) for i in sw.influence.indices],
+        "weights": [float(w) for w in sw.weights],
+        "residual": sw.residual,
     }
     with open(_out_path(out_dir, cfg["outputs"]["stencil"]), "w") as fh:
         fh.write(dump_json(row))

@@ -2,11 +2,12 @@
 
 Each collocation point is paired with one patch through a sigma map; the
 row for that point is the operator applied to the patch's cardinal basis
-(or, equivalently, the exactness-condition weights), supported on the
-patch's influence set.  Dirichlet nodes receive exact unit rows.  Rows are
-arrays, not objects: a `SigmaMap` holds each row's point, patch and node, a
-`GlobalSystem` each row's residual and Dirichlet flag, and the CSR arrays are
-gathered straight from the influence table.  A square solve imposes the
+(or, equivalently, the exactness-condition weights; either route is one
+call to the stencil engine), supported on the patch's influence set.
+Dirichlet nodes receive exact unit rows.  Rows are arrays, not objects: a
+`SigmaMap` holds each row's point, patch and node, a `GlobalSystem` each
+row's residual and Dirichlet flag, and the CSR arrays are gathered straight
+from the influence table.  A square solve imposes the
 Dirichlet values exactly: the unit rows fix their nodes, the known columns
 move to the right-hand side, and only the interior block goes through a
 sparse direct factorization, its unknowns (and the interior rows with them)
@@ -30,14 +31,13 @@ from .errors import (
     ConfigError,
     ContractError,
     InvalidInputError,
-    MeshfdError,
     SingularSystemError,
 )
 from .geometry import _sorted_rows, ranked_nearest
 from .linalg import RANK_RTOL
 from .ndf import exactness_rows
 from .operators import Operator
-from .spline import OverlapSplineSpace, lagrange_row
+from .spline import OverlapSplineSpace
 
 # Acceptance bound for the normal-equation residual of a least-squares solve.
 NORMAL_EQUATION_RTOL = 1e-7
@@ -195,18 +195,6 @@ def build_sigma(space: OverlapSplineSpace, strategy: str, collocation_points=Non
     return SigmaMap(strategy=strategy, points=points, patch=patch, node=node)
 
 
-def _lagrange_rows(space, op, points, patch):
-    """`ndf.exactness_rows`' output by the cardinal route, one `spline.lagrange_row` per row."""
-    rows, errors = [], {}
-    for r, (y, p) in enumerate(zip(points, patch.tolist())):
-        try:
-            rows.append(lagrange_row(space, p, op, y))
-        except MeshfdError as exc:
-            errors[r] = exc
-    return (np.concatenate([np.zeros(0)] + [row.weights for row in rows]),
-            np.array([row.residual for row in rows], dtype=float), errors)
-
-
 def assemble(
     space: OverlapSplineSpace,
     op: Operator,
@@ -219,26 +207,23 @@ def assemble(
 
     Row j holds the differentiation weights of patch sigma(j) at y_j and
     the right-hand side f(y_j); rows at flagged Dirichlet nodes are exact
-    unit rows with ``dirichlet_data`` (falling back to f) on the right.
-    The exactness route computes all other rows in one call to the batched
-    engine `ndf.exactness_rows` on the space's patch table; the
-    ``"lagrange"`` route is the independent cardinal construction, one
-    `spline.lagrange_row` per row.  A row that fails raises `AssemblyError`
-    carrying its row and patch index.  A row's CSR columns are its patch's
-    influence-table slice, and its values the engine's flat output.
+    unit rows with ``dirichlet_data`` (falling back to f) on the right; a
+    value that is not finite raises `InvalidInputError` naming its row.
+    All other rows come from one call to the batched engine
+    `ndf.exactness_rows` on the space's patch table; on the ``"lagrange"``
+    route (interpolatory spaces only) it solves kernel patches by their
+    nodal matrices, not their saddle systems.  A row that fails raises
+    `AssemblyError` carrying its row and patch index.  A row's CSR columns
+    are its patch's influence-table slice, and its values the engine's
+    flat output.
     """
-    if route not in ("exactness", "lagrange"):
-        raise ConfigError(f"unknown assembly route {route!r}")
     if route == "lagrange" and not space.interpolatory:
         raise ContractError("the cardinal-basis route requires an interpolatory space")
     infl, m = space.table.influence, sigma.size
     dirichlet = (sigma.node >= 0) & space.nodes.boundary_mask[sigma.node] & bool(op.identity_on_boundary)
     free = np.flatnonzero(~dirichlet)
     points, patch = sigma.points[free], sigma.patch[free]
-    if route == "lagrange":
-        weights, residual, errors = _lagrange_rows(space, op, points, patch)
-    else:
-        weights, residual, errors = exactness_rows(op, points, space.table, patch)
+    weights, residual, errors = exactness_rows(op, points, space.table, patch, route)
     if errors:
         r = min(errors)
         raise AssemblyError(f"row {free[r]} (patch {patch[r]}, point {points[r].tolist()}): {errors[r]}",
@@ -254,6 +239,11 @@ def assemble(
     matrix.sort_indices()
     bc = dirichlet_data if dirichlet_data is not None else f
     rhs = np.array([float((bc if dj else f)(y)) for y, dj in zip(sigma.points, dirichlet.tolist())], dtype=float)
+    bad = np.flatnonzero(~np.isfinite(rhs))
+    if bad.size:
+        j = bad[0]
+        raise InvalidInputError(f"{'Dirichlet value' if dirichlet[j] else 'right-hand side'} of row {j} "
+                                f"at point {sigma.points[j].tolist()} is not finite: {rhs[j]}")
     row_residual = np.zeros(m)
     row_residual[free] = residual
     return GlobalSystem(matrix=matrix, rhs=rhs, residual=row_residual, dirichlet=dirichlet,
@@ -422,6 +412,8 @@ def solve_least_squares(gs: GlobalSystem, equilibrate: bool = False) -> Solution
             u = result[0]
             note = "iterative fallback (lsqr); rank not verified"
 
+    if not np.all(np.isfinite(u)):
+        full_rank, note = False, f"{note}; the solution is not finite"
     residual = float(np.linalg.norm(gs.matrix @ u - gs.rhs))
     return Solution(
         nodal_values=u,

@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -196,8 +197,8 @@ class Kernel:
         if self.family not in ("gauss", "polyharmonic"):
             raise InvalidInputError(f"unknown kernel family {self.family!r}")
         p = float(self.param)
-        if p <= 0.0:
-            raise InvalidInputError("kernel parameter must be positive")
+        if not (math.isfinite(p) and p > 0.0):
+            raise InvalidInputError(f"kernel parameter must be finite and positive, got {p}")
         if self.family == "polyharmonic" and p == int(p) and int(p) % 2 == 0:
             raise InvalidInputError("polyharmonic exponent must not be an even integer")
         object.__setattr__(self, "param", p)
@@ -476,6 +477,13 @@ class PatchTable:
             raise InvalidInputError(f"patch indices must be integers in [0, {m})")
         return patches.astype(np.intp).reshape(-1)
 
+    def index(self, patch) -> int:
+        """One patch index as an int, a negative one counting from the end, checked as `ids` checks."""
+        patch, m = np.asarray(patch), len(self.influence.centers)
+        if patch.ndim:
+            raise InvalidInputError(f"expected one patch index, got shape {patch.shape}")
+        return int(self.ids(patch + m if patch.dtype.kind == "i" and patch < 0 else patch)[0])
+
     @classmethod
     def of_recipes(cls, parts) -> "PatchTable":
         """The table of (influence table, recipe) parts, in order, one shape id per part."""
@@ -670,7 +678,14 @@ def poly_patch_recipe(degree: int, sublist=None) -> Recipe:
     if sublist is not None:
         sublist = tuple(tuple(int(e) for e in a) for a in sublist)
         degree = max(sum(a) for a in sublist)
-    return Recipe(None, degree, sublist)
+    return Recipe(None, _integer_degree(degree), sublist)
+
+
+def _integer_degree(degree) -> int:
+    """A recipe's degree as an int; anything but an integer (a bool included) raises."""
+    if isinstance(degree, bool) or not isinstance(degree, numbers.Integral):
+        raise InvalidInputError(f"a degree must be an integer, got {degree!r}")
+    return int(degree)
 
 
 def kernel_patch_recipe(kernel: Kernel, augmentation_degree="minimal") -> Recipe:
@@ -685,7 +700,7 @@ def kernel_patch_recipe(kernel: Kernel, augmentation_degree="minimal") -> Recipe
     if augmentation_degree == "minimal":
         degree = minimal if minimal >= 0 else None
     else:
-        degree = augmentation_degree
+        degree = None if augmentation_degree is None else _integer_degree(augmentation_degree)
     if degree is None and minimal >= 0:
         raise InvalidInputError(
             f"kernel of conditional order {kernel.cpd_order} requires a tail of degree >= {minimal}"

@@ -20,8 +20,9 @@ any set of pairs as the stacked basis times the stacked coefficients.
 (`meshfd.pum`) evaluates every (point, covering patch) pair in one.  The
 table is built on first use; a space checks its node cover on the raw
 influence indices.
-`OverlapSpline.patch_eval` and `spaces.local_interpolate` keep the
-per-patch routes through the patch's own space as the oracles.
+Cardinal rows (`lagrange_row`) are one-row calls of the stencil engine's
+nodal solve.  `OverlapSpline.patch_eval` and `spaces.local_interpolate`
+keep the per-patch routes through the patch's own space as the oracles.
 
 The dimension analyzer takes the patch ranks r_i from the batched SVDs of
 `failing_patches`: the nodal-value map T has ``dim ker T = sum(dim P_i - r_i)``
@@ -46,14 +47,13 @@ from .errors import (
 )
 from .geometry import InfluenceSet, NodeSet, influences
 from .linalg import RANK_RTOL, numerical_rank, stacked_solve
-from .ndf import CHUNK_ROWS, StencilWeights, exactness_defect
+from .ndf import CHUNK_ROWS, StencilWeights, one_row
 from .operators import Operator
 from .spaces import (
     INTERPOLATION_RTOL,
     PatchSpace,
     PatchTable,
     Recipe,
-    apply_operator,
     patch_value,
     poly_patch_recipe,
     stack_spaces,
@@ -206,6 +206,7 @@ class OverlapSpline:
 
     def patch_eval(self, i: int, x):
         """Patch i at x through its own space: the scalar route, kept as the oracle of `eval_pairs`."""
+        i = self.space.table.index(i)
         return patch_value(self.space.patches[i].space, self.patch_coeffs[i], x)
 
     @cached_property
@@ -411,30 +412,18 @@ def lagrange_row(space: OverlapSplineSpace, patch_index: int, op: Operator, y) -
 
     Entry k of the row is ``L l_k(y)`` where ``l_k`` is the unique patch
     element taking value 1 at influence node k and 0 at the others; the row
-    is supported on the patch's influence set only.  The cardinal
-    coefficients are the inverse of the patch's nodal matrix (its basis at
-    its own nodes), for polynomial and kernel patches alike.  A patch of
-    `failing_patches` raises; only an error measures the patch's own rank.
+    is supported on the patch's influence set only.  It is the engine's
+    nodal solve (`ndf.one_row` on the ``"lagrange"`` route): the patch's
+    transposed nodal matrix (its basis at its own nodes), for polynomial and
+    kernel patches alike.  A negative ``patch_index`` counts from the end.  A
+    patch of `failing_patches` raises; only that error builds the patch's
+    `Patch` view and measures its own rank.
     """
-    patch_index = range(space.m)[patch_index]
-    patch = space.patches[patch_index]
-
-    def failure(message):
-        return NotAnInterpolationSetError(message, rank=patch.rank, dim=patch.space.dim,
-                                          n_nodes=patch.influence.size)
-
+    patch_index = space.table.index(patch_index)
     if patch_index in space.failing_patches:
-        raise failure(f"patch {patch_index} is not an interpolation-set pairing "
-                      f"(rank {patch.rank}, dim {patch.space.dim}, nodes {patch.influence.size})")
-    y = np.asarray(y, dtype=float).reshape(-1)
-    e = np.atleast_2d(patch.space.eval_basis(patch.influence.points))
-    try:
-        cardinal = np.linalg.solve(e, np.eye(e.shape[0]))
-    except np.linalg.LinAlgError:
-        raise failure(f"singular local system on patch {patch_index}") from None
-    if not np.all(np.isfinite(cardinal)):
-        raise failure(f"singular local system on patch {patch_index}")
-    t = apply_operator(patch.space, op, y)
-    w = t @ cardinal
-    residual = exactness_defect(w, e, t)
-    return StencilWeights(point=y, influence=patch.influence, weights=w, residual=residual)
+        patch = space.patches[patch_index]
+        raise NotAnInterpolationSetError(
+            f"patch {patch_index} is not an interpolation-set pairing "
+            f"(rank {patch.rank}, dim {patch.space.dim}, nodes {patch.influence.size})",
+            rank=patch.rank, dim=patch.space.dim, n_nodes=patch.influence.size)
+    return one_row(op, y, space.table, patch_index, "lagrange")

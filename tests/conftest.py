@@ -6,6 +6,7 @@ settings.register_profile(
     "numeric",
     max_examples=40,
     deadline=None,
+    derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("numeric")

@@ -165,6 +165,16 @@ def dense_saddle_laplacian_weights(coords, y, alpha, aug_degree):
     return np.linalg.solve(a, rhs)[:n]
 
 
+# The scalar cardinal construction that `meshfd.spline.lagrange_row` ran before
+# the Lagrange route became the stencil engine's nodal solve, kept as its oracle.
+def cardinal_row(space, patch_index, op, y):
+    """``L l_k(y)`` for one patch's cardinal functions: its nodal matrix inverted, the operator applied."""
+    patch = space.patches[patch_index]
+    e = np.atleast_2d(patch.space.eval_basis(patch.influence.points))
+    cardinal = np.linalg.solve(e, np.eye(e.shape[0]))
+    return m.apply_operator(patch.space, op, y) @ cardinal
+
+
 # The dense route that `meshfd.spline.dimension_analysis` took before it read
 # the per-patch ranks, kept as its oracle: one global SVD and null space over
 # every patch coefficient.

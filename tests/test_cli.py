@@ -304,6 +304,21 @@ class TestErrorHandling:
         assert err["error"] == "InvalidInputError"
         assert message in err["message"]
 
+    @pytest.mark.parametrize("space, message", [
+        ('{"kind": "polyharmonic", "exponent": 1e400}', "kernel parameter must be finite and positive, got inf"),
+        ('{"kind": "gauss", "shape": NaN}', "kernel parameter must be finite and positive, got nan"),
+        ('{"kind": "polyharmonic", "exponent": 3.0, "augmentation_degree": 1.5}',
+         "a degree must be an integer, got 1.5"),
+        ('{"kind": "gauss", "shape": 1.0, "augmentation_degree": true}', "a degree must be an integer, got True"),
+    ], ids=["exponent-1e400", "shape-nan", "degree-1.5", "degree-true"])
+    def test_bad_kernel_or_recipe_parameter_returns_one(self, tmp_path, capsys, space, message):
+        path = tmp_path / "solve.json.in"
+        path.write_text('{"nodes": {"kind": "scattered", "d": 2, "count": 30, "bounds": [[0, 1], [0, 1]]}, '
+                        f'"space": {space}, "selector": {{"kind": "knn", "k": 9}}, '
+                        '"problem": {"preset": "poisson2d"}}')
+        assert run_cli("solve", path, tmp_path / "o") == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "InvalidInputError", "message": message}
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["generate", "--config", str(tmp_path / "nope.json"),
                      "--out-dir", str(tmp_path / "o")]) == 1

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -718,6 +720,34 @@ class TestGaussPipeline:
             errs.append(np.max(np.abs(sol.nodal_values - p.nodal_exact(ns))[ns.interior_indices]))
         assert errs[0] < 0.05
         assert errs[1] < errs[0]
+
+
+class TestNonFiniteData:
+    """A NaN right-hand side is refused where the system is made and never passes as a full-rank solve."""
+
+    def grid_space(self):
+        ns = m.generate_grid(2, 6, [(0.0, 1.0), (0.0, 1.0)])
+        return ns, m.build_space(ns, "all", ("knn", 6), m.poly_patch_recipe(2))
+
+    def test_assembly_names_the_row_and_its_point(self):
+        ns, space = self.grid_space()
+        sigma = build_sigma(space, "same-index")
+        j = int(ns.interior_indices[0])
+        message = f"right-hand side of row {j} at point {ns.points[j].tolist()} is not finite: nan"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            assemble(space, m.LAPLACIAN, lambda x: float("nan"), sigma, dirichlet_data=lambda x: 0.0)
+        message = "Dirichlet value of row 0 at point [0.0, 0.0] is not finite: inf"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            assemble(space, m.LAPLACIAN, lambda x: 0.0, sigma, dirichlet_data=lambda x: float("inf"))
+
+    def test_least_squares_never_reports_a_non_finite_solution_as_full_rank(self):
+        a = np.vstack([np.eye(3), np.ones((1, 3))])
+        gs = GlobalSystem(matrix=scipy.sparse.csr_matrix(a), rhs=np.array([1.0, np.nan, 2.0, 0.0]),
+                          residual=np.zeros(4), dirichlet=np.zeros(4, dtype=bool), points=_line(3))
+        sol = solve_least_squares(gs)
+        assert not np.all(np.isfinite(sol.nodal_values))
+        assert not sol.rank_report.full_rank
+        assert sol.rank_report.note.endswith("; the solution is not finite")
 
 
 class TestAssemblyErrors:

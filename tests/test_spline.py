@@ -11,6 +11,7 @@ import pytest
 import meshfd as m
 import meshfd.spaces as spaces_module
 import meshfd.spline as spline_module
+from meshfd.problems import preset
 from meshfd.spaces import PatchTable, stack_spaces
 from meshfd.errors import (
     AnalysisSizeError,
@@ -21,6 +22,8 @@ from meshfd.errors import (
 )
 from helpers import (
     FIVE_STAR_SUBLIST,
+    GENERAL_OP,
+    cardinal_row,
     dense_dimension_analysis,
     five_star_full_p2_space,
     five_star_sublist_space,
@@ -710,17 +713,6 @@ class TestLagrangeRow:
         with pytest.raises(m.NotAnInterpolationSetError, match="rank 2, dim 3"):
             m.lagrange_row(space, 0, m.LAPLACIAN, pts[2])
 
-    def test_singular_local_solve_raises(self, monkeypatch):
-        ns, space = quadratic_overlap_space_1d(9)
-        assert space.patches[2].is_interpolation_set
-
-        def singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("Singular matrix")
-
-        monkeypatch.setattr(np.linalg, "solve", singular)
-        with pytest.raises(m.NotAnInterpolationSetError, match="singular local system on patch 2"):
-            m.lagrange_row(space, 2, m.SECOND_DERIVATIVE_1D, ns.points[3])
-
     def test_interpolatory_space_measures_no_patch_rank(self, monkeypatch):
         ns, space = halton_r3_space(60)
 
@@ -729,9 +721,87 @@ class TestLagrangeRow:
 
         monkeypatch.setattr(spline_module, "unisolvency_rank", no_rank)
         gs = m.assemble(space, m.LAPLACIAN, lambda x: 0.0, m.build_sigma(space, "same-index"), route="lagrange")
+        m.lagrange_row(space, -1, m.LAPLACIAN, space.table.influence.centers[-1])
         assert gs.matrix.shape == (ns.n, ns.n)
+        assert "patches" not in space.__dict__  # no `Patch` view was built
+
+    def test_negative_index_counts_from_the_end(self):
+        ns, space = quadratic_overlap_space_1d(8)
+        op = m.SECOND_DERIVATIVE_1D
+        last = m.lagrange_row(space, -1, op, ns.points[7])
+        assert np.array_equal(last.weights, m.lagrange_row(space, 6, op, ns.points[7]).weights)
+        assert np.array_equal(last.influence.indices, space.patches[6].influence.indices)
+
+    @pytest.mark.parametrize("index", [7, -8, 1.5, True, [1], "1"])
+    def test_bad_patch_index_raises(self, index):
+        ns, space = quadratic_overlap_space_1d(8)  # 7 patches
+        with pytest.raises(InvalidInputError, match="patch ind"):
+            m.lagrange_row(space, index, m.SECOND_DERIVATIVE_1D, ns.points[4])
+        with pytest.raises(InvalidInputError, match="patch ind"):
+            m.from_nodal_values(space, np.zeros(ns.n)).patch_eval(index, ns.points[4])
 
     def test_rejects_non_interpolatory_patch(self):
         ns, space = five_star_full_p2_space(4)
         with pytest.raises(m.NotAnInterpolationSetError):
             m.lagrange_row(space, 0, m.LAPLACIAN, space.patches[0].center)
+
+
+R3 = m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0))
+R3_TAIL1 = m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0), augmentation_degree=1)
+POISSON = preset("poisson2d")
+
+
+def criterion_3_space(seed, recipe, k):
+    """A space of acceptance criterion 3: `k`-nearest stencils on a 14 x 14 jittered cloud."""
+    return m.build_space(jittered_cloud(seed, n_axis=14), "all", ("knn", k), recipe)
+
+
+def off_node_points(space):
+    ns = space.nodes
+    inner = ns.interior_indices
+    return np.vstack([ns.points[::2], 0.5 * (ns.points[inner[:-1]] + ns.points[inner[1:]])])
+
+
+LAGRANGE_CASES = {
+    **{f"criterion-3-p2-seed-{seed}": (lambda seed=seed: criterion_3_space(seed, m.poly_patch_recipe(2), 6),
+                                       POISSON.operator, "same-index") for seed in (0, 1, 2)},
+    **{f"criterion-3-r3-seed-{seed}": (lambda seed=seed: criterion_3_space(seed, R3, 9),
+                                       POISSON.operator, "same-index") for seed in (0, 1, 2)},
+    "halton-r3-3d": (lambda: halton_r3_space_3d()[1], m.LAPLACIAN, "same-index"),
+    "gauss-tail": (lambda: gauss_tail_space()[1], POISSON.operator, "same-index"),
+    "general-operator": (lambda: criterion_3_space(1, R3_TAIL1, 9), GENERAL_OP, "same-index"),
+    "per-set-aggregate": (lambda: criterion_3_space(5, R3_TAIL1, 9), POISSON.operator, "per-set-aggregate"),
+    "nearest-node": (lambda: criterion_3_space(3, R3_TAIL1, 9), POISSON.operator, "nearest-node"),
+}
+
+
+class TestLagrangeRoute:
+    @pytest.mark.parametrize("case", sorted(LAGRANGE_CASES))
+    def test_rows_match_the_scalar_cardinal_oracle(self, case):
+        build, op, strategy = LAGRANGE_CASES[case]
+        space = build()
+        assert space.interpolatory
+        points = off_node_points(space) if strategy == "nearest-node" else None
+        sigma = m.build_sigma(space, strategy, collocation_points=points)
+        gs = m.assemble(space, op, lambda x: 0.0, sigma, route="lagrange")
+        free, infl = np.flatnonzero(~gs.dirichlet), space.table.influence
+        expected = np.zeros(gs.shape)
+        for j in free.tolist():
+            p, y = int(sigma.patch[j]), sigma.points[j]
+            expected[j, infl[p].indices] = row = cardinal_row(space, p, op, y)
+            assert np.max(np.abs(m.lagrange_row(space, p, op, y).weights - row)) <= 1e-10
+        assert np.max(np.abs(gs.matrix.toarray()[free] - expected[free])) <= 1e-10
+
+    @pytest.mark.parametrize("build", [
+        lambda: criterion_3_space(0, m.poly_patch_recipe(2), 6),
+        lambda: five_star_sublist_space(6)[1],
+        lambda: quadratic_overlap_space_1d(10)[1],
+    ], ids=["p2-jittered", "five-star-sublist", "quadratic-1d"])
+    def test_routes_are_bit_equal_on_polynomial_spaces(self, build):
+        space = build()
+        sigma = m.build_sigma(space, "same-index")
+        op = POISSON.operator if space.nodes.d == 2 else m.SECOND_DERIVATIVE_1D
+        a, b = (m.assemble(space, op, lambda x: 1.0, sigma, route=r) for r in ("exactness", "lagrange"))
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(a.matrix, name), getattr(b.matrix, name))
+        assert np.array_equal(a.residual, b.residual)
