@@ -37,7 +37,6 @@ from .spaces import (
     KernelSpace,
     PolySpace,
     apply_operator,
-    kernel_eval,
     kernel_patch_recipe,
     local_interpolate,
     monomial_exponents,
@@ -46,7 +45,6 @@ from .spaces import (
 )
 from .ndf import (
     StencilWeights,
-    unisolvent_influence,
     verify_exactness,
     weights_kernel,
     weights_poly,
@@ -57,7 +55,6 @@ from .spline import (
     OverlapSplineSpace,
     Patch,
     build_space,
-    connection_defect,
     dimension_analysis,
     from_nodal_values,
     lagrange_row,
@@ -72,7 +69,7 @@ from .solve import (
     solve_least_squares,
     solve_square,
 )
-from .pum import PartitionOfUnity, blend, blend_disconnected
-from .problems import Problem, consistency_defect, convergence_study, preset
+from .pum import PartitionOfUnity, blend
+from .problems import Problem, convergence_study, preset
 
 __version__ = "0.1.0"

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,7 +46,10 @@ _TIE_MARGIN = 1e-9
 
 def _as_bounds(bounds, d):
     """Normalize a box spec to a (d, 2) array and validate it."""
-    b = np.asarray(bounds, dtype=float)
+    try:
+        b = np.asarray(bounds, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"box bounds must be numbers, got {bounds!r}") from None
     if b.ndim == 1:
         if b.shape != (2,):
             raise InvalidInputError(f"box bounds must be (lo, hi) pairs, got shape {b.shape}")
@@ -55,6 +59,13 @@ def _as_bounds(bounds, d):
     if not np.all(b[:, 1] > b[:, 0]):
         raise InvalidInputError("degenerate box: every axis needs hi > lo")
     return b
+
+
+def _integer(value, message: str) -> int:
+    """An integer argument as an int; a bool, a float or a string raises ``message`` instead of being truncated."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise InvalidInputError(f"{message}, got {value!r}")
+    return int(value)
 
 
 def _as_point(x, d):
@@ -267,12 +278,10 @@ def influences(ns: NodeSet, centers, selector, center_indices=None) -> Influence
 
     kind, value = selector
     if kind == "knn":
-        if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-            raise InvalidInputError(f"knn selector needs an integer k, got {value!r}")
-        k = int(value)
+        k = _integer(value, "knn selector needs an integer k")
         owner, cand = _knn_candidates(ns.tree, centers, k)
     elif kind == "range":
-        radius = float(value)
+        radius = float(value) if isinstance(value, numbers.Real) else math.nan
         if not (math.isfinite(radius) and radius > 0.0):
             raise InvalidInputError(f"range selector needs a positive finite radius, got {value!r}")
         owner, cand = _ball_candidates(ns.tree, centers, np.arange(m), radius * (1.0 + _TIE_MARGIN))
@@ -315,10 +324,10 @@ def generate_grid(d: int, n_per_axis: int, bounds) -> NodeSet:
     The first axis varies slowest, so in 2D node ``i * n + j`` sits at
     ``(lo1 + i * h1, lo2 + j * h2)``.
     """
-    d = int(d)
+    d = _integer(d, "dimension must be an integer")
     if d < 1:
         raise InvalidInputError("dimension must be at least 1")
-    n_per_axis = int(n_per_axis)
+    n_per_axis = _integer(n_per_axis, "n_per_axis must be an integer")
     if n_per_axis < 2:
         raise InvalidInputError("n_per_axis must be at least 2")
     pts, on_faces = _tensor_grid(_as_bounds(bounds, d), n_per_axis)
@@ -351,10 +360,10 @@ def generate_scattered(
     carry the Dirichlet flag.  Runs are bitwise reproducible for fixed
     arguments.
     """
-    d = int(d)
+    d = _integer(d, "dimension must be an integer")
     if d < 1:
         raise InvalidInputError("dimension must be at least 1")
-    count = int(count)
+    count = _integer(count, "count must be an integer")
     if count < 1:
         raise InvalidInputError("count must be at least 1")
     b = _as_bounds(bounds, d)
@@ -371,7 +380,7 @@ def generate_scattered(
 
     if boundary_per_side is None:
         boundary_per_side = max(2, math.ceil(count ** (1.0 / d)))
-    grid, on_faces = _tensor_grid(b, int(boundary_per_side))
+    grid, on_faces = _tensor_grid(b, _integer(boundary_per_side, "boundary_per_side must be an integer"))
     boundary = grid[on_faces]
 
     pts = np.vstack([interior, boundary])

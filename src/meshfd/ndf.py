@@ -40,7 +40,7 @@ rank diagnostics instead of silently returning a bad row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,10 +48,9 @@ from .errors import (
     ConfigError,
     InvalidInputError,
     MeshfdError,
-    NotAnInterpolationSetError,
     UnsolvableExactnessError,
 )
-from .geometry import InfluenceSet, NodeSet, knn
+from .geometry import InfluenceSet
 from .linalg import RANK_RTOL, numerical_rank, stacked_solve
 from .operators import Operator
 from .spaces import (
@@ -59,10 +58,7 @@ from .spaces import (
     PatchTable,
     PolySpace,
     apply_operator,
-    monomial_exponents,
-    poly_patch_recipe,
     stack_spaces,
-    unisolvency_rank,
 )
 
 # A produced row must reproduce its generating space to this relative defect.
@@ -70,9 +66,6 @@ EXACTNESS_RTOL = 1e-8
 
 # Rows (or nodal fits) stacked into one solve; keeps the transient arrays of a chunk at a few MB.
 CHUNK_ROWS = 256
-
-# `unisolvent_influence` gives up at this multiple of the polynomial dimension.
-GROWTH_CAP = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,34 +268,3 @@ def verify_exactness(sw: StencilWeights, space, op: Operator) -> float:
     t = apply_operator(space, op, sw.point)
     return float(_defects(e.T[None], np.reshape(sw.weights, (1, -1)), t[None], e.shape[0])[0])
 
-
-def unisolvent_influence(
-    ns: NodeSet,
-    center,
-    degree: int,
-    sublist=None,
-    center_index: int | None = None,
-) -> tuple[InfluenceSet, PolySpace]:
-    """Nearest-neighbor stencil grown until unisolvent for the polynomial space.
-
-    Starts from ``dim P`` neighbors and adds next-nearest nodes one at a
-    time; gives up at ``GROWTH_CAP * dim P``.  One kNN query at the cap
-    serves every step: the (distance, index) order is total, so each
-    smaller stencil is a prefix of it.
-    """
-    target = len(tuple(sublist)) if sublist is not None else len(monomial_exponents(ns.d, degree))
-    cap = min(GROWTH_CAP * target, ns.n)
-    recipe = poly_patch_recipe(degree, sublist=sublist)
-    last_rank = 0
-    nearest = knn(ns, center, cap, center_index=center_index) if target <= cap else None
-    for size in range(target, cap + 1):
-        infl = replace(nearest, indices=nearest.indices[:size], distances=nearest.distances[:size],
-                       points=nearest.points[:size])
-        ps = recipe(infl)
-        last_rank, _ = unisolvency_rank(ps, infl.points)
-        if last_rank == ps.dim:
-            return infl, ps
-    raise NotAnInterpolationSetError(
-        f"no unisolvent stencil of size <= {cap} around {np.asarray(center).tolist()}",
-        rank=last_rank, dim=target, n_nodes=cap,
-    )

@@ -5,8 +5,9 @@ span.  At Dirichlet nodes the operator degenerates to the identity, which
 is what the ``identity_on_boundary`` flag records.
 
 This module alone lists the operator kinds, and `Operator.terms` is the one
-expansion ``L = sum_beta c_beta(x) d^beta``, read by the exactness rows and
-the scalar `spaces.apply_operator` and `problems.numeric_operator_apply`.
+expansion ``L = sum_beta c_beta(x) d^beta``, read by the exactness rows, the
+scalar `spaces.apply_operator` and the finite-difference oracle of the
+presets (`numeric_operator_apply` in `tests/helpers.py`).
 """
 
 from __future__ import annotations

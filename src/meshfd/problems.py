@@ -2,16 +2,17 @@
 
 A problem couples an operator with a right-hand side, Dirichlet data, and
 (optionally) a manufactured exact solution; the operator degenerates to
-the identity at boundary nodes, so the right-hand side extends to the
-boundary with the Dirichlet values.  Self-consistency of a manufactured
-solution is checked with high-order finite differences, independently of
-any solver machinery.
+the identity at boundary nodes, so assembly extends the right-hand side
+to the boundary with the Dirichlet values.  The presets' manufactured
+solutions are checked against their right-hand sides by a high-order
+finite-difference oracle (`consistency_defect` in `tests/helpers.py`),
+independent of any solver machinery.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,11 +22,6 @@ from .geometry import NodeSet
 from .operators import LAPLACIAN, SECOND_DERIVATIVE_1D, Operator
 
 PRESETS = ("bvp1d", "poisson2d")
-
-# Sixth-order central stencils used for the independent operator check.
-_OFFSETS = np.arange(-3, 4)
-_D1 = np.array([-1 / 60, 3 / 20, -3 / 4, 0.0, 3 / 4, -3 / 20, 1 / 60])
-_D2 = np.array([1 / 90, -3 / 20, 3 / 2, -49 / 18, 3 / 2, -3 / 20, 1 / 90])
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,10 +38,6 @@ class Problem:
 
     def __post_init__(self):
         object.__setattr__(self, "bounds", np.asarray(self.bounds, dtype=float).reshape(self.d, 2))
-
-    def rhs_extended(self, x, boundary: bool) -> float:
-        """Right-hand side with the Dirichlet extension at boundary nodes."""
-        return float(self.dirichlet(x)) if boundary else float(self.rhs(x))
 
     def nodal_exact(self, ns: NodeSet) -> np.ndarray:
         if self.exact is None:
@@ -88,58 +80,6 @@ def preset(name: str, bounds=None) -> Problem:
             rhs=rhs, dirichlet=lambda x: 0.0, exact=exact,
         )
     raise InvalidInputError(f"unknown problem preset {name!r}, expected one of {PRESETS}")
-
-
-def _fd_axis_derivative(fn, x, axis, order, step):
-    coeffs = _D1 if order == 1 else _D2
-    acc = 0.0
-    for off, c in zip(_OFFSETS, coeffs):
-        if c == 0.0:
-            continue
-        p = np.array(x, dtype=float)
-        p[axis] += off * step
-        acc += c * float(fn(p))
-    return acc / step**order
-
-
-def _fd_mixed_derivative(fn, x, axis_a, axis_b, step):
-    def inner(p):
-        return _fd_axis_derivative(fn, p, axis_b, 1, step)
-
-    return _fd_axis_derivative(inner, x, axis_a, 1, step)
-
-
-def numeric_operator_apply(op: Operator, fn, x, step: float = 1e-2) -> float:
-    """Apply an operator to a plain function by high-order finite differences.
-
-    This is the independent oracle for manufactured-solution checks: it
-    reads the operator's terms (`Operator.terms`) and never touches the
-    patch-space machinery.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    betas, coef = op.terms(x[None])
-    total = 0.0
-    for beta, coeff in zip(betas, coef[0]):
-        axes = [a for a, e in enumerate(beta) for _ in range(e)]
-        if not axes:
-            total += coeff * float(fn(x))
-        elif len(set(axes)) == 1:
-            total += coeff * _fd_axis_derivative(fn, x, axes[0], len(axes), step)
-        else:
-            total += coeff * _fd_mixed_derivative(fn, x, *axes, step)
-    return total
-
-
-def consistency_defect(problem: Problem, points) -> float:
-    """Max relative defect of L(exact) - rhs at the given interior points."""
-    if problem.exact is None:
-        raise InvalidInputError("consistency check needs an exact solution")
-    worst = 0.0
-    for x in np.atleast_2d(np.asarray(points, dtype=float)):
-        lhs = numeric_operator_apply(problem.operator, problem.exact, x)
-        target = float(problem.rhs(x))
-        worst = max(worst, abs(lhs - target) / max(1.0, abs(target)))
-    return worst
 
 
 @dataclass(frozen=True)
@@ -188,7 +128,3 @@ def convergence_study(problem: Problem, run_level, levels) -> list[LevelResult]:
         prev = (h, err)
     return results
 
-
-def with_exact(problem: Problem, exact, rhs) -> Problem:
-    """A copy of a problem with a different manufactured solution."""
-    return replace(problem, exact=exact, rhs=rhs)

@@ -15,8 +15,9 @@ blends a spline at many points in array operations: every (point, covering
 patch) pair is evaluated once through the spline's stacked basis and
 coefficients (`OverlapSpline.eval_pairs`) and the weighted values are
 summed per point with ``np.bincount``.  `blend` is its one-point wrapper and
-`PartitionOfUnity.weights_at` the one-point view of the same query;
-`blend_disconnected` blends any per-patch callable through `weights_at`.
+`PartitionOfUnity.weights_at` the one-point view of the same query, through
+which the per-patch oracle (`blend_disconnected` in `tests/helpers.py`)
+blends any per-patch callable.
 """
 
 from __future__ import annotations
@@ -124,17 +125,6 @@ class PartitionOfUnity:
         wide = DEFAULT_RADIUS_FACTOR * stencil
         clipped = np.where(d_out > stencil, np.minimum(wide, 0.5 * (stencil + d_out)), wide)
         return cls(centers=centers, radii=np.where(stencil == 0.0, single, clipped))
-
-
-def blend_disconnected(patch_values, pou: PartitionOfUnity, x) -> float:
-    """Weighted average of per-patch local fits; no connection condition assumed.
-
-    ``patch_values`` maps a patch index and a point to the patch value
-    there, so any collection of independent local approximations can be
-    blended.
-    """
-    idx, gamma = pou.weights_at(x)
-    return float(sum(g * float(patch_values(int(i), x)) for i, g in zip(idx, gamma)))
 
 
 def blend(s: OverlapSpline, pou: PartitionOfUnity, x) -> float:

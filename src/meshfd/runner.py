@@ -41,19 +41,15 @@ def build_nodeset(cfg) -> NodeSet:
     if not spec:
         raise ConfigError("config needs a 'nodes' section")
     kind = spec.get("kind")
-    if kind == "grid":
-        d = int(spec["d"])
-        bounds = spec.get("bounds") or [(0.0, 1.0)] * d
-        return generate_grid(d, int(spec["n_per_axis"]), bounds)
+    if kind == "grid":  # the default (lo, hi) pair serves every axis
+        return generate_grid(spec["d"], spec["n_per_axis"], spec.get("bounds") or (0.0, 1.0))
     if kind == "scattered":
-        d = int(spec["d"])
-        bounds = spec.get("bounds") or [(0.0, 1.0)] * d
         return generate_scattered(
-            d,
-            int(spec["count"]),
-            bounds,
+            spec["d"],
+            spec["count"],
+            spec.get("bounds") or (0.0, 1.0),
             source=spec.get("source", "halton"),
-            seed=int(cfg.get("seed", 0)),
+            seed=cfg.get("seed", 0),
             boundary_per_side=spec.get("boundary_per_side"),
         )
     if kind == "file":
@@ -67,15 +63,12 @@ def make_recipe(cfg):
         raise ConfigError("config needs a 'space' section")
     kind = spec["kind"]
     if kind == "poly":
-        sublist = spec.get("sublist")
-        if sublist is not None:
-            sublist = [tuple(int(e) for e in a) for a in sublist]
-        return poly_patch_recipe(spec["degree"], sublist=sublist)
+        return poly_patch_recipe(spec["degree"], sublist=spec.get("sublist"))
     aug = spec.get("augmentation_degree", "minimal")
     if kind == "gauss":
-        kernel = Kernel("gauss", float(spec["shape"]))
+        kernel = Kernel("gauss", spec["shape"])
     else:
-        kernel = Kernel("polyharmonic", float(spec["exponent"]))
+        kernel = Kernel("polyharmonic", spec["exponent"])
     return kernel_patch_recipe(kernel, augmentation_degree=aug)
 
 
@@ -84,9 +77,9 @@ def make_selector(cfg):
     if not spec:
         raise ConfigError("config needs a 'selector' section")
     if spec.get("kind") == "knn":
-        return ("knn", int(spec["k"]))
+        return ("knn", spec["k"])
     if spec.get("kind") == "range":
-        return ("range", float(spec["radius"]))
+        return ("range", spec["radius"])
     raise ConfigError(f"unknown selector kind {spec.get('kind')!r}")
 
 
@@ -134,7 +127,7 @@ def sigma_from_config(cfg, space: OverlapSplineSpace, ns: NodeSet) -> SigmaMap:
             bounds = coll.get("bounds") or [
                 (float(ns.points[:, a].min()), float(ns.points[:, a].max())) for a in range(d)
             ]
-            pts = generate_grid(d, int(coll["n_per_axis"]), bounds).points
+            pts = generate_grid(d, coll["n_per_axis"], bounds).points
         elif ckind == "points":
             pts = np.atleast_2d(np.asarray(coll["points"], dtype=float))
         else:
@@ -261,9 +254,8 @@ def run_solve(cfg, out_dir) -> dict:
 
 def _level_h(cfg_nodes, ns: NodeSet) -> float:
     if cfg_nodes["kind"] == "grid":
-        bounds = cfg_nodes.get("bounds") or [(0.0, 1.0)] * int(cfg_nodes["d"])
-        lo, hi = bounds[0]
-        return (float(hi) - float(lo)) / (int(cfg_nodes["n_per_axis"]) - 1)
+        lo, hi = (cfg_nodes.get("bounds") or [(0.0, 1.0)])[0]
+        return (float(hi) - float(lo)) / (cfg_nodes["n_per_axis"] - 1)
     # scattered: average spacing from the interior density
     d = ns.d
     volume = float(np.prod(ns.points.max(axis=0) - ns.points.min(axis=0)))
@@ -278,11 +270,8 @@ def run_converge(cfg, out_dir) -> dict:
     spec = cfg.get("levels")
     if not spec:
         raise ConfigError("converge needs a 'levels' section")
-    if "n_per_axis" in spec:
-        key, values = "n_per_axis", [int(v) for v in spec["n_per_axis"]]
-    elif "count" in spec:
-        key, values = "count", [int(v) for v in spec["count"]]
-    else:
+    key = "n_per_axis" if "n_per_axis" in spec else "count"
+    if key not in spec:
         raise ConfigError("levels must list 'n_per_axis' or 'count'")
     node_kind = (cfg.get("nodes") or {}).get("kind")
     if (key == "n_per_axis" and node_kind != "grid") or (key == "count" and node_kind != "scattered"):
@@ -295,7 +284,7 @@ def run_converge(cfg, out_dir) -> dict:
         ns, _, sol = _solve_pipeline(level_cfg, prob)
         return _level_h(level_cfg["nodes"], ns), ns, sol.nodal_values
 
-    table = convergence_study(problem, run_level, values)
+    table = convergence_study(problem, run_level, spec[key])
     path = _out_path(out_dir, cfg["outputs"]["table"])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -349,7 +338,7 @@ def run_pum_eval(cfg, out_dir) -> dict:
     bounds = eval_spec.get("bounds") or [
         (float(ns.points[:, a].min()), float(ns.points[:, a].max())) for a in range(ns.d)
     ]
-    pts = generate_grid(ns.d, int(eval_spec["n_per_axis"]), bounds).points
+    pts = generate_grid(ns.d, eval_spec["n_per_axis"], bounds).points
 
     path = _out_path(out_dir, cfg["outputs"]["pum"])
     with open(path, "w", newline="") as fh:

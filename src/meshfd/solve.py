@@ -305,11 +305,18 @@ def solve_square(gs: GlobalSystem) -> Solution:
     it is still returned, with ``full_rank=False`` and a note; so it is
     when the estimate fails (NaN), as no digit is verified.  Two unit
     rows on one node leave the block non-square and raise
-    `SingularSystemError`.
+    `SingularSystemError`, as does a non-finite solution of finite data; a
+    right-hand side or Dirichlet value that is not finite raises
+    `InvalidInputError` naming its row before anything is factored.
     """
     m, n = gs.shape
     if m != n:
         raise InvalidInputError(f"square solve needs M == N, got {m} x {n}")
+    bad = np.flatnonzero(~np.isfinite(gs.rhs))
+    if bad.size:
+        j = bad[0]
+        raise InvalidInputError(f"{'Dirichlet value' if gs.dirichlet[j] else 'right-hand side'} of row {j} "
+                                f"is not finite: {gs.rhs[j]}")
     a = gs.matrix.tocsr()
     rows = np.flatnonzero(gs.dirichlet)
     start = a.indptr[rows]
@@ -359,29 +366,19 @@ def solve_square(gs: GlobalSystem) -> Solution:
     )
 
 
-def solve_least_squares(gs: GlobalSystem, equilibrate: bool = False) -> Solution:
+def solve_least_squares(gs: GlobalSystem) -> Solution:
     """Minimum-residual solution of an overdetermined system.
 
     Factors the normal equations with the square solver's SuperLU policy
     (`_SPLU`) and accepts the result only if the normal-equation residual
     passes its relative bound; otherwise falls back to a dense minimum-norm
     solve and flags the rank deficiency.
-
-    ``equilibrate`` divides every row and its right-hand side by the row's
-    2-norm before minimizing.  That changes the functional (it weights the
-    residual components), so it is off by default; it is a conditioning
-    control, not plain least squares.
     """
     m, n = gs.shape
     if m < n:
         raise InvalidInputError(f"least squares needs M >= N, got {m} x {n}")
     a = gs.matrix.tocsc()
     b = gs.rhs
-    if equilibrate:
-        row_norms = np.sqrt(np.asarray(gs.matrix.multiply(gs.matrix).sum(axis=1)).ravel())
-        scale = 1.0 / np.where(row_norms > 0.0, row_norms, 1.0)
-        a = scipy.sparse.diags(scale).dot(a).tocsc()
-        b = scale * b
     a_scale = float(scipy.sparse.linalg.norm(a, "fro"))
     b_scale = float(np.linalg.norm(b))
     bound = NORMAL_EQUATION_RTOL * max(a_scale * b_scale, 1e-300)

@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError, NotAnInterpolationSetError
-from .geometry import InfluenceTable
+from .geometry import InfluenceTable, _integer
 from .linalg import null_space, numerical_rank, stacked_rank
 from .operators import Operator
 
@@ -196,6 +196,8 @@ class Kernel:
     def __post_init__(self):
         if self.family not in ("gauss", "polyharmonic"):
             raise InvalidInputError(f"unknown kernel family {self.family!r}")
+        if isinstance(self.param, bool) or not isinstance(self.param, numbers.Real):
+            raise InvalidInputError(f"kernel parameter must be a number, got {self.param!r}")
         p = float(self.param)
         if not (math.isfinite(p) and p > 0.0):
             raise InvalidInputError(f"kernel parameter must be finite and positive, got {p}")
@@ -249,15 +251,6 @@ class Kernel:
         raise InvalidInputError(
             f"second derivative of r^{self.param} is undefined at a kernel center"
         )
-
-
-def kernel_eval(kernel: Kernel, x, y) -> float:
-    """K(x, y) = phi(||x - y||); symmetric in its arguments."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if x.shape != y.shape:
-        raise InvalidInputError("kernel arguments must have matching dimension")
-    return float(kernel.phi(np.linalg.norm(x - y)))
 
 
 def kernel_derivative(kernel: Kernel, diff, beta) -> np.ndarray:
@@ -676,16 +669,14 @@ def poly_patch_recipe(degree: int, sublist=None) -> Recipe:
     degree); it is normalized once, here.
     """
     if sublist is not None:
-        sublist = tuple(tuple(int(e) for e in a) for a in sublist)
+        sublist = tuple(tuple(_integer_degree(e) for e in a) for a in sublist)
         degree = max(sum(a) for a in sublist)
     return Recipe(None, _integer_degree(degree), sublist)
 
 
 def _integer_degree(degree) -> int:
     """A recipe's degree as an int; anything but an integer (a bool included) raises."""
-    if isinstance(degree, bool) or not isinstance(degree, numbers.Integral):
-        raise InvalidInputError(f"a degree must be an integer, got {degree!r}")
-    return int(degree)
+    return _integer(degree, "a degree must be an integer")
 
 
 def kernel_patch_recipe(kernel: Kernel, augmentation_degree="minimal") -> Recipe:

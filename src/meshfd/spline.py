@@ -15,11 +15,11 @@ whose nodal matrices also give the patch ranks, one batched SVD per group.
 `from_nodal_values` fits each group with one stacked nodal solve, and
 `OverlapSpline.eval_pairs` evaluates "patch ``p[j]`` at point ``x[j]``" for
 any set of pairs as the stacked basis times the stacked coefficients.
-`restriction` and `connection_defect` evaluate every membership of the
-`incidence` table in one such call, and partition-of-unity blending
-(`meshfd.pum`) evaluates every (point, covering patch) pair in one.  The
-table is built on first use; a space checks its node cover on the raw
-influence indices.
+`restriction` evaluates every membership of the `incidence` table in one
+such call, as does the connection-defect oracle (`connection_defect` in
+`tests/helpers.py`), and partition-of-unity blending (`meshfd.pum`)
+evaluates every (point, covering patch) pair in one.  The table is built on
+first use; a space checks its node cover on the raw influence indices.
 Cardinal rows (`lagrange_row`) are one-row calls of the stencil engine's
 nodal solve.  `OverlapSpline.patch_eval` and `spaces.local_interpolate`
 keep the per-patch routes through the patch's own space as the oracles.
@@ -301,22 +301,22 @@ def build_space(
     return space
 
 
-def dimension_analysis(space: OverlapSplineSpace, guard: int = ANALYSIS_GUARD) -> DimensionReport:
+def dimension_analysis(space: OverlapSplineSpace) -> DimensionReport:
     """Split the space dimension into kernel and image of the nodal-value map T, from per-patch ranks.
 
     Patch functions vanishing on their own nodes are independent, so ``dim
     ker T = sum(dim P_i - r_i)``; v is in the image iff every v|X_i is in the
     range of E_i, so ``dim im T = N - rank C`` (`_rank_pass`).  C's rank is
-    one dense SVD on the columns it touches, refused above ``guard`` rows or
-    columns.  C is empty on interpolatory spaces, but least-squares-type
+    one dense SVD on the columns it touches, refused above `ANALYSIS_GUARD`
+    rows or columns.  C is empty on interpolatory spaces, but least-squares-type
     spaces (|X_i| > dim P_i everywhere) give it about N rows: they still refuse.
     """
     rank, dim, null = _rank_pass(space, left_null=True)
     touched = np.unique(np.concatenate([np.zeros(0, dtype=np.intp)] + [k.ravel() for _, k in null]))
     start = np.cumsum([0] + [len(v) for v, _ in null])
-    if max(start[-1], touched.size) > guard:
+    if max(start[-1], touched.size) > ANALYSIS_GUARD:
         raise AnalysisSizeError(f"the left-null block C is {start[-1]} x {touched.size}, above the "
-                                f"dense-analysis guard {guard}; analyze a subsample instead")
+                                f"dense-analysis guard {ANALYSIS_GUARD}; analyze a subsample instead")
     c = np.zeros((start[-1], touched.size))
     for lo, (v, k) in zip(start, null):
         np.put_along_axis(c[lo:lo + len(v)], np.searchsorted(touched, k), v, axis=1)
@@ -369,12 +369,6 @@ def from_nodal_values(space: OverlapSplineSpace, values) -> OverlapSpline:
     return OverlapSpline(space=space, patch_coeffs=tuple(coeffs))
 
 
-def _membership_values(s: OverlapSpline) -> tuple[np.ndarray, np.ndarray]:
-    """Membership values in `incidence` order, one pair evaluation, and each node's first entry."""
-    node, patch, _ = s.space.incidence
-    return s.eval_pairs(patch, s.space.nodes.points[node]), np.searchsorted(node, node)
-
-
 def restriction(s: OverlapSpline) -> np.ndarray:
     """Nodal values of an overlap spline; well defined by the connection condition.
 
@@ -383,7 +377,8 @@ def restriction(s: OverlapSpline) -> np.ndarray:
     value at a node, is rejected here.
     """
     node, patch, _ = s.space.incidence
-    vals, first = _membership_values(s)
+    vals = s.eval_pairs(patch, s.space.nodes.points[node])
+    first = np.searchsorted(node, node)  # each membership's first entry at its node
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         j = bad[0]
@@ -397,14 +392,6 @@ def restriction(s: OverlapSpline) -> np.ndarray:
             f"{float(v0[j])!r} vs {float(vals[j])!r}"
         )
     return vals[np.unique(first)]
-
-
-def connection_defect(s: OverlapSpline) -> float:
-    """Largest normalized patch disagreement over all shared nodes; NaN if a value is not finite."""
-    vals, first = _membership_values(s)
-    if not np.all(np.isfinite(vals)):
-        return float("nan")
-    return float(np.max(np.abs(vals - vals[first]) / (1.0 + np.abs(vals[first]))))
 
 
 def lagrange_row(space: OverlapSplineSpace, patch_index: int, op: Operator, y) -> StencilWeights:

@@ -4,7 +4,7 @@ import numpy as np
 import scipy.sparse
 
 import meshfd as m
-from meshfd.errors import AnalysisSizeError
+from meshfd.errors import AnalysisSizeError, InvalidInputError
 from meshfd.linalg import null_space, numerical_rank
 from meshfd.spline import ANALYSIS_GUARD, DimensionReport
 
@@ -219,3 +219,85 @@ def dense_dimension_analysis(space, guard=ANALYSIS_GUARD):
         upper_bound_unisolvent=upper,
         interpolatory=space.interpolatory,
     )
+
+
+# The presets' finite-difference oracle, independent of every patch space:
+# sixth-order central stencils.
+_OFFSETS = np.arange(-3, 4)
+_D1 = np.array([-1 / 60, 3 / 20, -3 / 4, 0.0, 3 / 4, -3 / 20, 1 / 60])
+_D2 = np.array([1 / 90, -3 / 20, 3 / 2, -49 / 18, 3 / 2, -3 / 20, 1 / 90])
+
+
+def _fd_axis_derivative(fn, x, axis, order, step):
+    coeffs = _D1 if order == 1 else _D2
+    acc = 0.0
+    for off, c in zip(_OFFSETS, coeffs):
+        if c == 0.0:
+            continue
+        p = np.array(x, dtype=float)
+        p[axis] += off * step
+        acc += c * float(fn(p))
+    return acc / step**order
+
+
+def _fd_mixed_derivative(fn, x, axis_a, axis_b, step):
+    def inner(p):
+        return _fd_axis_derivative(fn, p, axis_b, 1, step)
+
+    return _fd_axis_derivative(inner, x, axis_a, 1, step)
+
+
+def numeric_operator_apply(op: m.Operator, fn, x, step: float = 1e-2) -> float:
+    """Apply an operator to a plain function by high-order finite differences.
+
+    This is the independent oracle for manufactured-solution checks: it
+    reads the operator's terms (`Operator.terms`) and never touches the
+    patch-space machinery.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    betas, coef = op.terms(x[None])
+    total = 0.0
+    for beta, coeff in zip(betas, coef[0]):
+        axes = [a for a, e in enumerate(beta) for _ in range(e)]
+        if not axes:
+            total += coeff * float(fn(x))
+        elif len(set(axes)) == 1:
+            total += coeff * _fd_axis_derivative(fn, x, axes[0], len(axes), step)
+        else:
+            total += coeff * _fd_mixed_derivative(fn, x, *axes, step)
+    return total
+
+
+def consistency_defect(problem: m.Problem, points) -> float:
+    """Max relative defect of L(exact) - rhs at the given interior points."""
+    if problem.exact is None:
+        raise InvalidInputError("consistency check needs an exact solution")
+    worst = 0.0
+    for x in np.atleast_2d(np.asarray(points, dtype=float)):
+        lhs = numeric_operator_apply(problem.operator, problem.exact, x)
+        target = float(problem.rhs(x))
+        worst = max(worst, abs(lhs - target) / max(1.0, abs(target)))
+    return worst
+
+
+# The per-patch oracle of `PartitionOfUnity.evaluate`: one weight query per
+# point, any per-patch callable.
+def blend_disconnected(patch_values, pou: m.PartitionOfUnity, x) -> float:
+    """Weighted average of per-patch local fits; no connection condition assumed.
+
+    ``patch_values`` maps a patch index and a point to the patch value
+    there, so any collection of independent local approximations can be
+    blended.
+    """
+    idx, gamma = pou.weights_at(x)
+    return float(sum(g * float(patch_values(int(i), x)) for i, g in zip(idx, gamma)))
+
+
+def connection_defect(s):
+    """Largest normalized patch disagreement over all shared nodes; NaN if a value is not finite."""
+    node, patch, _ = s.space.incidence
+    vals = s.eval_pairs(patch, s.space.nodes.points[node])
+    if not np.all(np.isfinite(vals)):
+        return float("nan")
+    first = vals[np.searchsorted(node, node)]  # each membership's first entry at its node
+    return float(np.max(np.abs(vals - first) / (1.0 + np.abs(first))))

@@ -185,6 +185,36 @@ class TestSolveLsqMode:
         assert report["results"]["full_rank"] is True
 
 
+class TestNearestNodeStrategy:
+    @staticmethod
+    def config(strategy, mode="collocate"):
+        return {
+            "nodes": {"kind": "grid", "d": 1, "n_per_axis": 17, "bounds": [[0.0, 1.0]]},
+            "space": {"kind": "poly", "degree": 2},
+            "selector": {"kind": "knn", "k": 3},
+            "centers": "all",
+            "problem": {"preset": "bvp1d"},
+            "strategy": strategy,
+            "mode": mode,
+        }
+
+    def test_collocation_at_the_nodes_equals_same_index(self, tmp_path):
+        """Every node centres a patch, so each node's nearest patch is its own."""
+        out = {}
+        for name, strategy in (("same", {"kind": "same-index"}),
+                               ("nearest", {"kind": "nearest-node", "collocation": {"kind": "nodes"}})):
+            out[name] = tmp_path / name
+            assert run_cli("solve", write_config(tmp_path / f"{name}.json.in", self.config(strategy)), out[name]) == 0
+        assert (out["same"] / "solution.csv").read_bytes() == (out["nearest"] / "solution.csv").read_bytes()
+
+    def test_grid_collocation_oversamples_in_lsq_mode(self, tmp_path):
+        strategy = {"kind": "nearest-node", "collocation": {"kind": "grid", "n_per_axis": 33}}
+        out = tmp_path / "out"
+        assert run_cli("solve", write_config(tmp_path / "lsq.json.in", self.config(strategy, "lsq")), out) == 0
+        results = json.loads((out / "report.json").read_text())["results"]
+        assert (results["M"], results["N"]) == (33, 17)
+
+
 class TestConvergeCommand:
     def test_rate_table_csv(self, tmp_path):
         cfg = {
@@ -203,6 +233,22 @@ class TestConvergeCommand:
         assert len(lines) == 4
         last = lines[-1].split(",")
         assert float(last[3]) >= 1.9
+
+
+    def test_scattered_count_levels(self, tmp_path):
+        cfg = {
+            "nodes": {"kind": "scattered", "d": 2, "count": 30, "bounds": [[0, 1], [0, 1]]},
+            "space": {"kind": "polyharmonic", "exponent": 3.0},
+            "selector": {"kind": "knn", "k": 9},
+            "problem": {"preset": "poisson2d"},
+            "levels": {"count": [30, 60, 120]},
+        }
+        out = tmp_path / "out"
+        assert run_cli("converge", write_config(tmp_path / "conv.json.in", cfg), out) == 0
+        rows = [line.split(",") for line in (out / "convergence.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 3
+        h = [float(row[0]) for row in rows]
+        assert h[0] > h[1] > h[2]
 
 
 class TestPumEvalCommand:
@@ -310,13 +356,34 @@ class TestErrorHandling:
         ('{"kind": "polyharmonic", "exponent": 3.0, "augmentation_degree": 1.5}',
          "a degree must be an integer, got 1.5"),
         ('{"kind": "gauss", "shape": 1.0, "augmentation_degree": true}', "a degree must be an integer, got True"),
-    ], ids=["exponent-1e400", "shape-nan", "degree-1.5", "degree-true"])
+        ('{"kind": "gauss", "shape": "abc"}', "kernel parameter must be a number, got 'abc'"),
+    ], ids=["exponent-1e400", "shape-nan", "degree-1.5", "degree-true", "shape-abc"])
     def test_bad_kernel_or_recipe_parameter_returns_one(self, tmp_path, capsys, space, message):
         path = tmp_path / "solve.json.in"
         path.write_text('{"nodes": {"kind": "scattered", "d": 2, "count": 30, "bounds": [[0, 1], [0, 1]]}, '
                         f'"space": {space}, "selector": {{"kind": "knn", "k": 9}}, '
                         '"problem": {"preset": "poisson2d"}}')
         assert run_cli("solve", path, tmp_path / "o") == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "InvalidInputError", "message": message}
+
+    @pytest.mark.parametrize("section, value, message", [
+        ("selector", {"kind": "knn", "k": 9.5}, "knn selector needs an integer k, got 9.5"),
+        ("selector", {"kind": "range", "radius": "abc"}, "range selector needs a positive finite radius, got 'abc'"),
+        ("nodes", {"kind": "grid", "d": 2, "n_per_axis": 9.7}, "n_per_axis must be an integer, got 9.7"),
+        ("nodes", {"kind": "scattered", "d": 2, "count": 30.5}, "count must be an integer, got 30.5"),
+        ("nodes", {"kind": "scattered", "d": 2.0, "count": 30}, "dimension must be an integer, got 2.0"),
+        ("nodes", {"kind": "grid", "d": 2, "n_per_axis": 5, "bounds": [["a", 1], [0, 1]]},
+         "box bounds must be numbers, got [['a', 1], [0, 1]]"),
+    ], ids=["k-9.5", "radius-abc", "n_per_axis-9.7", "count-30.5", "d-2.0", "bounds-a"])
+    def test_config_value_is_not_coerced(self, tmp_path, capsys, section, value, message):
+        cfg = {
+            "nodes": {"kind": "scattered", "d": 2, "count": 30},
+            "space": {"kind": "polyharmonic", "exponent": 3.0},
+            "selector": {"kind": "knn", "k": 9},
+            "problem": {"preset": "poisson2d"},
+        }
+        cfg[section] = value
+        assert run_cli("solve", write_config(tmp_path / "solve.json.in", cfg), tmp_path / "o") == 1
         assert json.loads(capsys.readouterr().err) == {"error": "InvalidInputError", "message": message}
 
     def test_missing_config_file(self, tmp_path, capsys):

@@ -43,6 +43,8 @@ class TestGenerateGrid:
             m.generate_grid(1, 1, [(0.0, 1.0)])
         with pytest.raises(InvalidInputError):
             m.generate_grid(1, 4, [(1.0, 1.0)])
+        with pytest.raises(InvalidInputError, match=r"^n_per_axis must be an integer, got 9\.7$"):
+            m.generate_grid(2, 9.7, [(0.0, 1.0), (0.0, 1.0)])
 
 
 class TestGenerateScattered:
@@ -75,6 +77,12 @@ class TestGenerateScattered:
     def test_count_zero_rejected(self):
         with pytest.raises(InvalidInputError):
             m.generate_scattered(2, 0, [(0, 1), (0, 1)])
+
+    def test_sizes_must_be_integers(self):
+        with pytest.raises(InvalidInputError, match=r"^count must be an integer, got '30'$"):
+            m.generate_scattered(2, "30", [(0, 1), (0, 1)])
+        with pytest.raises(InvalidInputError, match=r"^boundary_per_side must be an integer, got 4\.5$"):
+            m.generate_scattered(2, 30, [(0, 1), (0, 1)], boundary_per_side=4.5)
 
     def test_unknown_source_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import meshfd as m
-from meshfd.errors import NotAnInterpolationSetError, UnsolvableExactnessError
+from meshfd.errors import UnsolvableExactnessError
 from meshfd.spaces import KernelSpace, PolySpace
 
 from helpers import FIVE_STAR_SUBLIST, grid1d, grid2d
@@ -292,36 +292,3 @@ class TestVerifyExactness:
         except UnsolvableExactnessError:
             return
         assert m.verify_exactness(sw, ps, op) <= 1e-8
-
-
-class TestUnisolventInfluence:
-    def test_grows_past_planted_collinear_neighbors(self):
-        # three nearest nodes are collinear; growth must add a fourth
-        pts = np.array([
-            [0.0, 0.0], [0.1, 0.0], [-0.1, 0.0],   # collinear trio around origin
-            [0.0, 0.4], [0.5, 0.5], [-0.5, 0.4],
-        ])
-        ns = m.NodeSet(points=pts, boundary_mask=np.zeros(len(pts), dtype=bool))
-        infl, ps = m.unisolvent_influence(ns, [0.0, 0.0], degree=1)
-        assert infl.size >= 4
-        rank, _ = m.unisolvency_rank(ps, infl.points)
-        assert rank == ps.dim == 3
-
-    def test_all_collinear_cloud_fails_with_cap(self):
-        pts = np.column_stack([np.linspace(0, 1, 12), np.zeros(12)])
-        ns = m.NodeSet(points=pts, boundary_mask=np.zeros(12, dtype=bool))
-        with pytest.raises(NotAnInterpolationSetError):
-            m.unisolvent_influence(ns, [0.5, 0.0], degree=1)
-
-    def test_grown_stencil_is_the_knn_prefix(self):
-        # at an edge node of a dyadic grid the three nearest nodes (exact ties
-        # broken by index) lie on the edge
-        ns = m.generate_grid(2, 9, [(0.0, 1.0), (0.0, 1.0)])
-        node = 2
-        infl, ps = m.unisolvent_influence(ns, ns.points[node], degree=1, center_index=node)
-        assert infl.size == 4
-        ref = m.knn(ns, ns.points[node], infl.size, center_index=node)
-        assert np.array_equal(infl.indices, ref.indices)
-        assert np.array_equal(infl.distances, ref.distances)
-        assert infl.center_index == node
-        assert m.unisolvency_rank(ps, infl.points)[0] == ps.dim == 3

@@ -1,13 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from meshfd.errors import InvalidInputError, MeshfdError
-from meshfd.problems import LevelResult, consistency_defect, convergence_study, preset, with_exact
+from meshfd.problems import LevelResult, convergence_study, preset
 from meshfd.solve import assemble, build_sigma, solve_square
 
-from helpers import quadratic_overlap_space_1d
+from helpers import consistency_defect, quadratic_overlap_space_1d
 
 
 def run_bvp1d_level(problem, n):
@@ -49,9 +50,13 @@ class TestPresets:
         assert consistency_defect(p2, pts2) <= 1e-10
 
     def test_boundary_extension_of_rhs(self):
-        p = preset("bvp1d")
-        assert p.rhs_extended(np.array([0.0]), boundary=True) == 0.0
-        assert p.rhs_extended(np.array([0.5]), boundary=False) == p.rhs([0.5])
+        """Assembly takes the Dirichlet values on the boundary rows and the right-hand side elsewhere."""
+        p = dataclasses.replace(preset("bvp1d"), dirichlet=lambda x: 1.0 + float(x[0]))
+        ns, space = quadratic_overlap_space_1d(4)
+        sigma = build_sigma(space, "same-index")
+        gs = assemble(space, p.operator, p.rhs, sigma, dirichlet_data=p.dirichlet)
+        assert np.array_equal(gs.rhs[gs.dirichlet], [1.0, 2.0])
+        assert np.array_equal(gs.rhs[~gs.dirichlet], [p.rhs(y) for y in sigma.points[~gs.dirichlet]])
 
 
 class TestConvergenceStudy:
@@ -65,7 +70,7 @@ class TestConvergenceStudy:
 
     def test_quadratic_solution_is_reproduced_exactly(self):
         base = preset("bvp1d")
-        quad = with_exact(
+        quad = dataclasses.replace(
             base,
             exact=lambda x: float(x[0]) * (1.0 - float(x[0])),
             rhs=lambda x: -2.0,

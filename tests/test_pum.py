@@ -4,10 +4,11 @@ import pytest
 import meshfd as m
 from meshfd import spline
 from meshfd.errors import CoverageError, InvalidInputError
-from meshfd.pum import DEFAULT_RADIUS_FACTOR, PartitionOfUnity, blend, blend_disconnected
+from meshfd.pum import DEFAULT_RADIUS_FACTOR, PartitionOfUnity, blend
 from meshfd.spaces import KernelSpace, StackedBasis, local_interpolate, patch_value
 
 from helpers import (
+    blend_disconnected,
     five_star_sublist_space,
     grid1d,
     halton_r3_space,

@@ -262,3 +262,8 @@ class TestFlatEngineOutput:
         space = m.build_space(jittered_cloud(3, n_axis=5), "all", ("knn", 9), R3_TAIL1)
         with pytest.raises(InvalidInputError, match="one \\(2,\\) row per patch index"):
             exactness_rows(m.LAPLACIAN, points, space.table, [0, 1, 2])
+
+    def test_unknown_route_rejected(self):
+        space = m.build_space(jittered_cloud(3, n_axis=5), "all", ("knn", 9), R3_TAIL1)
+        with pytest.raises(m.ConfigError, match="^unknown route 'cardinal'$"):
+            exactness_rows(m.LAPLACIAN, np.zeros((3, 2)), space.table, [0, 1, 2], route="cardinal")

@@ -643,20 +643,6 @@ class TestSolveLeastSquares:
         with pytest.raises(InvalidInputError):
             solve_least_squares(gs)
 
-    def test_row_equilibration_flag(self):
-        p = preset("poisson2d")
-        ns, space = five_star_sublist_space(6)
-        sigma = build_sigma(space, "per-set-aggregate")
-        gs = assemble(space, p.operator, p.rhs, sigma, dirichlet_data=p.dirichlet)
-        plain = solve_least_squares(gs)
-        scaled = solve_least_squares(gs, equilibrate=True)
-        # both solve the problem to comparable accuracy but are distinct functionals
-        exact = p.nodal_exact(ns)
-        for sol in (plain, scaled):
-            err = np.max(np.abs(sol.nodal_values - exact)[ns.interior_indices])
-            assert err < 0.05
-        assert not np.array_equal(plain.nodal_values, scaled.nodal_values)
-
 
 class TestLeastSquaresFallbacks:
     """A zero column makes the normal equations singular and forces a fallback."""
@@ -739,6 +725,22 @@ class TestNonFiniteData:
         message = "Dirichlet value of row 0 at point [0.0, 0.0] is not finite: inf"
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             assemble(space, m.LAPLACIAN, lambda x: 0.0, sigma, dirichlet_data=lambda x: float("inf"))
+
+    @pytest.mark.parametrize("dirichlet, rhs, message", [
+        ([False] * 3, [1.0, np.nan, 1.0], "right-hand side of row 1 is not finite: nan"),
+        ([True, False, False], [np.inf, 0.0, 1.0], "Dirichlet value of row 0 is not finite: inf"),
+    ], ids=["interior-nan", "dirichlet-inf"])
+    def test_square_solve_refuses_non_finite_data_before_factoring(self, monkeypatch, dirichlet, rhs, message):
+        gs = _hand_system([[1, 0, 0], [-1, 2, 0], [0, -1, 2]], dirichlet, rhs)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda *args, **kwargs: pytest.fail("factored"))
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            solve_square(gs)
+
+    def test_square_solve_of_finite_data_with_a_non_finite_solution_raises(self):
+        gs = _hand_system([[1e-300, 0], [0, 1]], [False, False], [1e10, 1.0])
+        with pytest.raises(SingularSystemError, match="^factorization produced non-finite values$") as err:
+            solve_square(gs)
+        assert err.value.cond_estimate == pytest.approx(1e300)
 
     def test_least_squares_never_reports_a_non_finite_solution_as_full_rank(self):
         a = np.vstack([np.eye(3), np.ones((1, 3))])

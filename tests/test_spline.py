@@ -24,6 +24,7 @@ from helpers import (
     FIVE_STAR_SUBLIST,
     GENERAL_OP,
     cardinal_row,
+    connection_defect,
     dense_dimension_analysis,
     five_star_full_p2_space,
     five_star_sublist_space,
@@ -341,7 +342,7 @@ class TestDimensionAnalysis:
             checked += 1
         assert checked >= 80
 
-    def test_guard_rejects_oversized_analysis(self):
+    def test_guard_rejects_oversized_analysis(self, monkeypatch):
         """The guard bounds the left-null block C: one row per null vector, one column per node it touches.
 
         kNN-4 patches on a 9-node line: quadratics on the interior centres give C 7 x 9 (the columns
@@ -349,9 +350,11 @@ class TestDimensionAnalysis:
         """
         for centers, degree, rows in (("interior", 2, 7), ("all", 0, 27)):
             space = m.build_space(grid1d(8), centers, ("knn", 4), m.poly_patch_recipe(degree))
-            assert m.dimension_analysis(space, guard=max(rows, 9)) == dense_dimension_analysis(space)
+            monkeypatch.setattr(spline_module, "ANALYSIS_GUARD", max(rows, 9))
+            assert m.dimension_analysis(space) == dense_dimension_analysis(space)
+            monkeypatch.setattr(spline_module, "ANALYSIS_GUARD", max(rows, 9) - 1)
             with pytest.raises(AnalysisSizeError, match=f"{rows} x 9"):
-                m.dimension_analysis(space, guard=max(rows, 9) - 1)
+                m.dimension_analysis(space)
 
     @pytest.mark.parametrize("name", sorted(ORACLE_SPACES))
     def test_equals_dense_oracle(self, name):
@@ -443,7 +446,7 @@ class TestFromNodalValues:
     def test_connection_condition_holds(self, rng):
         ns, space = five_star_sublist_space(5)
         s = m.from_nodal_values(space, rng.standard_normal(ns.n))
-        assert m.connection_defect(s) <= 1e-9
+        assert connection_defect(s) <= 1e-9
 
     def test_non_interpolatory_space_rejected(self):
         ns, space = five_star_full_p2_space(4)
@@ -585,7 +588,7 @@ class TestRestriction:
         first = np.array([vals[0] for vals in oracle])
         defect = max(abs(v - vals[0]) / (1.0 + abs(vals[0])) for vals in oracle for v in vals)
         assert np.max(np.abs(m.restriction(s) - first) / (1.0 + np.abs(first))) <= 1e-13
-        assert m.connection_defect(s) == pytest.approx(defect, abs=1e-13)
+        assert connection_defect(s) == pytest.approx(defect, abs=1e-13)
 
     def test_non_finite_patch_values_rejected(self):
         ns = m.generate_grid(1, 9, [(0.0, 1.0)])
@@ -594,7 +597,7 @@ class TestRestriction:
         bad = list(s.patch_coeffs)
         bad[4] = np.full_like(bad[4], np.nan)
         broken = m.OverlapSpline(space=space, patch_coeffs=tuple(bad))
-        assert not np.isfinite(m.connection_defect(broken))
+        assert not np.isfinite(connection_defect(broken))
         first_node = int(space.patches[4].influence.indices.min())
         with pytest.raises(InconsistentSplineError,
                            match=f"patch 4 is not finite at node {first_node}: nan"):
@@ -628,7 +631,7 @@ class TestRestriction:
         with pytest.raises(InconsistentSplineError,
                            match=rf"^patch {i} is not finite at node {first_node}: nan$"):
             m.restriction(broken)
-        assert not np.isfinite(m.connection_defect(broken))
+        assert not np.isfinite(connection_defect(broken))
 
 
     def test_patches_differing_only_in_tail_rank(self, rng):
@@ -642,7 +645,7 @@ class TestRestriction:
         values = [[float(s.patch_eval(i, ns.points[k])) for i in ms]
                   for k, ms in enumerate(membership_lists(space))]
         defect = max(abs(v - vals[0]) / (1.0 + abs(vals[0])) for vals in values for v in vals)
-        assert m.connection_defect(s) == pytest.approx(defect, abs=1e-13)
+        assert connection_defect(s) == pytest.approx(defect, abs=1e-13)
         k, a, b, _, _ = first_connection_violation(s)
         with pytest.raises(InconsistentSplineError, match=rf"^patches {a} and {b} disagree at node {k}: "):
             m.restriction(s)
