@@ -18,7 +18,7 @@ optional:
       "centers": "all" | "interior" | [node indices],
       "uncovered": "error" | "constant-patch",
       "operator": {"kind": one of operators.KINDS but "general-second-order"},
-      "problem": {"preset": "bvp1d" | "poisson2d", "bounds": ...},
+      "problem": {"preset": "bvp1d" | "poisson2d"},
       "strategy": {"kind": "same-index"}
                   | {"kind": "per-set-aggregate"}
                   | {"kind": "nearest-node", "collocation": {"kind": "nodes"}
@@ -39,6 +39,7 @@ import copy
 import json
 
 from .errors import ConfigError
+from .geometry import _integer
 
 DEFAULT_OUTPUTS = {
     "nodes": "nodes.csv",
@@ -96,8 +97,8 @@ def resolve_config(raw: dict, seed=None) -> dict:
     cfg = copy.deepcopy(_DEFAULTS)
     cfg.update(copy.deepcopy(raw))
     if seed is not None:
-        cfg["seed"] = int(seed)
-    cfg["seed"] = int(cfg["seed"])
+        cfg["seed"] = seed
+    cfg["seed"] = _integer(cfg["seed"], "seed must be an integer")
 
     outputs = dict(DEFAULT_OUTPUTS)
     outputs.update(cfg.get("outputs") or {})

@@ -44,12 +44,17 @@ from .errors import ConstructionError, InvalidInputError
 _TIE_MARGIN = 1e-9
 
 
+def _floats(values, what: str) -> np.ndarray:
+    """``values`` as a float array; anything that is not numbers raises instead of a bare ``ValueError``."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{what} must be numbers, got {values!r}") from None
+
+
 def _as_bounds(bounds, d):
     """Normalize a box spec to a (d, 2) array and validate it."""
-    try:
-        b = np.asarray(bounds, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidInputError(f"box bounds must be numbers, got {bounds!r}") from None
+    b = _floats(bounds, "box bounds")
     if b.ndim == 1:
         if b.shape != (2,):
             raise InvalidInputError(f"box bounds must be (lo, hi) pairs, got shape {b.shape}")
@@ -268,7 +273,7 @@ def influences(ns: NodeSet, centers, selector, center_indices=None) -> Influence
             raise InvalidInputError(f"center indices must lie in [0, {ns.n}), got {bad[:10]}")
         if centers is None:
             centers = ns.points[center_indices]
-    centers = np.asarray(centers, dtype=float)
+    centers = _floats(centers, "center points")
     if centers.ndim != 2 or centers.shape[1] != ns.d:
         raise InvalidInputError("center points must match the node dimension")
     finite = np.isfinite(centers).all(axis=1)

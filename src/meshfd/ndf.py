@@ -8,13 +8,13 @@ lead to the symmetric saddle system whose multiplier block is discarded.
 
 There is one exactness implementation and one entry to it, the batched
 engine `exactness_rows`, whose rows are an (R, d) point array on patches of
-a `spaces.PatchTable`: chunk by chunk, `spaces.stack_spaces` stacks each
-distinct patch once, with its stencil, and the rows of equally shaped
-patches are solved together; a row's result does not depend on the rows it
-is stacked with.  It returns arrays, not one object per row: every row's
-weights in one flat array, slice after slice, the residuals, and the errors
-of failed rows by row.  When a chunk-wide step raises, the chunk's rows are
-solved again one at a time into the same arrays, so that each bad row gets
+a `spaces.PatchTable`: one `spaces.stack_spaces` call stacks each distinct
+patch of the rows once, with its stencil, and the rows of equally shaped
+patches are solved together (`spaces.walk_stack`); a row's result does not
+depend on the rows it is solved with.  It returns arrays, not one object per
+row: every row's weights in one flat array, slice after slice, the
+residuals, and the errors of failed rows by row.  When a chunk's solve
+raises, its rows are solved again one at a time, so that each bad row gets
 its own error.  The operator enters as the table of `Operator.terms`.
 `weights_poly`, `weights_kernel` and `spline.lagrange_row` are one-row
 batches of it (`one_row`).
@@ -59,12 +59,13 @@ from .spaces import (
     PolySpace,
     apply_operator,
     stack_spaces,
+    walk_stack,
 )
 
 # A produced row must reproduce its generating space to this relative defect.
 EXACTNESS_RTOL = 1e-8
 
-# Rows (or nodal fits) stacked into one solve; keeps the transient arrays of a chunk at a few MB.
+# Rows (or nodal fits) of one walked chunk (`spaces.walk_stack`): bounds a solve's temporaries at a few MB.
 CHUNK_ROWS = 256
 
 
@@ -115,8 +116,8 @@ def exactness_rows(op: Operator, points, table: PatchTable, patches, route: str 
     array, slice after slice in row order; each row's exactness defect (R,);
     and ``{row: MeshfdError}`` for the rows that failed, whose weights and
     residual are NaN, so that a caller can report them with its own context.
-    Rows are taken in chunks of `CHUNK_ROWS`; a chunk whose stacking or solve
-    raises is solved row by row, so that each bad row gets its own error.
+    The rows' distinct patches are stacked once and walked `CHUNK_ROWS` rows at a time; a chunk
+    whose solve raises is solved row by row from the same stack, so each bad row gets its own error.
     ``route="lagrange"`` solves kernel groups by their nodal matrices too,
     which gives the cardinal rows of square patches.
     """
@@ -129,34 +130,24 @@ def exactness_rows(op: Operator, points, table: PatchTable, patches, route: str 
                                 f"got shape {points.shape} for {patches.size} patch indices")
     start = np.cumsum(np.concatenate([[0], table.influence.sizes[patches]]))  # each row's weight slice
     weights, residual, errors = np.empty(start[-1]), np.empty(patches.size), {}
-    for lo in range(0, patches.size, CHUNK_ROWS):
-        chunk = np.arange(lo, min(lo + CHUNK_ROWS, patches.size))
+
+    def solve(rows, basis, slots):
+        w, residual[rows], group_errors = _solve_group(op, points[rows], basis, slots, saddle)
+        weights[start[rows][:, None] + np.arange(w.shape[1])] = w
+        errors.update((int(rows[r]), exc) for r, exc in group_errors.items())
+
+    distinct, patch = np.unique(patches, return_inverse=True)  # each row's index among the distinct patches
+    for rows, _, basis, slots in walk_stack(stack_spaces(table, distinct), CHUNK_ROWS, patch):
         try:
-            errors.update(_solve_chunk(op, points, table, patches, chunk, start, weights, residual, saddle))
+            solve(rows, basis, slots)
         except MeshfdError:
-            for r in chunk.tolist():
+            for r, slot in zip(rows.tolist(), slots.tolist()):
                 try:
-                    errors.update(_solve_chunk(op, points, table, patches, np.array([r]), start, weights,
-                                               residual, saddle))
+                    solve(np.array([r]), basis, np.array([slot]))
                 except MeshfdError as exc:
                     weights[start[r]:start[r + 1]] = residual[r] = np.nan
                     errors[r] = exc
     return weights, residual, errors
-
-
-def _solve_chunk(op, points, table, patches, chunk, start, weights, residual, saddle) -> dict:
-    """Solve the rows ``chunk`` into their slices of ``weights`` and ``residual``; return their {row: error}."""
-    errors = {}
-    distinct, patch = np.unique(patches[chunk], return_inverse=True)  # each row's index among the distinct patches
-    for members, basis in stack_spaces(table, distinct):
-        slot = np.full(distinct.size, -1)
-        slot[members] = np.arange(members.size)
-        local = np.flatnonzero(slot[patch] >= 0)
-        rows = chunk[local]
-        w, residual[rows], group_errors = _solve_group(op, points[rows], basis, slot[patch[local]], saddle)
-        weights[start[rows][:, None] + np.arange(w.shape[1])] = w
-        errors.update((int(rows[r]), exc) for r, exc in group_errors.items())
-    return errors
 
 
 def _solve_group(op, y, basis, slots, saddle):
@@ -217,7 +208,7 @@ def _kernel_rows(op, y, basis, slots):
     """Stacked saddle systems ``[[K, P], [P^T, 0]]``: weights (R, n), residuals (R,) and {row: error}.
 
     ``K`` and ``P``, the scaled translates and the tail at the stencil nodes, fill one saddle matrix
-    per stacked patch in place, gathered to the rows only when they are not the stacked patches in
+    per distinct patch of the rows in place, gathered to the rows only when they are not in slot
     order.  A row's defect is the residual of its own saddle system; no moment-null basis is formed.
     """
     q, n_rows, n = len(basis.exponents), len(y), basis.centers.shape[1]
@@ -228,10 +219,11 @@ def _kernel_rows(op, y, basis, slots):
             rank=basis.tail_rank, n_conditions=q,
         ) for r in range(n_rows)}
     betas, coef = op.terms(y)
-    a = np.zeros((basis.centers.shape[0], n + q, n + q))  # each stacked patch's saddle matrix, once
-    a[:, :n, :n], a[:, :n, n:] = basis.blocks(None)
+    used, inverse = np.unique(slots, return_inverse=True)
+    a = np.zeros((used.size, n + q, n + q))  # each distinct stacked patch's saddle matrix, once
+    a[:, :n, :n], a[:, :n, n:] = basis.blocks(None, rows=used)
     a[:, n:, :n] = np.swapaxes(a[:, :n, n:], 1, 2)
-    a = a if np.array_equal(slots, np.arange(len(a))) else a[slots]  # equal counts do not prove patch order
+    a = a if np.array_equal(used, slots) else a[inverse]
     rhs = np.concatenate(basis.blocks(y[:, None, :], betas, coef, slots), axis=2)[:, 0, :]
     sol, singular = stacked_solve(a, rhs)
     w = sol[:, :n]

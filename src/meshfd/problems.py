@@ -45,7 +45,7 @@ class Problem:
         return np.array([float(self.exact(p)) for p in ns.points])
 
 
-def preset(name: str, bounds=None) -> Problem:
+def preset(name: str) -> Problem:
     """Named problems with manufactured solutions.
 
     ``bvp1d``: u'' = f on an interval with zero endpoint values and
@@ -53,8 +53,6 @@ def preset(name: str, bounds=None) -> Problem:
     u = sin(pi x1) sin(pi x2).
     """
     if name == "bvp1d":
-        b = np.asarray(bounds if bounds is not None else [(0.0, 1.0)], dtype=float)
-
         def exact(x):
             return math.sin(math.pi * float(np.asarray(x).reshape(-1)[0]))
 
@@ -62,12 +60,10 @@ def preset(name: str, bounds=None) -> Problem:
             return -math.pi**2 * math.sin(math.pi * float(np.asarray(x).reshape(-1)[0]))
 
         return Problem(
-            name=name, d=1, bounds=b, operator=SECOND_DERIVATIVE_1D,
+            name=name, d=1, bounds=[(0.0, 1.0)], operator=SECOND_DERIVATIVE_1D,
             rhs=rhs, dirichlet=lambda x: 0.0, exact=exact,
         )
     if name == "poisson2d":
-        b = np.asarray(bounds if bounds is not None else [(0.0, 1.0), (0.0, 1.0)], dtype=float)
-
         def exact(x):
             x = np.asarray(x, dtype=float).reshape(-1)
             return math.sin(math.pi * x[0]) * math.sin(math.pi * x[1])
@@ -76,7 +72,7 @@ def preset(name: str, bounds=None) -> Problem:
             return -2.0 * math.pi**2 * exact(x)
 
         return Problem(
-            name=name, d=2, bounds=b, operator=LAPLACIAN,
+            name=name, d=2, bounds=[(0.0, 1.0), (0.0, 1.0)], operator=LAPLACIAN,
             rhs=rhs, dirichlet=lambda x: 0.0, exact=exact,
         )
     raise InvalidInputError(f"unknown problem preset {name!r}, expected one of {PRESETS}")

@@ -16,7 +16,16 @@ import numpy as np
 
 from .config import resolve_config
 from .errors import ConfigError, InvalidInputError
-from .geometry import NodeSet, generate_grid, generate_scattered, influences, load_nodes, save_nodes
+from .geometry import (
+    NodeSet,
+    _as_bounds,
+    _integer,
+    generate_grid,
+    generate_scattered,
+    influences,
+    load_nodes,
+    save_nodes,
+)
 from .ndf import one_row
 from .operators import Operator
 from .problems import Problem, convergence_study, preset
@@ -85,8 +94,8 @@ def make_selector(cfg):
 
 def build_space_from_config(cfg, ns: NodeSet) -> OverlapSplineSpace:
     centers = cfg.get("centers", "all")
-    if isinstance(centers, list):
-        centers = np.asarray(centers, dtype=int)
+    if isinstance(centers, list):  # node indices
+        centers = np.array([_integer(c, "center indices must be integers") for c in centers], dtype=np.intp)
     return build_space(
         ns, centers, make_selector(cfg), make_recipe(cfg), uncovered=cfg.get("uncovered", "error")
     )
@@ -96,7 +105,9 @@ def resolve_problem(cfg) -> Problem | None:
     spec = cfg.get("problem")
     if not spec:
         return None
-    return preset(spec["preset"], bounds=spec.get("bounds"))
+    if not isinstance(spec, dict) or set(spec) != {"preset"}:
+        raise ConfigError(f"the 'problem' section takes one key, 'preset', got {spec!r}")
+    return preset(spec["preset"])
 
 
 def resolve_operator(cfg, problem: Problem | None = None) -> Operator:
@@ -129,7 +140,7 @@ def sigma_from_config(cfg, space: OverlapSplineSpace, ns: NodeSet) -> SigmaMap:
             ]
             pts = generate_grid(d, coll["n_per_axis"], bounds).points
         elif ckind == "points":
-            pts = np.atleast_2d(np.asarray(coll["points"], dtype=float))
+            pts = coll["points"]
         else:
             raise ConfigError(f"unknown collocation kind {ckind!r}")
         return build_sigma(space, "nearest-node", collocation_points=pts)
@@ -168,13 +179,13 @@ def run_stencil(cfg, out_dir) -> dict:
     if not spec or "y" not in spec:
         raise ConfigError("stencil subcommand needs a 'stencil': {'y': [...]} section")
     ns = build_nodeset(cfg)
-    y = np.asarray(spec["y"], dtype=float).reshape(-1)
-    table = PatchTable.of_recipes([(influences(ns, y[None, :], make_selector(cfg)), make_recipe(cfg))])
+    y = spec["y"] if isinstance(spec["y"], list) else [spec["y"]]  # a bare number is a 1-D point
+    table = PatchTable.of_recipes([(influences(ns, [y], make_selector(cfg)), make_recipe(cfg))])
     problem = resolve_problem(cfg)
     op = resolve_operator(cfg, problem)
-    sw = one_row(op, y, table, 0)
+    sw = one_row(op, table.influence.centers[0], table, 0)
     row = {
-        "y": [float(v) for v in y],
+        "y": [float(v) for v in sw.point],
         "nodes": [int(i) for i in sw.influence.indices],
         "weights": [float(w) for w in sw.weights],
         "residual": sw.residual,
@@ -253,9 +264,9 @@ def run_solve(cfg, out_dir) -> dict:
 
 
 def _level_h(cfg_nodes, ns: NodeSet) -> float:
-    if cfg_nodes["kind"] == "grid":
-        lo, hi = (cfg_nodes.get("bounds") or [(0.0, 1.0)])[0]
-        return (float(hi) - float(lo)) / (cfg_nodes["n_per_axis"] - 1)
+    if cfg_nodes["kind"] == "grid":  # one (lo, hi) pair may serve every axis, as in `build_nodeset`
+        lo, hi = _as_bounds(cfg_nodes.get("bounds") or (0.0, 1.0), ns.d)[0]
+        return float(hi - lo) / (cfg_nodes["n_per_axis"] - 1)
     # scattered: average spacing from the interior density
     d = ns.d
     volume = float(np.prod(ns.points.max(axis=0) - ns.points.min(axis=0)))
@@ -309,6 +320,22 @@ def run_converge(cfg, out_dir) -> dict:
     }
 
 
+def _read_values(path) -> np.ndarray:
+    """The 'value' column of a nodal value file; a row that is not one number raises `ConfigError` naming it."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or rows[0] != ["value"]:
+        raise ConfigError("nodal value files carry a single 'value' column")
+    values = []
+    for line, row in enumerate(rows[1:], start=2):
+        try:
+            (value,) = row
+            values.append(float(value))
+        except ValueError:
+            raise ConfigError(f"nodal value file {path}, line {line}: {row!r} is not one number") from None
+    return np.array(values)
+
+
 def run_pum_eval(cfg, out_dir) -> dict:
     ns = build_nodeset(cfg)
     space = build_space_from_config(cfg, ns)
@@ -319,11 +346,7 @@ def run_pum_eval(cfg, out_dir) -> dict:
             raise ConfigError("values kind 'exact' needs a problem preset with an exact solution")
         values = problem.nodal_exact(ns)
     elif values_spec.get("kind") == "file":
-        with open(values_spec["path"], newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or rows[0] != ["value"]:
-            raise ConfigError("nodal value files carry a single 'value' column")
-        values = np.array([float(r[0]) for r in rows[1:]])
+        values = _read_values(values_spec["path"])
         if values.shape[0] != ns.n:
             raise ConfigError(f"{values.shape[0]} values for {ns.n} nodes")
     else:

@@ -33,7 +33,7 @@ from .errors import (
     InvalidInputError,
     SingularSystemError,
 )
-from .geometry import _sorted_rows, ranked_nearest
+from .geometry import _floats, _sorted_rows, ranked_nearest
 from .linalg import RANK_RTOL
 from .ndf import exactness_rows
 from .operators import Operator
@@ -174,7 +174,7 @@ def build_sigma(space: OverlapSplineSpace, strategy: str, collocation_points=Non
     elif strategy == "nearest-node":
         if collocation_points is None:
             raise ConfigError("nearest-node strategy needs explicit collocation points")
-        points = np.atleast_2d(np.asarray(collocation_points, dtype=float))
+        points = np.atleast_2d(_floats(collocation_points, "collocation points"))
         if points.shape[1] != nodes.d:
             raise InvalidInputError("collocation points must match the node dimension")
         bad = np.flatnonzero(~np.isfinite(points).all(axis=1))

@@ -23,7 +23,8 @@ per (dimension, degree, list) and shared by every space built from it.
 A collection of patches is one `PatchTable`, filled by the recipes in array
 operations (a recipe stays callable on one influence set) or from checked
 hand-made pairings.  Its `StackedBasis` groups (`stack_spaces`, split by tail
-ranks that one batched Cholesky certifies) evaluate many patches at once, so the
+ranks that one batched Cholesky certifies, with each patch's group and slot;
+`walk_stack` walks them in chunks) evaluate many patches at once, so the
 basis layout is known here only.  Kernel exactness rows take the translates and
 tail monomials (`StackedBasis.blocks`); nodal fits and spline values take the
 basis (`StackedBasis.evaluate`), the only reader of the moment-null bases.
@@ -524,19 +525,21 @@ class PatchTable:
                    np.array(scale), np.array(norm))
 
 
-def stack_spaces(table: PatchTable, patches) -> list[tuple[np.ndarray, StackedBasis]]:
-    """(member positions in ``patches``, evaluator) per group of table rows with one shape and size.
+def stack_spaces(table: PatchTable, patches) -> tuple[list, np.ndarray, np.ndarray]:
+    """The table rows ``patches`` stacked: ``(groups, group, slot)``, the one patch → group and slot map.
 
-    The ranks of a kernel group's tails at its nodes (`linalg.stacked_rank`: a batched Cholesky
-    certifies most, an SVD of singular values decides the rest) split the group by dimension (a
-    tail of deficient rank widens the moment-null block).  The moment-null bases are left to
-    `StackedBasis.null`, which only evaluation reads.
+    ``groups`` holds (member positions in ``patches``, evaluator) per group of rows with one shape
+    and size; position i is row ``slot[i]`` of evaluator ``group[i]``.  The ranks of a kernel
+    group's tails at its nodes (`linalg.stacked_rank`: a batched Cholesky certifies most, an SVD of
+    singular values decides the rest) split the group by dimension (a tail of deficient rank widens
+    the moment-null block).  The moment-null bases are left to `StackedBasis.null`, which only
+    evaluation reads.
     """
     patches = np.asarray(patches, dtype=np.intp).reshape(-1)
     infl = table.influence
     size, shape = infl.sizes[patches], table.shape[patches]
     keys, which = np.unique(shape * (int(size.max(initial=0)) + 1) + size, return_inverse=True)
-    out = []
+    groups, group, slot = [], np.empty(patches.size, dtype=np.intp), np.empty(patches.size, dtype=np.intp)
     for key in range(keys.size):
         members = np.flatnonzero(which == key)
         rows = patches[members]
@@ -546,12 +549,29 @@ def stack_spaces(table: PatchTable, patches) -> list[tuple[np.ndarray, StackedBa
         tail = monomial_derivatives((centers - shift[:, None, :]) / scale[:, None, None], exps,
                                     (0,) * centers.shape[2])
         rank = stacked_rank(tail) if kernel is not None and exps else np.zeros(rows.size, dtype=np.intp)
-        for r in sorted(set(rank.tolist())):
-            sel = rank == r
-            out.append((members[sel], StackedBasis(kernel, centers[sel], infl.indices[at[sel]],
-                                                   table.norm[rows[sel]], exps, shift[sel], scale[sel],
-                                                   tail[sel], int(r))))
-    return out
+        ranks = np.unique(rank).tolist()
+        for r in ranks:
+            sel = slice(None) if len(ranks) == 1 else rank == r  # one rank: the arrays as built
+            part = members[sel]
+            group[part], slot[part] = len(groups), np.arange(part.size)
+            groups.append((part, StackedBasis(kernel, centers[sel], infl.indices[at[sel]],
+                                              table.norm[rows[sel]], exps, shift[sel], scale[sel], tail[sel], r)))
+    return groups, group, slot
+
+
+def walk_stack(stack, size: int, at=None):
+    """(positions, group, evaluator, slots) for each ``size`` positions of a `stack_spaces` group.
+
+    Position i stands for stacked patch ``at[i]`` (default i); a group's positions ascend.
+    """
+    groups, group, slot = stack
+    if at is not None:
+        group, slot = group[at], slot[at]
+    for g, (_, basis) in enumerate(groups):
+        members = np.flatnonzero(group == g)
+        for lo in range(0, members.size, size):
+            positions = members[lo:lo + size]
+            yield positions, g, basis, slot[positions]
 
 
 def apply_operator(space: PatchSpace, op: Operator, x) -> np.ndarray:

@@ -10,11 +10,11 @@ A space holds its patches as one `spaces.PatchTable`, the one patch
 representation, filled by `build_space` in array operations or from
 hand-made `Patch` objects; ``space.patches`` are views built on first
 access, for the one-patch oracles.  The table is grouped once, through
-`spaces.stack_spaces`, into stacked evaluators of equally shaped patches
-whose nodal matrices also give the patch ranks, one batched SVD per group.
-`from_nodal_values` fits each group with one stacked nodal solve, and
-`OverlapSpline.eval_pairs` evaluates "patch ``p[j]`` at point ``x[j]``" for
-any set of pairs as the stacked basis times the stacked coefficients.
+`spaces.stack_spaces`, into stacked evaluators of equally shaped patches,
+walked in chunks by `spaces.walk_stack` for the patch ranks (one batched
+SVD each), the fits of `from_nodal_values` (one stacked nodal solve each)
+and `OverlapSpline.eval_pairs`, "patch ``p[j]`` at point ``x[j]``" for any
+set of pairs as the stacked basis times the stacked coefficients.
 `restriction` evaluates every membership of the `incidence` table in one
 such call, as does the connection-defect oracle (`connection_defect` in
 `tests/helpers.py`), and partition-of-unity blending (`meshfd.pum`)
@@ -58,6 +58,7 @@ from .spaces import (
     poly_patch_recipe,
     stack_spaces,
     unisolvency_rank,
+    walk_stack,
 )
 
 # Two patch values at a shared node must agree to this relative tolerance.
@@ -145,13 +146,9 @@ class OverlapSplineSpace:
         return len(self.table.influence.centers)
 
     @cached_property
-    def _stacks(self) -> tuple[tuple, np.ndarray, np.ndarray]:
-        """The patches as `spaces.stack_spaces` groups (members, evaluator); each patch's group and slot."""
-        groups = tuple(stack_spaces(self.table, np.arange(self.m)))
-        group_of, slot = np.empty(self.m, dtype=np.intp), np.empty(self.m, dtype=np.intp)
-        for g, (members, _) in enumerate(groups):
-            group_of[members], slot[members] = g, np.arange(members.size)
-        return groups, group_of, slot
+    def _stacks(self) -> tuple[list, np.ndarray, np.ndarray]:
+        """Every patch stacked by `spaces.stack_spaces`: the groups, and each patch's group and slot."""
+        return stack_spaces(self.table, np.arange(self.m))
 
     @property
     def interpolatory(self) -> bool:
@@ -172,17 +169,15 @@ def _rank_pass(space: OverlapSplineSpace, left_null: bool = False) -> tuple[np.n
     beside the node columns they belong in.
     """
     rank, dim, null = np.zeros(space.m, dtype=np.intp), np.zeros(space.m, dtype=np.intp), []
-    for members, basis in space._stacks[0]:
-        dim[members], size = basis.dim, basis.centers.shape[1]
-        for lo in range(0, members.size, CHUNK_ROWS):
-            rows = slice(lo, lo + CHUNK_ROWS)
-            svd = np.linalg.svd(basis.evaluate(None, rows=rows), compute_uv=left_null)
-            sv = svd.S if left_null else svd
-            rank[members[rows]] = r = np.count_nonzero(sv > RANK_RTOL * sv[:, :1], axis=1)
-            if left_null:
-                for k in np.unique(r[r < size]):  # U (R, |X_i|, |X_i|), full
-                    null.append((np.swapaxes(svd.U[r == k, :, k:], 1, 2).reshape(-1, size),
-                                 np.repeat(basis.indices[rows][r == k], size - k, axis=0)))
+    for patches, _, basis, rows in walk_stack(space._stacks, CHUNK_ROWS):
+        dim[patches], size = basis.dim, basis.centers.shape[1]
+        svd = np.linalg.svd(basis.evaluate(None, rows=rows), compute_uv=left_null)
+        sv = svd.S if left_null else svd
+        rank[patches] = r = np.count_nonzero(sv > RANK_RTOL * sv[:, :1], axis=1)
+        if left_null:
+            for k in np.unique(r[r < size]):  # U (R, |X_i|, |X_i|), full
+                null.append((np.swapaxes(svd.U[r == k, :, k:], 1, 2).reshape(-1, size),
+                             np.repeat(basis.indices[rows][r == k], size - k, axis=0)))
     return rank, dim, null
 
 
@@ -220,16 +215,10 @@ class OverlapSpline:
         points = np.asarray(points, dtype=float)
         if points.shape != (patches.size, d):
             raise InvalidInputError(f"expected points of shape ({patches.size}, {d}), got {points.shape}")
-        groups, group_of, slot = self.space._stacks
         out = np.empty(patches.size)
-        which = group_of[patches]
-        for g, ((_, basis), coeffs) in enumerate(zip(groups, self._coeffs)):
-            rows = np.flatnonzero(which == g)
-            for lo in range(0, rows.size, EVAL_CHUNK_PAIRS):
-                chunk = rows[lo:lo + EVAL_CHUNK_PAIRS]
-                at = slot[patches[chunk]]
-                values = basis.evaluate(points[chunk, None, :], rows=at)[:, 0, :]
-                out[chunk] = (values * coeffs[at]).sum(axis=1)
+        for pairs, g, basis, at in walk_stack(self.space._stacks, EVAL_CHUNK_PAIRS, patches):
+            values = basis.evaluate(points[pairs, None, :], rows=at)[:, 0, :]
+            out[pairs] = (values * self._coeffs[g][at]).sum(axis=1)
         return out
 
 
@@ -337,9 +326,9 @@ def from_nodal_values(space: OverlapSplineSpace, values) -> OverlapSpline:
 
     Each patch is the local interpolant of the values on its influence set
     (the coefficients of `local_interpolate`); this parameterization exists
-    exactly when the space is interpolatory.  Each `spaces.stack_spaces`
-    group, with its nodal matrices and node indices, is one stacked nodal
-    solve in chunks of `CHUNK_ROWS`, and the solve is the one test: a
+    exactly when the space is interpolatory.  Each `spaces.walk_stack`
+    chunk of `CHUNK_ROWS` patches, with its nodal matrices and node indices,
+    is one stacked nodal solve, and the solve is the one test: a
     non-square group fails all of its patches, a singular or inaccurate one
     fails alone, and failures raise `ContractError` naming the first ten.
     """
@@ -350,20 +339,18 @@ def from_nodal_values(space: OverlapSplineSpace, values) -> OverlapSpline:
     if bad.size:
         raise InvalidInputError(f"value at node {bad[0]} is not finite: {values[bad[0]]}")
     coeffs, failing = [None] * space.m, []
-    for members, basis in space._stacks[0]:
+    for patches, _, basis, rows in walk_stack(space._stacks, CHUNK_ROWS):
         if basis.centers.shape[1] != basis.dim:  # a non-square nodal matrix
-            failing.extend(members.tolist())
+            failing.extend(patches.tolist())
             continue
-        for lo in range(0, members.size, CHUNK_ROWS):
-            chunk, rows = members[lo:lo + CHUNK_ROWS], slice(lo, lo + CHUNK_ROWS)
-            local = values[basis.indices[rows]]
-            e = basis.evaluate(None, rows=rows)
-            c, _ = stacked_solve(e, local)
-            defect = np.max(np.abs((e @ c[..., None])[..., 0] - local), axis=1)
-            good = defect <= INTERPOLATION_RTOL * (1.0 + np.max(np.abs(local), axis=1))
-            failing.extend(chunk[~good].tolist())
-            for i, ci in zip(chunk[good], c[good]):
-                coeffs[i] = ci
+        local = values[basis.indices[rows]]
+        e = basis.evaluate(None, rows=rows)
+        c, _ = stacked_solve(e, local)
+        defect = np.max(np.abs((e @ c[..., None])[..., 0] - local), axis=1)
+        good = defect <= INTERPOLATION_RTOL * (1.0 + np.max(np.abs(local), axis=1))
+        failing.extend(patches[~good].tolist())
+        for i, ci in zip(patches[good], c[good]):
+            coeffs[i] = ci
     if failing:
         raise ContractError(f"space is not interpolatory (failing patches: {tuple(sorted(failing)[:10])})")
     return OverlapSpline(space=space, patch_coeffs=tuple(coeffs))

@@ -111,6 +111,19 @@ class TestStencilCommand:
                        "augmented rank 3 (3 conditions, 2 nodes)"}
 
 
+    def test_non_numeric_point_exits_one(self, tmp_path, capsys):
+        cfg = {
+            "nodes": {"kind": "grid", "d": 2, "n_per_axis": 5},
+            "space": {"kind": "poly", "degree": 1},
+            "selector": {"kind": "knn", "k": 3},
+            "operator": {"kind": "laplacian"},
+            "stencil": {"y": ["a", 0.5]},
+        }
+        assert run_cli("stencil", write_config(tmp_path / "stencil.json.in", cfg), tmp_path / "out") == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "InvalidInputError", "message": "center points must be numbers, got [['a', 0.5]]"}
+
+
 class TestGenerateCommand:
     def test_writes_nodes_csv(self, tmp_path):
         cfg = {"nodes": {"kind": "scattered", "d": 2, "count": 40, "bounds": [[0, 1], [0, 1]]}}
@@ -119,6 +132,15 @@ class TestGenerateCommand:
         assert run_cli("generate", path, out) == 0
         ns = m.load_nodes(out / "nodes.csv")
         assert int((~ns.boundary_mask).sum()) == 40
+
+    def test_integer_seed_is_kept(self, tmp_path):
+        cfg = {"seed": 2, "nodes": {"kind": "scattered", "d": 2, "count": 5, "source": "random"}}
+        out = tmp_path / "out"
+        assert run_cli("generate", write_config(tmp_path / "gen.json.in", cfg), out) == 0
+        assert json.loads((out / "report.json").read_text())["config"]["seed"] == 2
+        del cfg["seed"]
+        assert run_cli("generate", write_config(tmp_path / "gen0.json.in", cfg), tmp_path / "o", ["--seed", "2"]) == 0
+        assert (out / "nodes.csv").read_bytes() == (tmp_path / "o" / "nodes.csv").read_bytes()
 
     def test_generated_file_feeds_other_commands(self, tmp_path):
         gen_cfg = {"nodes": {"kind": "scattered", "d": 2, "count": 60, "bounds": [[0, 1], [0, 1]]}}
@@ -235,6 +257,24 @@ class TestConvergeCommand:
         assert float(last[3]) >= 1.9
 
 
+    def test_one_bounds_pair_gives_the_same_table(self, tmp_path):
+        cfg = {
+            "nodes": {"kind": "grid", "d": 1, "n_per_axis": 9},
+            "space": {"kind": "poly", "degree": 2},
+            "selector": {"kind": "knn", "k": 3},
+            "centers": "interior",
+            "problem": {"preset": "bvp1d"},
+            "levels": {"n_per_axis": [9, 17, 33]},
+        }
+        tables = []
+        for name, bounds in (("pairs", [[0.0, 1.0]]), ("pair", [0.0, 1.0])):
+            cfg["nodes"]["bounds"] = bounds
+            out = tmp_path / name
+            assert run_cli("converge", write_config(tmp_path / f"{name}.json.in", cfg), out) == 0
+            tables.append((out / "convergence.csv").read_bytes())
+        assert tables[0] == tables[1]
+        assert [line.split(",")[0] for line in tables[0].decode().splitlines()[1:]] == ["0.125", "0.0625", "0.03125"]
+
     def test_scattered_count_levels(self, tmp_path):
         cfg = {
             "nodes": {"kind": "scattered", "d": 2, "count": 30, "bounds": [[0, 1], [0, 1]]},
@@ -287,6 +327,21 @@ class TestPumEvalCommand:
         assert run_cli("pum-eval", path, tmp_path / "out") == 1
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "InvalidInputError", "message": "value at node 3 is not finite: nan"}
+
+
+    def test_non_numeric_value_row_reported(self, tmp_path, capsys):
+        values = tmp_path / "values.csv"
+        values.write_text("value\n" + "\n".join(["0.5"] * 3 + ["abc"] + ["0.5"] * 13) + "\n")
+        cfg = {
+            "nodes": {"kind": "grid", "d": 1, "n_per_axis": 17, "bounds": [[0.0, 1.0]]},
+            "space": {"kind": "poly", "degree": 2},
+            "selector": {"kind": "knn", "k": 3},
+            "centers": "all",
+            "values": {"kind": "file", "path": str(values)},
+        }
+        assert run_cli("pum-eval", write_config(tmp_path / "pum.json.in", cfg), tmp_path / "out") == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ConfigError", "message": f"nodal value file {values}, line 5: ['abc'] is not one number"}
 
 
 class TestSubprocessInvocation:
@@ -374,7 +429,12 @@ class TestErrorHandling:
         ("nodes", {"kind": "scattered", "d": 2.0, "count": 30}, "dimension must be an integer, got 2.0"),
         ("nodes", {"kind": "grid", "d": 2, "n_per_axis": 5, "bounds": [["a", 1], [0, 1]]},
          "box bounds must be numbers, got [['a', 1], [0, 1]]"),
-    ], ids=["k-9.5", "radius-abc", "n_per_axis-9.7", "count-30.5", "d-2.0", "bounds-a"])
+        ("seed", 2.5, "seed must be an integer, got 2.5"),
+        ("centers", [10.7, 40.2, 70.9], "center indices must be integers, got 10.7"),
+        ("strategy", {"kind": "nearest-node", "collocation": {"kind": "points", "points": [["a", 0.5]]}},
+         "collocation points must be numbers, got [['a', 0.5]]"),
+    ], ids=["k-9.5", "radius-abc", "n_per_axis-9.7", "count-30.5", "d-2.0", "bounds-a", "seed-2.5",
+            "centers-10.7", "points-a"])
     def test_config_value_is_not_coerced(self, tmp_path, capsys, section, value, message):
         cfg = {
             "nodes": {"kind": "scattered", "d": 2, "count": 30},
@@ -385,6 +445,25 @@ class TestErrorHandling:
         cfg[section] = value
         assert run_cli("solve", write_config(tmp_path / "solve.json.in", cfg), tmp_path / "o") == 1
         assert json.loads(capsys.readouterr().err) == {"error": "InvalidInputError", "message": message}
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"nodes": ', "is not valid JSON"),
+        ("[1, 2]", "must hold a JSON object"),
+        ('{"space": {"kind": "spline"}}', "space kind must be one of ('poly', 'gauss', 'polyharmonic')"),
+        ('{"mode": "fit"}', "mode must be 'collocate' or 'lsq'"),
+        ('{"route": "cardinal"}', "route must be 'exactness' or 'lagrange'"),
+        ('{"uncovered": "drop"}', "uncovered must be 'error' or 'constant-patch'"),
+        ('{"problem": {"preset": "poisson2d", "bounds": [[0, 2], [0, 2]]}}',
+         "the 'problem' section takes one key, 'preset', got {'preset': 'poisson2d', 'bounds': [[0, 2], [0, 2]]}"),
+        ('{"problem": {"preset": "poisson2d", "bounds": [0.0, 1.0]}}', "the 'problem' section takes one key"),
+    ], ids=["json", "not-an-object", "space-kind", "mode", "route", "uncovered", "problem-bounds", "problem-pair"])
+    def test_config_refusal_returns_one(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json.in"
+        path.write_text(text)
+        assert run_cli("solve", path, tmp_path / "o") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert message in err["message"]
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["generate", "--config", str(tmp_path / "nope.json"),

@@ -322,6 +322,15 @@ class TestEvaluationTable:
         with pytest.raises(InvalidInputError):
             pou.evaluate(s, [[0.5, 0.5, 0.5]])
 
+    @pytest.mark.parametrize("lengths, message", [
+        ([3, 3], "one coefficient vector per patch is required"),
+        ([3, 3, 2], "coefficient length does not match the patch dimension"),
+    ], ids=["count", "length"])
+    def test_coefficients_must_fit_the_patches(self, lengths, message):
+        ns, space = quadratic_overlap_space_1d(4)  # three patches of dimension 3
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            m.OverlapSpline(space=space, patch_coeffs=tuple(np.zeros(n) for n in lengths))
+
     def test_coefficients_are_read_only_copies(self):
         ns, space = quadratic_overlap_space_1d(4)
         coeffs = [np.zeros(3) for _ in range(space.m)]

@@ -254,24 +254,22 @@ class TestBatchedAssembly:
                 assert np.array_equal(gs.matrix.toarray(), expected)
                 assert gs.residual.tolist() == residuals
 
-    @pytest.mark.parametrize("chunk_rows", [7, 256])
-    def test_rows_of_one_patch_share_one_stack(self, monkeypatch, chunk_rows):
+    @pytest.mark.parametrize("strategy", ["per-set-aggregate", "same-index"])
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 256])
+    def test_one_stack_per_call_of_the_distinct_patches(self, monkeypatch, chunk_rows, strategy):
         monkeypatch.setattr(m.ndf, "CHUNK_ROWS", chunk_rows)
         ns = m.generate_scattered(2, 30, [(0.0, 1.0), (0.0, 1.0)], source="halton")
         space = m.build_space(ns, "all", ("knn", 9), R3_TAIL1)
-        sigma = build_sigma(space, "per-set-aggregate")
+        sigma = build_sigma(space, strategy)
         stacked, stack = [], m.ndf.stack_spaces
 
         def counting(table, patches):
-            stacked.append(len(patches))
+            stacked.append(np.asarray(patches).tolist())
             return stack(table, patches)
 
         monkeypatch.setattr(m.ndf, "stack_spaces", counting)
         assemble(space, m.Operator("laplacian", identity_on_boundary=False), lambda x: 0.0, sigma)
-        patches = [pair.patch for pair in sigma.pairs]
-        distinct = [len(set(patches[lo:lo + chunk_rows])) for lo in range(0, len(patches), chunk_rows)]
-        assert stacked == distinct
-        assert sum(stacked) < len(patches)  # nine rows per patch
+        assert stacked == [sorted(set(sigma.patch.tolist()))]
 
     @pytest.mark.parametrize("chunk_rows", [7, 256])
     def test_each_patch_nodal_block_evaluated_once_per_chunk(self, monkeypatch, chunk_rows):
@@ -753,6 +751,14 @@ class TestNonFiniteData:
 
 
 class TestAssemblyErrors:
+    def test_lagrange_route_refuses_a_non_interpolatory_space(self):
+        from helpers import five_star_full_p2_space
+
+        ns, space = five_star_full_p2_space(4)
+        sigma = build_sigma(space, "same-index")
+        with pytest.raises(m.ContractError, match="^the cardinal-basis route requires an interpolatory space$"):
+            assemble(space, m.LAPLACIAN, lambda x: 0.0, sigma, route="lagrange")
+
     def test_failed_row_names_row_and_patch(self):
         from meshfd.errors import AssemblyError
         from helpers import five_star_full_p2_space

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 import meshfd as m
 from meshfd.errors import InvalidInputError, NotAnInterpolationSetError
+from meshfd.geometry import influences
 from meshfd.spaces import KernelSpace, PatchTable, PolySpace, kernel_derivative, patch_value, stack_spaces
 
 from helpers import FIVE_STAR_SUBLIST, five_star_sublist_space, halton_r3_space, jittered_cloud
@@ -104,6 +105,14 @@ class TestKernel:
     def test_nonpositive_parameter_rejected(self):
         with pytest.raises(InvalidInputError):
             m.Kernel("gauss", 0.0)
+
+    @pytest.mark.parametrize("exponent, degree, message", [
+        (3.0, None, "kernel of conditional order 2 requires a tail of degree >= 1"),
+        (5.0, 1, "tail degree 1 below the minimal degree 2 for this kernel"),
+    ], ids=["no-tail", "tail-too-low"])
+    def test_recipe_refuses_a_tail_below_the_minimal_degree(self, exponent, degree, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            m.kernel_patch_recipe(m.Kernel("polyharmonic", exponent), augmentation_degree=degree)
 
     def test_gauss_matrix_is_spd(self, rng):
         pts = rng.random((12, 2))
@@ -376,7 +385,7 @@ class TestStackedBasis:
     def test_matches_each_space_and_its_dimension(self, case, beta, rng):
         space = STACK_CASES[case]()
         spaces = [p.space for p in space.patches]
-        groups = stack_spaces(space.table, np.arange(space.m))
+        groups = stack_spaces(space.table, np.arange(space.m))[0]
         assert sorted(np.concatenate([members for members, _ in groups]).tolist()) == list(range(len(spaces)))
         for members, basis in groups:
             pts = rng.random((members.size, 3, 2))
@@ -389,20 +398,26 @@ class TestStackedBasis:
     def test_kernel_group_takes_the_moment_null_bases_of_its_spaces(self):
         space = halton_r3_space(count=40, k=12)[1]
         spaces = [p.space for p in space.patches]
-        ((members, basis),) = stack_spaces(space.table, np.arange(space.m))
+        ((members, basis),) = stack_spaces(space.table, np.arange(space.m))[0]
         for j, i in enumerate(members):
             assert np.array_equal(basis.null[j], spaces[i].moment_null)
             assert np.array_equal(basis.tail_at_centers[j], spaces[i].aug.eval_basis(spaces[i].centers))
 
     def test_operator_terms_are_summed_with_their_coefficients(self, rng):
         space = halton_r3_space(count=40, k=12)[1]
-        ((_, basis),) = stack_spaces(space.table, np.arange(space.m))
+        ((_, basis),) = stack_spaces(space.table, np.arange(space.m))[0]
         pts = rng.random((basis.centers.shape[0], 1, 2))
         betas = [(2, 0), (1, 1), (0, 2)]
         coef = rng.standard_normal((pts.shape[0], 3))
         parts = [basis.evaluate(pts, [beta]) for beta in betas]
         expected = sum(coef[:, k, None, None] * part for k, part in enumerate(parts))
         assert np.allclose(basis.evaluate(pts, betas, coef), expected, rtol=1e-12, atol=1e-9)
+
+    def test_pairing_refuses_a_stencil_of_another_dimension(self):
+        ns = m.generate_grid(1, 5, (0.0, 1.0))
+        infl = influences(ns, None, ("knn", 3), center_indices=[2])[0]
+        with pytest.raises(InvalidInputError, match="^stencil of dimension 1 in a 2-dimensional space$"):
+            PatchTable.of_pairs([infl], [PolySpace(2, 1, np.zeros(2), 1.0, m.monomial_exponents(2, 1))])
 
     def test_kernel_group_splits_by_tail_rank(self):
         line = np.column_stack([np.linspace(0.0, 1.0, 4), np.linspace(0.0, 0.5, 4)])
@@ -412,9 +427,10 @@ class TestStackedBasis:
         table = PatchTable.of_pairs([m.InfluenceSet(center=c[0], indices=np.arange(4), points=c,
                                                     distances=np.linalg.norm(c - c[0], axis=1))
                                      for c in (plane, line, plane + 1.0)], spaces)
-        groups = stack_spaces(table, np.arange(3))
+        groups, group, slot = stack_spaces(table, np.arange(3))
         assert [(members.tolist(), basis.tail_rank, basis.dim) for members, basis in groups] == [
             ([1], 2, 5), ([0, 2], 3, 4)]
+        assert group.tolist() == [1, 0, 1] and slot.tolist() == [0, 0, 1]
         assert [spaces[i].dim for i in range(3)] == [4, 5, 4]
 
     def test_only_spaces_names_the_basis_layout(self):

@@ -456,6 +456,11 @@ class TestFromNodalValues:
                            match=re.escape(f"space is not interpolatory (failing patches: {failing})")):
             m.from_nodal_values(space, np.zeros(ns.n))
 
+    def test_nodal_value_count_checked(self):
+        ns, space = halton_r3_space()
+        with pytest.raises(InvalidInputError, match=f"^expected {ns.n} nodal values, got {ns.n - 1}$"):
+            m.from_nodal_values(space, np.zeros(ns.n - 1))
+
     def test_singular_square_patches_rejected(self):
         # kNN-5 edge stencils of a grid are collinear: square but singular nodal matrices
         ns = m.generate_grid(2, 5, [(0.0, 1.0), (0.0, 1.0)])

@@ -91,7 +91,7 @@ def test_uncertified_tails_are_decided_by_the_svd(svd_calls):
     table = PatchTable.of_pairs([m.InfluenceSet(center=c[0], indices=np.arange(5), points=c,
                                                 distances=np.linalg.norm(c - c[0], axis=1)) for c in stencils], spaces)
     svd_calls.clear()
-    groups = stack_spaces(table, np.arange(len(stencils)))
+    groups = stack_spaces(table, np.arange(len(stencils)))[0]
     assert svd_calls == [(7, 5, 3)]  # one SVD, of the seven tails left uncertified
     assert [(members.tolist(), basis.tail_rank) for members, basis in groups] == [
         ([5, 6, 7], 2), ([0, 1, 2, 3, 4], 3)]
@@ -112,7 +112,7 @@ SPACES = {
 def test_tail_ranks_equal_numerical_rank_and_rows_equal_one_row_calls(name):
     build, strategy = SPACES[name]
     ns, space = build()
-    for members, basis in stack_spaces(space.table, np.arange(space.m)):
+    for members, basis in stack_spaces(space.table, np.arange(space.m))[0]:
         assert [numerical_rank(t) for t in basis.tail_at_centers] == [basis.tail_rank] * members.size
     sigma = m.build_sigma(space, strategy)
     weights, residual, errors = exactness_rows(m.LAPLACIAN, sigma.points, space.table, sigma.patch)
