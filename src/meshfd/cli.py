@@ -13,16 +13,7 @@ import sys
 
 from .errors import MeshfdError
 from .config import load_config
-from .runner import dump_json, run_command
-
-_SUBCOMMANDS = {
-    "generate": "generate a node cloud and write the node CSV",
-    "stencil": "print one numerical-differentiation row as JSON",
-    "dim": "dimension analysis of an overlap-spline space",
-    "solve": "assemble and solve a boundary-value problem",
-    "converge": "run a refinement study and write the rate table",
-    "pum-eval": "blend nodal data into a global function on an evaluation grid",
-}
+from .runner import COMMANDS, dump_json, run_command
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -31,7 +22,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Meshless finite differences with overlapping local spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in _SUBCOMMANDS.items():
+    for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON run config (a report.json also works)")
         p.add_argument("--out-dir", default=".", help="directory for all outputs")

@@ -31,6 +31,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -405,8 +406,13 @@ def save_nodes(ns: NodeSet, path) -> None:
 
 def load_nodes(path) -> NodeSet:
     """Read a node CSV written by `save_nodes`; ragged rows are rejected."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    if not isinstance(path, (str, os.PathLike)):
+        raise InvalidInputError(f"a node file path must be a string, got {path!r}")
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read node file {path}: {exc}") from None
     if not rows:
         raise InvalidInputError(f"empty node file {path}")
     header = rows[0]

@@ -178,10 +178,21 @@ def _rank(a) -> int | None:
     return numerical_rank(a) if np.all(np.isfinite(a)) else None
 
 
+def _per_slot(evaluate, slots) -> np.ndarray:
+    """``evaluate(rows)`` once for each distinct stacked patch among ``slots``, gathered to the slots.
+
+    Strictly ascending slots, such as same-index rows, are distinct already and skip the `np.unique`.
+    """
+    if np.all(slots[1:] > slots[:-1]):
+        return evaluate(slots)
+    used, inverse = np.unique(slots, return_inverse=True)
+    return evaluate(used)[inverse]
+
+
 def _nodal_rows(op, y, basis, slots):
     """Stacked transposed nodal systems of the concrete bases: weights (R, n), residuals (R,), {row: error}."""
     betas, coef = op.terms(y)
-    e = basis.evaluate(None, rows=slots)
+    e = _per_slot(lambda rows: basis.evaluate(None, rows=rows), slots)
     t = basis.evaluate(y[:, None, :], betas, coef, slots)[:, 0, :]
     n, dim = e.shape[1:]
     et = np.swapaxes(e, 1, 2)
@@ -208,8 +219,8 @@ def _kernel_rows(op, y, basis, slots):
     """Stacked saddle systems ``[[K, P], [P^T, 0]]``: weights (R, n), residuals (R,) and {row: error}.
 
     ``K`` and ``P``, the scaled translates and the tail at the stencil nodes, fill one saddle matrix
-    per distinct patch of the rows in place, gathered to the rows only when they are not in slot
-    order.  A row's defect is the residual of its own saddle system; no moment-null basis is formed.
+    per distinct patch of the rows in place (`_per_slot`).  A row's defect is the residual of its
+    own saddle system; no moment-null basis is formed.
     """
     q, n_rows, n = len(basis.exponents), len(y), basis.centers.shape[1]
     if basis.tail_rank < q:
@@ -219,11 +230,14 @@ def _kernel_rows(op, y, basis, slots):
             rank=basis.tail_rank, n_conditions=q,
         ) for r in range(n_rows)}
     betas, coef = op.terms(y)
-    used, inverse = np.unique(slots, return_inverse=True)
-    a = np.zeros((used.size, n + q, n + q))  # each distinct stacked patch's saddle matrix, once
-    a[:, :n, :n], a[:, :n, n:] = basis.blocks(None, rows=used)
-    a[:, n:, :n] = np.swapaxes(a[:, :n, n:], 1, 2)
-    a = a if np.array_equal(used, slots) else a[inverse]
+
+    def saddle(rows):
+        a = np.zeros((rows.size, n + q, n + q))
+        a[:, :n, :n], a[:, :n, n:] = basis.blocks(None, rows=rows)
+        a[:, n:, :n] = np.swapaxes(a[:, :n, n:], 1, 2)
+        return a
+
+    a = _per_slot(saddle, slots)
     rhs = np.concatenate(basis.blocks(y[:, None, :], betas, coef, slots), axis=2)[:, 0, :]
     sol, singular = stacked_solve(a, rhs)
     w = sol[:, :n]

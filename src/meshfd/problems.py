@@ -96,7 +96,10 @@ def convergence_study(problem: Problem, run_level, levels) -> list[LevelResult]:
     errors are measured over interior nodes against the exact solution.  A
     failing level aborts the study naming the level.
     """
-    levels = list(levels)
+    try:
+        levels = list(levels)
+    except TypeError:
+        raise InvalidInputError(f"convergence levels must be a list, got {levels!r}") from None
     if len(levels) < 3:
         raise InvalidInputError("a convergence study needs at least 3 levels")
     if problem.exact is None:

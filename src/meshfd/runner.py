@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from .config import resolve_config
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError
 from .geometry import (
     NodeSet,
     _as_bounds,
@@ -45,106 +45,73 @@ def dump_json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, default=lambda o: o.tolist()) + "\n"
 
 
+def _needed(cfg, name: str) -> dict:
+    """A section the subcommand reads; `resolve_config` has checked its kind and keys."""
+    if cfg[name] is None:
+        raise ConfigError(f"config needs a {name!r} section")
+    return cfg[name]
+
+
+def _box(ns: NodeSet) -> np.ndarray:
+    """The nodes' bounding box, what a null ``bounds`` of an evaluation or collocation grid means."""
+    return np.column_stack([ns.points.min(axis=0), ns.points.max(axis=0)])
+
+
 def build_nodeset(cfg) -> NodeSet:
-    spec = cfg.get("nodes")
-    if not spec:
-        raise ConfigError("config needs a 'nodes' section")
-    kind = spec.get("kind")
-    if kind == "grid":  # the default (lo, hi) pair serves every axis
-        return generate_grid(spec["d"], spec["n_per_axis"], spec.get("bounds") or (0.0, 1.0))
-    if kind == "scattered":
-        return generate_scattered(
-            spec["d"],
-            spec["count"],
-            spec.get("bounds") or (0.0, 1.0),
-            source=spec.get("source", "halton"),
-            seed=cfg.get("seed", 0),
-            boundary_per_side=spec.get("boundary_per_side"),
-        )
-    if kind == "file":
+    spec = _needed(cfg, "nodes")
+    if spec["kind"] == "file":
         return load_nodes(spec["path"])
-    raise ConfigError(f"unknown nodes kind {kind!r}")
+    bounds = spec["bounds"] or (0.0, 1.0)  # the default (lo, hi) pair serves every axis
+    if spec["kind"] == "grid":
+        return generate_grid(spec["d"], spec["n_per_axis"], bounds)
+    return generate_scattered(spec["d"], spec["count"], bounds, source=spec["source"], seed=cfg["seed"],
+                              boundary_per_side=spec["boundary_per_side"])
 
 
 def make_recipe(cfg):
-    spec = cfg.get("space")
-    if not spec:
-        raise ConfigError("config needs a 'space' section")
-    kind = spec["kind"]
-    if kind == "poly":
-        return poly_patch_recipe(spec["degree"], sublist=spec.get("sublist"))
-    aug = spec.get("augmentation_degree", "minimal")
-    if kind == "gauss":
-        kernel = Kernel("gauss", spec["shape"])
-    else:
-        kernel = Kernel("polyharmonic", spec["exponent"])
-    return kernel_patch_recipe(kernel, augmentation_degree=aug)
+    spec = _needed(cfg, "space")
+    if spec["kind"] == "poly":
+        return poly_patch_recipe(spec["degree"], sublist=spec["sublist"])
+    kernel = Kernel("gauss", spec["shape"]) if spec["kind"] == "gauss" else Kernel("polyharmonic", spec["exponent"])
+    return kernel_patch_recipe(kernel, augmentation_degree=spec["augmentation_degree"])
 
 
 def make_selector(cfg):
-    spec = cfg.get("selector")
-    if not spec:
-        raise ConfigError("config needs a 'selector' section")
-    if spec.get("kind") == "knn":
-        return ("knn", spec["k"])
-    if spec.get("kind") == "range":
-        return ("range", spec["radius"])
-    raise ConfigError(f"unknown selector kind {spec.get('kind')!r}")
+    spec = _needed(cfg, "selector")
+    return ("knn", spec["k"]) if spec["kind"] == "knn" else ("range", spec["radius"])
 
 
 def build_space_from_config(cfg, ns: NodeSet) -> OverlapSplineSpace:
-    centers = cfg.get("centers", "all")
+    centers = cfg["centers"]
     if isinstance(centers, list):  # node indices
         centers = np.array([_integer(c, "center indices must be integers") for c in centers], dtype=np.intp)
-    return build_space(
-        ns, centers, make_selector(cfg), make_recipe(cfg), uncovered=cfg.get("uncovered", "error")
-    )
+    return build_space(ns, centers, make_selector(cfg), make_recipe(cfg), uncovered=cfg["uncovered"])
 
 
 def resolve_problem(cfg) -> Problem | None:
-    spec = cfg.get("problem")
-    if not spec:
-        return None
-    if not isinstance(spec, dict) or set(spec) != {"preset"}:
-        raise ConfigError(f"the 'problem' section takes one key, 'preset', got {spec!r}")
-    return preset(spec["preset"])
+    return None if cfg["problem"] is None else preset(cfg["problem"]["preset"])
 
 
 def resolve_operator(cfg, problem: Problem | None = None) -> Operator:
-    spec = cfg.get("operator")
-    if spec:
-        kind = spec.get("kind")
-        try:
-            return Operator(kind)  # a general operator needs coefficient functions
-        except InvalidInputError:
-            raise ConfigError(f"unknown operator kind {kind!r} (general operators are library-only)") from None
+    if cfg["operator"] is not None:
+        return Operator(cfg["operator"]["kind"])
     if problem is not None:
         return problem.operator
     raise ConfigError("config needs an 'operator' or a 'problem' section")
 
 
 def sigma_from_config(cfg, space: OverlapSplineSpace, ns: NodeSet) -> SigmaMap:
-    spec = cfg.get("strategy") or {"kind": "same-index"}
-    kind = spec.get("kind", "same-index")
-    if kind in ("same-index", "per-set-aggregate"):
-        return build_sigma(space, kind)
-    if kind == "nearest-node":
-        coll = spec.get("collocation") or {"kind": "nodes"}
-        ckind = coll.get("kind", "nodes")
-        if ckind == "nodes":
-            pts = ns.points
-        elif ckind == "grid":
-            d = ns.d
-            bounds = coll.get("bounds") or [
-                (float(ns.points[:, a].min()), float(ns.points[:, a].max())) for a in range(d)
-            ]
-            pts = generate_grid(d, coll["n_per_axis"], bounds).points
-        elif ckind == "points":
-            pts = coll["points"]
-        else:
-            raise ConfigError(f"unknown collocation kind {ckind!r}")
-        return build_sigma(space, "nearest-node", collocation_points=pts)
-    raise ConfigError(f"unknown strategy kind {kind!r}")
+    spec = cfg["strategy"]
+    if spec["kind"] != "nearest-node":
+        return build_sigma(space, spec["kind"])
+    coll = spec["collocation"]
+    if coll["kind"] == "nodes":
+        pts = ns.points
+    elif coll["kind"] == "grid":
+        pts = generate_grid(ns.d, coll["n_per_axis"], coll["bounds"] or _box(ns)).points
+    else:
+        pts = coll["points"]
+    return build_sigma(space, "nearest-node", collocation_points=pts)
 
 
 def _out_path(out_dir, name) -> str:
@@ -175,11 +142,9 @@ def run_generate(cfg, out_dir) -> dict:
 
 
 def run_stencil(cfg, out_dir) -> dict:
-    spec = cfg.get("stencil")
-    if not spec or "y" not in spec:
-        raise ConfigError("stencil subcommand needs a 'stencil': {'y': [...]} section")
+    y = _needed(cfg, "stencil")["y"]
     ns = build_nodeset(cfg)
-    y = spec["y"] if isinstance(spec["y"], list) else [spec["y"]]  # a bare number is a 1-D point
+    y = y if isinstance(y, list) else [y]  # a bare number is a 1-D point
     table = PatchTable.of_recipes([(influences(ns, [y], make_selector(cfg)), make_recipe(cfg))])
     problem = resolve_problem(cfg)
     op = resolve_operator(cfg, problem)
@@ -238,9 +203,7 @@ def _solve_pipeline(cfg, problem: Problem):
 
 
 def run_solve(cfg, out_dir) -> dict:
-    problem = resolve_problem(cfg)
-    if problem is None:
-        raise ConfigError("solve needs a 'problem' section (presets carry rhs and boundary data)")
+    problem = preset(_needed(cfg, "problem")["preset"])  # presets carry rhs and boundary data
     ns, gs, solution = _solve_pipeline(cfg, problem)
     _write_solution_csv(_out_path(out_dir, cfg["outputs"]["solution"]), ns, solution.nodal_values, problem)
     cond = solution.rank_report.cond_estimate
@@ -265,7 +228,7 @@ def run_solve(cfg, out_dir) -> dict:
 
 def _level_h(cfg_nodes, ns: NodeSet) -> float:
     if cfg_nodes["kind"] == "grid":  # one (lo, hi) pair may serve every axis, as in `build_nodeset`
-        lo, hi = _as_bounds(cfg_nodes.get("bounds") or (0.0, 1.0), ns.d)[0]
+        lo, hi = _as_bounds(cfg_nodes["bounds"] or (0.0, 1.0), ns.d)[0]
         return float(hi - lo) / (cfg_nodes["n_per_axis"] - 1)
     # scattered: average spacing from the interior density
     d = ns.d
@@ -275,17 +238,11 @@ def _level_h(cfg_nodes, ns: NodeSet) -> float:
 
 
 def run_converge(cfg, out_dir) -> dict:
-    problem = resolve_problem(cfg)
-    if problem is None:
-        raise ConfigError("converge needs a 'problem' section")
-    spec = cfg.get("levels")
-    if not spec:
-        raise ConfigError("converge needs a 'levels' section")
-    key = "n_per_axis" if "n_per_axis" in spec else "count"
-    if key not in spec:
-        raise ConfigError("levels must list 'n_per_axis' or 'count'")
-    node_kind = (cfg.get("nodes") or {}).get("kind")
-    if (key == "n_per_axis" and node_kind != "grid") or (key == "count" and node_kind != "scattered"):
+    problem = preset(_needed(cfg, "problem")["preset"])
+    spec = _needed(cfg, "levels")
+    key = "count" if spec["n_per_axis"] is None else "n_per_axis"
+    node_kind = _needed(cfg, "nodes")["kind"]
+    if node_kind != {"n_per_axis": "grid", "count": "scattered"}[key]:
         raise ConfigError(f"levels key {key!r} does not match nodes kind {node_kind!r}")
 
     def run_level(prob: Problem, level):
@@ -322,8 +279,13 @@ def run_converge(cfg, out_dir) -> dict:
 
 def _read_values(path) -> np.ndarray:
     """The 'value' column of a nodal value file; a row that is not one number raises `ConfigError` naming it."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    if not isinstance(path, str):
+        raise ConfigError(f"a nodal value file path must be a string, got {path!r}")
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise ConfigError(f"cannot read nodal value file {path}: {exc}") from None
     if not rows or rows[0] != ["value"]:
         raise ConfigError("nodal value files carry a single 'value' column")
     values = []
@@ -339,29 +301,20 @@ def _read_values(path) -> np.ndarray:
 def run_pum_eval(cfg, out_dir) -> dict:
     ns = build_nodeset(cfg)
     space = build_space_from_config(cfg, ns)
-    values_spec = cfg.get("values") or {"kind": "exact"}
-    if values_spec.get("kind") == "exact":
+    if cfg["values"]["kind"] == "exact":
         problem = resolve_problem(cfg)
         if problem is None or problem.exact is None:
             raise ConfigError("values kind 'exact' needs a problem preset with an exact solution")
         values = problem.nodal_exact(ns)
-    elif values_spec.get("kind") == "file":
-        values = _read_values(values_spec["path"])
+    else:
+        values = _read_values(cfg["values"]["path"])
         if values.shape[0] != ns.n:
             raise ConfigError(f"{values.shape[0]} values for {ns.n} nodes")
-    else:
-        raise ConfigError(f"unknown values kind {values_spec.get('kind')!r}")
 
     spline = from_nodal_values(space, values)
     pou = PartitionOfUnity.for_space(space)
 
-    eval_spec = cfg.get("eval") or {"kind": "grid", "n_per_axis": 11}
-    if eval_spec.get("kind") != "grid":
-        raise ConfigError("pum-eval supports 'grid' evaluation specs")
-    bounds = eval_spec.get("bounds") or [
-        (float(ns.points[:, a].min()), float(ns.points[:, a].max())) for a in range(ns.d)
-    ]
-    pts = generate_grid(ns.d, eval_spec["n_per_axis"], bounds).points
+    pts = generate_grid(ns.d, cfg["eval"]["n_per_axis"], cfg["eval"]["bounds"] or _box(ns)).points
 
     path = _out_path(out_dir, cfg["outputs"]["pum"])
     with open(path, "w", newline="") as fh:
@@ -372,13 +325,14 @@ def run_pum_eval(cfg, out_dir) -> dict:
     return {"n_eval_points": int(pts.shape[0]), "pum_file": cfg["outputs"]["pum"]}
 
 
-_RUNNERS = {
-    "generate": run_generate,
-    "stencil": run_stencil,
-    "dim": run_dim,
-    "solve": run_solve,
-    "converge": run_converge,
-    "pum-eval": run_pum_eval,
+# subcommand: (its pipeline, its help text)
+COMMANDS = {
+    "generate": (run_generate, "generate a node cloud and write the node CSV"),
+    "stencil": (run_stencil, "print one numerical-differentiation row as JSON"),
+    "dim": (run_dim, "dimension analysis of an overlap-spline space"),
+    "solve": (run_solve, "assemble and solve a boundary-value problem"),
+    "converge": (run_converge, "run a refinement study and write the rate table"),
+    "pum-eval": (run_pum_eval, "blend nodal data into a global function on an evaluation grid"),
 }
 
 
@@ -386,7 +340,7 @@ def run_command(command: str, raw_cfg: dict, out_dir=".", seed=None, timings=Fal
     """Resolve a config, run one subcommand, and write its report."""
     cfg = resolve_config(raw_cfg, seed=seed)
     t0 = time.perf_counter()
-    results = _RUNNERS[command](cfg, out_dir)
+    results = COMMANDS[command][0](cfg, out_dir)
     elapsed = time.perf_counter() - t0
     write_report(cfg, command, results, out_dir, timings={"total_s": elapsed} if timings else None)
     return cfg, results

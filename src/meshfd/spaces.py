@@ -689,8 +689,13 @@ def poly_patch_recipe(degree: int, sublist=None) -> Recipe:
     degree); it is normalized once, here.
     """
     if sublist is not None:
-        sublist = tuple(tuple(_integer_degree(e) for e in a) for a in sublist)
-        degree = max(sum(a) for a in sublist)
+        try:
+            exponents = tuple(tuple(_integer_degree(e) for e in a) for a in sublist)
+        except TypeError:  # not a list of lists
+            exponents = ()
+        if not exponents:
+            raise InvalidInputError(f"a sublist must list exponent tuples, got {sublist!r}")
+        sublist, degree = exponents, max(sum(a) for a in exponents)
     return Recipe(None, _integer_degree(degree), sublist)
 
 

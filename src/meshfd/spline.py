@@ -45,7 +45,7 @@ from .errors import (
     InvalidInputError,
     NotAnInterpolationSetError,
 )
-from .geometry import InfluenceSet, NodeSet, influences
+from .geometry import InfluenceSet, NodeSet, _floats, influences
 from .linalg import RANK_RTOL, numerical_rank, stacked_solve
 from .ndf import CHUNK_ROWS, StencilWeights, one_row
 from .operators import Operator
@@ -245,7 +245,7 @@ def _resolve_centers(nodes: NodeSet, centers):
     arr = np.asarray(centers)
     if arr.ndim == 1 and arr.dtype.kind in "iu":
         return None, arr
-    return np.atleast_2d(np.asarray(arr, dtype=float)), None
+    return np.atleast_2d(_floats(centers, "center points")), None
 
 
 def build_space(

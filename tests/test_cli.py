@@ -7,6 +7,7 @@ import pytest
 
 import meshfd as m
 from meshfd.cli import main
+from meshfd.config import resolve_config
 
 from helpers import FIVE_STAR_SUBLIST
 
@@ -454,8 +455,8 @@ class TestErrorHandling:
         ('{"route": "cardinal"}', "route must be 'exactness' or 'lagrange'"),
         ('{"uncovered": "drop"}', "uncovered must be 'error' or 'constant-patch'"),
         ('{"problem": {"preset": "poisson2d", "bounds": [[0, 2], [0, 2]]}}',
-         "the 'problem' section takes one key, 'preset', got {'preset': 'poisson2d', 'bounds': [[0, 2], [0, 2]]}"),
-        ('{"problem": {"preset": "poisson2d", "bounds": [0.0, 1.0]}}', "the 'problem' section takes one key"),
+         "the 'problem' section takes the keys ['preset'], got unknown ['bounds']"),
+        ('{"problem": {"preset": "poisson2d", "bounds": [0.0, 1.0]}}', "the 'problem' section takes the keys ['preset']"),
     ], ids=["json", "not-an-object", "space-kind", "mode", "route", "uncovered", "problem-bounds", "problem-pair"])
     def test_config_refusal_returns_one(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.json.in"
@@ -469,3 +470,86 @@ class TestErrorHandling:
         assert main(["generate", "--config", str(tmp_path / "nope.json"),
                      "--out-dir", str(tmp_path / "o")]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+class TestConfigTable:
+    """`resolve_config` checks every section against the one table and fills in its defaults."""
+
+    BASE = {
+        "nodes": {"kind": "grid", "d": 1, "n_per_axis": 9},
+        "space": {"kind": "poly", "degree": 2},
+        "selector": {"kind": "knn", "k": 3},
+        "problem": {"preset": "bvp1d"},
+    }
+
+    @pytest.mark.parametrize("command, section, value, error, message", [
+        ("solve", "strategy", "same-index", "ConfigError",
+         "the 'strategy' section must be a JSON object or null, got 'same-index'"),
+        ("solve", "selector", {"kind": "knn", "kk": 9}, "ConfigError",
+         "the 'selector' section of kind 'knn' takes the keys ['k', 'kind'], got unknown ['kk']"),
+        ("generate", "nodes", {"kind": "grid", "d": 1}, "ConfigError",
+         "the 'nodes' section of kind 'grid' takes the keys ['bounds', 'd', 'kind', 'n_per_axis'], "
+         "misses ['n_per_axis']"),
+        ("solve", "space", {"kind": "poly", "degree": 2, "degre": 3}, "ConfigError",
+         "the 'space' section of kind 'poly' takes the keys ['degree', 'kind', 'sublist'], got unknown ['degre']"),
+        ("generate", "outputs", {"report": 3}, "ConfigError", "outputs must be file names, got {"),
+        ("generate", "nodes", {"kind": "file", "path": "nope.csv"}, "InvalidInputError",
+         "cannot read node file nope.csv: [Errno 2]"),
+        ("generate", "nodes", {"kind": "file", "path": 5}, "InvalidInputError",
+         "a node file path must be a string, got 5"),
+        ("pum-eval", "values", {"kind": "file", "path": "nope.csv"}, "ConfigError",
+         "cannot read nodal value file nope.csv: [Errno 2]"),
+        ("pum-eval", "values", {"kind": "file", "path": 5}, "ConfigError",
+         "a nodal value file path must be a string, got 5"),
+        ("dim", "centers", {"a": 1}, "InvalidInputError", "center points must be numbers, got {'a': 1}"),
+        ("dim", "space", {"kind": "poly", "degree": 2, "sublist": 5}, "InvalidInputError",
+         "a sublist must list exponent tuples, got 5"),
+        ("converge", "levels", {"n_per_axis": 9}, "InvalidInputError", "convergence levels must be a list, got 9"),
+        ("converge", "levels", {"n_per_axis": [9, 17, 33], "count": [9, 17, 33]}, "ConfigError",
+         "the 'levels' section takes one of 'n_per_axis' and 'count'"),
+    ], ids=["strategy-string", "selector-kk", "grid-no-n_per_axis", "space-degre", "outputs-number",
+            "missing-node-file", "node-path-5", "missing-values-file", "values-path-5", "centers-dict",
+            "sublist-5", "levels-number", "levels-two-keys"])
+    def test_malformed_config_exits_one_with_its_error(self, tmp_path, monkeypatch, capsys, command, section,
+                                                       value, error, message):
+        monkeypatch.chdir(tmp_path)  # where the relative "nope.csv" is looked for
+        assert run_cli(command, write_config(tmp_path / "bad.json.in", dict(self.BASE, **{section: value})), "o") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == error
+        assert err["message"].startswith(message)
+
+    @pytest.mark.parametrize("cfg", [
+        {},
+        BASE,
+        dict(BASE, strategy={"kind": "nearest-node", "collocation": {"kind": "grid", "n_per_axis": 5}},
+             levels={"count": [1, 2, 3]}, outputs={"report": "r.json"}, values={"kind": "file", "path": "v.csv"}),
+        {"space": {"kind": "gauss", "shape": 1.0}, "eval": {"n_per_axis": 3}, "strategy": {}, "seed": 4},
+    ], ids=["empty", "base", "nested", "kind-from-default"])
+    def test_resolving_twice_is_resolving_once(self, cfg):
+        once = resolve_config(cfg)
+        assert resolve_config(once) == once
+
+    def test_left_out_defaults_and_spelled_out_defaults_give_the_same_bytes(self, tmp_path):
+        spelled = {
+            "seed": 0, "centers": "all", "uncovered": "error", "mode": "collocate", "route": "exactness",
+            "nodes": {"kind": "grid", "d": 1, "n_per_axis": 9, "bounds": None},
+            "space": {"kind": "poly", "degree": 2, "sublist": None},
+            "selector": {"kind": "knn", "k": 3},
+            "operator": None,
+            "problem": {"preset": "bvp1d"},
+            "strategy": {"kind": "same-index"},
+            "stencil": None,
+            "levels": None,
+            "eval": {"kind": "grid", "n_per_axis": 11, "bounds": None},
+            "values": {"kind": "exact"},
+            "outputs": {"nodes": "nodes.csv", "solution": "solution.csv", "report": "report.json",
+                        "stencil": "stencil.json", "dim": "dim.json", "table": "convergence.csv",
+                        "pum": "pum.csv"},
+        }
+        for command in ("solve", "pum-eval"):
+            outs = []
+            for name, cfg in (("left-out", self.BASE), ("spelled", spelled)):
+                outs.append(tmp_path / f"{command}-{name}")
+                assert run_cli(command, write_config(tmp_path / f"{name}.json.in", cfg), outs[-1]) == 0
+            assert read_outputs(outs[0]) == read_outputs(outs[1])
+            assert json.loads((outs[0] / "report.json").read_text())["config"] == spelled

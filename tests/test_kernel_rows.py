@@ -82,6 +82,26 @@ def test_assembly_runs_no_full_svd_and_never_reads_the_null_bases(monkeypatch):
     assert full_svds == [] and values_svds == [] and null_reads == []
 
 
+@pytest.mark.parametrize("strategy", ["same-index", "per-set-aggregate"])
+def test_lagrange_rows_evaluate_a_patch_nodal_matrix_once_per_chunk(monkeypatch, strategy):
+    """Rows on one patch share its nodal matrix: a chunk evaluates it once, not once per row."""
+    ns, space = halton_r3_space(count=60, k=12)
+    sigma = m.build_sigma(space, strategy)
+    evaluate, nodal = StackedBasis.evaluate, []
+
+    def counting(basis, points, betas=None, coef=None, rows=slice(None)):
+        if points is None:
+            nodal.append(np.arange(basis.centers.shape[0])[rows].size)
+        return evaluate(basis, points, betas, coef, rows)
+
+    clean = m.assemble(space, m.LAPLACIAN, lambda x: 0.0, sigma, route="lagrange", dirichlet_data=lambda x: 0.0)
+    monkeypatch.setattr(StackedBasis, "evaluate", counting)
+    gs = m.assemble(space, m.LAPLACIAN, lambda x: 0.0, sigma, route="lagrange", dirichlet_data=lambda x: 0.0)
+    assert np.array_equal(gs.matrix.data, clean.matrix.data)
+    solved, chunks = int((~gs.dirichlet).sum()), -(-len(sigma.patch) // ndf.CHUNK_ROWS)  # Dirichlet rows solve nothing
+    assert sum(nodal) == solved if strategy == "same-index" else sum(nodal) <= space.m + chunks < solved
+
+
 def gauss_space():
     ns = m.generate_scattered(2, 40, [(0.0, 1.0), (0.0, 1.0)], source="halton")
     return m.build_space(ns, "all", ("knn", 9), m.kernel_patch_recipe(m.Kernel("gauss", 3.0)))

@@ -1,10 +1,13 @@
 """The one operator expansion, `Operator.terms`, and the operator kinds a run config may name."""
 
+import re
+
 import numpy as np
 import pytest
 
 import meshfd as m
 from meshfd.errors import ConfigError, InvalidInputError
+from meshfd.config import resolve_config
 from meshfd.runner import resolve_operator
 
 from helpers import GENERAL_OP
@@ -44,11 +47,14 @@ class TestTerms:
 
 
 class TestResolveOperator:
+    """A run config names an operator by its kind; `resolve_config` checks the kind first."""
+
     @pytest.mark.parametrize("kind", ["identity", "laplacian", "second-derivative-1d"])
     def test_named_kinds(self, kind):
-        assert resolve_operator({"operator": {"kind": kind}}) == m.Operator(kind)
+        assert resolve_operator(resolve_config({"operator": {"kind": kind}})) == m.Operator(kind)
 
     @pytest.mark.parametrize("kind", ["biharmonic", "general-second-order", None])
     def test_other_kinds_are_config_errors(self, kind):
-        with pytest.raises(ConfigError, match=rf"^unknown operator kind {kind!r} \(general operators are library-only\)$"):
-            resolve_operator({"operator": {"kind": kind}})
+        kinds = "('identity', 'laplacian', 'second-derivative-1d')"
+        with pytest.raises(ConfigError, match=rf"^operator kind must be one of {re.escape(kinds)}, got {kind!r}$"):
+            resolve_config({"operator": {"kind": kind}})
