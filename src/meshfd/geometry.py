@@ -396,8 +396,12 @@ def generate_scattered(
 
 
 def save_nodes(ns: NodeSet, path) -> None:
-    """Write a node CSV with header ``x1,...,xd,boundary``."""
-    with open(path, "w", newline="") as fh:
+    """Write a node CSV with header ``x1,...,xd,boundary``; a path that cannot be opened raises `InvalidInputError`."""
+    try:
+        fh = open(path, "w", newline="")
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write node file {path}: {exc}") from None
+    with fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{a + 1}" for a in range(ns.d)] + ["boundary"])
         for p, flag in zip(ns.points, ns.boundary_mask):

@@ -12,9 +12,10 @@ cached on the partition: the query radius is the largest radius padded by
 ``QUERY_PAD`` (relative), and the exact ``t < 1`` test then keeps each
 point's covering balls in ascending order.  `PartitionOfUnity.evaluate`
 blends a spline at many points in array operations: every (point, covering
-patch) pair is evaluated once through the spline's stacked basis and
-coefficients (`OverlapSpline.eval_pairs`) and the weighted values are
-summed per point with ``np.bincount``.  `blend` is its one-point wrapper and
+patch) pair is evaluated once from the spline's coefficients, collapsed once
+per stack group into kernel weights and tail coefficients
+(`OverlapSpline.eval_pairs`), and the weighted values are summed per point
+with ``np.bincount``.  `blend` is its one-point wrapper and
 `PartitionOfUnity.weights_at` the one-point view of the same query, through
 which the per-patch oracle (`blend_disconnected` in `tests/helpers.py`)
 blends any per-patch callable.
@@ -51,8 +52,12 @@ class PartitionOfUnity:
         radii = np.asarray(self.radii, dtype=float).reshape(-1)
         if radii.shape[0] != centers.shape[0]:
             raise InvalidInputError("one radius per center is required")
-        if not np.all(radii > 0.0):
-            raise InvalidInputError("partition-of-unity radii must be positive")
+        finite = np.isfinite(centers).all(axis=1)
+        if not finite.all():
+            x = centers[np.argmin(finite)]
+            raise InvalidInputError(f"partition-of-unity center {x.tolist()} is not finite")
+        if not np.all((radii > 0.0) & (radii < np.inf)):
+            raise InvalidInputError("partition-of-unity radii must be positive and finite")
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "radii", radii)
 
@@ -72,7 +77,8 @@ class PartitionOfUnity:
         counts = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
         ball = np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp, count=int(counts.sum()))
         point = np.repeat(np.arange(len(near)), counts)
-        t = np.linalg.norm(self.centers[ball] - points[point], axis=1) / self.radii[ball]
+        diff = self.centers[ball] - points[point]
+        t = np.sqrt(np.add.reduce(diff * diff, axis=1)) / self.radii[ball]  # `np.linalg.norm`'s own sum
         inside = t < 1.0
         point, ball = point[inside], ball[inside]
         bump = (1.0 - t[inside]) ** 2
@@ -103,7 +109,8 @@ class PartitionOfUnity:
             raise InvalidInputError("partition balls must align with the spline's patches")
         points = self._points(points)
         point, ball, gamma = self._cover(points)
-        return np.bincount(point, gamma * s.eval_pairs(ball, points[point]), minlength=points.shape[0])
+        values = np.bincount(point, gamma * s.eval_pairs(ball, points[point]), minlength=points.shape[0])
+        return values.astype(float, copy=False)  # `np.bincount` of no pairs is integer
 
     @classmethod
     def for_space(cls, space: OverlapSplineSpace) -> "PartitionOfUnity":

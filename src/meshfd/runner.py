@@ -115,24 +115,34 @@ def sigma_from_config(cfg, space: OverlapSplineSpace, ns: NodeSet) -> SigmaMap:
 
 
 def _out_path(out_dir, name) -> str:
-    os.makedirs(out_dir, exist_ok=True)
+    """``name`` under ``out_dir``, made if missing; a directory that cannot be made raises `ConfigError`."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out_dir}: {exc}") from None
     return os.path.join(out_dir, name)
 
 
-def write_report(cfg, command: str, results: dict, out_dir, timings=None) -> str:
+def _open_out(out_dir, name, newline=None):
+    """Output file ``name`` under ``out_dir``, open for writing; a path that cannot be opened raises `ConfigError`."""
+    path = _out_path(out_dir, name)
+    try:
+        return open(path, "w", newline=newline)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}") from None
+
+
+def write_report(cfg, command: str, results: dict, out_dir, timings=None) -> None:
     doc = {"command": command, "config": cfg, "results": results}
     if timings is not None:
         doc["timings"] = timings
-    path = _out_path(out_dir, cfg["outputs"]["report"])
-    with open(path, "w") as fh:
+    with _open_out(out_dir, cfg["outputs"]["report"]) as fh:
         fh.write(dump_json(doc))
-    return path
 
 
 def run_generate(cfg, out_dir) -> dict:
     ns = build_nodeset(cfg)
-    path = _out_path(out_dir, cfg["outputs"]["nodes"])
-    save_nodes(ns, path)
+    save_nodes(ns, _out_path(out_dir, cfg["outputs"]["nodes"]))
     return {
         "n_nodes": ns.n,
         "d": ns.d,
@@ -155,7 +165,7 @@ def run_stencil(cfg, out_dir) -> dict:
         "weights": [float(w) for w in sw.weights],
         "residual": sw.residual,
     }
-    with open(_out_path(out_dir, cfg["outputs"]["stencil"]), "w") as fh:
+    with _open_out(out_dir, cfg["outputs"]["stencil"]) as fh:
         fh.write(dump_json(row))
     return row
 
@@ -171,14 +181,14 @@ def run_dim(cfg, out_dir) -> dict:
         "lower_bound": report.lower_bound,
         "interpolatory": report.interpolatory,
     }
-    with open(_out_path(out_dir, cfg["outputs"]["dim"]), "w") as fh:
+    with _open_out(out_dir, cfg["outputs"]["dim"]) as fh:
         fh.write(dump_json(doc))
     return doc
 
 
-def _write_solution_csv(path, ns: NodeSet, u_hat, problem: Problem | None):
+def _write_solution_csv(out_dir, name, ns: NodeSet, u_hat, problem: Problem | None):
     exact = problem.nodal_exact(ns) if problem is not None and problem.exact is not None else None
-    with open(path, "w", newline="") as fh:
+    with _open_out(out_dir, name, newline="") as fh:
         writer = csv.writer(fh)
         header = [f"x{a + 1}" for a in range(ns.d)] + ["u_hat"]
         if exact is not None:
@@ -205,7 +215,7 @@ def _solve_pipeline(cfg, problem: Problem):
 def run_solve(cfg, out_dir) -> dict:
     problem = preset(_needed(cfg, "problem")["preset"])  # presets carry rhs and boundary data
     ns, gs, solution = _solve_pipeline(cfg, problem)
-    _write_solution_csv(_out_path(out_dir, cfg["outputs"]["solution"]), ns, solution.nodal_values, problem)
+    _write_solution_csv(out_dir, cfg["outputs"]["solution"], ns, solution.nodal_values, problem)
     cond = solution.rank_report.cond_estimate
     results = {
         "M": gs.shape[0],
@@ -253,8 +263,7 @@ def run_converge(cfg, out_dir) -> dict:
         return _level_h(level_cfg["nodes"], ns), ns, sol.nodal_values
 
     table = convergence_study(problem, run_level, spec[key])
-    path = _out_path(out_dir, cfg["outputs"]["table"])
-    with open(path, "w", newline="") as fh:
+    with _open_out(out_dir, cfg["outputs"]["table"], newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["h", "N", "max_err", "observed_order"])
         for row in table:
@@ -316,8 +325,7 @@ def run_pum_eval(cfg, out_dir) -> dict:
 
     pts = generate_grid(ns.d, cfg["eval"]["n_per_axis"], cfg["eval"]["bounds"] or _box(ns)).points
 
-    path = _out_path(out_dir, cfg["outputs"]["pum"])
-    with open(path, "w", newline="") as fh:
+    with _open_out(out_dir, cfg["outputs"]["pum"], newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{a + 1}" for a in range(ns.d)] + ["value"])
         for p, value in zip(pts, pou.evaluate(spline, pts)):

@@ -26,10 +26,14 @@ hand-made pairings.  Its `StackedBasis` groups (`stack_spaces`, split by tail
 ranks that one batched Cholesky certifies, with each patch's group and slot;
 `walk_stack` walks them in chunks) evaluate many patches at once, so the
 basis layout is known here only.  Kernel exactness rows take the translates and
-tail monomials (`StackedBasis.blocks`); nodal fits and spline values take the
-basis (`StackedBasis.evaluate`), the only reader of the moment-null bases.
-An operator reaches a basis as the table of `operators.Operator.terms`, summed
-by `blocks` and `evaluate` for many points and by `apply_operator` for one.
+tail monomials (`StackedBasis.blocks`); nodal fits, the rank pass and nodal
+stencil rows take the basis (`StackedBasis.evaluate`).  Spline values take
+neither: a group's coefficients are folded once into kernel weights and tail
+coefficients (`StackedBasis.collapse`), and `StackedBasis.values` sums the
+translates and monomials at a point against them.  `evaluate` and `collapse`
+are the only readers of the moment-null bases.  An operator reaches a basis
+as the table of `operators.Operator.terms`, summed by `blocks` and `evaluate`
+for many points and by `apply_operator` for one.
 """
 
 from __future__ import annotations
@@ -264,7 +268,7 @@ def kernel_derivative(kernel: Kernel, diff, beta) -> np.ndarray:
     order = sum(beta)
     if order > 2:
         raise InvalidInputError("kernel derivatives are provided up to order 2")
-    r = np.linalg.norm(diff, axis=-1)
+    r = np.sqrt(np.add.reduce(diff * diff, axis=-1))  # `np.linalg.norm`'s own sum, without its wrapper
     if order == 0:
         return kernel.phi(r)
     zero = r == 0.0
@@ -379,7 +383,7 @@ class StackedBasis:
     every tail at the nodes.  Polynomial part (a tail or a `PolySpace`):
     ``exponents``, ``shift`` (g, d), ``scale`` (g,) and ``tail_at_centers``
     (g, s, q), its values at the stencil nodes.  The moment-null bases
-    ``null`` are computed on first access: only `evaluate` reads them.
+    ``null`` are computed on first access: only `evaluate` and `collapse` read them.
     """
 
     kernel: Kernel | None
@@ -445,6 +449,28 @@ class StackedBasis:
             return tail
         null = self.null
         return translates if null is None else np.concatenate([translates @ null[rows], tail], axis=2)
+
+    def collapse(self, coeffs) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients (g, dim) folded into the blocks: kernel weights ``norm * null @ c`` (g, s), tail (g, q).
+
+        A polynomial group has empty (g, 0) kernel weights, a tail-free kernel group an empty (g, 0) tail.
+        """
+        split = coeffs.shape[1] - len(self.exponents)
+        kernel = coeffs[:, :split] if self.null is None else (self.null @ coeffs[:, :split, None])[..., 0]
+        return self.norm[:, None] * kernel, coeffs[:, split:]
+
+    def values(self, points, weights, tail, rows) -> np.ndarray:
+        """``sum_j w_j K(x, c_j) + sum_k a_k z^alpha_k`` at one point (R, d) per stacked patch ``rows``, (R,).
+
+        ``weights`` and ``tail`` are a whole group's `collapse`; no basis block is formed.
+        """
+        value = (0,) * points.shape[1]
+        z = (points - self.shift[rows]) / self.scale[rows][:, None]
+        out = (monomial_derivatives(z, self.exponents, value) * tail[rows]).sum(axis=1)
+        if self.kernel is None:
+            return out
+        phi = kernel_derivative(self.kernel, points[:, None, :] - self.centers[rows], value)
+        return (phi * weights[rows]).sum(axis=1) + out
 
 
 @dataclass(frozen=True, eq=False)
@@ -533,7 +559,7 @@ def stack_spaces(table: PatchTable, patches) -> tuple[list, np.ndarray, np.ndarr
     group's tails at its nodes (`linalg.stacked_rank`: a batched Cholesky certifies most, an SVD of
     singular values decides the rest) split the group by dimension (a tail of deficient rank widens
     the moment-null block).  The moment-null bases are left to `StackedBasis.null`, which only
-    evaluation reads.
+    evaluation and `StackedBasis.collapse` read.
     """
     patches = np.asarray(patches, dtype=np.intp).reshape(-1)
     infl = table.influence

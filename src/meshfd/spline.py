@@ -14,7 +14,10 @@ access, for the one-patch oracles.  The table is grouped once, through
 walked in chunks by `spaces.walk_stack` for the patch ranks (one batched
 SVD each), the fits of `from_nodal_values` (one stacked nodal solve each)
 and `OverlapSpline.eval_pairs`, "patch ``p[j]`` at point ``x[j]``" for any
-set of pairs as the stacked basis times the stacked coefficients.
+set of pairs: each group's coefficients are collapsed once into kernel weights
+and tail coefficients (`StackedBasis.collapse`), and a pair's value is its
+kernel translates and tail monomials summed against them
+(`StackedBasis.values`), with no basis block formed.
 `restriction` evaluates every membership of the `incidence` table in one
 such call, as does the connection-defect oracle (`connection_defect` in
 `tests/helpers.py`), and partition-of-unity blending (`meshfd.pum`)
@@ -67,8 +70,8 @@ CONNECTION_RTOL = 1e-9
 # Dimension analysis refuses a left-null block C with more rows or columns than this.
 ANALYSIS_GUARD = 5000
 
-# Pairs per stacked evaluation in `OverlapSpline.eval_pairs`; bounds its
-# (pair, centre, dimension) temporaries.
+# Pairs per stacked value pass in `OverlapSpline.eval_pairs`; bounds its largest
+# temporaries, the (pair, centre, coordinate) displacements.
 EVAL_CHUNK_PAIRS = 1024
 
 _log = logging.getLogger(__name__)
@@ -196,7 +199,7 @@ class OverlapSpline:
         for c, dim in zip(coeffs, np.array([basis.dim for _, basis in groups])[group_of]):
             if c.shape[0] != dim:
                 raise InvalidInputError("coefficient length does not match the patch dimension")
-            c.setflags(write=False)  # private read-only copies: `_coeffs` stacks them once
+            c.setflags(write=False)  # private read-only copies: `_coeffs` stacks and collapses them once
         object.__setattr__(self, "patch_coeffs", coeffs)
 
     def patch_eval(self, i: int, x):
@@ -205,20 +208,20 @@ class OverlapSpline:
         return patch_value(self.space.patches[i].space, self.patch_coeffs[i], x)
 
     @cached_property
-    def _coeffs(self) -> tuple[np.ndarray, ...]:
-        """Coefficients stacked like the space's evaluator groups, one (g, dim) array per group."""
-        return tuple(np.stack([self.patch_coeffs[i] for i in rows]) for rows, _ in self.space._stacks[0])
+    def _coeffs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Coefficients stacked like the space's evaluator groups and collapsed (`StackedBasis.collapse`)."""
+        return tuple(basis.collapse(np.stack([self.patch_coeffs[i] for i in rows]))
+                     for rows, basis in self.space._stacks[0])
 
     def eval_pairs(self, patches, points) -> np.ndarray:
-        """Value of patch ``patches[j]`` at ``points[j]`` for every j: stacked basis times coefficients."""
+        """Value of patch ``patches[j]`` at ``points[j]`` for every j, from the collapsed coefficients."""
         patches, d = self.space.table.ids(patches), self.space.nodes.d
         points = np.asarray(points, dtype=float)
         if points.shape != (patches.size, d):
             raise InvalidInputError(f"expected points of shape ({patches.size}, {d}), got {points.shape}")
         out = np.empty(patches.size)
         for pairs, g, basis, at in walk_stack(self.space._stacks, EVAL_CHUNK_PAIRS, patches):
-            values = basis.evaluate(points[pairs, None, :], rows=at)[:, 0, :]
-            out[pairs] = (values * self._coeffs[g][at]).sum(axis=1)
+            out[pairs] = basis.values(points[pairs], *self._coeffs[g], rows=at)
         return out
 
 

@@ -507,9 +507,16 @@ class TestConfigTable:
         ("converge", "levels", {"n_per_axis": 9}, "InvalidInputError", "convergence levels must be a list, got 9"),
         ("converge", "levels", {"n_per_axis": [9, 17, 33], "count": [9, 17, 33]}, "ConfigError",
          "the 'levels' section takes one of 'n_per_axis' and 'count'"),
+        ("generate", "outputs", {"nodes": ""}, "InvalidInputError",
+         "cannot write node file o/: [Errno 21] Is a directory"),
+        ("generate", "outputs", {"nodes": "a/b/c.csv"}, "InvalidInputError",
+         "cannot write node file o/a/b/c.csv: [Errno 2] No such file or directory"),
+        ("dim", "outputs", {"dim": "a/dim.json"}, "ConfigError",
+         "cannot write output file o/a/dim.json: [Errno 2] No such file or directory"),
     ], ids=["strategy-string", "selector-kk", "grid-no-n_per_axis", "space-degre", "outputs-number",
             "missing-node-file", "node-path-5", "missing-values-file", "values-path-5", "centers-dict",
-            "sublist-5", "levels-number", "levels-two-keys"])
+            "sublist-5", "levels-number", "levels-two-keys", "nodes-output-directory", "nodes-output-no-parent",
+            "dim-output-no-parent"])
     def test_malformed_config_exits_one_with_its_error(self, tmp_path, monkeypatch, capsys, command, section,
                                                        value, error, message):
         monkeypatch.chdir(tmp_path)  # where the relative "nope.csv" is looked for

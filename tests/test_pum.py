@@ -12,6 +12,7 @@ from helpers import (
     five_star_sublist_space,
     grid1d,
     halton_r3_space,
+    halton_r3_space_3d,
     jittered_cloud,
     quadratic_overlap_space_1d,
 )
@@ -96,6 +97,15 @@ class TestPartitionOfUnity:
     def test_positive_radii_required(self):
         with pytest.raises(InvalidInputError):
             PartitionOfUnity(centers=np.array([[0.0]]), radii=np.array([0.0]))
+
+    @pytest.mark.parametrize("centers, radii, message", [
+        ([[0.0, np.nan]], [0.5], r"^partition-of-unity center \[0.0, nan\] is not finite$"),
+        ([[0.0, 0.0]], [np.inf], "^partition-of-unity radii must be positive and finite$"),
+        ([[0.0, 0.0]], [np.nan], "^partition-of-unity radii must be positive and finite$"),
+    ], ids=["nan-center", "inf-radius", "nan-radius"])
+    def test_non_finite_centers_and_radii_rejected(self, centers, radii, message):
+        with pytest.raises(InvalidInputError, match=message):
+            PartitionOfUnity(centers=np.array(centers), radii=np.array(radii))
 
     def test_continuity_across_ball_boundaries(self, rng):
         ns, space = quadratic_overlap_space_1d(8)
@@ -238,21 +248,53 @@ class TestShepardWeights:
             PartitionOfUnity.for_space(space).evaluate(s, [[0.5], [2.0], [3.0]])
 
 
+def fitted(ns, space):
+    """The member of an interpolatory space that takes the values of a smooth function at the nodes."""
+    return ns, m.from_nodal_values(space, np.sin(3.0 * ns.points).sum(axis=1))
+
+
+def mixed_tail_rank_spline():
+    """The three kernel patches of `test_kernel_group_splits_by_tail_rank` on their 11 nodes.
+
+    The collinear patch's linear tail has rank 2, so its group's moment-null
+    block is one column wider (dimension 5 on 4 nodes).  Such a patch is not
+    interpolatory, so the coefficients are drawn, not fitted.
+    """
+    plane = np.array([[0.0, 0.0], [0.6, 0.7], [1.0, 0.0], [0.0, 1.0]])  # by distance from the first
+    line = np.column_stack([np.linspace(0.0, 1.0, 4), np.linspace(0.0, 0.5, 4)])
+    stencils = [plane, line, plane + 1.0]
+    points = np.unique(np.vstack(stencils), axis=0)
+    ns = m.NodeSet(points=points, boundary_mask=np.zeros(len(points), dtype=bool))
+    patches = []
+    for c in stencils:
+        index = [int(np.flatnonzero((points == x).all(axis=1))[0]) for x in c]
+        influence = m.InfluenceSet(center=c[0], indices=index, points=c,
+                                   distances=np.linalg.norm(c - c[0], axis=1), center_index=index[0])
+        kernel = KernelSpace(m.Kernel("polyharmonic", 3.0), c, aug=m.PolySpace.full(2, 1, shift=c[0]))
+        patches.append(spline.Patch(influence, kernel))
+    space = m.OverlapSplineSpace(ns, patches)
+    rng = np.random.default_rng(11)
+    coeffs = tuple(rng.standard_normal(p.space.dim) for p in patches)
+    assert [len(c) for c in coeffs] == [4, 5, 4]
+    return ns, m.OverlapSpline(space=space, patch_coeffs=coeffs)
+
+
 ORACLE_SPACES = {
-    "r3-degree-2-tail": lambda: halton_r3_space(),
-    "gauss-tail-free": lambda: (lambda ns: (ns, m.build_space(
+    "r3-degree-2-tail": lambda: fitted(*halton_r3_space()),
+    "gauss-tail-free": lambda: (lambda ns: fitted(ns, m.build_space(
         ns, "all", ("knn", 9), m.kernel_patch_recipe(m.Kernel("gauss", 3.0)))))(jittered_cloud(5, n_axis=9)),
-    "quadratic-1d": lambda: quadratic_overlap_space_1d(9),
-    "five-star-constant-patches": lambda: five_star_sublist_space(6),
+    "quadratic-1d": lambda: fitted(*quadratic_overlap_space_1d(9)),
+    "five-star-constant-patches": lambda: fitted(*five_star_sublist_space(6)),
+    "mixed-tail-rank": mixed_tail_rank_spline,
+    "r3-degree-2-tail-3d": lambda: fitted(*halton_r3_space_3d()),
 }
 
 
 class TestEvaluationTable:
     @pytest.mark.parametrize("case", ORACLE_SPACES)
     def test_evaluate_and_blend_match_the_per_patch_oracle(self, case, rng):
-        ns, space = ORACLE_SPACES[case]()
-        s = m.from_nodal_values(space, np.sin(3.0 * ns.points).sum(axis=1))
-        pou = PartitionOfUnity.for_space(space)
+        ns, s = ORACLE_SPACES[case]()
+        pou = PartitionOfUnity.for_space(s.space)
         bounds = np.array([[0.0, 1.0]] * ns.d)
         pts = np.vstack([covered_samples(pou, rng, 300, bounds), ns.points])
         oracle = np.array([blend_disconnected(s.patch_eval, pou, x) for x in pts])
@@ -267,7 +309,8 @@ class TestEvaluationTable:
         groups, group_of, _ = s.space._stacks
         assert [basis.dim for _, basis in groups] == [5, 1]
         assert np.array_equal(np.bincount(group_of), [25, 4])  # 5 x 5 interior stars, 4 corner constants
-        assert [c.shape for c in s._coeffs] == [(25, 5), (4, 1)]
+        # polynomial groups: no kernel weights, the whole coefficient vector is the tail
+        assert [(w.shape, a.shape) for w, a in s._coeffs] == [((25, 0), (25, 5)), ((4, 0), (4, 1))]
 
     def test_eval_pairs_matches_patch_eval(self, rng):
         ns, space = five_star_sublist_space(4)
@@ -286,7 +329,8 @@ class TestEvaluationTable:
         monkeypatch.setattr(spline, "EVAL_CHUNK_PAIRS", 5)
         assert np.array_equal(pou.evaluate(s, pts), whole)
         assert np.array_equal(m.restriction(s), restricted)
-        assert pou.evaluate(s, np.zeros((0, 2))).shape == (0,)
+        empty = pou.evaluate(s, np.zeros((0, 2)))
+        assert empty.shape == (0,) and empty.dtype == np.float64
 
     @pytest.mark.parametrize("patches, points", [
         (lambda n: [-1], [[0.5, 0.5]]),
@@ -347,7 +391,7 @@ class TestEvaluationTable:
         pts = covered_samples(pou, rng, 200, np.array([[0.0, 1.0], [0.0, 1.0]]))
         blend(s, pou, pts[0])  # stacks the coefficients and builds the tree
         assert len(space._stacks[0]) == 1
-        calls = {"derivative": 0, "stack_spaces": 0, "evaluate": 0, "weights_at": 0}
+        calls = {"derivative": 0, "stack_spaces": 0, "evaluate": 0, "values": 0, "weights_at": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -358,11 +402,13 @@ class TestEvaluationTable:
         monkeypatch.setattr(KernelSpace, "_derivative", counting("derivative", KernelSpace._derivative))
         monkeypatch.setattr(spline, "stack_spaces", counting("stack_spaces", spline.stack_spaces))
         monkeypatch.setattr(StackedBasis, "evaluate", counting("evaluate", StackedBasis.evaluate))
+        monkeypatch.setattr(StackedBasis, "values", counting("values", StackedBasis.values))
         monkeypatch.setattr(PartitionOfUnity, "weights_at",
                             counting("weights_at", PartitionOfUnity.weights_at))
         values = [blend(s, pou, x) for x in pts]
         m.restriction(s)
-        # one stacked evaluation per blended point and per chunk of memberships; no per-patch route
+        # one collapsed value pass per blended point and per chunk of memberships; no basis, no per-patch route
         chunks = -(-space.incidence[0].size // spline.EVAL_CHUNK_PAIRS)
-        assert calls == {"derivative": 0, "stack_spaces": 0, "evaluate": len(pts) + chunks, "weights_at": 0}
+        assert calls == {"derivative": 0, "stack_spaces": 0, "evaluate": 0, "values": len(pts) + chunks,
+                         "weights_at": 0}
         assert np.all(np.isfinite(values))
