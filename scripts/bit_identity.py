@@ -8,9 +8,11 @@
 (``--small``: its small input), once in the generator's node order and
 once in the seeded relabelling, and saves into one ``.npz``: for the three
 solve workloads the assembled CSR arrays (``data``, ``indices``,
-``indptr``), ``rhs``, the row residuals and the solution; for ``pum-eval``
-the stacked patch coefficients, the restriction and the blended values at
-the evaluation points.  The library is the ``meshfd`` on ``PYTHONPATH``,
+``indptr``), ``rhs``, the row residuals, the solution and its
+``diagnostics`` ``[residual_norm, cond_estimate]`` (a least-squares
+solve has no estimate: NaN); for ``pum-eval`` the stacked patch
+coefficients, the restriction and the blended values at the evaluation
+points.  The library is the ``meshfd`` on ``PYTHONPATH``,
 so dumping once per checkout checks that a change leaves every output as
 it was.
 
@@ -43,11 +45,13 @@ def outputs(small: bool) -> dict:
             res = run_pass(wl, make_inputs(wl, SEED, permute=order == "relabelled"), Recorder(False))
             key = f"{name}/{order}/"
             if res.system is not None:
-                matrix = res.system.matrix.tocsr()
+                matrix, report = res.system.matrix.tocsr(), res.solution.rank_report
+                cond = np.nan if report.cond_estimate is None else report.cond_estimate
                 out.update({key + "data": matrix.data, key + "indices": matrix.indices,
                             key + "indptr": matrix.indptr, key + "rhs": res.system.rhs,
                             key + "residual": res.system.residual,
-                            key + "solution": res.solution.nodal_values})
+                            key + "solution": res.solution.nodal_values,
+                            key + "diagnostics": np.array([res.solution.residual_norm, cond])})
             else:
                 out.update({key + "coefficients": np.concatenate(res.spline.patch_coeffs),
                             key + "restriction": res.restricted, key + "blend": res.blended})

@@ -264,8 +264,8 @@ def influences(ns: NodeSet, centers, selector, center_indices=None) -> Influence
     the nodes ``center_indices``; when given, ``center_indices`` (one node
     index in ``[0, N)`` per center) is recorded as each set's center index.
     ``selector`` is ``("knn", k)`` with an integer k or ``("range", radius)``
-    with a positive finite radius.  Members of every set are ordered by
-    (exact distance, node index).
+    with a positive finite radius, not a bool.  Members of every set are
+    ordered by (exact distance, node index).
     """
     if center_indices is not None:
         center_indices = np.asarray(center_indices, dtype=int).reshape(-1)
@@ -287,7 +287,7 @@ def influences(ns: NodeSet, centers, selector, center_indices=None) -> Influence
         k = _integer(value, "knn selector needs an integer k")
         owner, cand = _knn_candidates(ns.tree, centers, k)
     elif kind == "range":
-        radius = float(value) if isinstance(value, numbers.Real) else math.nan
+        radius = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
         if not (math.isfinite(radius) and radius > 0.0):
             raise InvalidInputError(f"range selector needs a positive finite radius, got {value!r}")
         owner, cand = _ball_candidates(ns.tree, centers, np.arange(m), radius * (1.0 + _TIE_MARGIN))
@@ -362,9 +362,9 @@ def generate_scattered(
     ``source`` is either ``"halton"`` (low-discrepancy, unscrambled, hence
     seed-independent) or ``"random"`` (seeded generator).  Boundary nodes
     are laid out on a tensor grid of the box faces with ``boundary_per_side``
-    points per axis (default: roughly matching the interior density); they
-    carry the Dirichlet flag.  Runs are bitwise reproducible for fixed
-    arguments.
+    points per axis, an integer of at least 2 (default: roughly matching
+    the interior density); they carry the Dirichlet flag.  Runs are bitwise
+    reproducible for fixed arguments.
     """
     d = _integer(d, "dimension must be an integer")
     if d < 1:
@@ -386,7 +386,10 @@ def generate_scattered(
 
     if boundary_per_side is None:
         boundary_per_side = max(2, math.ceil(count ** (1.0 / d)))
-    grid, on_faces = _tensor_grid(b, _integer(boundary_per_side, "boundary_per_side must be an integer"))
+    boundary_per_side = _integer(boundary_per_side, "boundary_per_side must be an integer")
+    if boundary_per_side < 2:
+        raise InvalidInputError("boundary_per_side must be at least 2")
+    grid, on_faces = _tensor_grid(b, boundary_per_side)
     boundary = grid[on_faces]
 
     pts = np.vstack([interior, boundary])

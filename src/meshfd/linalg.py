@@ -1,8 +1,9 @@
 """Dense rank and null-space helpers with one shared tolerance.
 
-Every rank in the toolkit is the one `numerical_rank` defines (`stacked_rank`
-gives it for a stack, certifying most full ranks by Cholesky), so that patch
-unisolvency tests and the spline dimension analyzer agree on what counts as zero.
+Every rank in the toolkit counts the singular values that `singular_rank` keeps
+(`numerical_rank` for one matrix, `stacked_rank` for a stack, certifying most full
+ranks by Cholesky), so that patch unisolvency tests and the spline dimension analyzer
+agree on what counts as zero; every moment-null basis comes from `null_space`.
 """
 
 import contextlib
@@ -16,13 +17,17 @@ RANK_RTOL = 1e-10
 CERTIFIED_COND = 1e6
 
 
+def singular_rank(s):
+    """Count of singular values (last axis, descending) above ``RANK_RTOL`` times the largest."""
+    return np.count_nonzero(s > RANK_RTOL * s[..., :1], axis=-1)
+
+
 def numerical_rank(a):
-    """Rank of a dense matrix: number of singular values above RANK_RTOL * s_max."""
+    """Rank of a dense matrix: its `singular_rank`."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0 or min(a.shape) == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.count_nonzero(s > RANK_RTOL * s[0]))
+    return int(singular_rank(np.linalg.svd(a, compute_uv=False)))
 
 
 def stacked_rank(a) -> np.ndarray:
@@ -44,8 +49,7 @@ def stacked_rank(a) -> np.ndarray:
         cert = np.einsum("gij,gij->g", a, a) * np.einsum("gij,gij->g", inv, inv)  # inf or NaN: not certified
     rank, todo = np.full(a.shape[0], a.shape[2]), np.flatnonzero(~(cert <= CERTIFIED_COND**2))
     if todo.size:
-        sv = np.linalg.svd(a[todo], compute_uv=False)
-        rank[todo] = np.count_nonzero(sv > RANK_RTOL * sv[:, :1], axis=1)
+        rank[todo] = singular_rank(np.linalg.svd(a[todo], compute_uv=False))
     return rank
 
 
@@ -63,13 +67,15 @@ def stacked_solve(a, b):
         return sol, singular
 
 
-def null_space(a):
-    """Orthonormal basis (columns) of the null space of a dense matrix.
+def null_space(a, rank=None):
+    """Orthonormal basis (C-contiguous columns) of the null space of a dense matrix, or of each of a stack.
 
-    A matrix with no rows has the full identity as its null space.
+    ``rank`` defaults to the matrix's `singular_rank`; a stack (g, m, n) passes the rank its matrices
+    share.  A matrix with no rows has the full identity as its null space.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
-        return np.eye(a.shape[1])
+        return np.tile(np.eye(a.shape[-1]), a.shape[:-2] + (1, 1))
     _, s, vt = np.linalg.svd(a, full_matrices=True)
-    return vt[np.count_nonzero(s > RANK_RTOL * s[0]):].T.copy()
+    rank = int(singular_rank(s)) if rank is None else rank
+    return np.ascontiguousarray(np.swapaxes(vt[..., rank:, :], -1, -2))

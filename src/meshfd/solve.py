@@ -250,40 +250,13 @@ def assemble(
                         points=space.nodes.points)
 
 
-def _inverse_one_norm_estimate(lu, n) -> float:
-    """Deterministic Hager-style lower estimate of the inverse 1-norm, in at most 5 steps."""
-    x = np.full(n, 1.0 / n)
-    estimate = 0.0
-    for _ in range(5):
-        y = lu.solve(x)
-        estimate = max(estimate, float(np.linalg.norm(y, 1)))
-        s = np.sign(y)
-        s[s == 0.0] = 1.0
-        z = lu.solve(s, trans="T")
-        j = int(np.argmax(np.abs(z)))
-        if abs(z[j]) <= float(z @ x):
-            break
-        x = np.zeros(n)
-        x[j] = 1.0
-    return estimate
-
-
 def _cond_estimate_from_lu(matrix, lu) -> float:
-    one_norm = float(np.max(np.abs(matrix).sum(axis=0)))
+    """``||B||_1`` times `onenormest` of ``B^-1`` by the factors (t=1: Hager's, no random draw); NaN if it fails."""
+    inverse = scipy.sparse.linalg.LinearOperator(matrix.shape, lu.solve, lambda x: lu.solve(x, trans="T"), dtype=float)
     try:
-        inv_norm = _inverse_one_norm_estimate(lu, matrix.shape[0])
+        return float(np.max(np.abs(matrix).sum(axis=0))) * float(scipy.sparse.linalg.onenormest(inverse, t=1))
     except Exception:
         return float("nan")
-    return one_norm * inv_norm
-
-
-def _dense_cond(matrix) -> float:
-    if matrix.shape[0] > 2500:
-        return float("inf")
-    try:
-        return float(np.linalg.cond(matrix.toarray(), 1))
-    except Exception:
-        return float("inf")
 
 
 def solve_square(gs: GlobalSystem) -> Solution:
@@ -300,14 +273,16 @@ def solve_square(gs: GlobalSystem) -> Solution:
     the same block.  The factorization uses a minimum-degree ordering of the
     block's symmetrized pattern and a diagonal pivot preference
     (`SQUARE_ORDERING`, `SQUARE_PIVOT_THRESH`).  The residual is that of the
-    full system; the condition estimate is the factored block's.  When the
-    estimate times machine epsilon reaches 1 the solution keeps no digit:
-    it is still returned, with ``full_rank=False`` and a note; so it is
-    when the estimate fails (NaN), as no digit is verified.  Two unit
-    rows on one node leave the block non-square and raise
-    `SingularSystemError`, as does a non-finite solution of finite data; a
-    right-hand side or Dirichlet value that is not finite raises
-    `InvalidInputError` naming its row before anything is factored.
+    full system; the condition estimate is the block's, from its factors by
+    scipy's deterministic `onenormest`.  When the estimate times machine
+    epsilon reaches 1 the solution keeps no digit: it is still returned,
+    with ``full_rank=False`` and a note; so it is when the estimate fails
+    (NaN), as no digit is verified.  A failed factorization (an exactly zero
+    pivot) and two unit rows on one node raise `SingularSystemError` with
+    estimate ``inf``; a non-finite solution of finite data raises it with
+    the estimate of its factors.  A right-hand side or Dirichlet value that
+    is not finite raises `InvalidInputError` naming its row before anything
+    is factored.
     """
     m, n = gs.shape
     if m != n:
@@ -342,15 +317,11 @@ def solve_square(gs: GlobalSystem) -> Solution:
         lu = scipy.sparse.linalg.splu(block, **_SPLU)
         u[free] = lu.solve(gs.rhs[inner] - interior @ u)
     except (RuntimeError, ValueError) as exc:
-        raise SingularSystemError(
-            f"singular collocation system: {exc}", cond_estimate=_dense_cond(block)
-        ) from None
-    if not np.all(np.isfinite(u)):
-        raise SingularSystemError(
-            "factorization produced non-finite values", cond_estimate=_dense_cond(block)
-        )
-    residual = float(np.linalg.norm(gs.matrix @ u - gs.rhs))
+        raise SingularSystemError(f"singular collocation system: {exc}", cond_estimate=float("inf")) from None
     cond = _cond_estimate_from_lu(block, lu) if free.size else 1.0  # all unit rows: a permutation
+    if not np.all(np.isfinite(u)):
+        raise SingularSystemError("factorization produced non-finite values", cond_estimate=cond)
+    residual = float(np.linalg.norm(gs.matrix @ u - gs.rhs))
     eps = np.finfo(float).eps
     if np.isnan(cond):
         note = "interior-block condition estimate failed: no digit of the solution is verified"

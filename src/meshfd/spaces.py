@@ -402,12 +402,10 @@ class StackedBasis:
 
     @cached_property
     def null(self) -> np.ndarray | None:
-        """Moment-null bases (g, s, s - tail_rank), each `KernelSpace.moment_null`; None without a kernel tail."""
+        """Moment-null bases (g, s, s - tail_rank) from one stacked `linalg.null_space`; None without a kernel tail."""
         if self.kernel is None or not self.exponents:
             return None
-        _, _, vt = np.linalg.svd(np.swapaxes(self.tail_at_centers, 1, 2), full_matrices=True)
-        # contiguous, as `KernelSpace.moment_null`: a product with a strided view may round differently
-        return np.ascontiguousarray(np.swapaxes(vt[:, self.tail_rank:, :], 1, 2))
+        return null_space(np.swapaxes(self.tail_at_centers, 1, 2), self.tail_rank)
 
     def blocks(self, points, betas=None, coef=None, rows=slice(None)) -> tuple:
         """Scaled kernel translates (R, m, s), None without a kernel, and tail monomials (R, m, q).

@@ -49,7 +49,7 @@ from .errors import (
     NotAnInterpolationSetError,
 )
 from .geometry import InfluenceSet, NodeSet, _floats, influences
-from .linalg import RANK_RTOL, numerical_rank, stacked_solve
+from .linalg import numerical_rank, singular_rank, stacked_solve
 from .ndf import CHUNK_ROWS, StencilWeights, one_row
 from .operators import Operator
 from .spaces import (
@@ -176,7 +176,7 @@ def _rank_pass(space: OverlapSplineSpace, left_null: bool = False) -> tuple[np.n
         dim[patches], size = basis.dim, basis.centers.shape[1]
         svd = np.linalg.svd(basis.evaluate(None, rows=rows), compute_uv=left_null)
         sv = svd.S if left_null else svd
-        rank[patches] = r = np.count_nonzero(sv > RANK_RTOL * sv[:, :1], axis=1)
+        rank[patches] = r = singular_rank(sv)
         if left_null:
             for k in np.unique(r[r < size]):  # U (R, |X_i|, |X_i|), full
                 null.append((np.swapaxes(svd.U[r == k, :, k:], 1, 2).reshape(-1, size),

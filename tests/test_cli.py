@@ -513,10 +513,14 @@ class TestConfigTable:
          "cannot write node file o/a/b/c.csv: [Errno 2] No such file or directory"),
         ("dim", "outputs", {"dim": "a/dim.json"}, "ConfigError",
          "cannot write output file o/a/dim.json: [Errno 2] No such file or directory"),
+        ("solve", "selector", {"kind": "range", "radius": True}, "InvalidInputError",
+         "range selector needs a positive finite radius, got True"),
+        ("generate", "nodes", {"kind": "scattered", "d": 2, "count": 30, "boundary_per_side": 0},
+         "InvalidInputError", "boundary_per_side must be at least 2"),
     ], ids=["strategy-string", "selector-kk", "grid-no-n_per_axis", "space-degre", "outputs-number",
             "missing-node-file", "node-path-5", "missing-values-file", "values-path-5", "centers-dict",
             "sublist-5", "levels-number", "levels-two-keys", "nodes-output-directory", "nodes-output-no-parent",
-            "dim-output-no-parent"])
+            "dim-output-no-parent", "range-radius-true", "scattered-boundary-0"])
     def test_malformed_config_exits_one_with_its_error(self, tmp_path, monkeypatch, capsys, command, section,
                                                        value, error, message):
         monkeypatch.chdir(tmp_path)  # where the relative "nope.csv" is looked for

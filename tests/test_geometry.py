@@ -88,6 +88,11 @@ class TestGenerateScattered:
         with pytest.raises(InvalidInputError):
             m.generate_scattered(2, 5, [(0, 1), (0, 1)], source="sobolish")
 
+    @pytest.mark.parametrize("per_side", [0, 1, -3])
+    def test_boundary_needs_two_nodes_per_side(self, per_side):
+        with pytest.raises(InvalidInputError, match=r"^boundary_per_side must be at least 2$"):
+            m.generate_scattered(2, 30, [(0, 1), (0, 1)], boundary_per_side=per_side)
+
 
 class TestKnn:
     def test_1d_symmetric_neighbors(self):
@@ -321,7 +326,7 @@ class TestQueryArguments:
         with pytest.raises(InvalidInputError, match="is not finite"):
             query(self.GRID)
 
-    @pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -0.5])
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -0.5, True])
     def test_range_needs_a_positive_finite_radius(self, radius):
         with pytest.raises(InvalidInputError, match="positive finite radius"):
             m.build_space(self.GRID, "all", ("range", radius), m.poly_patch_recipe(0))

@@ -43,7 +43,7 @@ def test_bit_identity_tells_equal_dumps_from_changed_ones(tmp_path):
     assert res.returncode == 0, res.stderr
     res = run_script("bit_identity.py", "compare", str(first), str(first))
     assert res.returncode == 0, res.stdout + res.stderr
-    assert res.stdout.splitlines()[-1] == "42 of 42 arrays equal"  # 6 arrays x 2 orders x 3 solves, 3 x 2 for pum-eval
+    assert res.stdout.splitlines()[-1] == "48 of 48 arrays equal"  # 7 arrays x 2 orders x 3 solves, 3 x 2 for pum-eval
     with np.load(first) as dump:
         arrays = dict(dump)
     solution = arrays["rbf-collocate/generator/solution"]
@@ -57,4 +57,4 @@ def test_bit_identity_tells_equal_dumps_from_changed_ones(tmp_path):
     assert (f"DIFFERS  rbf-collocate/generator/solution: 1 of {solution.size} elements, "
             f"largest |difference| {spacing!r}\n") in res.stdout
     assert "DIFFERS  pum-eval/relabelled/blend: only in the first dump" in res.stdout
-    assert res.stdout.splitlines()[-1] == "40 of 42 arrays equal"
+    assert res.stdout.splitlines()[-1] == "46 of 48 arrays equal"

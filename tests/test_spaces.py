@@ -9,9 +9,10 @@ from hypothesis import given, strategies as st
 import meshfd as m
 from meshfd.errors import InvalidInputError, NotAnInterpolationSetError
 from meshfd.geometry import influences
+from meshfd.linalg import null_space
 from meshfd.spaces import KernelSpace, PatchTable, PolySpace, kernel_derivative, patch_value, stack_spaces
 
-from helpers import FIVE_STAR_SUBLIST, five_star_sublist_space, halton_r3_space, jittered_cloud
+from helpers import FIVE_STAR_SUBLIST, five_star_sublist_space, halton_r3_space, halton_r3_space_3d, jittered_cloud
 
 
 class TestMonomialBasis:
@@ -377,6 +378,18 @@ STACK_CASES = {
 }
 
 
+def mixed_tail_rank_table():
+    """Three linear-tail r^3 patches of four nodes, the middle one collinear (tail rank 2, the others 3)."""
+    line = np.column_stack([np.linspace(0.0, 1.0, 4), np.linspace(0.0, 0.5, 4)])
+    plane = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.6, 0.7]])
+    spaces = [KernelSpace(m.Kernel("polyharmonic", 3.0), c, aug=PolySpace.full(2, 1, shift=c[0]))
+              for c in (plane, line, plane + 1.0)]
+    table = PatchTable.of_pairs([m.InfluenceSet(center=c[0], indices=np.arange(4), points=c,
+                                                distances=np.linalg.norm(c - c[0], axis=1))
+                                 for c in (plane, line, plane + 1.0)], spaces)
+    return spaces, table
+
+
 class TestStackedBasis:
     """The stacked evaluator against each space's own basis, the one-patch oracle."""
 
@@ -420,18 +433,30 @@ class TestStackedBasis:
             PatchTable.of_pairs([infl], [PolySpace(2, 1, np.zeros(2), 1.0, m.monomial_exponents(2, 1))])
 
     def test_kernel_group_splits_by_tail_rank(self):
-        line = np.column_stack([np.linspace(0.0, 1.0, 4), np.linspace(0.0, 0.5, 4)])
-        plane = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.6, 0.7]])
-        spaces = [KernelSpace(m.Kernel("polyharmonic", 3.0), c, aug=PolySpace.full(2, 1, shift=c[0]))
-                  for c in (plane, line, plane + 1.0)]
-        table = PatchTable.of_pairs([m.InfluenceSet(center=c[0], indices=np.arange(4), points=c,
-                                                    distances=np.linalg.norm(c - c[0], axis=1))
-                                     for c in (plane, line, plane + 1.0)], spaces)
+        spaces, table = mixed_tail_rank_table()
         groups, group, slot = stack_spaces(table, np.arange(3))
         assert [(members.tolist(), basis.tail_rank, basis.dim) for members, basis in groups] == [
             ([1], 2, 5), ([0, 2], 3, 4)]
         assert group.tolist() == [1, 0, 1] and slot.tolist() == [0, 0, 1]
         assert [spaces[i].dim for i in range(3)] == [4, 5, 4]
+
+    @pytest.mark.parametrize("case", ["mixed-tail-rank", "r3-degree-2-tail-3d"])
+    def test_stacked_null_space_is_each_matrix_alone_bit_for_bit(self, case):
+        if case == "mixed-tail-rank":
+            spaces, table = mixed_tail_rank_table()
+        else:
+            space = halton_r3_space_3d()[1]
+            spaces, table = [p.space for p in space.patches], space.table
+        for members, basis in stack_spaces(table, np.arange(len(spaces)))[0]:
+            tails = np.swapaxes(basis.tail_at_centers, 1, 2)
+            stacked = null_space(tails, basis.tail_rank)
+            g, _, s = tails.shape
+            assert stacked.shape == (g, s, s - basis.tail_rank) and stacked.flags.c_contiguous
+            assert np.array_equal(basis.null, stacked)
+            for j, i in enumerate(members.tolist()):
+                alone = null_space(tails[j])
+                assert alone.flags.c_contiguous and np.array_equal(stacked[j], alone)
+                assert np.array_equal(stacked[j], spaces[i].moment_null)
 
     def test_only_spaces_names_the_basis_layout(self):
         """Kernel translates, monomial derivatives and the moment-null block stay inside spaces.py."""
