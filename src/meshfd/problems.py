@@ -3,10 +3,16 @@
 A problem couples an operator with a right-hand side, Dirichlet data, and
 (optionally) a manufactured exact solution; the operator degenerates to
 the identity at boundary nodes, so assembly extends the right-hand side
-to the boundary with the Dirichlet values.  The presets' manufactured
-solutions are checked against their right-hand sides by a high-order
-finite-difference oracle (`consistency_defect` in `tests/helpers.py`),
-independent of any solver machinery.
+to the boundary with the Dirichlet values.  Problem data are fields: the
+right-hand side, the Dirichlet data and the exact solution each take an
+(n, d) array of points and return an (n,) array, and the library calls
+each once per row or node set (n may be 0).  A result of any other shape,
+a scalar included, raises `InvalidInputError` naming the callable, so a
+callable that returns one value per call is refused.  The presets act on
+``x[..., k]``, so one point (d,) gives a 0-d value.  The presets'
+manufactured solutions are checked against their right-hand sides by a
+high-order finite-difference oracle (`consistency_defect` in
+`tests/helpers.py`), independent of any solver machinery.
 """
 
 from __future__ import annotations
@@ -26,7 +32,12 @@ PRESETS = ("bvp1d", "poisson2d")
 
 @dataclass(frozen=True, eq=False)
 class Problem:
-    """Operator equation Lu = f on a box with Dirichlet boundary data."""
+    """Operator equation Lu = f on a box with Dirichlet boundary data.
+
+    ``rhs``, ``dirichlet`` and ``exact`` map an (n, d) array of points to
+    an (n,) array; a result of any other shape raises `InvalidInputError`
+    naming the callable where the library calls it.
+    """
 
     name: str
     d: int
@@ -40,9 +51,23 @@ class Problem:
         object.__setattr__(self, "bounds", np.asarray(self.bounds, dtype=float).reshape(self.d, 2))
 
     def nodal_exact(self, ns: NodeSet) -> np.ndarray:
+        """The exact solution at every node, from one call of ``exact`` on all of them."""
         if self.exact is None:
             raise InvalidInputError(f"problem {self.name!r} has no exact solution")
-        return np.array([float(self.exact(p)) for p in ns.points])
+        return _field_values(self.exact, ns.points, "exact")
+
+
+def _field_values(fn, points: np.ndarray, name: str) -> np.ndarray:
+    """``fn(points)`` for (n, d) points as an (n,) float array; any other shape raises naming ``name``."""
+    values = np.asarray(fn(points), dtype=float)
+    if values.shape != points.shape[:1]:
+        raise InvalidInputError(f"{name} must map (n, d) points to an (n,) array: "
+                                f"got shape {values.shape} for {points.shape[0]} points")
+    return values
+
+
+def _zeros(x):
+    return np.zeros(np.shape(x)[:-1])
 
 
 def preset(name: str) -> Problem:
@@ -50,30 +75,31 @@ def preset(name: str) -> Problem:
 
     ``bvp1d``: u'' = f on an interval with zero endpoint values and
     u = sin(pi x).  ``poisson2d``: Laplace operator on the unit square with
-    u = sin(pi x1) sin(pi x2).
+    u = sin(pi x1) sin(pi x2).  Each callable acts on the last axis of its
+    argument: (n, d) points give (n,) values and one point (d,) a 0-d value.
     """
     if name == "bvp1d":
         def exact(x):
-            return math.sin(math.pi * float(np.asarray(x).reshape(-1)[0]))
+            return np.sin(math.pi * np.asarray(x, dtype=float)[..., 0])
 
         def rhs(x):
-            return -math.pi**2 * math.sin(math.pi * float(np.asarray(x).reshape(-1)[0]))
+            return -math.pi**2 * exact(x)
 
         return Problem(
             name=name, d=1, bounds=[(0.0, 1.0)], operator=SECOND_DERIVATIVE_1D,
-            rhs=rhs, dirichlet=lambda x: 0.0, exact=exact,
+            rhs=rhs, dirichlet=_zeros, exact=exact,
         )
     if name == "poisson2d":
         def exact(x):
-            x = np.asarray(x, dtype=float).reshape(-1)
-            return math.sin(math.pi * x[0]) * math.sin(math.pi * x[1])
+            x = np.asarray(x, dtype=float)
+            return np.sin(math.pi * x[..., 0]) * np.sin(math.pi * x[..., 1])
 
         def rhs(x):
             return -2.0 * math.pi**2 * exact(x)
 
         return Problem(
             name=name, d=2, bounds=[(0.0, 1.0), (0.0, 1.0)], operator=LAPLACIAN,
-            rhs=rhs, dirichlet=lambda x: 0.0, exact=exact,
+            rhs=rhs, dirichlet=_zeros, exact=exact,
         )
     raise InvalidInputError(f"unknown problem preset {name!r}, expected one of {PRESETS}")
 

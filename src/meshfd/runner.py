@@ -186,8 +186,7 @@ def run_dim(cfg, out_dir) -> dict:
     return doc
 
 
-def _write_solution_csv(out_dir, name, ns: NodeSet, u_hat, problem: Problem | None):
-    exact = problem.nodal_exact(ns) if problem is not None and problem.exact is not None else None
+def _write_solution_csv(out_dir, name, ns: NodeSet, u_hat, exact: np.ndarray | None):
     with _open_out(out_dir, name, newline="") as fh:
         writer = csv.writer(fh)
         header = [f"x{a + 1}" for a in range(ns.d)] + ["u_hat"]
@@ -215,7 +214,8 @@ def _solve_pipeline(cfg, problem: Problem):
 def run_solve(cfg, out_dir) -> dict:
     problem = preset(_needed(cfg, "problem")["preset"])  # presets carry rhs and boundary data
     ns, gs, solution = _solve_pipeline(cfg, problem)
-    _write_solution_csv(out_dir, cfg["outputs"]["solution"], ns, solution.nodal_values, problem)
+    exact = problem.nodal_exact(ns) if problem.exact is not None else None
+    _write_solution_csv(out_dir, cfg["outputs"]["solution"], ns, solution.nodal_values, exact)
     cond = solution.rank_report.cond_estimate
     results = {
         "M": gs.shape[0],
@@ -227,8 +227,7 @@ def run_solve(cfg, out_dir) -> dict:
         "note": solution.rank_report.note,
         "solution_file": cfg["outputs"]["solution"],
     }
-    if problem.exact is not None:
-        exact = problem.nodal_exact(ns)
+    if exact is not None:
         interior = ns.interior_indices
         results["max_err_interior"] = float(
             np.max(np.abs(solution.nodal_values[interior] - exact[interior]))

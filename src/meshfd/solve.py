@@ -37,6 +37,7 @@ from .geometry import _floats, _sorted_rows, ranked_nearest
 from .linalg import RANK_RTOL
 from .ndf import exactness_rows
 from .operators import Operator
+from .problems import _field_values
 from .spline import OverlapSplineSpace
 
 # Acceptance bound for the normal-equation residual of a least-squares solve.
@@ -207,8 +208,7 @@ def assemble(
 
     Row j holds the differentiation weights of patch sigma(j) at y_j and
     the right-hand side f(y_j); rows at flagged Dirichlet nodes are exact
-    unit rows with ``dirichlet_data`` (falling back to f) on the right; a
-    value that is not finite raises `InvalidInputError` naming its row.
+    unit rows with ``dirichlet_data`` (falling back to f) on the right.
     All other rows come from one call to the batched engine
     `ndf.exactness_rows` on the space's patch table; on the ``"lagrange"``
     route (interpolatory spaces only) it solves kernel patches by their
@@ -216,6 +216,14 @@ def assemble(
     `AssemblyError` carrying its row and patch index.  A row's CSR columns
     are its patch's influence-table slice, and its values the engine's
     flat output.
+
+    ``f`` and ``dirichlet_data`` map an (n, d) array of points to an (n,)
+    array.  ``f`` is called once, on the points of the rows that are not
+    Dirichlet rows, and the Dirichlet data once, on the Dirichlet rows'
+    points; either set may be empty (0, d).  A result of another shape, a
+    scalar included, raises `InvalidInputError` naming ``rhs`` or
+    ``dirichlet_data``; a value that is not finite raises it naming its
+    row and point.
     """
     if route == "lagrange" and not space.interpolatory:
         raise ContractError("the cardinal-basis route requires an interpolatory space")
@@ -237,8 +245,10 @@ def assemble(
     indices[at] = infl.indices[(np.arange(indptr[-1]) + (infl.offsets[sigma.patch] - indptr[:-1])[row])[at]]
     matrix = scipy.sparse.csr_matrix((data, indices, indptr), shape=(m, space.nodes.n))
     matrix.sort_indices()
-    bc = dirichlet_data if dirichlet_data is not None else f
-    rhs = np.array([float((bc if dj else f)(y)) for y, dj in zip(sigma.points, dirichlet.tolist())], dtype=float)
+    rhs = np.empty(m)
+    rhs[free] = _field_values(f, points, "rhs")
+    name, bc = ("rhs", f) if dirichlet_data is None else ("dirichlet_data", dirichlet_data)
+    rhs[dirichlet] = _field_values(bc, sigma.points[dirichlet], name)
     bad = np.flatnonzero(~np.isfinite(rhs))
     if bad.size:
         j = bad[0]

@@ -22,6 +22,11 @@ GENERAL_OP = m.Operator(
 )
 
 
+def constant(value):
+    """Problem data equal to ``value`` everywhere: (n, d) points to an (n,) array."""
+    return lambda x: np.full(len(x), float(value))
+
+
 def grid1d(n_intervals, bounds=(0.0, 1.0)):
     return m.generate_grid(1, n_intervals + 1, [bounds])
 

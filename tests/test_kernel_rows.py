@@ -17,7 +17,7 @@ from meshfd.errors import UnsolvableExactnessError
 from meshfd.ndf import EXACTNESS_RTOL, StencilWeights, exactness_rows, verify_exactness
 from meshfd.spaces import StackedBasis, stack_spaces
 
-from helpers import GENERAL_OP, gauss_tail_space, halton_r3_space, halton_r3_space_3d
+from helpers import GENERAL_OP, constant, gauss_tail_space, halton_r3_space, halton_r3_space_3d
 
 OPERATORS = {"laplacian": m.LAPLACIAN, "general": GENERAL_OP}
 
@@ -27,7 +27,7 @@ OPERATORS = {"laplacian": m.LAPLACIAN, "general": GENERAL_OP}
 def test_every_assembled_interior_row_is_exact_on_the_basis(strategy, op):
     ns, space = halton_r3_space(count=60, k=12)
     sigma = m.build_sigma(space, strategy)
-    gs = m.assemble(space, op, lambda x: 0.0, sigma, dirichlet_data=lambda x: 0.0)
+    gs = m.assemble(space, op, constant(0.0), sigma, dirichlet_data=constant(0.0))
     interior = np.flatnonzero(~ns.boundary_mask[sigma.node])
     assert interior.size and not gs.dirichlet[interior].any()
     for j in np.flatnonzero(~gs.dirichlet).tolist():  # with GENERAL_OP, the boundary rows too
@@ -77,7 +77,7 @@ def test_assembly_runs_no_full_svd_and_never_reads_the_null_bases(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(StackedBasis, "null", property(lambda basis: null_reads.append(1)))
-    gs = m.assemble(space, m.LAPLACIAN, lambda x: 0.0, sigma, dirichlet_data=lambda x: 0.0)
+    gs = m.assemble(space, m.LAPLACIAN, constant(0.0), sigma, dirichlet_data=constant(0.0))
     assert gs.residual.max() <= EXACTNESS_RTOL
     assert full_svds == [] and values_svds == [] and null_reads == []
 
@@ -94,9 +94,9 @@ def test_lagrange_rows_evaluate_a_patch_nodal_matrix_once_per_chunk(monkeypatch,
             nodal.append(np.arange(basis.centers.shape[0])[rows].size)
         return evaluate(basis, points, betas, coef, rows)
 
-    clean = m.assemble(space, m.LAPLACIAN, lambda x: 0.0, sigma, route="lagrange", dirichlet_data=lambda x: 0.0)
+    clean = m.assemble(space, m.LAPLACIAN, constant(0.0), sigma, route="lagrange", dirichlet_data=constant(0.0))
     monkeypatch.setattr(StackedBasis, "evaluate", counting)
-    gs = m.assemble(space, m.LAPLACIAN, lambda x: 0.0, sigma, route="lagrange", dirichlet_data=lambda x: 0.0)
+    gs = m.assemble(space, m.LAPLACIAN, constant(0.0), sigma, route="lagrange", dirichlet_data=constant(0.0))
     assert np.array_equal(gs.matrix.data, clean.matrix.data)
     solved, chunks = int((~gs.dirichlet).sum()), -(-len(sigma.patch) // ndf.CHUNK_ROWS)  # Dirichlet rows solve nothing
     assert sum(nodal) == solved if strategy == "same-index" else sum(nodal) <= space.m + chunks < solved

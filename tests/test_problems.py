@@ -1,14 +1,15 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from meshfd.errors import InvalidInputError, MeshfdError
-from meshfd.problems import LevelResult, convergence_study, preset
+from meshfd.problems import PRESETS, LevelResult, convergence_study, preset
 from meshfd.solve import assemble, build_sigma, solve_square
 
-from helpers import consistency_defect, quadratic_overlap_space_1d
+from helpers import consistency_defect, constant, quadratic_overlap_space_1d
 
 
 def run_bvp1d_level(problem, n):
@@ -37,6 +38,26 @@ class TestPresets:
         assert p.exact(x) == pytest.approx(u, rel=1e-15)
         assert p.rhs(x) == pytest.approx(-2 * math.pi**2 * u, rel=1e-15)
 
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_preset_data_are_fields_equal_to_one_point_calls(self, name, rng):
+        p = preset(name)
+        points = rng.uniform(-0.5, 1.5, size=(64, p.d))
+        for fn in (p.rhs, p.dirichlet, p.exact):
+            one = [fn(x) for x in points]
+            assert all(np.shape(v) == () for v in one)  # one point (d,) gives a 0-d value
+            values = fn(points)
+            assert values.shape == (64,)
+            assert np.array_equal(values, np.array(one, dtype=float))
+
+    @pytest.mark.parametrize("bad, shape", [(lambda x: float(x[0, 0]), "()"), (lambda x: x[:, :1], "(9, 1)")],
+                             ids=["scalar", "column"])
+    def test_nodal_exact_refuses_another_shape(self, bad, shape):
+        p = dataclasses.replace(preset("bvp1d"), exact=bad)
+        ns, _ = quadratic_overlap_space_1d(8)
+        message = f"exact must map (n, d) points to an (n,) array: got shape {shape} for 9 points"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            p.nodal_exact(ns)
+
     def test_unknown_preset(self):
         with pytest.raises(InvalidInputError):
             preset("stokes3d")
@@ -51,7 +72,7 @@ class TestPresets:
 
     def test_boundary_extension_of_rhs(self):
         """Assembly takes the Dirichlet values on the boundary rows and the right-hand side elsewhere."""
-        p = dataclasses.replace(preset("bvp1d"), dirichlet=lambda x: 1.0 + float(x[0]))
+        p = dataclasses.replace(preset("bvp1d"), dirichlet=lambda x: 1.0 + x[:, 0])
         ns, space = quadratic_overlap_space_1d(4)
         sigma = build_sigma(space, "same-index")
         gs = assemble(space, p.operator, p.rhs, sigma, dirichlet_data=p.dirichlet)
@@ -72,8 +93,8 @@ class TestConvergenceStudy:
         base = preset("bvp1d")
         quad = dataclasses.replace(
             base,
-            exact=lambda x: float(x[0]) * (1.0 - float(x[0])),
-            rhs=lambda x: -2.0,
+            exact=lambda x: x[:, 0] * (1.0 - x[:, 0]),
+            rhs=constant(-2.0),
         )
         table = convergence_study(quad, run_bvp1d_level, [8, 16, 32])
         for row in table:

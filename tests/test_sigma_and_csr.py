@@ -16,7 +16,7 @@ from meshfd.ndf import exactness_rows
 from meshfd.problems import preset
 from meshfd.solve import SigmaPair
 
-from helpers import jittered_cloud, quadratic_overlap_space_1d
+from helpers import constant, jittered_cloud, quadratic_overlap_space_1d
 
 R3_TAIL1 = m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0), augmentation_degree=1)
 POISSON = preset("poisson2d")
@@ -253,7 +253,7 @@ class TestFlatEngineOutput:
                 sw = m.weights_kernel(m.LAPLACIAN, y, space.patches[p].influence, space.patches[p].space)
                 assert np.array_equal(w, sw.weights) and residual[r] == sw.residual
         with pytest.raises(m.AssemblyError, match="second derivative of r\\^1.5") as err:
-            m.assemble(space, m.LAPLACIAN, lambda x: 0.0, sigma)
+            m.assemble(space, m.LAPLACIAN, constant(0.0), sigma)
         assert (err.value.row, err.value.patch) == (9, sigma.patch[9])
         assert str(err.value).startswith(f"row 9 (patch {sigma.patch[9]}, point {points[9].tolist()}): ")
 

@@ -19,6 +19,7 @@ from meshfd.solve import (
 
 from helpers import (
     GENERAL_OP,
+    constant,
     five_star_sublist_space,
     halton_r3_space,
     jittered_cloud,
@@ -166,7 +167,7 @@ class TestAssemble:
         ns, space = quadratic_overlap_space_1d(6)
         sigma = build_sigma(space, "per-set-aggregate")
         op = m.Operator("identity", identity_on_boundary=False)
-        gs = assemble(space, op, lambda x: 0.0, sigma)
+        gs = assemble(space, op, constant(0.0), sigma)
         rank = np.linalg.matrix_rank(gs.matrix.toarray())
         assert rank == ns.n
 
@@ -226,7 +227,7 @@ class TestBatchedAssembly:
             sizes = {p.influence.size for p in space.patches}
             assert len(sizes) > 1
             sigma = build_sigma(space, "same-index")
-            gs = assemble(space, op, lambda x: 0.0, sigma)
+            gs = assemble(space, op, constant(0.0), sigma)
             for j, pair in enumerate(sigma.pairs):
                 patch = space.patches[pair.patch]
                 sw = one_row(op, pair, patch)
@@ -250,7 +251,7 @@ class TestBatchedAssembly:
                 residuals.append(sw.residual)
             for chunk_rows in (1, 7, 256):
                 monkeypatch.setattr(m.ndf, "CHUNK_ROWS", chunk_rows)
-                gs = assemble(space, op, lambda x: 0.0, sigma)
+                gs = assemble(space, op, constant(0.0), sigma)
                 assert np.array_equal(gs.matrix.toarray(), expected)
                 assert gs.residual.tolist() == residuals
 
@@ -268,7 +269,7 @@ class TestBatchedAssembly:
             return stack(table, patches)
 
         monkeypatch.setattr(m.ndf, "stack_spaces", counting)
-        assemble(space, m.Operator("laplacian", identity_on_boundary=False), lambda x: 0.0, sigma)
+        assemble(space, m.Operator("laplacian", identity_on_boundary=False), constant(0.0), sigma)
         assert stacked == [sorted(set(sigma.patch.tolist()))]
 
     @pytest.mark.parametrize("chunk_rows", [7, 256])
@@ -285,7 +286,7 @@ class TestBatchedAssembly:
             return blocks(basis, points, betas, coef, rows)
 
         monkeypatch.setattr(StackedBasis, "blocks", counting)
-        assemble(space, m.Operator("laplacian", identity_on_boundary=False), lambda x: 0.0, sigma)
+        assemble(space, m.Operator("laplacian", identity_on_boundary=False), constant(0.0), sigma)
         patches = [pair.patch for pair in sigma.pairs]
         chunks = [sorted(set(patches[lo:lo + chunk_rows])) for lo in range(0, len(patches), chunk_rows)]
         assert len(at_nodes) == len(chunks)  # one kernel group per chunk on this cloud
@@ -318,7 +319,7 @@ class TestBatchedAssembly:
         space = m.build_space(ns, "all", ("knn", 6), R3_TAIL1)
         sigma = build_sigma(space, "same-index")
         with pytest.raises(m.AssemblyError) as err:
-            assemble(space, m.LAPLACIAN, lambda x: 0.0, sigma)
+            assemble(space, m.LAPLACIAN, constant(0.0), sigma)
         assert (err.value.row, err.value.patch) == (20, 20)
         with pytest.raises(m.UnsolvableExactnessError) as scalar:
             one_row(m.LAPLACIAN, sigma.pairs[20], space.patches[20])
@@ -328,7 +329,7 @@ class TestBatchedAssembly:
     def test_identity_operator_gives_kronecker_rows(self):
         for space in self.mixed_spaces():
             sigma = build_sigma(space, "same-index")
-            gs = assemble(space, m.IDENTITY, lambda x: 0.0, sigma)
+            gs = assemble(space, m.IDENTITY, constant(0.0), sigma)
             assert np.array_equal(gs.matrix.toarray(), np.eye(space.nodes.n))
             assert gs.worst_row_residual == 0.0
 
@@ -336,8 +337,8 @@ class TestBatchedAssembly:
         ns = jittered_cloud(1, n_axis=9)
         space = m.build_space(ns, "all", ("knn", 9), R3_TAIL1)
         sigma = build_sigma(space, "same-index")
-        a = assemble(space, GENERAL_OP, lambda x: 0.0, sigma)
-        b = assemble(space, GENERAL_OP, lambda x: 0.0, sigma, route="lagrange")
+        a = assemble(space, GENERAL_OP, constant(0.0), sigma)
+        b = assemble(space, GENERAL_OP, constant(0.0), sigma, route="lagrange")
         assert np.max(np.abs((a.matrix - b.matrix).toarray())) <= 1e-10
 
 
@@ -346,7 +347,7 @@ class TestSolveSquare:
         p = preset("bvp1d")
         ns, space = quadratic_overlap_space_1d(12)
         sigma = build_sigma(space, "same-index")
-        gs = assemble(space, p.operator, lambda x: 0.0, sigma, dirichlet_data=lambda x: 0.0)
+        gs = assemble(space, p.operator, constant(0.0), sigma, dirichlet_data=constant(0.0))
         sol = solve_square(gs)
         assert np.max(np.abs(sol.nodal_values)) == 0.0
 
@@ -401,7 +402,7 @@ def _hand_system(rows, dirichlet, rhs):
 
 
 def _boundary_data(x):
-    return 1.0 + float(np.sum(x))
+    return 1.0 + np.sum(x, axis=1)
 
 
 ELIMINATION_SYSTEMS = {
@@ -504,7 +505,7 @@ class TestNodeOrder:
     @staticmethod
     def solve(builder, n, order=None):
         ns, space = builder(n, order)
-        gs = assemble(space, m.LAPLACIAN, lambda x: float(np.cos(np.sum(x))), build_sigma(space, "same-index"),
+        gs = assemble(space, m.LAPLACIAN, lambda x: np.cos(np.sum(x, axis=1)), build_sigma(space, "same-index"),
                       dirichlet_data=_boundary_data)
         return ns, solve_square(gs)
 
@@ -519,7 +520,7 @@ class TestNodeOrder:
 
     def test_generator_order_factors_the_block_in_index_order(self, monkeypatch):
         ns, space = five_star_sublist_space(8)
-        gs = assemble(space, m.LAPLACIAN, lambda x: 1.0, build_sigma(space, "same-index"),
+        gs = assemble(space, m.LAPLACIAN, constant(1.0), build_sigma(space, "same-index"),
                       dirichlet_data=_boundary_data)
         seen, splu = [], scipy.sparse.linalg.splu
 
@@ -594,7 +595,7 @@ class TestSolveLeastSquares:
         space = m.build_space(ns, np.array([[0.05], [0.65]]), ("knn", 2), m.poly_patch_recipe(1))
         sigma = build_sigma(space, "per-set-aggregate")
         op = m.Operator("identity", identity_on_boundary=False)
-        gs = assemble(space, op, lambda x: float(x[0]), sigma)
+        gs = assemble(space, op, lambda x: x[:, 0], sigma)
         assert gs.shape == (4, 4)
         lsq = solve_least_squares(gs)
         direct = solve_square(gs)
@@ -713,6 +714,69 @@ class TestGaussPipeline:
         assert errs[1] < errs[0]
 
 
+class _Recording:
+    """Problem data equal to ``value`` that keeps the points of every call."""
+
+    def __init__(self, value):
+        self.value, self.calls = value, []
+
+    def __call__(self, x):
+        self.calls.append(np.array(x))
+        return np.full(len(x), self.value)
+
+
+class TestProblemData:
+    """The right-hand side and the Dirichlet data are fields: one call per row set, (n, d) in, (n,) out."""
+
+    @staticmethod
+    def system():
+        _, space = quadratic_overlap_space_1d(8)  # 9 nodes: 7 free rows, 2 Dirichlet rows
+        return space, build_sigma(space, "same-index"), preset("bvp1d").operator
+
+    def test_one_call_per_row_set(self):
+        space, sigma, op = self.system()
+        f, g = _Recording(2.0), _Recording(3.0)
+        gs = assemble(space, op, f, sigma, dirichlet_data=g)
+        assert [c.shape for c in f.calls] == [(7, 1)] and [c.shape for c in g.calls] == [(2, 1)]
+        assert np.array_equal(f.calls[0], sigma.points[~gs.dirichlet])
+        assert np.array_equal(g.calls[0], sigma.points[gs.dirichlet])
+        assert np.array_equal(gs.rhs, np.where(gs.dirichlet, 3.0, 2.0))
+
+    def test_rhs_serves_the_dirichlet_rows_without_dirichlet_data(self):
+        space, sigma, op = self.system()
+        f = _Recording(2.0)
+        gs = assemble(space, op, f, sigma)
+        assert [c.shape for c in f.calls] == [(7, 1), (2, 1)]
+        assert np.array_equal(f.calls[0], sigma.points[~gs.dirichlet])
+        assert np.array_equal(f.calls[1], sigma.points[gs.dirichlet])
+        assert np.array_equal(gs.rhs, np.full(9, 2.0))
+
+    def test_no_dirichlet_row_is_a_call_on_no_points(self):
+        ns = m.generate_scattered(2, 30, [(0.0, 1.0), (0.0, 1.0)], source="halton")
+        space = m.build_space(ns, "all", ("knn", 9), R3_TAIL1)
+        f, g = _Recording(1.0), _Recording(0.0)
+        gs = assemble(space, m.Operator("laplacian", identity_on_boundary=False), f,
+                      build_sigma(space, "same-index"), dirichlet_data=g)
+        assert not gs.dirichlet.any()
+        assert [c.shape for c in f.calls] == [(ns.n, 2)] and [c.shape for c in g.calls] == [(0, 2)]
+
+    @pytest.mark.parametrize("bad, shape", [(lambda x: float(x[0, 0]), "()"), (lambda x: x[:, :1], "(7, 1)")],
+                             ids=["scalar", "column"])
+    def test_rhs_of_another_shape_is_refused(self, bad, shape):
+        space, sigma, op = self.system()
+        message = f"rhs must map (n, d) points to an (n,) array: got shape {shape} for 7 points"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            assemble(space, op, bad, sigma, dirichlet_data=constant(0.0))
+
+    @pytest.mark.parametrize("bad, shape", [(lambda x: float(x[0, 0]), "()"), (lambda x: x[:, :1], "(2, 1)")],
+                             ids=["scalar", "column"])
+    def test_dirichlet_data_of_another_shape_is_refused(self, bad, shape):
+        space, sigma, op = self.system()
+        message = f"dirichlet_data must map (n, d) points to an (n,) array: got shape {shape} for 2 points"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            assemble(space, op, constant(0.0), sigma, dirichlet_data=bad)
+
+
 class TestNonFiniteData:
     """A NaN right-hand side is refused where the system is made and never passes as a full-rank solve."""
 
@@ -726,10 +790,10 @@ class TestNonFiniteData:
         j = int(ns.interior_indices[0])
         message = f"right-hand side of row {j} at point {ns.points[j].tolist()} is not finite: nan"
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
-            assemble(space, m.LAPLACIAN, lambda x: float("nan"), sigma, dirichlet_data=lambda x: 0.0)
+            assemble(space, m.LAPLACIAN, constant(float("nan")), sigma, dirichlet_data=constant(0.0))
         message = "Dirichlet value of row 0 at point [0.0, 0.0] is not finite: inf"
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
-            assemble(space, m.LAPLACIAN, lambda x: 0.0, sigma, dirichlet_data=lambda x: float("inf"))
+            assemble(space, m.LAPLACIAN, constant(0.0), sigma, dirichlet_data=constant(float("inf")))
 
     @pytest.mark.parametrize("dirichlet, rhs, message", [
         ([False] * 3, [1.0, np.nan, 1.0], "right-hand side of row 1 is not finite: nan"),
@@ -764,7 +828,7 @@ class TestAssemblyErrors:
         ns, space = five_star_full_p2_space(4)
         sigma = build_sigma(space, "same-index")
         with pytest.raises(m.ContractError, match="^the cardinal-basis route requires an interpolatory space$"):
-            assemble(space, m.LAPLACIAN, lambda x: 0.0, sigma, route="lagrange")
+            assemble(space, m.LAPLACIAN, constant(0.0), sigma, route="lagrange")
 
     def test_failed_row_names_row_and_patch(self):
         from meshfd.errors import AssemblyError
@@ -777,4 +841,4 @@ class TestAssemblyErrors:
         sigma = build_sigma(space, "nearest-node", collocation_points=y)
         op = m.Operator("identity", identity_on_boundary=False)
         with pytest.raises(AssemblyError, match="row 0"):
-            assemble(space, op, lambda x: 0.0, sigma)
+            assemble(space, op, constant(0.0), sigma)

@@ -25,6 +25,7 @@ from helpers import (
     GENERAL_OP,
     cardinal_row,
     connection_defect,
+    constant,
     dense_dimension_analysis,
     five_star_full_p2_space,
     five_star_sublist_space,
@@ -728,7 +729,7 @@ class TestLagrangeRow:
             raise AssertionError("a per-patch rank was measured")
 
         monkeypatch.setattr(spline_module, "unisolvency_rank", no_rank)
-        gs = m.assemble(space, m.LAPLACIAN, lambda x: 0.0, m.build_sigma(space, "same-index"), route="lagrange")
+        gs = m.assemble(space, m.LAPLACIAN, constant(0.0), m.build_sigma(space, "same-index"), route="lagrange")
         m.lagrange_row(space, -1, m.LAPLACIAN, space.table.influence.centers[-1])
         assert gs.matrix.shape == (ns.n, ns.n)
         assert "patches" not in space.__dict__  # no `Patch` view was built
@@ -791,7 +792,7 @@ class TestLagrangeRoute:
         assert space.interpolatory
         points = off_node_points(space) if strategy == "nearest-node" else None
         sigma = m.build_sigma(space, strategy, collocation_points=points)
-        gs = m.assemble(space, op, lambda x: 0.0, sigma, route="lagrange")
+        gs = m.assemble(space, op, constant(0.0), sigma, route="lagrange")
         free, infl = np.flatnonzero(~gs.dirichlet), space.table.influence
         expected = np.zeros(gs.shape)
         for j in free.tolist():
@@ -809,7 +810,7 @@ class TestLagrangeRoute:
         space = build()
         sigma = m.build_sigma(space, "same-index")
         op = POISSON.operator if space.nodes.d == 2 else m.SECOND_DERIVATIVE_1D
-        a, b = (m.assemble(space, op, lambda x: 1.0, sigma, route=r) for r in ("exactness", "lagrange"))
+        a, b = (m.assemble(space, op, constant(1.0), sigma, route=r) for r in ("exactness", "lagrange"))
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(a.matrix, name), getattr(b.matrix, name))
         assert np.array_equal(a.residual, b.residual)

@@ -1,7 +1,5 @@
 """Three-dimensional collocation: the seven-point scheme and its convergence on a grid."""
 
-import math
-
 import numpy as np
 import scipy.sparse
 
@@ -13,7 +11,7 @@ from helpers import seven_star_sublist_space
 
 
 def _exact(x):
-    return math.exp(x[0]) * math.sin(x[1]) * math.cos(x[2])
+    return np.exp(x[..., 0]) * np.sin(x[..., 1]) * np.cos(x[..., 2])
 
 
 # Laplacian of exp(x) sin(y) cos(z) is -exp(x) sin(y) cos(z); the boundary data is not zero.
