@@ -18,6 +18,7 @@ import json
 from .errors import ConfigError
 from .geometry import _integer
 from .operators import KINDS
+from .spaces import DEFAULT_TAIL_DEGREE
 
 REQUIRED = ...  # a key the section must hold
 
@@ -39,8 +40,8 @@ _SECTIONS = {
     }),
     "space": (None, {
         "poly": {"degree": REQUIRED, "sublist": None},
-        "gauss": {"shape": REQUIRED, "augmentation_degree": "minimal"},
-        "polyharmonic": {"exponent": REQUIRED, "augmentation_degree": "minimal"},
+        "gauss": {"shape": REQUIRED, "augmentation_degree": DEFAULT_TAIL_DEGREE},
+        "polyharmonic": {"exponent": REQUIRED, "augmentation_degree": DEFAULT_TAIL_DEGREE},
     }),
     "selector": (None, {"knn": {"k": REQUIRED}, "range": {"radius": REQUIRED}}),
     "operator": (None, {kind: {} for kind in KINDS if kind != "general-second-order"}),  # a general one is library-only

@@ -123,6 +123,8 @@ def convergence_study(problem: Problem, run_level, levels) -> list[LevelResult]:
     failing level aborts the study naming the level.
     """
     try:
+        if isinstance(levels, (str, bytes)):  # list() would split it into characters
+            raise TypeError
         levels = list(levels)
     except TypeError:
         raise InvalidInputError(f"convergence levels must be a list, got {levels!r}") from None

@@ -119,11 +119,11 @@ def test_criterion_2_dimension_identities():
         (ns_j, m.build_space(ns_j, "all", ("knn", 6), m.poly_patch_recipe(2)))
     )
     interpolatory_spaces.append(
-        (ns_j, m.build_space(ns_j, "all", ("knn", 9), m.kernel_patch_recipe(R3)))
+        (ns_j, m.build_space(ns_j, "all", ("knn", 9), m.kernel_patch_recipe(R3, augmentation_degree=1)))
     )
     interpolatory_spaces.append(
         (ns_j, m.build_space(ns_j, "all", ("knn", 5),
-                             m.kernel_patch_recipe(m.Kernel("gauss", 3.0))))
+                             m.kernel_patch_recipe(m.Kernel("gauss", 3.0), augmentation_degree=None)))
     )
     for ns, space in interpolatory_spaces:
         assert space.interpolatory
@@ -164,7 +164,7 @@ def test_criterion_3_collocation_mfd_identity():
     p2 = preset("poisson2d")
     for seed in range(10):
         ns = jittered_cloud(seed, n_axis=14)  # 196 nodes <= 400
-        for recipe in (m.poly_patch_recipe(2), m.kernel_patch_recipe(R3)):
+        for recipe in (m.poly_patch_recipe(2), m.kernel_patch_recipe(R3, augmentation_degree=1)):
             k = 6 if isinstance(recipe(m.knn(ns, ns.points[0], 9)), PolySpace) else 9
             space = m.build_space(ns, "all", ("knn", k), recipe)
             assert space.interpolatory
@@ -180,7 +180,7 @@ def test_criterion_3_collocation_mfd_identity():
 
 def test_criterion_4_rbf_fd_validity():
     rng = np.random.default_rng(3)
-    recipe = m.kernel_patch_recipe(R3)
+    recipe = m.kernel_patch_recipe(R3, augmentation_degree=1)
 
     # exactness on random stencils of sizes 5..15
     for size in range(5, 16):
@@ -266,7 +266,7 @@ def test_criterion_6_oversampled_least_squares():
     # per-set-aggregate systems keep full column rank across random instances
     for seed in range(10):
         ns = jittered_cloud(seed, n_axis=8)
-        space = m.build_space(ns, "all", ("knn", 9), m.kernel_patch_recipe(R3))
+        space = m.build_space(ns, "all", ("knn", 9), m.kernel_patch_recipe(R3, augmentation_degree=1))
         sigma = build_sigma(space, "per-set-aggregate")
         gs = assemble(space, p2.operator, p2.rhs, sigma, dirichlet_data=p2.dirichlet)
         assert gs.shape[0] == sum(pt.influence.size for pt in space.patches)
@@ -317,7 +317,7 @@ def test_criterion_7_partition_of_unity():
 
     # constant reproduction with kernel-plus-constant patches
     ns_k = jittered_cloud(23, n_axis=7)
-    space_k = m.build_space(ns_k, "all", ("knn", 9), m.kernel_patch_recipe(R3))
+    space_k = m.build_space(ns_k, "all", ("knn", 9), m.kernel_patch_recipe(R3, augmentation_degree=1))
     pou_k = PartitionOfUnity.for_space(space_k)
     s_k = m.from_nodal_values(space_k, np.full(ns_k.n, 2.75))
     for _ in range(200):

@@ -183,6 +183,18 @@ class TestSolveCommand:
         assert run_cli("solve", out1 / "report.json", out2) == 0
         assert read_outputs(out1) == read_outputs(out2)
 
+    def test_kernel_space_echoes_the_default_tail_degree(self, tmp_path):
+        cfg = {
+            "nodes": {"kind": "scattered", "d": 2, "count": 60, "bounds": [[0, 1], [0, 1]]},
+            "space": {"kind": "polyharmonic", "exponent": 3.0},
+            "selector": {"kind": "knn", "k": 12},
+            "problem": {"preset": "poisson2d"},
+        }
+        out = tmp_path / "out"
+        assert run_cli("solve", write_config(tmp_path / "solve.json.in", cfg), out) == 0
+        space = json.loads((out / "report.json").read_text())["config"]["space"]
+        assert space == {"kind": "polyharmonic", "exponent": 3.0, "augmentation_degree": 2}
+
     def test_timings_flag_adds_timings(self, solve_config, tmp_path):
         out = tmp_path / "out"
         assert run_cli("solve", solve_config, out, extra=["--timings"]) == 0
@@ -413,7 +425,9 @@ class TestErrorHandling:
          "a degree must be an integer, got 1.5"),
         ('{"kind": "gauss", "shape": 1.0, "augmentation_degree": true}', "a degree must be an integer, got True"),
         ('{"kind": "gauss", "shape": "abc"}', "kernel parameter must be a number, got 'abc'"),
-    ], ids=["exponent-1e400", "shape-nan", "degree-1.5", "degree-true", "shape-abc"])
+        ('{"kind": "polyharmonic", "exponent": 3.0, "augmentation_degree": "minimal"}',
+         "a degree must be an integer, got 'minimal'"),
+    ], ids=["exponent-1e400", "shape-nan", "degree-1.5", "degree-true", "shape-abc", "degree-minimal"])
     def test_bad_kernel_or_recipe_parameter_returns_one(self, tmp_path, capsys, space, message):
         path = tmp_path / "solve.json.in"
         path.write_text('{"nodes": {"kind": "scattered", "d": 2, "count": 30, "bounds": [[0, 1], [0, 1]]}, '
@@ -505,6 +519,8 @@ class TestConfigTable:
         ("dim", "space", {"kind": "poly", "degree": 2, "sublist": 5}, "InvalidInputError",
          "a sublist must list exponent tuples, got 5"),
         ("converge", "levels", {"n_per_axis": 9}, "InvalidInputError", "convergence levels must be a list, got 9"),
+        ("converge", "levels", {"n_per_axis": "100"}, "InvalidInputError",
+         "convergence levels must be a list, got '100'"),
         ("converge", "levels", {"n_per_axis": [9, 17, 33], "count": [9, 17, 33]}, "ConfigError",
          "the 'levels' section takes one of 'n_per_axis' and 'count'"),
         ("generate", "outputs", {"nodes": ""}, "InvalidInputError",
@@ -519,8 +535,8 @@ class TestConfigTable:
          "InvalidInputError", "boundary_per_side must be at least 2"),
     ], ids=["strategy-string", "selector-kk", "grid-no-n_per_axis", "space-degre", "outputs-number",
             "missing-node-file", "node-path-5", "missing-values-file", "values-path-5", "centers-dict",
-            "sublist-5", "levels-number", "levels-two-keys", "nodes-output-directory", "nodes-output-no-parent",
-            "dim-output-no-parent", "range-radius-true", "scattered-boundary-0"])
+            "sublist-5", "levels-number", "levels-string", "levels-two-keys", "nodes-output-directory",
+            "nodes-output-no-parent", "dim-output-no-parent", "range-radius-true", "scattered-boundary-0"])
     def test_malformed_config_exits_one_with_its_error(self, tmp_path, monkeypatch, capsys, command, section,
                                                        value, error, message):
         monkeypatch.chdir(tmp_path)  # where the relative "nope.csv" is looked for

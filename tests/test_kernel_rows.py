@@ -104,17 +104,17 @@ def test_lagrange_rows_evaluate_a_patch_nodal_matrix_once_per_chunk(monkeypatch,
 
 def gauss_space():
     ns = m.generate_scattered(2, 40, [(0.0, 1.0), (0.0, 1.0)], source="halton")
-    return m.build_space(ns, "all", ("knn", 9), m.kernel_patch_recipe(m.Kernel("gauss", 3.0)))
+    return m.build_space(ns, "all", ("knn", 9), m.kernel_patch_recipe(m.Kernel("gauss", 3.0), augmentation_degree=None))
 
 
-def one_node_space(kernel):
+def one_node_space(kernel, degree):
     ns = m.generate_scattered(2, 20, [(0.0, 1.0), (0.0, 1.0)], source="halton")
-    return m.build_space(ns, "all", ("knn", 1), m.kernel_patch_recipe(kernel))
+    return m.build_space(ns, "all", ("knn", 1), m.kernel_patch_recipe(kernel, degree))
 
 
 @pytest.mark.parametrize("build", [
     gauss_space, lambda: halton_r3_space(count=60, k=12)[1],
-    lambda: one_node_space(m.Kernel("gauss", 3.0)), lambda: one_node_space(m.Kernel("polyharmonic", 3.0)),
+    lambda: one_node_space(m.Kernel("gauss", 3.0), None), lambda: one_node_space(m.Kernel("polyharmonic", 3.0), 1),
     lambda: halton_r3_space_3d()[1], lambda: gauss_tail_space()[1],
 ], ids=["gauss", "r3", "one-node-gauss", "one-node-r3", "r3-3d-q10", "gauss-linear-tail"])
 def test_nodal_blocks_equal_the_blocks_at_the_centres(build):

@@ -153,7 +153,7 @@ class TestWeightsKernel:
     def test_1d_symmetric_matches_dense_oracle(self):
         h = 0.1
         ns, infl = symmetric_stencil_1d(h)
-        ks = m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0))(infl)
+        ks = m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0), augmentation_degree=1)(infl)
         sw = m.weights_kernel(m.SECOND_DERIVATIVE_1D, [0.0], infl, ks)
 
         def d2_r3_1d(y, coords):
@@ -181,7 +181,7 @@ class TestWeightsKernel:
     def test_identity_kronecker(self):
         h = 0.2
         ns, infl = symmetric_stencil_1d(h)
-        ks = m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0))(infl)
+        ks = m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0), augmentation_degree=1)(infl)
         sw = m.weights_kernel(m.IDENTITY, [0.0], infl, ks)
         expected = np.zeros(3)
         expected[list(infl.indices).index(1)] = 1.0
@@ -205,7 +205,7 @@ class TestWeightsKernel:
         pts = rng.random((9, 2))
         ns = m.NodeSet(points=pts, boundary_mask=np.zeros(9, dtype=bool))
         infl = m.knn(ns, pts.mean(axis=0), 9)
-        ks = m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0))(infl)
+        ks = m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0), augmentation_degree=1)(infl)
         y = infl.center
         sw = m.weights_kernel(m.LAPLACIAN, y, infl, ks)
         # raw monomials of the tail: 1, x, y
@@ -217,7 +217,7 @@ class TestWeightsKernel:
         pts = np.column_stack([np.linspace(0, 1, 6), np.zeros(6)])
         ns = m.NodeSet(points=pts, boundary_mask=np.zeros(6, dtype=bool))
         infl = m.knn(ns, [0.5, 0.0], 6)
-        ks = m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0))(infl)
+        ks = m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0), augmentation_degree=1)(infl)
         with pytest.raises(UnsolvableExactnessError, match="unisolvent"):
             m.weights_kernel(m.LAPLACIAN, [0.5, 0.0], infl, ks)
 

@@ -151,6 +151,6 @@ def test_empty_influence_sets():
     table = influences(ns, np.array([[5.0, 5.0], [0.5, 0.5]]), ("range", 0.3))
     assert table.sizes.tolist() == [0, 5] and table.radii.tolist() == [0.0, 0.25]
     with pytest.raises(InvalidInputError, match="a kernel space needs at least one center"):
-        PatchTable.of_recipes([(table, m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0)))])
+        PatchTable.of_recipes([(table, m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0), augmentation_degree=1))])
     with pytest.raises(ConstructionError, match=r"yields no influence nodes around \[5.0, 5.0\]"):
         m.build_space(ns, np.array([[0.5, 0.5], [5.0, 5.0]]), ("range", 0.3), m.poly_patch_recipe(1))

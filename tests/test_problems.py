@@ -105,6 +105,10 @@ class TestConvergenceStudy:
         with pytest.raises(InvalidInputError):
             convergence_study(p, run_bvp1d_level, [8, 16])
 
+    def test_string_levels_rejected(self):
+        with pytest.raises(InvalidInputError, match="^convergence levels must be a list, got '100'$"):
+            convergence_study(preset("bvp1d"), run_bvp1d_level, "100")
+
     def test_failing_level_aborts_naming_it(self):
         p = preset("bvp1d")
 

@@ -170,7 +170,7 @@ class TestBlendDisconnected:
     def test_constant_data_reproduced(self, rng):
         ns = jittered_cloud(4, n_axis=7)
         space = m.build_space(ns, "all", ("knn", 9),
-                              m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0)))
+                              m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0), augmentation_degree=1))
         pou = PartitionOfUnity.for_space(space)
         fits = self._local_kernel_fits(ns, space, lambda p: 4.25)
         for _ in range(50):
@@ -192,7 +192,7 @@ class TestBlendDisconnected:
         for n_axis in (5, 9, 17):
             ns = jittered_cloud(11, n_axis=n_axis, jitter=0.1)
             space = m.build_space(ns, "all", ("knn", 9),
-                                  m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0)))
+                                  m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0), augmentation_degree=1))
             pou = PartitionOfUnity.for_space(space)
             fits = self._local_kernel_fits(ns, space, target)
             probe = m.generate_grid(2, 7, [(0.15, 0.85), (0.15, 0.85)]).points
@@ -282,7 +282,8 @@ def mixed_tail_rank_spline():
 ORACLE_SPACES = {
     "r3-degree-2-tail": lambda: fitted(*halton_r3_space()),
     "gauss-tail-free": lambda: (lambda ns: fitted(ns, m.build_space(
-        ns, "all", ("knn", 9), m.kernel_patch_recipe(m.Kernel("gauss", 3.0)))))(jittered_cloud(5, n_axis=9)),
+        ns, "all", ("knn", 9), m.kernel_patch_recipe(m.Kernel("gauss", 3.0), augmentation_degree=None),
+    )))(jittered_cloud(5, n_axis=9)),
     "quadratic-1d": lambda: fitted(*quadratic_overlap_space_1d(9)),
     "five-star-constant-patches": lambda: fitted(*five_star_sublist_space(6)),
     "mixed-tail-rank": mixed_tail_rank_spline,

@@ -31,10 +31,13 @@ def test_convergence_demo_prints_every_table():
     for heading in (
         "1D u'' = f, quadratic patches",
         "2D Poisson, five-point sublist patches",
-        "2D Poisson, Halton nodes, r^3 + linear tail (k = 9)",
+        "2D Poisson, Halton nodes, r^3 + quadratic tail (k = 12)",
     ):
         assert heading in res.stdout
     assert res.stdout.count("max_err") == 3
+    rbf_rows = res.stdout.split("r^3 + quadratic tail (k = 12)\n")[1].splitlines()[2:4]
+    orders = [float(line.split()[-1]) for line in rbf_rows]
+    assert len(orders) == 2 and min(orders) >= 1.5, res.stdout
 
 
 def test_bit_identity_tells_equal_dumps_from_changed_ones(tmp_path):

@@ -7,7 +7,7 @@ import scipy.sparse
 import meshfd as m
 from meshfd.errors import ConfigError, InvalidInputError, SingularSystemError
 from meshfd import solve
-from meshfd.problems import preset
+from meshfd.problems import convergence_study, preset
 from meshfd.spaces import PatchTable, StackedBasis
 from meshfd.solve import (
     GlobalSystem,
@@ -156,7 +156,7 @@ class TestAssemble:
     def test_stencil_sparsity(self):
         ns = jittered_cloud(3, n_axis=8)
         space = m.build_space(ns, "all", ("knn", 9),
-                              m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0)))
+                              m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0), augmentation_degree=1))
         p = preset("poisson2d")
         sigma = build_sigma(space, "same-index")
         gs = assemble(space, p.operator, p.rhs, sigma, dirichlet_data=p.dirichlet)
@@ -178,7 +178,7 @@ class TestAssemble:
             for build in (
                 lambda: m.build_space(ns, "all", ("knn", 6), m.poly_patch_recipe(2)),
                 lambda: m.build_space(ns, "all", ("knn", 9),
-                                      m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0))),
+                                      m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0), augmentation_degree=1)),
             ):
                 space = build()
                 sigma = build_sigma(space, "same-index")
@@ -374,6 +374,18 @@ class TestSolveSquare:
             sol = solve_square(gs)
             errs[n] = np.max(np.abs(sol.nodal_values - p.nodal_exact(ns)))
         assert np.log2(errs[8] / errs[16]) >= 1.9
+
+    def test_default_kernel_recipe_converges_at_second_order(self):
+        """r^3 with the default quadratic tail and k = 12 = 2 dim(tail) on Halton clouds."""
+        def level(problem, count):
+            ns = m.generate_scattered(2, count, problem.bounds, source="halton")
+            space = m.build_space(ns, "all", ("knn", 12), m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0)))
+            gs = assemble(space, problem.operator, problem.rhs, build_sigma(space, "same-index"),
+                          dirichlet_data=problem.dirichlet)
+            return count ** -0.5, ns, solve_square(gs).nodal_values
+
+        table = convergence_study(preset("poisson2d"), level, [400, 1600, 6400])
+        assert all(row.observed_order >= 1.5 for row in table[1:]), [row.max_err for row in table]
 
     def test_rectangular_input_rejected(self):
         gs = GlobalSystem(
@@ -605,7 +617,7 @@ class TestSolveLeastSquares:
         p = preset("poisson2d")
         ns = jittered_cloud(5, n_axis=9)
         space = m.build_space(ns, "all", ("knn", 9),
-                              m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0)))
+                              m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0), augmentation_degree=1))
         sigma_sq = build_sigma(space, "same-index")
         gs_sq = assemble(space, p.operator, p.rhs, sigma_sq, dirichlet_data=p.dirichlet)
         err_sq = np.max(np.abs(solve_square(gs_sq).nodal_values - p.nodal_exact(ns)))
@@ -703,7 +715,7 @@ class TestGaussPipeline:
         for n_axis in (8, 15):
             ns = jittered_cloud(8, n_axis=n_axis, jitter=0.1)
             space = m.build_space(ns, "all", ("knn", 9),
-                                  m.kernel_patch_recipe(m.Kernel("gauss", 2.0)))
+                                  m.kernel_patch_recipe(m.Kernel("gauss", 2.0), augmentation_degree=None))
             assert space.interpolatory
             sigma = build_sigma(space, "same-index")
             gs = assemble(space, p.operator, p.rhs, sigma, dirichlet_data=p.dirichlet)

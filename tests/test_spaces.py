@@ -10,7 +10,9 @@ import meshfd as m
 from meshfd.errors import InvalidInputError, NotAnInterpolationSetError
 from meshfd.geometry import influences
 from meshfd.linalg import null_space
-from meshfd.spaces import KernelSpace, PatchTable, PolySpace, kernel_derivative, patch_value, stack_spaces
+from meshfd.spaces import (
+    DEFAULT_TAIL_DEGREE, KernelSpace, PatchTable, PolySpace, kernel_derivative, patch_value, stack_spaces,
+)
 
 from helpers import FIVE_STAR_SUBLIST, five_star_sublist_space, halton_r3_space, halton_r3_space_3d, jittered_cloud
 
@@ -34,6 +36,10 @@ class TestMonomialBasis:
     def test_shifted_scaled_coordinates(self):
         ps = PolySpace.full(1, 1, shift=[2.0], scale=4.0)
         assert np.array_equal(ps.eval_basis([6.0]), [1.0, 1.0])
+
+    def test_from_exponents_needs_a_monomial(self):
+        with pytest.raises(InvalidInputError, match="^a polynomial space needs at least one monomial$"):
+            PolySpace.from_exponents(2, [])
 
     def test_sublist_must_be_subset(self):
         with pytest.raises(InvalidInputError):
@@ -114,6 +120,22 @@ class TestKernel:
     def test_recipe_refuses_a_tail_below_the_minimal_degree(self, exponent, degree, message):
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             m.kernel_patch_recipe(m.Kernel("polyharmonic", exponent), augmentation_degree=degree)
+
+    def test_default_tail_is_quadratic_and_below_the_minimal_degree_of_r7(self):
+        assert DEFAULT_TAIL_DEGREE == 2
+        for kernel in (m.Kernel("gauss", 1.0), m.Kernel("polyharmonic", 3.0), m.Kernel("polyharmonic", 5.0)):
+            assert m.kernel_patch_recipe(kernel).degree == DEFAULT_TAIL_DEGREE
+        with pytest.raises(InvalidInputError, match="^tail degree 2 below the minimal degree 3 for this kernel$"):
+            m.kernel_patch_recipe(m.Kernel("polyharmonic", 7.0))
+
+    @pytest.mark.parametrize("make", [
+        lambda: m.poly_patch_recipe(-1),
+        lambda: m.kernel_patch_recipe(m.Kernel("gauss", 1.0), -1),
+        lambda: m.poly_patch_recipe(1, sublist=[(0, 0), (-1, 0)]),
+    ], ids=["poly", "kernel-tail", "sublist-exponent"])
+    def test_recipe_refuses_a_negative_degree(self, make):
+        with pytest.raises(InvalidInputError, match="^a degree must be nonnegative, got -1$"):
+            make()
 
     def test_gauss_matrix_is_spd(self, rng):
         pts = rng.random((12, 2))
@@ -373,7 +395,7 @@ class TestKernelDerivatives:
 STACK_CASES = {
     "r3-degree-2-tail": lambda: halton_r3_space(count=40, k=12)[1],
     "gauss-tail-free": lambda: m.build_space(jittered_cloud(3, n_axis=6), "all", ("knn", 7),
-                                             m.kernel_patch_recipe(m.Kernel("gauss", 3.0))),
+                                             m.kernel_patch_recipe(m.Kernel("gauss", 3.0), augmentation_degree=None)),
     "five-star-constant-patches": lambda: five_star_sublist_space(4)[1],
 }
 

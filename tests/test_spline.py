@@ -88,7 +88,7 @@ def kernel_space(seed):
     """r^3 patches with a linear tail on kNN-9 stencils of a jittered 7 x 7 cloud."""
     ns = jittered_cloud(seed, n_axis=7)
     return ns, m.build_space(ns, "all", ("knn", 9),
-                             m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0)))
+                             m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0), augmentation_degree=1))
 
 
 def mixed_tail_rank_space():
@@ -126,8 +126,10 @@ ORACLE_SPACES = {
     "quadratic-1d-7": lambda: quadratic_overlap_space_1d(7)[1],
     "five-star-sublist-4": lambda: five_star_sublist_space(4)[1],
     "jittered-knn6-p2": lambda: _jittered_space(6, m.poly_patch_recipe(2)),
-    "jittered-knn9-r3": lambda: _jittered_space(9, m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0))),
-    "jittered-knn5-gauss": lambda: _jittered_space(5, m.kernel_patch_recipe(m.Kernel("gauss", 3.0))),
+    "jittered-knn9-r3": lambda: _jittered_space(
+        9, m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0), augmentation_degree=1)),
+    "jittered-knn5-gauss": lambda: _jittered_space(
+        5, m.kernel_patch_recipe(m.Kernel("gauss", 3.0), augmentation_degree=None)),
     "halton-r3": lambda: halton_r3_space()[1],
     "knn4-quadratic-1d": lambda: m.build_space(grid1d(10), "all", ("knn", 4), m.poly_patch_recipe(2)),
 }
@@ -707,7 +709,7 @@ class TestLagrangeRow:
     def test_kernel_patch_row(self, rng):
         ns = jittered_cloud(0, n_axis=8)
         space = m.build_space(ns, "all", ("knn", 9),
-                              m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0)))
+                              m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0), augmentation_degree=1))
         row = m.lagrange_row(space, 20, m.LAPLACIAN, space.patches[20].center)
         assert row.residual <= 1e-8
 
@@ -755,7 +757,6 @@ class TestLagrangeRow:
             m.lagrange_row(space, 0, m.LAPLACIAN, space.patches[0].center)
 
 
-R3 = m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0))
 R3_TAIL1 = m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0), augmentation_degree=1)
 POISSON = preset("poisson2d")
 
@@ -774,7 +775,7 @@ def off_node_points(space):
 LAGRANGE_CASES = {
     **{f"criterion-3-p2-seed-{seed}": (lambda seed=seed: criterion_3_space(seed, m.poly_patch_recipe(2), 6),
                                        POISSON.operator, "same-index") for seed in (0, 1, 2)},
-    **{f"criterion-3-r3-seed-{seed}": (lambda seed=seed: criterion_3_space(seed, R3, 9),
+    **{f"criterion-3-r3-seed-{seed}": (lambda seed=seed: criterion_3_space(seed, R3_TAIL1, 9),
                                        POISSON.operator, "same-index") for seed in (0, 1, 2)},
     "halton-r3-3d": (lambda: halton_r3_space_3d()[1], m.LAPLACIAN, "same-index"),
     "gauss-tail": (lambda: gauss_tail_space()[1], POISSON.operator, "same-index"),
