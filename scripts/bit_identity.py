@@ -19,7 +19,9 @@ it was.
 ``compare`` prints one line per array and exits with status 1 when an
 array differs in dtype, shape or any byte, or is missing from one dump.
 The line of a float array that differs ends with the largest absolute
-difference of its elements, so a rounding-level move reads as one.
+and the largest relative difference (to the larger magnitude) of the
+elements whose bytes differ, so a rounding-level move reads as one and a
+NaN that both dumps hold in one slot does not hide it.
 """
 
 import argparse
@@ -68,10 +70,16 @@ def differences(a: dict, b: dict) -> list[str]:
             lines.append(f"DIFFERS  {key}: {a[key].dtype}{a[key].shape} vs {b[key].dtype}{b[key].shape}")
         elif a[key].tobytes() != b[key].tobytes():
             as_bytes = [np.frombuffer(x[key].tobytes(), np.uint8).reshape(x[key].size, -1) for x in (a, b)]
-            count = int(np.any(as_bytes[0] != as_bytes[1], axis=1).sum())
-            line = f"DIFFERS  {key}: {count} of {a[key].size} elements"
+            moved = np.any(as_bytes[0] != as_bytes[1], axis=1)
+            line = f"DIFFERS  {key}: {int(moved.sum())} of {a[key].size} elements"
             if a[key].dtype.kind == "f":
-                line += f", largest |difference| {float(np.max(np.abs(a[key] - b[key])))!r}"
+                first, second = a[key].reshape(-1)[moved], b[key].reshape(-1)[moved]
+                difference = np.abs(first - second)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    relative = difference / np.maximum(np.abs(first), np.abs(second))
+                relative[difference == 0.0] = 0.0  # +0.0 against -0.0: bytes differ, values do not
+                line += (f", largest |difference| {float(np.max(difference))!r}"
+                         f", largest relative difference {float(np.max(relative))!r}")
             lines.append(line)
         else:
             lines.append(f"equal    {key}: {a[key].dtype}{a[key].shape}")

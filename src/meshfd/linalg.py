@@ -3,7 +3,8 @@
 Every rank in the toolkit counts the singular values that `singular_rank` keeps
 (`numerical_rank` for one matrix, `stacked_rank` for a stack, certifying most full
 ranks by Cholesky), so that patch unisolvency tests and the spline dimension analyzer
-agree on what counts as zero; every moment-null basis comes from `null_space`.
+agree on what counts as zero; every moment-null basis comes from `null_space`, and
+every stacked square solve from `stacked_solve`.
 """
 
 import contextlib
@@ -45,7 +46,7 @@ def stacked_rank(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     cert = np.full(a.shape[0], np.inf)
     with contextlib.suppress(np.linalg.LinAlgError), np.errstate(over="ignore", invalid="ignore"):
-        inv = np.linalg.inv(np.linalg.cholesky(np.swapaxes(a, 1, 2) @ a))  # L^-1
+        inv = _lower_inverse(np.linalg.cholesky(np.swapaxes(a, 1, 2) @ a))
         cert = np.einsum("gij,gij->g", a, a) * np.einsum("gij,gij->g", inv, inv)  # inf or NaN: not certified
     rank, todo = np.full(a.shape[0], a.shape[2]), np.flatnonzero(~(cert <= CERTIFIED_COND**2))
     if todo.size:
@@ -53,18 +54,36 @@ def stacked_rank(a) -> np.ndarray:
     return rank
 
 
+def _lower_inverse(low) -> np.ndarray:
+    """Inverses of a stack (g, n, n) of lower-triangular matrices, by batched forward substitution."""
+    inv = np.zeros(low.shape)
+    for i in range(low.shape[1]):
+        inv[:, i, :i] = -np.einsum("gk,gkj->gj", low[:, i, :i], inv[:, :i, :i])
+        inv[:, i, i] = 1.0
+        inv[:, i, :i + 1] /= low[:, i, i, None]
+    return inv
+
+
 def stacked_solve(a, b):
-    """Solve every a[r] x = b[r], row by row if the batch raises; returns solutions and {row: error}."""
+    """Solve every ``a[g] x = b[g]``, matrix by matrix if the batch raises; returns solutions and {g: error}.
+
+    ``a`` is (g, n, n); ``b`` is (g, n) vectors or (g, n, w) blocks of right-hand sides.  With
+    OpenBLAS, a column of a block of width w >= 2 has the same bits whatever w and the column's
+    position, but a one-column solve takes another path and may differ in the last bits; callers
+    that need a row to equal its one-row call solve blocks at least two wide.
+    """
+    vectors = b.ndim == a.ndim - 1
+    b = b[..., None] if vectors else b
     try:
-        return np.linalg.solve(a, b[..., None])[..., 0], {}
+        sol, singular = np.linalg.solve(a, b), {}
     except np.linalg.LinAlgError:
         sol, singular = np.full(b.shape, np.nan), {}
-        for r in range(len(a)):
+        for g in range(len(a)):
             try:
-                sol[r] = np.linalg.solve(a[r : r + 1], b[r : r + 1, :, None])[0, :, 0]
+                sol[g] = np.linalg.solve(a[g : g + 1], b[g : g + 1])[0]
             except np.linalg.LinAlgError as exc:
-                singular[r] = exc
-        return sol, singular
+                singular[g] = exc
+    return (sol[..., 0] if vectors else sol), singular
 
 
 def null_space(a, rank=None):

@@ -25,9 +25,15 @@ Vandermonde system for a polynomial patch and, on a square patch of either
 family, the cardinal (Lagrange) row ``L l_k(y)``, as exactness on a basis
 and the cardinal functions of a square nodal matrix are the same
 conditions.  The saddle solve reads a kernel group's translates and tail
-(`StackedBasis.blocks`).  The ``"exactness"`` route gives kernel groups the
-saddle solve, the ``"lagrange"`` route the nodal one, so polynomial rows
-are one solve on both routes and kernel rows compare the two systems.
+(`StackedBasis.blocks`) and factors each distinct patch of a chunk once:
+the rows that share a patch, as per-set aggregation makes them, are the
+columns of one right-hand-side block.  Every block is at least two
+columns wide, one-row calls included, because a one-column LAPACK solve
+may differ from a column of a wider block in the last bits; so a row's
+bits do not depend on the rows it is solved with.  The ``"exactness"``
+route gives kernel groups the saddle solve, the ``"lagrange"`` route the
+nodal one, so polynomial rows are one solve on both routes and kernel
+rows compare the two systems.
 
 One defect formula judges every row, `verify_exactness` included: the
 relative residual of the row's own system, nodal or saddle; the saddle
@@ -117,7 +123,9 @@ def exactness_rows(op: Operator, points, table: PatchTable, patches, route: str 
     and ``{row: MeshfdError}`` for the rows that failed, whose weights and
     residual are NaN, so that a caller can report them with its own context.
     The rows' distinct patches are stacked once and walked `CHUNK_ROWS` rows at a time; a chunk
-    whose solve raises is solved row by row from the same stack, so each bad row gets its own error.
+    factors each of its kernel patches once, its rows the columns of one saddle solve at least two
+    wide, so a row equals its one-row call bit for bit whatever ``CHUNK_ROWS``.  A chunk whose solve
+    raises is solved row by row from the same stack, so each bad row gets its own error.
     ``route="lagrange"`` solves kernel groups by their nodal matrices too,
     which gives the cardinal rows of square patches.
     """
@@ -178,21 +186,22 @@ def _rank(a) -> int | None:
     return numerical_rank(a) if np.all(np.isfinite(a)) else None
 
 
-def _per_slot(evaluate, slots) -> np.ndarray:
-    """``evaluate(rows)`` once for each distinct stacked patch among ``slots``, gathered to the slots.
+def _distinct(slots):
+    """The distinct stacked patches among ``slots`` and each slot's index among them (None: the identity).
 
     Strictly ascending slots, such as same-index rows, are distinct already and skip the `np.unique`.
     """
     if np.all(slots[1:] > slots[:-1]):
-        return evaluate(slots)
-    used, inverse = np.unique(slots, return_inverse=True)
-    return evaluate(used)[inverse]
+        return slots, None
+    return np.unique(slots, return_inverse=True)
 
 
 def _nodal_rows(op, y, basis, slots):
     """Stacked transposed nodal systems of the concrete bases: weights (R, n), residuals (R,), {row: error}."""
     betas, coef = op.terms(y)
-    e = _per_slot(lambda rows: basis.evaluate(None, rows=rows), slots)
+    used, inverse = _distinct(slots)
+    e = basis.evaluate(None, rows=used)  # once per distinct patch
+    e = e if inverse is None else e[inverse]
     t = basis.evaluate(y[:, None, :], betas, coef, slots)[:, 0, :]
     n, dim = e.shape[1:]
     et = np.swapaxes(e, 1, 2)
@@ -219,8 +228,11 @@ def _kernel_rows(op, y, basis, slots):
     """Stacked saddle systems ``[[K, P], [P^T, 0]]``: weights (R, n), residuals (R,) and {row: error}.
 
     ``K`` and ``P``, the scaled translates and the tail at the stencil nodes, fill one saddle matrix
-    per distinct patch of the rows in place (`_per_slot`).  A row's defect is the residual of its
-    own saddle system; no moment-null basis is formed.
+    per distinct patch of the rows in place, and each is factored once: the rows of a patch are the
+    columns of its right-hand-side block, zero-padded to the widest patch's so that one `stacked_solve`
+    serves the call, and a singular patch fails each of its rows.  Every block is at least two columns
+    wide, so a row's bits equal its one-row call's.  A row's defect is the residual of its own saddle
+    system; no moment-null basis is formed.
     """
     q, n_rows, n = len(basis.exponents), len(y), basis.centers.shape[1]
     if basis.tail_rank < q:
@@ -230,19 +242,30 @@ def _kernel_rows(op, y, basis, slots):
             rank=basis.tail_rank, n_conditions=q,
         ) for r in range(n_rows)}
     betas, coef = op.terms(y)
-
-    def saddle(rows):
-        a = np.zeros((rows.size, n + q, n + q))
-        a[:, :n, :n], a[:, :n, n:] = basis.blocks(None, rows=rows)
-        a[:, n:, :n] = np.swapaxes(a[:, :n, n:], 1, 2)
-        return a
-
-    a = _per_slot(saddle, slots)
+    used, inverse = _distinct(slots)
+    a = np.zeros((used.size, n + q, n + q))
+    a[:, :n, :n], a[:, :n, n:] = basis.blocks(None, rows=used)
+    a[:, n:, :n] = np.swapaxes(a[:, :n, n:], 1, 2)
     rhs = np.concatenate(basis.blocks(y[:, None, :], betas, coef, slots), axis=2)[:, 0, :]
-    sol, singular = stacked_solve(a, rhs)
+    # Width >= 2 for every block, one-row calls included: with one column, OpenBLAS's getrs takes its
+    # trsv path, whose bits may differ from a column of a wider block; from two columns on, a column's
+    # bits depend neither on the width nor on its position, so no row depends on the rows beside it.
+    if inverse is None:  # one row per patch: a block of the row and a zero column
+        x, failed = stacked_solve(a, np.stack([rhs, np.zeros_like(rhs)], axis=2))
+        sol = x[:, :, 0]
+    else:  # a patch's rows are the columns of its block, zero-padded to the chunk's widest patch
+        count = np.bincount(inverse)
+        first = np.cumsum(count) - count  # each patch's first row among the rows sorted by patch
+        column = np.empty(n_rows, dtype=np.intp)  # each row's column in its patch's block
+        column[np.argsort(inverse, kind="stable")] = np.arange(n_rows) - np.repeat(first, count)
+        block = np.zeros((used.size, n + q, max(2, count.max())))
+        block[inverse, :, column] = rhs
+        x, singular = stacked_solve(a, block)
+        failed = {r: exc for p, exc in singular.items() for r in np.flatnonzero(inverse == p).tolist()}
+        sol, a = x[inverse, :, column], a[inverse]  # each row's own system, for its defect
     w = sol[:, :n]
     defect = _defects(a, sol, rhs, n)
-    errors = {r: UnsolvableExactnessError(f"singular saddle system: {exc}") for r, exc in singular.items()}
+    errors = {r: UnsolvableExactnessError(f"singular saddle system: {exc}") for r, exc in failed.items()}
     for r in np.flatnonzero(~(defect <= EXACTNESS_RTOL)).tolist():
         errors.setdefault(r, UnsolvableExactnessError(
             f"kernel exactness defect {defect[r]:.2e} on a {n}-node stencil",

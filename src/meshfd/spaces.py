@@ -273,7 +273,11 @@ def kernel_derivative(kernel: Kernel, diff, beta) -> np.ndarray:
     order = sum(beta)
     if order > 2:
         raise InvalidInputError("kernel derivatives are provided up to order 2")
-    r = np.sqrt(np.add.reduce(diff * diff, axis=-1))  # `np.linalg.norm`'s own sum, without its wrapper
+    sq = diff * diff
+    r2 = sq[..., 0]
+    for k in range(1, sq.shape[-1]):  # in order, as numpy sums fewer than eight terms: `np.linalg.norm`'s bits
+        r2 = r2 + sq[..., k]
+    r = np.sqrt(r2)
     if order == 0:
         return kernel.phi(r)
     zero = r == 0.0
@@ -379,6 +383,20 @@ def _derivative_sum(derivative, betas, coef, shape) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _pair_table(s: int) -> tuple:
+    """The pairs i < j of ``s`` nodes, and for each entry of an (s, s) matrix its pair's index (read-only).
+
+    The diagonal's index is the number of pairs: one past the last pair.
+    """
+    upper = np.triu_indices(s, 1)
+    pair = np.full((s, s), upper[0].size)
+    pair[upper] = pair[upper[::-1]] = np.arange(upper[0].size)
+    for table in (*upper, pair):
+        table.flags.writeable = False
+    return upper, pair
+
+
 @dataclass(frozen=True, eq=False)
 class StackedBasis:
     """Patches of one shape and one dimension, stacked along a leading axis by `stack_spaces`.
@@ -426,9 +444,12 @@ class StackedBasis:
             translates = None if self.kernel is None else self._nodal_translates(centers, self.norm[rows])
             return translates, self.tail_at_centers[rows]
         betas = [(0,) * points.shape[2]] if betas is None else betas
-        translates = None if self.kernel is None else self.norm[rows][:, None, None] * _derivative_sum(
-            lambda beta: kernel_derivative(self.kernel, points[:, :, None, :] - centers[:, None, :, :], beta),
-            betas, coef, points.shape[:2] + centers.shape[1:2])
+        translates = None
+        if self.kernel is not None:
+            diff = points[:, :, None, :] - centers[:, None, :, :]  # once for all of the operator's terms
+            translates = self.norm[rows][:, None, None] * _derivative_sum(
+                lambda beta: kernel_derivative(self.kernel, diff, beta), betas, coef,
+                points.shape[:2] + centers.shape[1:2])
         scale = self.scale[rows]
         z = (points - self.shift[rows][:, None, :]) / scale[:, None, None]
         tail = _derivative_sum(lambda beta: monomial_derivatives(z, self.exponents, beta, scale[:, None]),
@@ -436,14 +457,14 @@ class StackedBasis:
         return translates, tail
 
     def _nodal_translates(self, centers, norm) -> np.ndarray:
-        """``norm * K(x_i, x_j)`` (R, s, s) from the pairs i < j, mirrored, with ``norm * phi(0)`` on the diagonal."""
-        s = centers.shape[1]
-        upper = np.triu_indices(s, 1)
-        out = np.empty((centers.shape[0], s, s))
-        out[:, upper[0], upper[1]] = out[:, upper[1], upper[0]] = norm[:, None] * kernel_derivative(
-            self.kernel, centers[:, upper[0]] - centers[:, upper[1]], (0,) * centers.shape[2])
-        out[:, np.arange(s), np.arange(s)] = norm[:, None] * self.kernel.phi(np.zeros(1))
-        return out
+        """``norm * K(x_i, x_j)`` (R, s, s), one `np.take` from the values of the pairs i < j and ``phi(0)``."""
+        upper, pair = _pair_table(centers.shape[1])
+        values = np.empty((centers.shape[0], upper[0].size + 1))
+        values[:, :-1] = kernel_derivative(self.kernel, np.take(centers, upper[0], axis=1)
+                                           - np.take(centers, upper[1], axis=1), (0,) * centers.shape[2])
+        values[:, -1] = self.kernel.phi(np.zeros(1))
+        values *= norm[:, None]
+        return np.take(values, pair, axis=1)
 
     def evaluate(self, points, betas=None, coef=None, rows=slice(None)) -> np.ndarray:
         """The basis (R, m, dim) built from `blocks`: translates times the moment-null bases, then the tail."""

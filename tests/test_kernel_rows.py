@@ -15,7 +15,7 @@ import meshfd as m
 import meshfd.ndf as ndf
 from meshfd.errors import UnsolvableExactnessError
 from meshfd.ndf import EXACTNESS_RTOL, StencilWeights, exactness_rows, verify_exactness
-from meshfd.spaces import StackedBasis, stack_spaces
+from meshfd.spaces import KernelSpace, PatchTable, StackedBasis, stack_spaces
 
 from helpers import GENERAL_OP, constant, gauss_tail_space, halton_r3_space, halton_r3_space_3d
 
@@ -48,8 +48,9 @@ def test_a_perturbed_solve_fails_its_own_row(monkeypatch, unknown):
 
     def perturbed(a, b):
         sol, singular = solve(a, b)
+        assert b.shape == a.shape[:2] + (2,)  # distinct rows: one width-2 block each, row r in block r
         j = 0 if unknown == "weight" else a.shape[1] - len(space.table.shapes[0][1])
-        sol[target, j] += 1e-6 * max(1.0, abs(sol[target, j]))
+        sol[target, j, 0] += 1e-6 * max(1.0, abs(sol[target, j, 0]))
         return sol, singular
 
     _, clean, errors = exactness_rows(op, sigma.points, space.table, sigma.patch)
@@ -62,6 +63,108 @@ def test_a_perturbed_solve_fails_its_own_row(monkeypatch, unknown):
     assert np.isnan(residual[target])
     others = np.arange(len(residual)) != target
     assert np.array_equal(residual[others], clean[others])
+
+
+@pytest.mark.parametrize("unknown", ["weight", "multiplier"])
+def test_a_perturbed_column_of_a_shared_block_fails_only_its_row(monkeypatch, unknown):
+    """Per-set-aggregate rows of one patch are the columns of one block; a bad column fails only its row."""
+    ns, space = halton_r3_space(count=60, k=12)
+    sigma = m.build_sigma(space, "per-set-aggregate")
+    op = m.Operator("laplacian", identity_on_boundary=False)
+    solve, perturbed_blocks = ndf.stacked_solve, []
+
+    def perturbed(a, b):
+        sol, singular = solve(a, b)
+        if not perturbed_blocks and b.shape[2] >= 3:  # three or more rows share each patch of this block
+            j = 0 if unknown == "weight" else a.shape[1] - len(space.table.shapes[0][1])
+            sol[0, j, 1] += 1e-6 * max(1.0, abs(sol[0, j, 1]))
+            perturbed_blocks.append(b.shape)
+        return sol, singular
+
+    clean_weights, clean, errors = exactness_rows(op, sigma.points, space.table, sigma.patch)
+    assert errors == {} and clean.max() <= EXACTNESS_RTOL
+    monkeypatch.setattr(ndf, "stacked_solve", perturbed)
+    weights, residual, errors = exactness_rows(op, sigma.points, space.table, sigma.patch)
+    assert len(perturbed_blocks) == 1
+    (target,) = errors
+    assert isinstance(errors[target], UnsolvableExactnessError) and errors[target].defect > EXACTNESS_RTOL
+    assert np.isnan(residual[target])
+    neighbours = np.flatnonzero(sigma.patch == sigma.patch[target])
+    assert neighbours.size >= 3 and np.array_equal(residual[neighbours[neighbours != target]],
+                                                   clean[neighbours[neighbours != target]])
+    others = np.arange(len(residual)) != target
+    assert np.array_equal(residual[others], clean[others])
+    start = np.cumsum(np.concatenate([[0], space.table.influence.sizes[sigma.patch]]))
+    kept = np.ones(weights.size, dtype=bool)
+    kept[start[target]:start[target + 1]] = False
+    assert np.array_equal(weights[kept], clean_weights[kept])
+
+
+def rows_and_one_row_calls(op, points, table, patches):
+    """`exactness_rows` of the rows, and for each row the weights and residual of its one-row call."""
+    weights, residual, errors = exactness_rows(op, points, table, patches)
+    start = np.cumsum(np.concatenate([[0], table.influence.sizes[patches]]))
+    rows = [(weights[start[r]:start[r + 1]], residual[r]) for r in range(len(patches))]
+    calls = []
+    for y, p in zip(points, patches.tolist()):
+        try:
+            sw = ndf.one_row(op, y, table, p)
+            calls.append((sw.weights, sw.residual))
+        except UnsolvableExactnessError as exc:
+            calls.append(exc)
+    return rows, calls, errors
+
+
+@pytest.mark.parametrize("op", OPERATORS.values(), ids=OPERATORS.keys())
+@pytest.mark.parametrize("count", [1, 2, 3, 12])
+def test_rows_of_one_patch_equal_their_one_row_calls(op, count):
+    """One patch, 1 to 12 rows in one call (blocks of width 2, 2, 3 and 12): the bits of the one-row calls."""
+    ns, space = halton_r3_space(count=60, k=12)
+    patch = 17
+    points = space.table.influence.centers[patch] + np.random.default_rng(count).uniform(-0.05, 0.05, (count, 2))
+    rows, calls, errors = rows_and_one_row_calls(op, points, space.table, np.full(count, patch))
+    assert errors == {}
+    for (w, residual), (w_one, residual_one) in zip(rows, calls):
+        assert np.array_equal(w, w_one) and residual == residual_one <= EXACTNESS_RTOL
+
+
+def test_a_chunk_of_single_rows_and_twelve_row_patches_equals_one_row_calls():
+    """Patches with one row and with twelve, the rows shuffled, in one chunk: each row has its one-row bits."""
+    ns, space = halton_r3_space(count=60, k=12)
+    rng = np.random.default_rng(4)
+    patches = rng.permutation(np.concatenate([np.repeat([3, 40], 12), [7, 11, 52]]))
+    points = space.table.influence.centers[patches] + rng.uniform(-0.05, 0.05, (patches.size, 2))
+    rows, calls, errors = rows_and_one_row_calls(GENERAL_OP, points, space.table, patches)
+    assert errors == {} and patches.size <= ndf.CHUNK_ROWS
+    for (w, residual), (w_one, residual_one) in zip(rows, calls):
+        assert np.array_equal(w, w_one) and residual == residual_one
+
+
+def test_a_singular_patch_fails_each_of_its_rows_alone():
+    """Three-node Gauss stencils, one with two coincident nodes: its saddle matrix is singular.
+
+    Its rows fail with one error each, in shared blocks and in one-row blocks, and
+    the other rows of the chunk equal their one-row calls.
+    """
+    rng = np.random.default_rng(6)
+    stencils = [rng.random((3, 2)) for _ in range(4)]
+    stencils[2][1] = stencils[2][0]  # two equal rows of the saddle matrix
+    infl = [m.InfluenceSet(center=c[0], indices=np.arange(3), points=c, distances=np.linalg.norm(c - c[0], axis=1))
+            for c in stencils]
+    table = PatchTable.of_pairs(infl, [KernelSpace(m.Kernel("gauss", 1.0), c) for c in stencils])
+    assert len(stack_spaces(table, np.arange(4))[0]) == 1  # one stacked group
+    for patches in ([0, 2, 0, 1, 2, 0, 2, 3], [0, 1, 2, 3]):  # shared blocks; one row per patch
+        patches = np.array(patches)
+        points = table.influence.centers[patches] + rng.uniform(0.0, 0.1, (patches.size, 2))
+        rows, calls, errors = rows_and_one_row_calls(m.LAPLACIAN, points, table, patches)
+        failed = np.flatnonzero(patches == 2).tolist()
+        assert sorted(errors) == failed and len({id(errors[r]) for r in failed}) == len(failed)
+        for r, ((w, residual), call) in enumerate(zip(rows, calls)):
+            if r in failed:
+                assert "singular saddle system" in str(errors[r]) and "singular saddle system" in str(call)
+                assert np.all(np.isnan(w)) and np.isnan(residual)
+            else:
+                assert np.array_equal(w, call[0]) and residual == call[1] <= EXACTNESS_RTOL
 
 
 def test_assembly_runs_no_full_svd_and_never_reads_the_null_bases(monkeypatch):

@@ -57,7 +57,26 @@ def test_bit_identity_tells_equal_dumps_from_changed_ones(tmp_path):
     res = run_script("bit_identity.py", "compare", str(first), str(second))
     assert res.returncode == 1
     spacing = abs(float(solution[3]) - old)  # adjacent doubles: the difference is exact
+    relative = spacing / max(abs(old), abs(float(solution[3])))
     assert (f"DIFFERS  rbf-collocate/generator/solution: 1 of {solution.size} elements, "
-            f"largest |difference| {spacing!r}\n") in res.stdout
+            f"largest |difference| {spacing!r}, largest relative difference {relative!r}\n") in res.stdout
     assert "DIFFERS  pum-eval/relabelled/blend: only in the first dump" in res.stdout
     assert res.stdout.splitlines()[-1] == "46 of 48 arrays equal"
+
+
+def test_bit_identity_differences_skip_slots_with_equal_bytes(tmp_path):
+    """A NaN held in one slot by both dumps (a least-squares cond slot) hides no difference, nor does
+    a signed zero, whose bytes differ but whose relative difference is 0/0."""
+    first, second = tmp_path / "first.npz", tmp_path / "second.npz"
+    np.savez(first, diagnostics=np.array([1e-13, np.nan]), solution=np.array([np.nan, 4.0, -2.0, 0.0]),
+             indptr=np.array([0, 3, 5]))
+    np.savez(second, diagnostics=np.array([1e-13, np.nan]), solution=np.array([np.nan, 4.0, -2.5, -0.0]),
+             indptr=np.array([0, 3, 6]))
+    res = run_script("bit_identity.py", "compare", str(first), str(second))
+    assert res.returncode == 1
+    assert res.stdout.splitlines() == [
+        "equal    diagnostics: float64(2,)",
+        "DIFFERS  indptr: 1 of 3 elements",
+        "DIFFERS  solution: 2 of 4 elements, largest |difference| 0.5, largest relative difference 0.2",
+        "1 of 3 arrays equal",
+    ]

@@ -99,6 +99,14 @@ class TestKernel:
         x, y = np.array([0.1, 0.9]), np.array([0.7, 0.2])
         assert kernel_derivative(k, x - y, (0, 0)) == kernel_derivative(k, y - x, (0, 0))
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_distances_have_the_bits_of_linalg_norm(self, rng, d):
+        """r is summed axis by axis in order: below eight axes, the bits of `np.linalg.norm`."""
+        diff = rng.standard_normal((40, 7, d)) * 10.0 ** rng.integers(-6, 6, (40, 7, d))
+        k = m.Kernel("polyharmonic", 1.0)  # phi(r) = r
+        for x in (diff, np.swapaxes(np.swapaxes(diff, 0, 2).copy(), 0, 2)):  # contiguous and strided axes
+            assert np.array_equal(kernel_derivative(k, x, (0,) * d), np.linalg.norm(x, axis=-1))
+
     def test_conditional_orders(self):
         assert m.Kernel("gauss", 1.0).cpd_order == 0
         assert m.Kernel("polyharmonic", 3.0).cpd_order == 2
