@@ -20,8 +20,10 @@ it was.
 array differs in dtype, shape or any byte, or is missing from one dump.
 The line of a float array that differs ends with the largest absolute
 and the largest relative difference (to the larger magnitude) of the
-elements whose bytes differ, so a rounding-level move reads as one and a
-NaN that both dumps hold in one slot does not hide it.
+elements whose bytes differ and that are finite in both dumps, so a
+rounding-level move reads as one and a NaN or an infinity, in one dump or
+in both, hides no other move; it then counts the differing elements that
+are not finite in a dump.
 """
 
 import argparse
@@ -74,12 +76,17 @@ def differences(a: dict, b: dict) -> list[str]:
             line = f"DIFFERS  {key}: {int(moved.sum())} of {a[key].size} elements"
             if a[key].dtype.kind == "f":
                 first, second = a[key].reshape(-1)[moved], b[key].reshape(-1)[moved]
+                finite = np.isfinite(first) & np.isfinite(second)
+                first, second = first[finite], second[finite]
                 difference = np.abs(first - second)
-                with np.errstate(divide="ignore", invalid="ignore"):
+                with np.errstate(invalid="ignore"):
                     relative = difference / np.maximum(np.abs(first), np.abs(second))
                 relative[difference == 0.0] = 0.0  # +0.0 against -0.0: bytes differ, values do not
-                line += (f", largest |difference| {float(np.max(difference))!r}"
-                         f", largest relative difference {float(np.max(relative))!r}")
+                if finite.any():
+                    line += (f", largest |difference| {float(np.max(difference))!r}"
+                             f", largest relative difference {float(np.max(relative))!r}")
+                if not finite.all():
+                    line += f", {int(np.count_nonzero(~finite))} not finite in a dump"
             lines.append(line)
         else:
             lines.append(f"equal    {key}: {a[key].dtype}{a[key].shape}")

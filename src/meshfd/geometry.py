@@ -15,20 +15,22 @@ sets (`knn` and `range_search` are one-center calls of it), and
 `ranked_nearest` picks the rank-r nearest point of a bare cloud, such as
 patch centres, which may coincide.  kNN asks a kd-tree for k + 1 neighbors
 per center and re-queries a ball only where the (k+1)-th distance ties the
-k-th within `_TIE_MARGIN`; range is one batched ball query.  `_sorted_rows`
-then groups the candidates by center with one stable sort and orders each
-center's row by (exact distance, index), one row-wise sort per row length,
-so no global sort runs over all candidates (the same-index sigma fallback
-of `solve.build_sigma` orders each node's patches with it too).  The sets
-come back as one `InfluenceTable` in CSR form, the influence half of the
-patch table (`spaces.PatchTable`) that is the one patch representation of
-the package; an `InfluenceSet` is a view of one of its rows, built on
-request.
+k-th within `_TIE_MARGIN`; range is one batched ball query.  Every ball query
+(PUM's cover too) is `_ball_candidates`, padded by that margin, and every
+point-to-centre distance is `_distance`.  `_sorted_rows` groups the
+candidates by center with one stable sort and orders each center's row by
+(exact distance, index), one row-wise sort per row length, so no global
+sort runs over all candidates (the same-index sigma fallback of
+`solve.build_sigma` orders each node's patches with it too).  The sets come
+back as one `InfluenceTable` in CSR form, the influence half of the patch
+table (`spaces.PatchTable`) that is the one patch representation of the
+package; an `InfluenceSet` is a view of one of its rows, built on request.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import numbers
 import os
@@ -201,11 +203,21 @@ class InfluenceTable:
                             center_index=None if ci < 0 else ci)
 
 
-def _ball_candidates(tree: cKDTree, centers, rows, radii):
-    """(owner, point) pairs of one batched ball query around centers[rows]."""
-    balls = tree.query_ball_point(centers[rows], radii)
-    cand = np.concatenate([np.zeros(0, dtype=int), *balls]).astype(int)
-    return np.repeat(rows, [len(b) for b in balls]), cand
+def _distance(diff) -> np.ndarray:
+    """Euclidean length along the last axis, squares summed axis by axis: below 8 axes `np.linalg.norm`'s sum."""
+    sq = diff * diff
+    r2 = sq[..., 0]
+    for k in range(1, sq.shape[-1]):
+        r2 = r2 + sq[..., k]
+    return np.sqrt(r2)
+
+
+def _ball_candidates(tree: cKDTree, centers, radii):
+    """(center, point) pairs of one ball query, radii padded by `_TIE_MARGIN`; each center's points ascending."""
+    balls = tree.query_ball_point(centers, radii * (1.0 + _TIE_MARGIN), return_sorted=True)
+    counts = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
+    cand = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp, count=int(counts.sum()))
+    return np.repeat(np.arange(len(balls)), counts), cand
 
 
 def _knn_candidates(tree: cKDTree, centers, k: int):
@@ -216,14 +228,13 @@ def _knn_candidates(tree: cKDTree, centers, k: int):
     k_tree = min(k + 1, tree.n)
     d_tree, i_tree = tree.query(centers, k=k_tree)
     d_tree, i_tree = d_tree.reshape(m, k_tree), i_tree.reshape(m, k_tree)
-    reach = d_tree[:, k - 1] * (1.0 + _TIE_MARGIN) + 1e-300
-    tied = d_tree[:, k] <= reach if k_tree > k else np.zeros(m, dtype=bool)
+    tied = d_tree[:, k] <= d_tree[:, k - 1] * (1.0 + _TIE_MARGIN) if k_tree > k else np.zeros(m, dtype=bool)
     untied = np.flatnonzero(~tied)
     owner, cand = np.repeat(untied, k), i_tree[untied, :k].ravel()
     if untied.size < m:
         rows = np.flatnonzero(tied)
-        tied_owner, tied_cand = _ball_candidates(tree, centers, rows, reach[rows])
-        owner, cand = np.concatenate([owner, tied_owner]), np.concatenate([cand, tied_cand])
+        tied_owner, tied_cand = _ball_candidates(tree, centers[rows], d_tree[rows, k - 1])
+        owner, cand = np.concatenate([owner, rows[tied_owner]]), np.concatenate([cand, tied_cand])
     return owner, cand
 
 
@@ -253,7 +264,7 @@ def ranked_nearest(cloud, points, rank) -> np.ndarray:
     its points may coincide; every rank must be below n.
     """
     owner, cand = _knn_candidates(cKDTree(cloud), points, int(rank.max(initial=0)) + 1)
-    offsets, cand, _ = _sorted_rows(owner, cand, np.linalg.norm(cloud[cand] - points[owner], axis=1), len(points))
+    offsets, cand, _ = _sorted_rows(owner, cand, _distance(cloud[cand] - points[owner]), len(points))
     return cand[offsets[:-1] + rank]
 
 
@@ -290,11 +301,11 @@ def influences(ns: NodeSet, centers, selector, center_indices=None) -> Influence
         radius = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
         if not (math.isfinite(radius) and radius > 0.0):
             raise InvalidInputError(f"range selector needs a positive finite radius, got {value!r}")
-        owner, cand = _ball_candidates(ns.tree, centers, np.arange(m), radius * (1.0 + _TIE_MARGIN))
+        owner, cand = _ball_candidates(ns.tree, centers, radius)
     else:
         raise InvalidInputError(f"unknown influence selector {kind!r}")
 
-    dist = np.linalg.norm(ns.points[cand] - centers[owner], axis=1)
+    dist = _distance(ns.points[cand] - centers[owner])
     if kind == "range":
         keep = dist <= radius
         owner, cand, dist = owner[keep], cand[keep], dist[keep]

@@ -230,9 +230,9 @@ def _kernel_rows(op, y, basis, slots):
     ``K`` and ``P``, the scaled translates and the tail at the stencil nodes, fill one saddle matrix
     per distinct patch of the rows in place, and each is factored once: the rows of a patch are the
     columns of its right-hand-side block, zero-padded to the widest patch's so that one `stacked_solve`
-    serves the call, and a singular patch fails each of its rows.  Every block is at least two columns
-    wide, so a row's bits equal its one-row call's.  A row's defect is the residual of its own saddle
-    system; no moment-null basis is formed.
+    serves the call, and a singular patch fails each of its rows; rows on distinct patches are no
+    special case.  Every block is at least two columns wide, so a row's bits equal its one-row call's.
+    A row's defect is the residual of its own saddle system; no moment-null basis is formed.
     """
     q, n_rows, n = len(basis.exponents), len(y), basis.centers.shape[1]
     if basis.tail_rank < q:
@@ -250,19 +250,16 @@ def _kernel_rows(op, y, basis, slots):
     # Width >= 2 for every block, one-row calls included: with one column, OpenBLAS's getrs takes its
     # trsv path, whose bits may differ from a column of a wider block; from two columns on, a column's
     # bits depend neither on the width nor on its position, so no row depends on the rows beside it.
-    if inverse is None:  # one row per patch: a block of the row and a zero column
-        x, failed = stacked_solve(a, np.stack([rhs, np.zeros_like(rhs)], axis=2))
-        sol = x[:, :, 0]
-    else:  # a patch's rows are the columns of its block, zero-padded to the chunk's widest patch
-        count = np.bincount(inverse)
-        first = np.cumsum(count) - count  # each patch's first row among the rows sorted by patch
-        column = np.empty(n_rows, dtype=np.intp)  # each row's column in its patch's block
-        column[np.argsort(inverse, kind="stable")] = np.arange(n_rows) - np.repeat(first, count)
-        block = np.zeros((used.size, n + q, max(2, count.max())))
-        block[inverse, :, column] = rhs
-        x, singular = stacked_solve(a, block)
-        failed = {r: exc for p, exc in singular.items() for r in np.flatnonzero(inverse == p).tolist()}
-        sol, a = x[inverse, :, column], a[inverse]  # each row's own system, for its defect
+    inverse = np.arange(n_rows) if inverse is None else inverse
+    count = np.bincount(inverse)
+    first = np.cumsum(count) - count  # each patch's first row among the rows sorted by patch
+    column = np.empty(n_rows, dtype=np.intp)  # each row's column in its patch's block
+    column[np.argsort(inverse, kind="stable")] = np.arange(n_rows) - np.repeat(first, count)
+    block = np.zeros((used.size, n + q, max(2, count.max())))
+    block[inverse, :, column] = rhs
+    x, singular = stacked_solve(a, block)
+    failed = {r: exc for p, exc in singular.items() for r in np.flatnonzero(inverse == p).tolist()}
+    sol, a = x[inverse, :, column], a[inverse]  # each row's own system, for its defect
     w = sol[:, :n]
     defect = _defects(a, sol, rhs, n)
     errors = {r: UnsolvableExactnessError(f"singular saddle system: {exc}") for r, exc in failed.items()}

@@ -8,22 +8,21 @@ ball is kept small enough that the only nodes inside it are the patch's
 own influence nodes.
 
 The covering balls come from one ball query on a k-d tree of the centres,
-cached on the partition: the query radius is the largest radius padded by
-``QUERY_PAD`` (relative), and the exact ``t < 1`` test then keeps each
-point's covering balls in ascending order.  `PartitionOfUnity.evaluate`
-blends a spline at many points in array operations: every (point, covering
-patch) pair is evaluated once from the spline's coefficients, collapsed once
-per stack group into kernel weights and tail coefficients
-(`OverlapSpline.eval_pairs`), and the weighted values are summed per point
-with ``np.bincount``.  `blend` is its one-point wrapper and
-`PartitionOfUnity.weights_at` the one-point view of the same query, through
-which the per-patch oracle (`blend_disconnected` in `tests/helpers.py`)
-blends any per-patch callable.
+cached on the partition: the package's one padded ball query
+(`geometry._ball_candidates`) at the largest radius, whose candidates the
+exact ``t < 1`` test then filters, keeping each point's covering balls in
+ascending order.  `PartitionOfUnity.evaluate` blends a spline at many points
+in array operations: every (point, covering patch) pair is evaluated once
+from the spline's coefficients, collapsed once per stack group into kernel
+weights and tail coefficients (`OverlapSpline.eval_pairs`), and the weighted
+values are summed per point with ``np.bincount``.  `blend` is its one-point
+wrapper and `PartitionOfUnity.weights_at` the one-point view of the same
+query, through which the per-patch oracle (`blend_disconnected` in
+`tests/helpers.py`) blends any per-patch callable.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,13 +30,10 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import CoverageError, InvalidInputError
+from .geometry import _ball_candidates, _distance
 from .spline import OverlapSpline, OverlapSplineSpace
 
 DEFAULT_RADIUS_FACTOR = 1.25
-
-# Relative padding of the ball-query radius, so that the tree's rounding
-# never drops a ball that the exact ``t < 1`` test keeps.
-QUERY_PAD = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,22 +63,18 @@ class PartitionOfUnity:
 
     @cached_property
     def _query(self) -> tuple[cKDTree, float]:
-        """The centres' k-d tree and the padded query radius."""
-        return cKDTree(self.centers), float(self.radii.max()) * (1.0 + QUERY_PAD)
+        """The centres' k-d tree and the query radius, the largest radius."""
+        return cKDTree(self.centers), float(self.radii.max())
 
     def _cover(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every (point, covering ball) pair with its Shepard weight, point-major, balls ascending."""
         tree, reach = self._query
-        near = tree.query_ball_point(points, reach, return_sorted=True)
-        counts = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
-        ball = np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp, count=int(counts.sum()))
-        point = np.repeat(np.arange(len(near)), counts)
-        diff = self.centers[ball] - points[point]
-        t = np.sqrt(np.add.reduce(diff * diff, axis=1)) / self.radii[ball]  # `np.linalg.norm`'s own sum
+        point, ball = _ball_candidates(tree, points, reach)
+        t = _distance(self.centers[ball] - points[point]) / self.radii[ball]
         inside = t < 1.0
         point, ball = point[inside], ball[inside]
         bump = (1.0 - t[inside]) ** 2
-        total = np.bincount(point, bump, minlength=len(near))  # > 0 exactly where a ball covers
+        total = np.bincount(point, bump, minlength=len(points))  # > 0 exactly where a ball covers
         if not np.all(total > 0.0):
             x = points[np.argmin(total > 0.0)]
             raise CoverageError(f"point {x.tolist()} is covered by no partition ball")

@@ -33,7 +33,7 @@ from .errors import (
     InvalidInputError,
     SingularSystemError,
 )
-from .geometry import _floats, _sorted_rows, ranked_nearest
+from .geometry import _distance, _floats, _sorted_rows, ranked_nearest
 from .linalg import RANK_RTOL
 from .ndf import exactness_rows
 from .operators import Operator
@@ -120,7 +120,7 @@ class Solution:
 def _check_region(space, points, patch):
     """Every collocation point must lie in the influence region of its patch."""
     centers, radii = space.table.influence.centers[patch], space.table.influence.radii[patch]
-    dist = np.linalg.norm(points - centers, axis=1)
+    dist = _distance(points - centers)
     bad = np.flatnonzero((dist > 2.0 * radii) & (dist > 0.0))
     if bad.size:
         j = bad[0]
@@ -166,8 +166,7 @@ def build_sigma(space: OverlapSplineSpace, strategy: str, collocation_points=Non
         if (patch < 0).any():
             node_of, patch_of, _ = space.incidence
             rest = np.flatnonzero(patch[node_of] < 0)  # memberships of the nodes no patch is centred on
-            diff = points[node_of[rest]] - infl.centers[patch_of[rest]]
-            dist = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])  # as np.linalg.norm of one difference
+            dist = _distance(points[node_of[rest]] - infl.centers[patch_of[rest]])
             offsets, nearest, _ = _sorted_rows(node_of[rest], patch_of[rest], dist, nodes.n)
             lone = np.flatnonzero(np.diff(offsets))  # each takes its row's first: the (distance, patch) minimum
             patch[lone] = nearest[offsets[lone]]

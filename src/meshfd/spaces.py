@@ -48,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError, NotAnInterpolationSetError
-from .geometry import InfluenceTable, _integer
+from .geometry import InfluenceTable, _distance, _integer
 from .linalg import null_space, numerical_rank, stacked_rank
 from .operators import Operator
 
@@ -273,11 +273,7 @@ def kernel_derivative(kernel: Kernel, diff, beta) -> np.ndarray:
     order = sum(beta)
     if order > 2:
         raise InvalidInputError("kernel derivatives are provided up to order 2")
-    sq = diff * diff
-    r2 = sq[..., 0]
-    for k in range(1, sq.shape[-1]):  # in order, as numpy sums fewer than eight terms: `np.linalg.norm`'s bits
-        r2 = r2 + sq[..., k]
-    r = np.sqrt(r2)
+    r = _distance(diff)
     if order == 0:
         return kernel.phi(r)
     zero = r == 0.0

@@ -158,9 +158,14 @@ class OverlapSplineSpace:
         return not self.failing_patches
 
     @cached_property
+    def _ranks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each patch's rank and dimension from `_rank_pass`, which judge `failing_patches`."""
+        return _rank_pass(self)[:2]
+
+    @cached_property
     def failing_patches(self) -> tuple[int, ...]:
         """Patches that are not interpolation sets (`Patch.is_interpolation_set`), from `_rank_pass`."""
-        rank, dim, _ = _rank_pass(self)
+        rank, dim = self._ranks
         return tuple(np.flatnonzero((rank != dim) | (self.table.influence.sizes != dim)).tolist())
 
 
@@ -393,14 +398,12 @@ def lagrange_row(space: OverlapSplineSpace, patch_index: int, op: Operator, y) -
     nodal solve (`ndf.one_row` on the ``"lagrange"`` route): the patch's
     transposed nodal matrix (its basis at its own nodes), for polynomial and
     kernel patches alike.  A negative ``patch_index`` counts from the end.  A
-    patch of `failing_patches` raises; only that error builds the patch's
-    `Patch` view and measures its own rank.
+    patch of `failing_patches` raises with the rank and dimension that failed it.
     """
     patch_index = space.table.index(patch_index)
     if patch_index in space.failing_patches:
-        patch = space.patches[patch_index]
+        rank, dim, size = (int(a[patch_index]) for a in (*space._ranks, space.table.influence.sizes))
         raise NotAnInterpolationSetError(
-            f"patch {patch_index} is not an interpolation-set pairing "
-            f"(rank {patch.rank}, dim {patch.space.dim}, nodes {patch.influence.size})",
-            rank=patch.rank, dim=patch.space.dim, n_nodes=patch.influence.size)
+            f"patch {patch_index} is not an interpolation-set pairing (rank {rank}, dim {dim}, nodes {size})",
+            rank=rank, dim=dim, n_nodes=size)
     return one_row(op, y, space.table, patch_index, "lagrange")

@@ -311,6 +311,37 @@ class TestRowOrdering:
         assert dist.tolist() == [0.0, 0.0, 0.0, dist[3]]  # three coincident points, ranked by index
 
 
+class TestDistance:
+    """`geometry._distance` has the bits of `np.linalg.norm`, which is why every caller may share it."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_random_clouds(self, d):
+        rng = np.random.default_rng(d)
+        cloud = rng.standard_normal((300, d)) * 10.0 ** rng.integers(-6, 6, (300, d))
+        diff = cloud[:, None, :] - cloud[None, :40, :]
+        for x in (diff, np.swapaxes(np.swapaxes(diff, 0, 2).copy(), 0, 2)):  # contiguous and strided axes
+            assert np.array_equal(geometry_module._distance(x), np.linalg.norm(x, axis=-1))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_tie_heavy_grids(self, d):
+        grid = m.generate_grid(d, {1: 40, 2: 9, 3: 5}[d], [(-0.3, 0.7)] * d).points
+        diff = grid[:, None, :] - grid[None, :, :]
+        dist = geometry_module._distance(diff)
+        assert np.array_equal(dist, np.linalg.norm(diff, axis=-1))
+        assert np.array_equal(dist, dist.T) and np.unique(dist).size < dist.size // 10  # ties abound
+
+
+class TestBallCandidates:
+    def test_each_owner_holds_its_padded_ball_in_ascending_order(self):
+        ns = m.generate_grid(2, 7, [(0.0, 1.0), (0.0, 1.0)])
+        rows, h = [3, 24, 48], 1.0 / 6.0
+        owner, cand = geometry_module._ball_candidates(ns.tree, ns.points[rows], h)
+        for i, r in enumerate(rows):
+            want = np.flatnonzero(np.linalg.norm(ns.points - ns.points[r], axis=1) <= h * (1.0 + 1e-6))
+            assert cand[owner == i].tolist() == want.tolist()  # ascending, and the grid neighbors at exactly h kept
+        assert np.all(np.diff(owner) >= 0)
+
+
 class TestQueryArguments:
     """The one neighbor query rejects a non-finite centre and a malformed selector."""
 

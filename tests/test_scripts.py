@@ -80,3 +80,18 @@ def test_bit_identity_differences_skip_slots_with_equal_bytes(tmp_path):
         "DIFFERS  solution: 2 of 4 elements, largest |difference| 0.5, largest relative difference 0.2",
         "1 of 3 arrays equal",
     ]
+
+
+def test_bit_identity_differences_skip_slots_that_are_not_finite(tmp_path):
+    """A NaN or an infinity in one dump hides no move of a finite slot: the maxima skip it and count it."""
+    first, second = tmp_path / "first.npz", tmp_path / "second.npz"
+    np.savez(first, solution=np.array([1.0, np.nan, 3.0]), blend=np.array([np.inf, 2.0]))
+    np.savez(second, solution=np.array([1.0, 2.0, 3.5]), blend=np.array([1.0, np.nan]))
+    res = run_script("bit_identity.py", "compare", str(first), str(second))
+    assert res.returncode == 1
+    assert res.stdout.splitlines() == [
+        "DIFFERS  blend: 2 of 2 elements, 2 not finite in a dump",
+        f"DIFFERS  solution: 2 of 3 elements, largest |difference| 0.5, "
+        f"largest relative difference {0.5 / 3.5!r}, 1 not finite in a dump",
+        "0 of 2 arrays equal",
+    ]

@@ -756,6 +756,16 @@ class TestLagrangeRow:
         with pytest.raises(m.NotAnInterpolationSetError):
             m.lagrange_row(space, 0, m.LAPLACIAN, space.patches[0].center)
 
+    def test_failing_patch_error_reads_the_rank_pass(self):
+        """The error's fields are the patch's own, taken from the rank pass without a `Patch` view."""
+        ns, space = five_star_full_p2_space(4)
+        failing = space.failing_patches[0]
+        with pytest.raises(m.NotAnInterpolationSetError, match=r"\(rank 5, dim 6, nodes 5\)") as err:
+            m.lagrange_row(space, failing, m.LAPLACIAN, space.table.influence.centers[failing])
+        assert "patches" not in space.__dict__
+        patch = space.patches[failing]
+        assert (err.value.rank, err.value.dim, err.value.n_nodes) == (patch.rank, patch.space.dim, patch.influence.size)
+
 
 R3_TAIL1 = m.kernel_patch_recipe(m.Kernel("polyharmonic", 3.0), augmentation_degree=1)
 POISSON = preset("poisson2d")
