@@ -217,7 +217,7 @@ def _ball_candidates(tree: cKDTree, centers, radii):
     balls = tree.query_ball_point(centers, radii * (1.0 + _TIE_MARGIN), return_sorted=True)
     counts = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
     cand = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp, count=int(counts.sum()))
-    return np.repeat(np.arange(len(balls)), counts), cand
+    return np.arange(len(balls)).repeat(counts), cand
 
 
 def _knn_candidates(tree: cKDTree, centers, k: int):

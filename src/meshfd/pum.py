@@ -18,7 +18,11 @@ weights and tail coefficients (`OverlapSpline.eval_pairs`), and the weighted
 values are summed per point with ``np.bincount``.  `blend` is its one-point
 wrapper and `PartitionOfUnity.weights_at` the one-point view of the same
 query, through which the per-patch oracle (`blend_disconnected` in
-`tests/helpers.py`) blends any per-patch callable.
+`tests/helpers.py`) blends any per-patch callable.  One path serves a point
+and a batch, checked once at the public entry (one all-finite and one
+all-covered reduction; the offending row is sought only to name it), and
+the cover's pairs go to the spline's unchecked value core; ``BENCH_30.json``
+has the per-point cost of one-point `blend` calls.
 """
 
 from __future__ import annotations
@@ -70,12 +74,12 @@ class PartitionOfUnity:
         """Every (point, covering ball) pair with its Shepard weight, point-major, balls ascending."""
         tree, reach = self._query
         point, ball = _ball_candidates(tree, points, reach)
-        t = _distance(self.centers[ball] - points[point]) / self.radii[ball]
+        t = _distance(self.centers.take(ball, axis=0) - points.take(point, axis=0)) / self.radii[ball]
         inside = t < 1.0
-        point, ball = point[inside], ball[inside]
-        bump = (1.0 - t[inside]) ** 2
+        point, ball = point.compress(inside), ball.compress(inside)
+        bump = (1.0 - t.compress(inside)) ** 2
         total = np.bincount(point, bump, minlength=len(points))  # > 0 exactly where a ball covers
-        if not np.all(total > 0.0):
+        if not total.all():
             x = points[np.argmin(total > 0.0)]
             raise CoverageError(f"point {x.tolist()} is covered by no partition ball")
         return point, ball, bump / total[point]
@@ -85,9 +89,9 @@ class PartitionOfUnity:
         if points.ndim != 2 or points.shape[1] != self.centers.shape[1]:
             raise InvalidInputError(
                 f"points must have shape (n, {self.centers.shape[1]}), got {points.shape}")
-        finite = np.isfinite(points).all(axis=1)
-        if not finite.all():
-            raise InvalidInputError(f"point {points[np.argmin(finite)].tolist()} is not finite")
+        if not np.isfinite(points).all():  # the first offending row is sought only to name it
+            x = points[np.argmin(np.isfinite(points).all(axis=1))]
+            raise InvalidInputError(f"point {x.tolist()} is not finite")
         return points
 
     def weights_at(self, x) -> tuple[np.ndarray, np.ndarray]:
@@ -101,7 +105,7 @@ class PartitionOfUnity:
             raise InvalidInputError("partition balls must align with the spline's patches")
         points = self._points(points)
         point, ball, gamma = self._cover(points)
-        values = np.bincount(point, gamma * s.eval_pairs(ball, points[point]), minlength=points.shape[0])
+        values = np.bincount(point, gamma * s._eval_pairs(ball, points.take(point, axis=0)), minlength=points.shape[0])
         return values.astype(float, copy=False)  # `np.bincount` of no pairs is integer
 
     @classmethod

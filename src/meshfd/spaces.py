@@ -178,16 +178,15 @@ def monomial_derivatives(z, exponents, beta, scale=1.0) -> np.ndarray:
     rescale = 1.0
     for _ in range(sum(beta)):
         rescale = rescale / scale
-    out = np.empty(z.shape[:-1] + (len(exponents),))
+    out = np.zeros(z.shape[:-1] + (len(exponents),))  # a monomial that d^beta kills stays +0.0
     for k, term in enumerate(_derivative_plan(exponents, beta)):
-        if term is None:
-            out[..., k] = 0.0
-            continue
-        coef, factors = term
-        col = coef * rescale
-        for axis, power in factors:
-            col = col * z[..., axis] ** power
-        out[..., k] = col
+        if term is not None:
+            coef, factors = term
+            col = coef * rescale
+            for axis, power in factors:  # a factor 1.0 or a power 1 would change no bit
+                factor = z[..., axis] if power == 1 else z[..., axis] ** power
+                col = factor if isinstance(col, float) and col == 1.0 else col * factor
+            out[..., k] = col
     return out
 
 
@@ -269,35 +268,37 @@ def kernel_derivative(kernel: Kernel, diff, beta) -> np.ndarray:
     Returns shape ``diff.shape[:-1]``; zero displacements take the kernel's
     limits at its center.
     """
-    beta = tuple(int(e) for e in beta)
-    order = sum(beta)
-    if order > 2:
+    return next(_kernel_derivatives(kernel, diff, (beta,)))
+
+
+def _kernel_derivatives(kernel: Kernel, diff, betas):
+    """`kernel_derivative` of each multi-index of ``betas`` in turn; r, its zero mask and radial factors once."""
+    axes = [[a for a, e in enumerate(beta) for _ in range(int(e))] for beta in betas]
+    top = max(map(len, axes), default=0)
+    if top > 2:
         raise InvalidInputError("kernel derivatives are provided up to order 2")
     r = _distance(diff)
-    if order == 0:
-        return kernel.phi(r)
-    zero = r == 0.0
-    rs = np.where(zero, 1.0, r)
-
-    if order == 1:
-        axis = beta.index(1)
-        out = kernel.dphi_over_r(rs) * diff[..., axis]
-        if zero.any():
-            out = np.where(zero, kernel.gradient_limit_at_zero(), out)
-    else:
-        axes = [a for a, e in enumerate(beta) for _ in range(e)]
-        a_ax, b_ax = axes
-        g1r = kernel.dphi_over_r(rs)
-        g2 = kernel.d2phi(rs)
-        ua = diff[..., a_ax] / rs
-        ub = diff[..., b_ax] / rs
-        out = (g2 - g1r) * ua * ub
-        if a_ax == b_ax:
-            out = out + g1r
-        if zero.any():
-            lim_diag = kernel.second_derivative_limit_at_zero()
-            out = np.where(zero, lim_diag if a_ax == b_ax else 0.0, out)
-    return out
+    if top:
+        zero = r == 0.0
+        rs = np.where(zero, 1.0, r)
+        g1r, at_center = kernel.dphi_over_r(rs), zero.any()
+    if top == 2:
+        bend = kernel.d2phi(rs) - g1r
+        unit = {a: diff[..., a] / rs for a in set(itertools.chain(*axes))}
+    for ax in axes:
+        if not ax:
+            yield kernel.phi(r)
+        elif len(ax) == 1:
+            out = g1r * diff[..., ax[0]]
+            yield np.where(zero, kernel.gradient_limit_at_zero(), out) if at_center else out
+        else:
+            a, b = ax
+            out = bend * unit[a] * unit[b]
+            if a == b:
+                out = out + g1r
+            if at_center:
+                out = np.where(zero, kernel.second_derivative_limit_at_zero() if a == b else 0.0, out)
+            yield out
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,13 +370,14 @@ class KernelSpace(_BasisSpace):
 PatchSpace = PolySpace | KernelSpace
 
 
-def _derivative_sum(derivative, betas, coef, shape) -> np.ndarray:
-    """``derivative(beta)`` of the one multi-index, or with ``coef`` (R, len(betas)) the operator's sum."""
+def _derivative_sum(terms, coef, shape) -> np.ndarray:
+    """The one derivative of ``terms``, or with ``coef`` (R, K) the operator's sum of its K terms, in order."""
     if coef is None:
-        return derivative(*betas)
+        (term,) = terms
+        return term
     out = np.zeros(shape)
-    for k, beta in enumerate(betas):
-        out = out + coef[:, k, None, None] * derivative(beta)
+    for k, term in enumerate(terms):
+        out = out + coef[:, k, None, None] * term
     return out
 
 
@@ -433,7 +435,7 @@ class StackedBasis:
         the values at their stencil nodes, whose translate matrix is evaluated
         once per node pair and mirrored, and whose tail block is stacked.
         ``betas`` is one derivative multi-index (default: values) or, with
-        ``coef`` (R, len(betas)), an operator's terms to sum.
+        ``coef`` (R, len(betas)), an operator's terms to sum, sharing one r and its radial factors.
         """
         centers = self.centers[rows]
         if points is None:
@@ -444,12 +446,11 @@ class StackedBasis:
         if self.kernel is not None:
             diff = points[:, :, None, :] - centers[:, None, :, :]  # once for all of the operator's terms
             translates = self.norm[rows][:, None, None] * _derivative_sum(
-                lambda beta: kernel_derivative(self.kernel, diff, beta), betas, coef,
-                points.shape[:2] + centers.shape[1:2])
+                _kernel_derivatives(self.kernel, diff, betas), coef, points.shape[:2] + centers.shape[1:2])
         scale = self.scale[rows]
         z = (points - self.shift[rows][:, None, :]) / scale[:, None, None]
-        tail = _derivative_sum(lambda beta: monomial_derivatives(z, self.exponents, beta, scale[:, None]),
-                               betas, coef, points.shape[:2] + (len(self.exponents),))
+        tail = _derivative_sum((monomial_derivatives(z, self.exponents, beta, scale[:, None]) for beta in betas),
+                               coef, points.shape[:2] + (len(self.exponents),))
         return translates, tail
 
     def _nodal_translates(self, centers, norm) -> np.ndarray:
@@ -477,20 +478,20 @@ class StackedBasis:
         """
         split = coeffs.shape[1] - len(self.exponents)
         kernel = coeffs[:, :split] if self.null is None else (self.null @ coeffs[:, :split, None])[..., 0]
-        return self.norm[:, None] * kernel, coeffs[:, split:]
+        return self.norm[:, None] * kernel, np.ascontiguousarray(coeffs[:, split:])  # `values` gathers rows
 
     def values(self, points, weights, tail, rows) -> np.ndarray:
         """``sum_j w_j K(x, c_j) + sum_k a_k z^alpha_k`` at one point (R, d) per stacked patch ``rows``, (R,).
 
-        ``weights`` and ``tail`` are a whole group's `collapse`; no basis block is formed.
+        ``weights`` and ``tail`` are a whole group's `collapse`; no basis block is formed (rows gathered by `take`).
         """
         value = (0,) * points.shape[1]
-        z = (points - self.shift[rows]) / self.scale[rows][:, None]
-        out = (monomial_derivatives(z, self.exponents, value) * tail[rows]).sum(axis=1)
+        z = (points - self.shift.take(rows, axis=0)) / self.scale[rows][:, None]
+        out = (monomial_derivatives(z, self.exponents, value) * tail.take(rows, axis=0)).sum(axis=1)
         if self.kernel is None:
             return out
-        phi = kernel_derivative(self.kernel, points[:, None, :] - self.centers[rows], value)
-        return (phi * weights[rows]).sum(axis=1) + out
+        phi = self.kernel.phi(_distance(points[:, None, :] - self.centers.take(rows, axis=0)))
+        return (phi * weights.take(rows, axis=0)).sum(axis=1) + out
 
 
 @dataclass(frozen=True, eq=False)
@@ -614,7 +615,7 @@ def walk_stack(stack, size: int, at=None):
     if at is not None:
         group, slot = group[at], slot[at]
     for g, (_, basis) in enumerate(groups):
-        members = np.flatnonzero(group == g)
+        members = (group == g).nonzero()[0]
         for lo in range(0, members.size, size):
             positions = members[lo:lo + size]
             yield positions, g, basis, slot[positions]

@@ -224,9 +224,13 @@ class OverlapSpline:
         points = np.asarray(points, dtype=float)
         if points.shape != (patches.size, d):
             raise InvalidInputError(f"expected points of shape ({patches.size}, {d}), got {points.shape}")
+        return self._eval_pairs(patches, points)
+
+    def _eval_pairs(self, patches, points) -> np.ndarray:
+        """`eval_pairs` of checked pairs (intp patches, float (n, d) points), as `restriction` and PUM build them."""
         out = np.empty(patches.size)
         for pairs, g, basis, at in walk_stack(self.space._stacks, EVAL_CHUNK_PAIRS, patches):
-            out[pairs] = basis.values(points[pairs], *self._coeffs[g], rows=at)
+            out[pairs] = basis.values(points.take(pairs, axis=0), *self._coeffs[g], rows=at)
         return out
 
 
@@ -372,7 +376,7 @@ def restriction(s: OverlapSpline) -> np.ndarray:
     value at a node, is rejected here.
     """
     node, patch, _ = s.space.incidence
-    vals = s.eval_pairs(patch, s.space.nodes.points[node])
+    vals = s._eval_pairs(patch, s.space.nodes.points[node])
     first = np.searchsorted(node, node)  # each membership's first entry at its node
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:

@@ -306,3 +306,51 @@ def connection_defect(s):
         return float("nan")
     first = vals[np.searchsorted(node, node)]  # each membership's first entry at its node
     return float(np.max(np.abs(vals - first) / (1.0 + np.abs(first))))
+
+
+# Frozen term-by-term forms of the two basis-derivative routines of `spaces`,
+# kept as their bit-for-bit oracles.
+def monomial_derivatives_loop(z, exponents, beta, scale=1.0):
+    """d^beta of every monomial z^alpha, one term at a time: coefficient times ``scale**-|beta|``, then each power.
+
+    A monomial that d^beta kills is assigned 0.0; no factor is skipped, not even 1.0 or ``z ** 1``.
+    """
+    rescale = 1.0
+    for _ in range(sum(beta)):
+        rescale = rescale / scale
+    out = np.empty(z.shape[:-1] + (len(exponents),))
+    for k, alpha in enumerate(exponents):
+        if any(b > a for a, b in zip(alpha, beta)):
+            out[..., k] = 0.0
+            continue
+        coef = 1.0
+        for a, b in zip(alpha, beta):
+            for step in range(b):
+                coef *= a - step
+        col = coef * rescale
+        for axis, (a, b) in enumerate(zip(alpha, beta)):
+            if a - b:
+                col = col * z[..., axis] ** (a - b)
+        out[..., k] = col
+    return out
+
+
+def kernel_derivative_alone(kernel: m.Kernel, diff, beta):
+    """d^beta_x K(x, c), |beta| <= 2, with r and every radial factor computed for this one multi-index."""
+    r = np.sqrt(sum(diff[..., k] * diff[..., k] for k in range(diff.shape[-1])))
+    if sum(beta) == 0:
+        return kernel.phi(r)
+    zero = r == 0.0
+    rs = np.where(zero, 1.0, r)
+    axes = [a for a, e in enumerate(beta) for _ in range(e)]
+    if len(axes) == 1:
+        out = kernel.dphi_over_r(rs) * diff[..., axes[0]]
+        return np.where(zero, kernel.gradient_limit_at_zero(), out) if zero.any() else out
+    a, b = axes
+    g1r = kernel.dphi_over_r(rs)
+    out = (kernel.d2phi(rs) - g1r) * (diff[..., a] / rs) * (diff[..., b] / rs)
+    if a == b:
+        out = out + g1r
+    if zero.any():
+        out = np.where(zero, kernel.second_derivative_limit_at_zero() if a == b else 0.0, out)
+    return out

@@ -5,7 +5,7 @@ import meshfd as m
 from meshfd import spline
 from meshfd.errors import CoverageError, InvalidInputError
 from meshfd.pum import DEFAULT_RADIUS_FACTOR, PartitionOfUnity, blend
-from meshfd.spaces import KernelSpace, StackedBasis, local_interpolate, patch_value
+from meshfd.spaces import KernelSpace, PatchTable, StackedBasis, local_interpolate, patch_value
 
 from helpers import (
     blend_disconnected,
@@ -360,6 +360,16 @@ class TestEvaluationTable:
         with pytest.raises(InvalidInputError, match=message):
             pou.weights_at([0.5, bad])
 
+    def test_the_first_of_several_non_finite_points_is_named(self):
+        ns, space = halton_r3_space()
+        s = m.from_nodal_values(space, np.zeros(ns.n))
+        pou = PartitionOfUnity.for_space(space)
+        with pytest.raises(InvalidInputError, match=r"^point \[nan, 0.5\] is not finite$"):
+            pou.evaluate(s, [[0.5, 0.5], [np.nan, 0.5], [0.5, np.inf], [np.inf, np.nan]])
+        for one_point in (lambda x: blend(s, pou, x), pou.weights_at):
+            with pytest.raises(InvalidInputError, match=r"^point \[inf, nan\] is not finite$"):
+                one_point([np.inf, np.nan])
+
     def test_points_of_the_wrong_dimension_rejected(self):
         ns, space = halton_r3_space()
         s = m.from_nodal_values(space, np.zeros(ns.n))
@@ -392,7 +402,7 @@ class TestEvaluationTable:
         pts = covered_samples(pou, rng, 200, np.array([[0.0, 1.0], [0.0, 1.0]]))
         blend(s, pou, pts[0])  # stacks the coefficients and builds the tree
         assert len(space._stacks[0]) == 1
-        calls = {"derivative": 0, "stack_spaces": 0, "evaluate": 0, "values": 0, "weights_at": 0}
+        calls = {"derivative": 0, "stack_spaces": 0, "evaluate": 0, "values": 0, "weights_at": 0, "ids": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -406,10 +416,12 @@ class TestEvaluationTable:
         monkeypatch.setattr(StackedBasis, "values", counting("values", StackedBasis.values))
         monkeypatch.setattr(PartitionOfUnity, "weights_at",
                             counting("weights_at", PartitionOfUnity.weights_at))
+        monkeypatch.setattr(PatchTable, "ids", counting("ids", PatchTable.ids))
         values = [blend(s, pou, x) for x in pts]
         m.restriction(s)
-        # one collapsed value pass per blended point and per chunk of memberships; no basis, no per-patch route
+        # one collapsed value pass per blended point and per chunk of memberships; no basis, no per-patch
+        # route, and the pairs that the cover and the incidence table build are not checked again
         chunks = -(-space.incidence[0].size // spline.EVAL_CHUNK_PAIRS)
         assert calls == {"derivative": 0, "stack_spaces": 0, "evaluate": 0, "values": len(pts) + chunks,
-                         "weights_at": 0}
+                         "weights_at": 0, "ids": 0}
         assert np.all(np.isfinite(values))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from pathlib import Path
@@ -10,11 +11,21 @@ import meshfd as m
 from meshfd.errors import InvalidInputError, NotAnInterpolationSetError
 from meshfd.geometry import influences
 from meshfd.linalg import null_space
+from meshfd import spaces as spaces_module
 from meshfd.spaces import (
-    DEFAULT_TAIL_DEGREE, KernelSpace, PatchTable, PolySpace, kernel_derivative, patch_value, stack_spaces,
+    DEFAULT_TAIL_DEGREE, KernelSpace, PatchTable, PolySpace, kernel_derivative, monomial_derivatives, patch_value,
+    stack_spaces,
 )
 
-from helpers import FIVE_STAR_SUBLIST, five_star_sublist_space, halton_r3_space, halton_r3_space_3d, jittered_cloud
+from helpers import (
+    FIVE_STAR_SUBLIST,
+    five_star_sublist_space,
+    halton_r3_space,
+    halton_r3_space_3d,
+    jittered_cloud,
+    kernel_derivative_alone,
+    monomial_derivatives_loop,
+)
 
 
 class TestMonomialBasis:
@@ -335,8 +346,60 @@ class TestApplyOperator:
             m.apply_operator(ks, m.LAPLACIAN, [0.5, 0.5])
 
 
+class TestMonomialDerivatives:
+    """`monomial_derivatives` has the bits of the term-by-term loop it replaced."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_equal_to_the_term_by_term_loop_bit_for_bit(self, d):
+        rng = np.random.default_rng(40 + d)
+        z = rng.standard_normal((4, 5, d))
+        z[0, 0] = -0.0
+        betas = [b for b in itertools.product(range(3), repeat=d) if sum(b) <= 2]
+        for degree, beta, scale in itertools.product(range(4), betas, [1.0, 0.37, 0.5 + rng.random((4, 1))]):
+            exps = m.monomial_exponents(d, degree)
+            got = monomial_derivatives(z, exps, beta, scale)
+            want = monomial_derivatives_loop(z, exps, beta, scale)
+            assert got.dtype == want.dtype and got.shape == want.shape == (4, 5, len(exps))
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scale", [1.0, np.array([[0.5], [2.0]])], ids=["scalar", "per-stencil"])
+    def test_killed_monomials_are_positive_zeros(self, scale):
+        z = -np.random.default_rng(7).random((2, 3, 2))  # negative coordinates: a sign could leak
+        exps = m.monomial_exponents(2, 3)
+        for beta in [(1, 0), (0, 2), (1, 1), (2, 0)]:
+            got = monomial_derivatives(z, exps, beta, scale)
+            killed = [k for k, a in enumerate(exps) if any(b > e for e, b in zip(a, beta))]
+            assert killed and np.all(got[..., killed] == 0.0) and not np.signbit(got[..., killed]).any()
+
+
 class TestKernelDerivatives:
     """Radial derivative formulas against plain finite differences."""
+
+    @pytest.mark.parametrize("kernel", [m.Kernel("gauss", 2.0), m.Kernel("polyharmonic", 3.0)])
+    def test_shared_radial_factors_keep_every_bit(self, kernel):
+        rng = np.random.default_rng(23)
+        diff = rng.standard_normal((3, 4, 2))
+        diff[1, 2] = 0.0  # a zero displacement takes the limits at the centre
+        betas = [(0, 0), (1, 0), (2, 0), (1, 1), (0, 2), (0, 1)]
+        for beta, got in zip(betas, spaces_module._kernel_derivatives(kernel, diff, betas)):
+            assert got.tobytes() == kernel_derivative_alone(kernel, diff, beta).tobytes()
+            assert got.tobytes() == kernel_derivative(kernel, diff, beta).tobytes()
+
+    def test_an_operator_block_computes_the_distances_once(self, monkeypatch):
+        ns, space = halton_r3_space(count=40, k=12)
+        (_, basis), *_ = space._stacks[0]
+        points = ns.points[:6].reshape(2, 3, 2)
+        betas, coef = m.LAPLACIAN.terms(points.reshape(-1, 2))
+        coef = coef[:2]
+        calls = []
+        distance = spaces_module._distance
+        monkeypatch.setattr(spaces_module, "_distance", lambda diff: calls.append(diff.shape) or distance(diff))
+        translates, _ = basis.blocks(points, betas, coef, rows=np.array([0, 1]))
+        assert len(betas) == 2 and calls == [(2, 3, 12, 2)]
+        alone = sum((coef[:, k, None, None] * kernel_derivative_alone(
+            basis.kernel, points[:, :, None, :] - basis.centers[:2, None], beta) for k, beta in enumerate(betas)),
+            np.zeros(translates.shape))
+        assert translates.tobytes() == (basis.norm[:2, None, None] * alone).tobytes()
 
     @pytest.mark.parametrize("kernel", [
         m.Kernel("gauss", 2.0),
