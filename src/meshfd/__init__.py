@@ -38,7 +38,6 @@ from .spaces import (
     PolySpace,
     apply_operator,
     kernel_patch_recipe,
-    local_interpolate,
     monomial_exponents,
     poly_patch_recipe,
     unisolvency_rank,

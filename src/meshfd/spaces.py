@@ -47,13 +47,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError, NotAnInterpolationSetError
+from .errors import InvalidInputError
 from .geometry import InfluenceTable, _distance, _integer
 from .linalg import null_space, numerical_rank, stacked_rank
 from .operators import Operator
-
-# Residual tolerance for a successful local interpolation solve.
-INTERPOLATION_RTOL = 1e-9
 
 # The tail degree of a kernel recipe that names none.  Every operator of the
 # package is at most second order, and a second-order stencil is consistent
@@ -642,50 +639,6 @@ def unisolvency_rank(space: PatchSpace, coords) -> tuple[int, bool]:
     e = np.atleast_2d(space.eval_basis(coords))
     rank = numerical_rank(e)
     return rank, bool(rank == space.dim == coords.shape[0])
-
-
-def local_interpolate(space: PatchSpace, coords, values) -> np.ndarray:
-    """Coefficients (in the space's basis) of the interpolant of values at coords.
-
-    Solves the square nodal matrix ``E = space.eval_basis(coords)``; for a
-    kernel space the nodes are its centers and the coefficients refer to
-    its concrete (moment-constrained combinations + tail) basis.
-    """
-    coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    values = np.asarray(values, dtype=float).reshape(-1)
-    if values.shape[0] != coords.shape[0]:
-        raise InvalidInputError("one value per interpolation node is required")
-    if values.size == 0:
-        raise InvalidInputError("interpolation needs at least one node")
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise InvalidInputError(f"value at node {bad[0]} is not finite: {values[bad[0]]}")
-    n_nodes = coords.shape[0]
-    if isinstance(space, KernelSpace) and n_nodes != space.n:
-        raise InvalidInputError("kernel interpolation expects values at the kernel centers")
-    tol = INTERPOLATION_RTOL * (1.0 + float(np.max(np.abs(values))))
-
-    e = np.atleast_2d(space.eval_basis(coords))
-
-    def failure(message):
-        return NotAnInterpolationSetError(message, rank=numerical_rank(e), dim=space.dim, n_nodes=n_nodes)
-
-    if n_nodes != space.dim:
-        raise failure(f"{n_nodes} nodes cannot be an interpolation set for dimension {space.dim}")
-    try:
-        coeffs = np.linalg.solve(e, values)
-    except np.linalg.LinAlgError:
-        raise failure("singular interpolation system") from None
-    defect = float(np.max(np.abs(e @ coeffs - values)))
-    if not defect <= tol:
-        raise failure(f"interpolation residual {defect:.2e} exceeds tolerance {tol:.2e}")
-    return coeffs
-
-
-def patch_value(space: PatchSpace, coeffs, x):
-    """Evaluate a patch given its basis coefficients."""
-    vals = space.eval_basis(x)
-    return vals @ np.asarray(coeffs, dtype=float)
 
 
 def _stencil_scale(radius):

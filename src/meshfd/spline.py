@@ -8,24 +8,23 @@ patches simply overlap, and the nodal-value map ties them together.
 
 A space holds its patches as one `spaces.PatchTable`, the one patch
 representation, filled by `build_space` in array operations or from
-hand-made `Patch` objects; ``space.patches`` are views built on first
-access, for the one-patch oracles.  The table is grouped once, through
-`spaces.stack_spaces`, into stacked evaluators of equally shaped patches,
-walked in chunks by `spaces.walk_stack` for the patch ranks (one batched
-SVD each), the fits of `from_nodal_values` (one stacked nodal solve each)
-and `OverlapSpline.eval_pairs`, "patch ``p[j]`` at point ``x[j]``" for any
-set of pairs: each group's coefficients are collapsed once into kernel weights
+hand-made pairs by `PatchTable.of_pairs`; ``space.patches`` are `Patch`
+views built on first access, whose ranks are those of the rank pass.  A
+space checks its influence sets against its nodes and their cover.  The
+table is grouped once, through `spaces.stack_spaces`, into stacked
+evaluators of equally shaped patches, walked in chunks by
+`spaces.walk_stack` for the patch ranks (one batched SVD each), the fits of
+`from_nodal_values` (one stacked nodal solve each) and
+`OverlapSpline.eval_pairs`, "patch ``p[j]`` at point ``x[j]``" for any set
+of pairs: each group's coefficients are collapsed once into kernel weights
 and tail coefficients (`StackedBasis.collapse`), and a pair's value is its
 kernel translates and tail monomials summed against them
-(`StackedBasis.values`), with no basis block formed.
-`restriction` evaluates every membership of the `incidence` table in one
-such call, as does the connection-defect oracle (`connection_defect` in
+(`StackedBasis.values`), with no basis block formed.  `restriction`
+evaluates every membership of the `incidence` table (built on first use) in
+one such call, as does the connection-defect oracle (`connection_defect` in
 `tests/helpers.py`), and partition-of-unity blending (`meshfd.pum`)
-evaluates every (point, covering patch) pair in one.  The table is built on
-first use; a space checks its node cover on the raw influence indices.
-Cardinal rows (`lagrange_row`) are one-row calls of the stencil engine's
-nodal solve.  `OverlapSpline.patch_eval` and `spaces.local_interpolate`
-keep the per-patch routes through the patch's own space as the oracles.
+evaluates every (point, covering patch) pair in one.  Cardinal rows
+(`lagrange_row`) are one-row calls of the stencil engine's nodal solve.
 
 The dimension analyzer takes the patch ranks r_i from the batched SVDs of
 `failing_patches`: the nodal-value map T has ``dim ker T = sum(dim P_i - r_i)``
@@ -35,6 +34,7 @@ and ``dim im T = N - rank C``, C the patches' left-null vectors (guarded).
 from __future__ import annotations
 
 import logging
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,17 +52,10 @@ from .geometry import InfluenceSet, NodeSet, _floats, influences
 from .linalg import numerical_rank, singular_rank, stacked_solve
 from .ndf import CHUNK_ROWS, StencilWeights, one_row
 from .operators import Operator
-from .spaces import (
-    INTERPOLATION_RTOL,
-    PatchSpace,
-    PatchTable,
-    Recipe,
-    patch_value,
-    poly_patch_recipe,
-    stack_spaces,
-    unisolvency_rank,
-    walk_stack,
-)
+from .spaces import PatchSpace, PatchTable, Recipe, poly_patch_recipe, stack_spaces, walk_stack
+
+# Residual tolerance for a successful local interpolation solve.
+INTERPOLATION_RTOL = 1e-9
 
 # Two patch values at a shared node must agree to this relative tolerance.
 CONNECTION_RTOL = 1e-9
@@ -79,19 +72,23 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True, eq=False)
 class Patch:
-    """One influence set paired with its local space; its rank is measured on first use."""
+    """Row ``row`` of a space's table: its influence set, local space and ranks (the space's `_ranks`).
+
+    ``owner`` is a weak proxy of the space, which holds its views: a strong reference would close a cycle."""
 
     influence: InfluenceSet
     space: PatchSpace
+    owner: OverlapSplineSpace
+    row: int
 
-    @cached_property
+    @property
     def rank(self) -> int:
-        """Numerical rank of the space's basis at the influence nodes (`unisolvency_rank`)."""
-        return unisolvency_rank(self.space, self.influence.points)[0]
+        """Numerical rank of the nodal matrix E_i, from the owner's `_rank_pass` (run on first use)."""
+        return int(self.owner._ranks[0][self.row])
 
     @property
     def is_interpolation_set(self) -> bool:
-        return self.rank == self.space.dim == self.influence.size
+        return self.unisolvent and self.influence.size == self.rank
 
     @property
     def center(self) -> np.ndarray:
@@ -103,7 +100,8 @@ class Patch:
 
     @property
     def unisolvent(self) -> bool:
-        return self.rank == self.space.dim
+        rank, dim = self.owner._ranks
+        return bool(rank[self.row] == dim[self.row])
 
 
 def _uncovered(n: int, member_nodes) -> np.ndarray:
@@ -114,24 +112,32 @@ def _uncovered(n: int, member_nodes) -> np.ndarray:
 class OverlapSplineSpace:
     """Node set plus covering patches held as one `PatchTable`; `incidence` is the one membership table.
 
-    Built from hand-made `Patch` objects, or (by `build_space`) from a table
-    and the recipe of each shape id, which builds the `patches` views.
+    ``spaces(i, influence)`` is row i's local space on its influence set, for
+    the `patches` views only.  Every set must name nodes at their own
+    coordinates, and the sets must cover the nodes.
     """
 
-    def __init__(self, nodes: NodeSet, patches=None, *, table: PatchTable | None = None, recipes=()):
-        if table is None:
-            self.__dict__["patches"] = patches = tuple(patches)
-            table = PatchTable.of_pairs([p.influence for p in patches], [p.space for p in patches])
-        self.nodes, self.table, self._recipes = nodes, table, tuple(recipes)
-        missing = _uncovered(nodes.n, table.influence.indices)
+    def __init__(self, nodes: NodeSet, table: PatchTable, spaces):
+        infl = table.influence
+        bad, where = np.flatnonzero((infl.indices < 0) | (infl.indices >= nodes.n)), f"outside the {nodes.n} nodes"
+        if not bad.size:
+            at = np.take(nodes.points, infl.indices, axis=0)
+            if at.shape != infl.points.shape:
+                raise InvalidInputError(f"influence points of shape {infl.points.shape} for {nodes.d}-D nodes")
+            bad, where = np.flatnonzero(at != infl.points) // nodes.d, "off its coordinates"  # membership of each entry
+        if bad.size:
+            patch = np.searchsorted(infl.offsets, bad[0], side="right") - 1
+            raise InvalidInputError(f"patch {patch} references node {infl.indices[bad[0]]} {where}")
+        missing = _uncovered(nodes.n, infl.indices)
         if missing.size:
             raise ConstructionError(f"nodes not covered by any patch: {missing.tolist()[:10]}")
+        self.nodes, self.table, self._spaces = nodes, table, spaces
 
     @cached_property
     def patches(self) -> tuple[Patch, ...]:
-        """One `Patch` per table row, its space made by the row's recipe from the row's influence set."""
+        """One `Patch` view per table row, its space ``spaces(row, influence set)``."""
         sets = map(self.table.influence.__getitem__, range(self.m))
-        return tuple(Patch(infl, self._recipes[k](infl)) for infl, k in zip(sets, self.table.shape.tolist()))
+        return tuple(Patch(infl, self._spaces(i, infl), weakref.proxy(self), i) for i, infl in enumerate(sets))
 
     @cached_property
     def incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -164,7 +170,7 @@ class OverlapSplineSpace:
 
     @cached_property
     def failing_patches(self) -> tuple[int, ...]:
-        """Patches that are not interpolation sets (`Patch.is_interpolation_set`), from `_rank_pass`."""
+        """Patches whose nodal matrix is not square and of full rank, from `_rank_pass`."""
         rank, dim = self._ranks
         return tuple(np.flatnonzero((rank != dim) | (self.table.influence.sizes != dim)).tolist())
 
@@ -206,11 +212,6 @@ class OverlapSpline:
                 raise InvalidInputError("coefficient length does not match the patch dimension")
             c.setflags(write=False)  # private read-only copies: `_coeffs` stacks and collapses them once
         object.__setattr__(self, "patch_coeffs", coeffs)
-
-    def patch_eval(self, i: int, x):
-        """Patch i at x through its own space: the scalar route, kept as the oracle of `eval_pairs`."""
-        i = self.space.table.index(i)
-        return patch_value(self.space.patches[i].space, self.patch_coeffs[i], x)
 
     @cached_property
     def _coeffs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -282,7 +283,7 @@ def build_space(
     if uncovered not in ("error", "constant-patch"):
         raise InvalidInputError(f"unknown uncovered policy {uncovered!r}")
     if not isinstance(recipe, Recipe):
-        raise InvalidInputError("recipe must be a spaces.Recipe; hand-made patches go to OverlapSplineSpace")
+        raise InvalidInputError("recipe must be a spaces.Recipe; hand-made patches go through PatchTable.of_pairs")
     points, indices = _resolve_centers(nodes, centers)
     table = influences(nodes, points, selector, center_indices=indices)
     empty = np.flatnonzero(table.sizes == 0)
@@ -294,7 +295,8 @@ def build_space(
     if uncovered == "constant-patch":  # with "error" the space's own coverage check raises
         missing = _uncovered(nodes.n, table.indices)
         parts.append((influences(nodes, None, ("knn", 1), center_indices=missing), poly_patch_recipe(0)))
-    space = OverlapSplineSpace(nodes, table=PatchTable.of_recipes(parts), recipes=[r for _, r in parts])
+    recipes, patch_table = [r for _, r in parts], PatchTable.of_recipes(parts)
+    space = OverlapSplineSpace(nodes, patch_table, lambda i, infl: recipes[patch_table.shape[i]](infl))
     failing = space.failing_patches if _log.isEnabledFor(logging.INFO) else ()
     if failing:
         _log.info("%d of %d patches are not interpolation sets (first: %s)",
@@ -337,7 +339,7 @@ def from_nodal_values(space: OverlapSplineSpace, values) -> OverlapSpline:
     """The unique member taking the given values at the nodes.
 
     Each patch is the local interpolant of the values on its influence set
-    (the coefficients of `local_interpolate`); this parameterization exists
+    (its nodal matrix solved for them); this parameterization exists
     exactly when the space is interpolatory.  Each `spaces.walk_stack`
     chunk of `CHUNK_ROWS` patches, with its nodal matrices and node indices,
     is one stacked nodal solve, and the solve is the one test: a

@@ -4,9 +4,10 @@ import numpy as np
 import scipy.sparse
 
 import meshfd as m
-from meshfd.errors import AnalysisSizeError, InvalidInputError
+from meshfd.errors import AnalysisSizeError, InvalidInputError, NotAnInterpolationSetError
 from meshfd.linalg import null_space, numerical_rank
-from meshfd.spline import ANALYSIS_GUARD, DimensionReport
+from meshfd.spaces import PatchTable
+from meshfd.spline import ANALYSIS_GUARD, INTERPOLATION_RTOL, DimensionReport
 
 FIVE_STAR_SUBLIST = [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2)]
 SEVEN_STAR_SUBLIST = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (0, 2, 0), (0, 0, 2)]
@@ -79,6 +80,12 @@ def five_star_full_p2_space(n_intervals):
         uncovered="constant-patch",
     )
     return ns, space
+
+
+def hand_made_space(nodes, pairs):
+    """The space of hand-made (influence set, local space) pairs, its table filled by `PatchTable.of_pairs`."""
+    infls, spaces = tuple(zip(*pairs)) or ((), ())
+    return m.OverlapSplineSpace(nodes, PatchTable.of_pairs(infls, spaces), lambda i, _: spaces[i])
 
 
 def halton_r3_space(count=100, k=12):
@@ -215,7 +222,8 @@ def dense_dimension_analysis(space, guard=ANALYSIS_GUARD):
     dim_ker = dim_total - dim_im
 
     lower = space.nodes.n + total_coeffs - node.size
-    upper = space.nodes.n if all(p.unisolvent for p in space.patches) else None
+    upper = space.nodes.n if all(m.unisolvency_rank(p.space, p.influence.points)[0] == p.space.dim
+                                 for p in space.patches) else None
     return DimensionReport(
         dim_total=int(dim_total),
         dim_ker_T=int(dim_ker),
@@ -224,6 +232,43 @@ def dense_dimension_analysis(space, guard=ANALYSIS_GUARD):
         upper_bound_unisolvent=upper,
         interpolatory=space.interpolatory,
     )
+
+
+# The one-patch routes that `meshfd.spaces` and `OverlapSpline` kept before
+# every fit and value became a stacked call, kept as the oracles of
+# `from_nodal_values` and `OverlapSpline.eval_pairs`.
+def local_interpolate(space, coords, values):
+    """Coefficients, in the space's basis, of the interpolant of ``values`` at ``coords`` (a kernel space's centers).
+
+    A node set that is not an interpolation set raises `NotAnInterpolationSetError` with the nodal matrix's rank.
+    """
+    coords, values = np.atleast_2d(np.asarray(coords, dtype=float)), np.asarray(values, dtype=float).reshape(-1)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise InvalidInputError(f"value at node {bad[0]} is not finite: {values[bad[0]]}")
+    if isinstance(space, m.KernelSpace) and coords.shape[0] != space.n:
+        raise InvalidInputError("kernel interpolation expects values at the kernel centers")
+    e, n = np.atleast_2d(space.eval_basis(coords)), coords.shape[0]
+    try:
+        if n != space.dim:
+            raise np.linalg.LinAlgError(f"{n} nodes cannot be an interpolation set for dimension {space.dim}")
+        coeffs = np.linalg.solve(e, values)
+        if not np.max(np.abs(e @ coeffs - values)) <= INTERPOLATION_RTOL * (1.0 + np.max(np.abs(values))):
+            raise np.linalg.LinAlgError("interpolation residual above the tolerance")
+    except np.linalg.LinAlgError as exc:
+        raise NotAnInterpolationSetError(str(exc), rank=numerical_rank(e), dim=space.dim, n_nodes=n) from None
+    return coeffs
+
+
+def patch_value(space, coeffs, x):
+    """A patch's value at x from its coefficients in the space's basis."""
+    return space.eval_basis(x) @ np.asarray(coeffs, dtype=float)
+
+
+def patch_eval(s, i, x):
+    """Patch i of the spline s at x through its own space (a negative i counts from the end)."""
+    i = s.space.table.index(i)
+    return patch_value(s.space.patches[i].space, s.patch_coeffs[i], x)
 
 
 # The presets' finite-difference oracle, independent of every patch space:

@@ -1,10 +1,11 @@
 """The patch table: `build_space` builds no per-patch object, and the table equals hand-made patches.
 
 A space built from a recipe holds its patches as arrays (`spaces.PatchTable`);
-a space built from hand-made `Patch` objects fills the same table after
-checking each pairing.  On the small input of every benchmark workload both
-give bit-identical systems, solutions, fits and blends, and the lazily built
-`space.patches` equal the objects built one influence set at a time.
+hand-made (influence set, space) pairs fill the same table through
+`PatchTable.of_pairs`, which checks each pairing.  On the small input of every
+benchmark workload both give bit-identical systems, solutions, fits and
+blends, and the lazily built `space.patches` equal the pairs built one
+influence set at a time, with the ranks of the batched rank pass.
 """
 
 import collections
@@ -19,7 +20,7 @@ from meshfd.errors import ConstructionError, InvalidInputError
 from meshfd.geometry import influences
 from meshfd.spaces import PatchTable, Recipe
 
-from helpers import five_star_sublist_space, halton_r3_space
+from helpers import five_star_sublist_space, halton_r3_space, hand_made_space
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -27,9 +28,9 @@ from pipeline import PROBLEM, WORKLOADS, make_inputs  # noqa: E402
 
 
 def one_set_at_a_time(ns, k, recipe):
-    """Patches of a kNN space built as before the table: one query and one recipe call per node."""
+    """(influence set, space) pairs of a kNN space built as before the table: one query and one recipe call per node."""
     sets = [m.knn(ns, ns.points[i], k, center_index=i) for i in range(ns.n)]
-    return tuple(m.Patch(infl, recipe(infl)) for infl in sets)
+    return [(infl, recipe(infl)) for infl in sets]
 
 
 def pipeline_outputs(wl, space, inputs) -> list:
@@ -54,35 +55,48 @@ def test_hand_made_patches_give_identical_outputs(name):
     base = wl.nodes()
     ns = m.NodeSet(base.points[inputs.order], base.boundary_mask[inputs.order])
     table_built = m.build_space(ns, "all", ("knn", wl.k), wl.recipe())
-    hand_made = m.OverlapSplineSpace(ns, one_set_at_a_time(ns, wl.k, wl.recipe()))
+    hand_made = hand_made_space(ns, one_set_at_a_time(ns, wl.k, wl.recipe()))
     for got, expected in zip(pipeline_outputs(wl, table_built, inputs), pipeline_outputs(wl, hand_made, inputs)):
         assert np.array_equal(got, expected)
     assert table_built.failing_patches == hand_made.failing_patches
 
 
 def assert_same_patches(got, expected):
+    """The views ``got`` hold the (influence set, space) pairs ``expected``."""
     assert len(got) == len(expected)
-    for p, q in zip(got, expected):
+    for p, (influence, space) in zip(got, expected):
         for field in ("indices", "distances", "points", "center", "center_index"):
-            assert np.array_equal(getattr(p.influence, field), getattr(q.influence, field), equal_nan=False)
-        assert type(p.space) is type(q.space)
-        polys = [(p.space, q.space)]
+            assert np.array_equal(getattr(p.influence, field), getattr(influence, field), equal_nan=False)
+        assert type(p.space) is type(space)
+        polys = [(p.space, space)]
         if isinstance(p.space, m.KernelSpace):
-            assert p.space.kernel == q.space.kernel and p.space.scale == q.space.scale
-            assert np.array_equal(p.space.centers, q.space.centers)
-            assert (p.space.aug is None) == (q.space.aug is None)
-            polys = [(p.space.aug, q.space.aug)] if p.space.aug is not None else []
+            assert p.space.kernel == space.kernel and p.space.scale == space.scale
+            assert np.array_equal(p.space.centers, space.centers)
+            assert (p.space.aug is None) == (space.aug is None)
+            polys = [(p.space.aug, space.aug)] if p.space.aug is not None else []
         for a, b in polys:
             assert (a.d, a.degree, a.scale, a.exponents) == (b.d, b.degree, b.scale, b.exponents)
             assert np.array_equal(a.shift, b.shift)
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_patch_views_equal_one_set_at_a_time_patches(name):
+def test_patch_views_equal_one_set_at_a_time_patches(name, one_matrix_ranks):
+    """The views hold the one-set-at-a-time pairs; their ranks are the rank pass's, read on first use.
+
+    Building the views runs no rank pass, reading their ranks no per-patch SVD,
+    and the per-patch oracle `unisolvency_rank` agrees with every one of them.
+    """
     wl = WORKLOADS[name].small()
     ns = wl.nodes()
-    assert_same_patches(m.build_space(ns, "all", ("knn", wl.k), wl.recipe()).patches,
-                        one_set_at_a_time(ns, wl.k, wl.recipe()))
+    space = m.build_space(ns, "all", ("knn", wl.k), wl.recipe())
+    assert_same_patches(space.patches, one_set_at_a_time(ns, wl.k, wl.recipe()))
+    assert "_ranks" not in space.__dict__
+    ranks = [p.rank for p in space.patches]
+    assert one_matrix_ranks == []
+    assert ranks == space._ranks[0].tolist()
+    assert [p.unisolvent for p in space.patches] == [r == p.space.dim for r, p in zip(ranks, space.patches)]
+    assert [m.unisolvency_rank(p.space, p.influence.points)[0] for p in space.patches] == ranks
+    assert len(one_matrix_ranks) == space.m  # the oracle's one SVD per patch is seen
 
 
 def test_constant_patch_views_are_the_constant_spaces():
@@ -91,7 +105,7 @@ def test_constant_patch_views_are_the_constant_spaces():
     expected = []
     for j in (space.patches[i].center_node for i in corners):
         infl = m.knn(ns, ns.points[j], 1, center_index=j)
-        expected.append(m.Patch(infl, m.PolySpace.full(ns.d, 0, shift=infl.center, scale=1.0)))
+        expected.append((infl, m.PolySpace.full(ns.d, 0, shift=infl.center, scale=1.0)))
     assert_same_patches([space.patches[i] for i in corners], expected)
     assert corners.tolist() == list(range(space.m - 4, space.m))
 

@@ -5,7 +5,7 @@ import meshfd as m
 from meshfd import spline
 from meshfd.errors import CoverageError, InvalidInputError
 from meshfd.pum import DEFAULT_RADIUS_FACTOR, PartitionOfUnity, blend
-from meshfd.spaces import KernelSpace, PatchTable, StackedBasis, local_interpolate, patch_value
+from meshfd.spaces import KernelSpace, PatchTable, StackedBasis
 
 from helpers import (
     blend_disconnected,
@@ -13,7 +13,11 @@ from helpers import (
     grid1d,
     halton_r3_space,
     halton_r3_space_3d,
+    hand_made_space,
     jittered_cloud,
+    local_interpolate,
+    patch_eval,
+    patch_value,
     quadratic_overlap_space_1d,
 )
 
@@ -138,7 +142,7 @@ class TestBlend:
         x = np.array([0.02])  # only the first patch ball reaches the left edge
         idx, gamma = pou.weights_at(x)
         assert len(idx) == 1
-        assert blend(s, pou, x) == pytest.approx(float(s.patch_eval(int(idx[0]), x)), abs=1e-15)
+        assert blend(s, pou, x) == pytest.approx(float(patch_eval(s, int(idx[0]), x)), abs=1e-15)
 
     def test_identical_polynomial_patches_reproduce_it(self, rng):
         ns, space = quadratic_overlap_space_1d(7)
@@ -184,7 +188,7 @@ class TestBlendDisconnected:
         pou = PartitionOfUnity.for_space(space)
         s = m.from_nodal_values(space, np.array([1.0, 2.0, 4.0]))
         x = np.array([0.47])
-        assert blend(s, pou, x) == pytest.approx(float(s.patch_eval(0, x)), abs=1e-15)
+        assert blend(s, pou, x) == pytest.approx(float(patch_eval(s, 0, x)), abs=1e-15)
 
     def test_smooth_function_error_decreases_with_refinement(self):
         target = lambda p: np.sin(np.pi * p[0]) * np.sin(np.pi * p[1])
@@ -271,10 +275,10 @@ def mixed_tail_rank_spline():
         influence = m.InfluenceSet(center=c[0], indices=index, points=c,
                                    distances=np.linalg.norm(c - c[0], axis=1), center_index=index[0])
         kernel = KernelSpace(m.Kernel("polyharmonic", 3.0), c, aug=m.PolySpace.full(2, 1, shift=c[0]))
-        patches.append(spline.Patch(influence, kernel))
-    space = m.OverlapSplineSpace(ns, patches)
+        patches.append((influence, kernel))
+    space = hand_made_space(ns, patches)
     rng = np.random.default_rng(11)
-    coeffs = tuple(rng.standard_normal(p.space.dim) for p in patches)
+    coeffs = tuple(rng.standard_normal(p.space.dim) for p in space.patches)
     assert [len(c) for c in coeffs] == [4, 5, 4]
     return ns, m.OverlapSpline(space=space, patch_coeffs=coeffs)
 
@@ -298,7 +302,7 @@ class TestEvaluationTable:
         pou = PartitionOfUnity.for_space(s.space)
         bounds = np.array([[0.0, 1.0]] * ns.d)
         pts = np.vstack([covered_samples(pou, rng, 300, bounds), ns.points])
-        oracle = np.array([blend_disconnected(s.patch_eval, pou, x) for x in pts])
+        oracle = np.array([blend_disconnected(lambda i, y: patch_eval(s, i, y), pou, x) for x in pts])
         batched = pou.evaluate(s, pts)
         one_point = np.array([blend(s, pou, x) for x in pts])
         assert np.array_equal(batched, one_point)
@@ -318,7 +322,7 @@ class TestEvaluationTable:
         s = m.from_nodal_values(space, rng.standard_normal(ns.n))
         patches = rng.integers(0, space.m, 50)
         pts = rng.random((50, 2))
-        expected = [float(s.patch_eval(int(i), x)) for i, x in zip(patches, pts)]
+        expected = [float(patch_eval(s, int(i), x)) for i, x in zip(patches, pts)]
         assert np.allclose(s.eval_pairs(patches, pts), expected, rtol=1e-13, atol=1e-13)
 
     def test_pair_chunks_agree_with_one_call(self, rng, monkeypatch):

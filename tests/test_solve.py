@@ -22,6 +22,7 @@ from helpers import (
     constant,
     five_star_sublist_space,
     halton_r3_space,
+    hand_made_space,
     jittered_cloud,
     quadratic_overlap_space_1d,
     seven_star_sublist_space,
@@ -299,17 +300,15 @@ class TestBatchedAssembly:
         sigma = build_sigma(space, "same-index")
         pairs = [pair for pair in sigma.pairs if not ns.boundary_mask[pair.node]]
         k = len(pairs) // 2
-        patches = [space.patches[pair.patch] for pair in pairs]
-        ps = patches[k].space  # a bad pairing is refused where the table is filled, before any row
-        moved = m.Patch(patches[k].influence, m.KernelSpace(ps.kernel, ps.centers + 0.01, aug=ps.aug,
-                                                             scale=ps.scale))
+        patches = [(space.patches[pair.patch].influence, space.patches[pair.patch].space) for pair in pairs]
+        infl, ps = patches[k]  # a bad pairing is refused where the table is filled, before any row
+        moved = (infl, m.KernelSpace(ps.kernel, ps.centers + 0.01, aug=ps.aug, scale=ps.scale))
         message = "kernel interpolation expects values at the kernel centers"
         with pytest.raises(InvalidInputError, match=message):
-            PatchTable.of_pairs([p.influence for p in patches[:k] + [moved]],
-                                [p.space for p in patches[:k] + [moved]])
+            PatchTable.of_pairs(*zip(*patches[:k] + [moved]))
         with pytest.raises(InvalidInputError, match=message):
-            m.OverlapSplineSpace(ns, tuple(moved if i == pairs[k].patch else p
-                                           for i, p in enumerate(space.patches)))
+            hand_made_space(ns, [moved if i == pairs[k].patch else (p.influence, p.space)
+                                 for i, p in enumerate(space.patches)])
 
     def test_collinear_stencil_mid_chunk_names_row_and_patch(self):
         rng = np.random.default_rng(5)

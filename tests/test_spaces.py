@@ -13,8 +13,7 @@ from meshfd.geometry import influences
 from meshfd.linalg import null_space
 from meshfd import spaces as spaces_module
 from meshfd.spaces import (
-    DEFAULT_TAIL_DEGREE, KernelSpace, PatchTable, PolySpace, kernel_derivative, monomial_derivatives, patch_value,
-    stack_spaces,
+    DEFAULT_TAIL_DEGREE, KernelSpace, PatchTable, PolySpace, kernel_derivative, monomial_derivatives, stack_spaces,
 )
 
 from helpers import (
@@ -24,7 +23,9 @@ from helpers import (
     halton_r3_space_3d,
     jittered_cloud,
     kernel_derivative_alone,
+    local_interpolate,
     monomial_derivatives_loop,
+    patch_value,
 )
 
 
@@ -205,7 +206,7 @@ class TestLocalInterpolate:
         h = 0.25
         coords = np.array([[0.25], [0.5], [0.75]])
         ps = PolySpace.full(1, 2, shift=[0.5], scale=0.25)
-        coeffs = m.local_interpolate(ps, coords, [0.0, 1.0, 0.0])
+        coeffs = local_interpolate(ps, coords, [0.0, 1.0, 0.0])
         for x in np.linspace(0.2, 0.8, 13):
             expected = -(x - 0.25) * (x - 0.75) / h**2
             assert patch_value(ps, coeffs, [x]) == pytest.approx(expected, abs=1e-12)
@@ -213,7 +214,7 @@ class TestLocalInterpolate:
     def test_zero_values_zero_patch(self):
         ps = PolySpace.full(2, 1)
         coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        coeffs = m.local_interpolate(ps, coords, np.zeros(3))
+        coeffs = local_interpolate(ps, coords, np.zeros(3))
         assert np.allclose(coeffs, 0.0, atol=1e-14)
 
     def test_kernel_matches_dense_saddle_oracle(self):
@@ -223,7 +224,7 @@ class TestLocalInterpolate:
         aug = PolySpace.full(1, 1)
         ks = KernelSpace(kernel, coords, aug=aug)
         values = np.array([0.0, 1.0, 0.0])
-        coeffs = m.local_interpolate(ks, coords, values)
+        coeffs = local_interpolate(ks, coords, values)
 
         # independent dense saddle solve in raw coordinates
         r = np.abs(coords - coords.T)
@@ -242,7 +243,7 @@ class TestLocalInterpolate:
         ps = PolySpace.full(2, 1)
         coords = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
         with pytest.raises(NotAnInterpolationSetError) as err:
-            m.local_interpolate(ps, coords, [1.0, 2.0, 3.0])
+            local_interpolate(ps, coords, [1.0, 2.0, 3.0])
         assert err.value.rank == 2
 
     def test_rank_deficient_kernel_tail_is_not_an_iset(self):
@@ -253,7 +254,7 @@ class TestLocalInterpolate:
         assert (ks.n, ks.dim) == (5, 6)
         with pytest.raises(NotAnInterpolationSetError,
                            match="5 nodes cannot be an interpolation set for dimension 6") as err:
-            m.local_interpolate(ks, coords, np.arange(5.0))
+            local_interpolate(ks, coords, np.arange(5.0))
         assert (err.value.rank, err.value.dim, err.value.n_nodes) == (5, 6, 5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -262,13 +263,13 @@ class TestLocalInterpolate:
         values = np.array([1.0, bad, bad])
         for space in (PolySpace.full(1, 2), KernelSpace(m.Kernel("gauss", 1.0), coords)):
             with pytest.raises(InvalidInputError, match=rf"^value at node 1 is not finite: {bad}$"):
-                m.local_interpolate(space, coords, values)
+                local_interpolate(space, coords, values)
 
     def test_kernel_values_off_the_centers_rejected(self):
         coords = np.array([[0.0], [0.5], [1.0]])
         ks = KernelSpace(m.Kernel("gauss", 1.0), coords)
         with pytest.raises(InvalidInputError, match="kernel centers"):
-            m.local_interpolate(ks, coords[:2], [1.0, 2.0])
+            local_interpolate(ks, coords[:2], [1.0, 2.0])
 
     @given(seed=st.integers(0, 300))
     def test_interpolation_residual_random_isets(self, seed):
@@ -279,7 +280,7 @@ class TestLocalInterpolate:
         if not iset:
             return
         values = rng.standard_normal(6) * 10
-        coeffs = m.local_interpolate(ps, coords, values)
+        coeffs = local_interpolate(ps, coords, values)
         recon = np.array([patch_value(ps, coeffs, c) for c in coords])
         assert np.max(np.abs(recon - values)) <= 1e-9 * (1 + np.max(np.abs(values)))
 

@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import logging
 import re
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +36,10 @@ from helpers import (
     grid2d,
     halton_r3_space,
     halton_r3_space_3d,
+    hand_made_space,
     jittered_cloud,
+    local_interpolate,
+    patch_eval,
     quadratic_overlap_space_1d,
 )
 
@@ -76,9 +81,9 @@ def never_first_patch(space):
 def first_connection_violation(s):
     """Oracle: (node, first patch, offending patch, their values) of the first disagreement."""
     for k, ms in enumerate(membership_lists(s.space)):
-        v0 = float(s.patch_eval(ms[0], s.space.nodes.points[k]))
+        v0 = float(patch_eval(s, ms[0], s.space.nodes.points[k]))
         for i in ms[1:]:
-            v = float(s.patch_eval(i, s.space.nodes.points[k]))
+            v = float(patch_eval(s, i, s.space.nodes.points[k]))
             if abs(v - v0) > spline_module.CONNECTION_RTOL * (1.0 + abs(v0)):
                 return k, ms[0], i, v0, v
     return None
@@ -106,8 +111,13 @@ def mixed_tail_rank_space():
         center = pts[idx[0]]
         infl = m.InfluenceSet(center=center, indices=np.array(idx),
                               distances=np.linalg.norm(pts[idx] - center, axis=1), points=pts[idx])
-        patches.append(m.Patch(infl, recipe(infl)))
-    return ns, m.OverlapSplineSpace(nodes=ns, patches=tuple(patches))
+        patches.append((infl, recipe(infl)))
+    return ns, hand_made_space(ns, patches)
+
+
+def every_other_patch(ns, space):
+    """The hand-made space of patches 0, 2, 4, ... of ``space``."""
+    return ns, hand_made_space(ns, [(p.influence, p.space) for p in space.patches[::2]])
 
 
 def _jittered_space(k, recipe):
@@ -188,25 +198,26 @@ class TestBuildSpace:
         assert caplog.records == []
 
     @pytest.mark.parametrize("case", ["knn5-grid-singular-edges", "mixed-tail-rank", "constant-patch-cover"])
-    def test_stacked_ranks_equal_per_patch_ranks(self, case, monkeypatch, caplog):
+    def test_stacked_ranks_equal_per_patch_ranks(self, case, monkeypatch, one_matrix_ranks, caplog):
         """`failing_patches` comes from one batched SVD per stack group: no per-patch rank, no view."""
         grid, (ns, hand) = grid2d(8), mixed_tail_rank_space()
+        pairs = [(p.influence, p.space) for p in hand.patches]
         build = {
             "knn5-grid-singular-edges": lambda: m.build_space(
                 grid, "all", ("knn", 5), m.poly_patch_recipe(2, sublist=FIVE_STAR_SUBLIST)),
-            "mixed-tail-rank": lambda: m.OverlapSplineSpace(ns, hand.patches),
+            "mixed-tail-rank": lambda: hand_made_space(ns, pairs),
             "constant-patch-cover": lambda: five_star_full_p2_space(4)[1],
         }[case]
         built = []
-        monkeypatch.setattr(spline_module, "unisolvency_rank", lambda *args: built.append("rank"))
         monkeypatch.setattr(m.Patch, "__init__", lambda *args, **kwargs: built.append("patch"))
         with caplog.at_level(logging.INFO, logger="meshfd.spline"):
             space = build()  # build_space logs its failing patches
             failing, interpolatory = space.failing_patches, space.interpolatory
-        assert built == []
+        assert built == [] and one_matrix_ranks == []
         monkeypatch.undo()
         assert failing and not interpolatory
-        assert failing == tuple(i for i, p in enumerate(space.patches) if not p.is_interpolation_set)
+        assert failing == tuple(i for i, p in enumerate(space.patches)
+                                if not m.unisolvency_rank(p.space, p.influence.points)[1])
 
     def test_constant_patch_completion_covers(self):
         ns, space = five_star_full_p2_space(4)
@@ -224,7 +235,7 @@ class TestBuildSpace:
                               uncovered="constant-patch")
         centered = [p.center_node for p in space.patches[:3]]
         assert centered == [2, 3, 4]
-        assert all(p.is_interpolation_set for p in space.patches)
+        assert all(m.unisolvency_rank(p.space, p.influence.points)[1] for p in space.patches)
 
     @pytest.mark.parametrize("build", [lambda: five_star_full_p2_space(4), lambda: kernel_space(2),
                                        lambda: halton_r3_space(), lambda: quadratic_overlap_space_1d(7)])
@@ -253,22 +264,32 @@ class TestBuildSpace:
         assert list(zip(node.tolist(), patch.tolist())) == [(k, i) for k, ms in enumerate(members) for i in ms]
         assert np.array_equal(space.table.influence.indices[flat], node)
 
-    def test_ranks_measured_on_first_use_only(self, monkeypatch, caplog):
-        calls = []
-
-        def counting(space, coords):
-            calls.append(1)
-            return m.unisolvency_rank(space, coords)
-
-        monkeypatch.setattr(spline_module, "unisolvency_rank", counting)
+    def test_ranks_measured_on_first_use_only(self, one_matrix_ranks, caplog):
+        """A view is its table row and its owner: the rank pass runs on the first rank read, for every patch."""
         caplog.set_level(logging.WARNING, logger="meshfd.spline")
         ns, space = kernel_space(0)
-        assert [f.name for f in dataclasses.fields(m.Patch)] == ["influence", "space"]
-        assert calls == []
-        assert space.interpolatory  # stacked ranks: no per-patch rank SVD
-        assert calls == []
-        assert space.patches[3].is_interpolation_set and space.patches[3].unisolvent
-        assert len(calls) == 1
+        assert [f.name for f in dataclasses.fields(m.Patch)] == ["influence", "space", "owner", "row"]
+        patch = space.patches[3]
+        assert (patch.owner, patch.row) == (space, 3) and patch.owner.m == space.m
+        assert "_ranks" not in space.__dict__  # neither the build nor the views measured a rank
+        assert patch.is_interpolation_set and patch.unisolvent
+        assert "_ranks" in space.__dict__ and space.interpolatory  # stacked ranks: no per-patch rank SVD
+        assert one_matrix_ranks == []
+
+    def test_views_hold_their_space_weakly(self):
+        """A space with views is freed without the cyclic collector; a view that outlives it has no rank."""
+        ns, space = kernel_space(0)
+        view, owner = space.patches[3], weakref.ref(space)
+        gc.disable()
+        try:
+            del space
+            assert owner() is None
+        finally:
+            gc.enable()
+        assert view.influence.size == 9 and view.space.dim == 9  # its own fields stay
+        for judgement in ("rank", "unisolvent", "is_interpolation_set"):
+            with pytest.raises(ReferenceError, match="^weakly-referenced object no longer exists$"):
+                getattr(view, judgement)
 
     def test_recipe_must_be_a_recipe_object(self):
         ns = grid1d(6)
@@ -287,6 +308,50 @@ class TestBuildSpace:
         with pytest.raises(InvalidInputError, match="center indices"):
             m.build_space(ns, np.array(bad), ("knn", 3), m.poly_patch_recipe(2),
                           uncovered="constant-patch")
+
+
+def hand_made_line(indices, points):
+    """Nodes 0, 0.5, 1 with the linear patch on nodes 0 and 1 and a second one on ``indices`` placed at ``points``."""
+    ns, recipe = grid1d(2), m.poly_patch_recipe(1)
+    sets = [m.InfluenceSet(center=[0.0], indices=[0, 1], distances=[0.0, 0.5], points=[[0.0], [0.5]]),
+            m.InfluenceSet(center=points[0], indices=indices, points=points,
+                           distances=np.linalg.norm(np.subtract(points, points[0]), axis=1))]
+    return ns, hand_made_space(ns, [(infl, recipe(infl)) for infl in sets])
+
+
+class TestHandMadeNodeReferences:
+    """The constructor holds every influence set to the nodes: indices in range, then the nodes' own coordinates."""
+
+    @pytest.mark.parametrize("indices, points, message", [
+        ([1, 3], [[0.5], [1.5]], "patch 1 references node 3 outside the 3 nodes"),  # index N
+        ([3, 4], [[1.5], [2.0]], "patch 1 references node 3 outside the 3 nodes"),  # indices above N
+        ([2, -1], [[1.0], [0.5]], "patch 1 references node -1 outside the 3 nodes"),  # a negative index
+        ([1, 2], [[0.5], [0.9]], "patch 1 references node 2 off its coordinates"),  # node 2 is at 1.0
+    ], ids=["index-n", "above-n", "negative", "moved-point"])
+    def test_bad_reference_names_patch_and_node(self, indices, points, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            hand_made_line(indices, points)
+
+    def test_moved_second_coordinate_names_its_node(self):
+        ns = grid2d(1)
+        points = ns.points.copy()
+        points[2, 1] += 0.25
+        infl = m.InfluenceSet(center=points[0], indices=[0, 1, 2, 3], points=points,
+                              distances=np.linalg.norm(points - points[0], axis=1))
+        with pytest.raises(InvalidInputError, match="^patch 0 references node 2 off its coordinates$"):
+            hand_made_space(ns, [(infl, m.poly_patch_recipe(1)(infl))])
+
+    def test_influence_points_of_another_dimension_refused(self):
+        ns = grid1d(2)
+        infl = m.InfluenceSet(center=[0.0, 0.0], indices=[0, 1, 2], distances=[0.0, 0.5, 1.0],
+                              points=[[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
+        with pytest.raises(InvalidInputError, match=r"^influence points of shape \(3, 2\) for 1-D nodes$"):
+            hand_made_space(ns, [(infl, m.poly_patch_recipe(1)(infl))])
+
+    def test_consistent_references_accepted(self):
+        ns, space = hand_made_line([1, 2], [[0.5], [1.0]])
+        s = m.from_nodal_values(space, [1.0, 2.0, 3.0])
+        assert np.allclose(m.restriction(s), [1.0, 2.0, 3.0], rtol=1e-14, atol=1e-14)
 
 
 class TestDimensionAnalysis:
@@ -340,7 +405,7 @@ class TestDimensionAnalysis:
             rep = m.dimension_analysis(space)
             assert rep.dim_total >= max(rep.lower_bound, 0)
             assert rep.dim_total == rep.dim_ker_T + rep.dim_im_T
-            if all(p.unisolvent for p in space.patches):
+            if all(m.unisolvency_rank(p.space, p.influence.points)[0] == p.space.dim for p in space.patches):
                 assert rep.dim_im_T <= ns.n
             checked += 1
         assert checked >= 80
@@ -393,26 +458,25 @@ class TestDimensionAnalysis:
             except ConstructionError:
                 continue
             rep = m.dimension_analysis(space)
-            assert rep.dim_ker_T == sum(p.space.dim - p.rank for p in space.patches)
+            ranks = [m.unisolvency_rank(p.space, p.influence.points) for p in space.patches]
+            assert rep.dim_ker_T == sum(p.space.dim - r for p, (r, _) in zip(space.patches, ranks))
             assert rep.dim_total == rep.dim_ker_T + rep.dim_im_T >= max(rep.lower_bound, 0)
             assert rep.dim_im_T <= ns.n
-            assert space.failing_patches == tuple(i for i, p in enumerate(space.patches)
-                                                  if not p.is_interpolation_set)
+            assert space.failing_patches == tuple(i for i, (_, iset) in enumerate(ranks) if not iset)
             deficient += rep.dim_ker_T > 0
             checked += 1
         assert deficient >= 50
 
-    def test_benchmark_scale_space(self, monkeypatch):
+    def test_benchmark_scale_space(self, monkeypatch, one_matrix_ranks):
         """The `fivepoint-grid` space (129^2, kNN 5) within the default guard: one batched rank pass,
-        no `Patch` view, no per-patch rank."""
+        no `Patch` view, no per-patch rank: the one one-matrix rank is that of the left-null block C."""
         space = _five_point_grid_space(128)
         built = []
-        monkeypatch.setattr(spline_module, "unisolvency_rank", lambda *args: built.append("rank"))
         monkeypatch.setattr(m.Patch, "__init__", lambda *args, **kwargs: built.append("patch"))
         start = time.perf_counter()
         rep = m.dimension_analysis(space)
         elapsed = time.perf_counter() - start
-        assert built == []
+        assert built == [] and [rows for rows, _ in one_matrix_ranks] == [512]
         assert rep.dim_ker_T == len(space.failing_patches) == 512
         assert (rep.dim_total, rep.dim_im_T) == (16645, 16133)
         assert elapsed < 5.0, f"dimension analysis of the 129^2 space took {elapsed:.2f}s"
@@ -435,7 +499,7 @@ class TestFromNodalValues:
         for i in range(1, n):  # patch index i-1 belongs to interior node i
             for x in np.linspace((i - 1) * h, (i + 1) * h, 9):
                 expected = lagrange_patch_1d(x, j, i, h)
-                assert s.patch_eval(i - 1, [x]) == pytest.approx(expected, abs=1e-10)
+                assert patch_eval(s, i - 1, [x]) == pytest.approx(expected, abs=1e-10)
 
     def test_global_quadratic_reproduced_on_every_patch(self):
         ns, space = quadratic_overlap_space_1d(7)
@@ -444,7 +508,7 @@ class TestFromNodalValues:
         for i, patch in enumerate(space.patches):
             lo, hi = patch.influence.points.min(), patch.influence.points.max()
             for x in np.linspace(lo, hi, 7):
-                assert s.patch_eval(i, [x]) == pytest.approx(2 * x**2 - 0.5 * x + 3, rel=1e-12)
+                assert patch_eval(s, i, [x]) == pytest.approx(2 * x**2 - 0.5 * x + 3, rel=1e-12)
 
     def test_connection_condition_holds(self, rng):
         ns, space = five_star_sublist_space(5)
@@ -485,7 +549,7 @@ class TestFromNodalValues:
     @pytest.mark.parametrize("build", [
         halton_r3_space,
         lambda: five_star_sublist_space(6),
-        lambda: (lambda ns, space: (ns, m.OverlapSplineSpace(ns, space.patches[::2])))(*mixed_tail_rank_space()),
+        lambda: every_other_patch(*mixed_tail_rank_space()),
         gauss_tail_space,
         lambda: halton_r3_space_3d(352, 20),
     ], ids=["pum-eval-small", "five-star-mixed", "mixed-tail-rank-full-patches", "gauss-linear-tail", "r3-3d"])
@@ -494,7 +558,7 @@ class TestFromNodalValues:
         values = rng.standard_normal(ns.n)
         s = m.from_nodal_values(space, values)
         for patch, c in zip(space.patches, s.patch_coeffs):
-            oracle = m.local_interpolate(patch.space, patch.influence.points, values[patch.influence.indices])
+            oracle = local_interpolate(patch.space, patch.influence.points, values[patch.influence.indices])
             assert np.array_equal(c, oracle)
 
     def test_non_square_group_fails_all_its_patches(self):
@@ -509,7 +573,7 @@ class TestFromNodalValues:
         infl = m.InfluenceSet(center=center, indices=bottom, points=ns.points[bottom],
                               distances=np.linalg.norm(ns.points[bottom] - center, axis=1))
         recipe = m.poly_patch_recipe(2, sublist=FIVE_STAR_SUBLIST)
-        space = m.OverlapSplineSpace(ns, space.patches + (m.Patch(infl, recipe(infl)),))
+        space = hand_made_space(ns, [(p.influence, p.space) for p in space.patches] + [(infl, recipe(infl))])
         solves, solve = [], spline_module.stacked_solve
 
         def spy(a, b):
@@ -530,7 +594,7 @@ class TestFromNodalValues:
         moved = m.KernelSpace(patch.space.kernel, patch.influence.points + 0.01, aug=patch.space.aug,
                               scale=patch.space.scale)
         with pytest.raises(InvalidInputError, match="kernel interpolation expects values at the kernel centers"):
-            m.OverlapSplineSpace(ns, (m.Patch(patch.influence, moved),) + space.patches[1:])
+            hand_made_space(ns, [(patch.influence, moved)] + [(p.influence, p.space) for p in space.patches[1:]])
 
     def test_stacked_evaluation_rejects_moved_kernel_centres(self):
         ns, space = kernel_space(0)
@@ -551,14 +615,10 @@ class TestFromNodalValues:
         m.from_nodal_values(space, np.sin(ns.points).sum(axis=1))
         assert calls == [(space.m, 12, 2)]  # one kernel group of 12-node patches
 
-    def test_local_solves_are_the_only_test(self, monkeypatch):
-        calls = []
-        rank = spline_module.unisolvency_rank
-        monkeypatch.setattr(spline_module, "unisolvency_rank",
-                            lambda *args: calls.append(args) or rank(*args))
+    def test_local_solves_are_the_only_test(self, one_matrix_ranks):
         ns, space = five_star_sublist_space(4)
         m.from_nodal_values(space, np.zeros(ns.n))
-        assert calls == []
+        assert one_matrix_ranks == []
 
 
 class TestRestriction:
@@ -591,7 +651,7 @@ class TestRestriction:
     def test_matches_node_by_node_oracle(self, rng):
         ns, space = kernel_space(1)
         s = m.from_nodal_values(space, rng.standard_normal(ns.n))
-        oracle = [[float(s.patch_eval(i, ns.points[k])) for i in ms]
+        oracle = [[float(patch_eval(s, i, ns.points[k])) for i in ms]
                   for k, ms in enumerate(membership_lists(space))]
         first = np.array([vals[0] for vals in oracle])
         defect = max(abs(v - vals[0]) / (1.0 + abs(vals[0])) for vals in oracle for v in vals)
@@ -648,9 +708,9 @@ class TestRestriction:
         s = m.OverlapSpline(space=space, patch_coeffs=tuple(
             rng.standard_normal(p.space.dim) for p in space.patches))
         node, patch, _ = space.incidence
-        oracle = [float(s.patch_eval(i, ns.points[k])) for k, i in zip(node, patch)]
+        oracle = [float(patch_eval(s, i, ns.points[k])) for k, i in zip(node, patch)]
         assert np.allclose(s.eval_pairs(patch, ns.points[node]), oracle, rtol=1e-13, atol=1e-13)
-        values = [[float(s.patch_eval(i, ns.points[k])) for i in ms]
+        values = [[float(patch_eval(s, i, ns.points[k])) for i in ms]
                   for k, ms in enumerate(membership_lists(space))]
         defect = max(abs(v - vals[0]) / (1.0 + abs(vals[0])) for vals in values for v in vals)
         assert connection_defect(s) == pytest.approx(defect, abs=1e-13)
@@ -714,26 +774,22 @@ class TestLagrangeRow:
         assert row.residual <= 1e-8
 
     def test_coincident_kernel_nodes_raise_instead_of_nan_row(self):
-        pts = np.array([[0.0, 0.0], [0.0, 0.0], [0.3, 0.1]])
+        """Nodes 1e-150 apart are distinct nodes but coincident kernel centres: equal Gauss rows, rank 2."""
+        pts = np.array([[0.0, 0.0], [1e-150, 0.0], [0.3, 0.1]])
         infl = m.InfluenceSet(center=pts[0], indices=[0, 1, 2],
                               distances=np.linalg.norm(pts, axis=1), points=pts)
         ks = m.KernelSpace(m.Kernel("gauss", 1.0), pts)
-        nodes = m.NodeSet(points=[[0.0, 0.0], [1.0, 0.0], [0.3, 0.1]], boundary_mask=[False] * 3)
-        patch = m.Patch(influence=infl, space=ks)
-        space = m.OverlapSplineSpace(nodes=nodes, patches=(patch,))
+        nodes = m.NodeSet(points=pts, boundary_mask=[False] * 3)
+        space = hand_made_space(nodes, [(infl, ks)])
         with pytest.raises(m.NotAnInterpolationSetError, match="rank 2, dim 3"):
             m.lagrange_row(space, 0, m.LAPLACIAN, pts[2])
 
-    def test_interpolatory_space_measures_no_patch_rank(self, monkeypatch):
+    def test_interpolatory_space_measures_no_patch_rank(self, one_matrix_ranks):
         ns, space = halton_r3_space(60)
-
-        def no_rank(*args):
-            raise AssertionError("a per-patch rank was measured")
-
-        monkeypatch.setattr(spline_module, "unisolvency_rank", no_rank)
         gs = m.assemble(space, m.LAPLACIAN, constant(0.0), m.build_sigma(space, "same-index"), route="lagrange")
         m.lagrange_row(space, -1, m.LAPLACIAN, space.table.influence.centers[-1])
         assert gs.matrix.shape == (ns.n, ns.n)
+        assert one_matrix_ranks == []  # no per-patch rank was measured
         assert "patches" not in space.__dict__  # no `Patch` view was built
 
     def test_negative_index_counts_from_the_end(self):
@@ -749,7 +805,7 @@ class TestLagrangeRow:
         with pytest.raises(InvalidInputError, match="patch ind"):
             m.lagrange_row(space, index, m.SECOND_DERIVATIVE_1D, ns.points[4])
         with pytest.raises(InvalidInputError, match="patch ind"):
-            m.from_nodal_values(space, np.zeros(ns.n)).patch_eval(index, ns.points[4])
+            patch_eval(m.from_nodal_values(space, np.zeros(ns.n)), index, ns.points[4])
 
     def test_rejects_non_interpolatory_patch(self):
         ns, space = five_star_full_p2_space(4)
